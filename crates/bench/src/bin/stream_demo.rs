@@ -28,7 +28,6 @@ const USAGE: &str = "stream_demo: bounded-memory streaming throughput vs image h
   --reps N         repetitions per cell (default 3)
   --threads CSV    in-band scan thread counts (default 1,4)
   --merger KIND    boundary merger for parallel mode: locked (default) or cas
-  --fold MODE      accumulation strategy: fused (default) or seq
   --prefetch       generate bands on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap band k's carry seam/fold with band k+1's scan
   --depth N        prefetch queue depth (default 2)
@@ -62,9 +61,6 @@ struct StreamBench {
     density: f64,
     threads: Vec<usize>,
     merger: String,
-    /// Accumulation strategy (`--fold`): `fused` folds component analysis
-    /// into the scan workers, `seq` is the sequential per-pixel baseline.
-    fold: String,
     /// Whether band generation ran on a `ccl-pipeline` prefetch worker
     /// (`--prefetch`), overlapping generation with labeling.
     prefetch: bool,
@@ -78,7 +74,6 @@ fn main() {
     let args = BinArgs::parse(USAGE);
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
     let merger = args.merger_or_default();
-    let fold = args.fold_or_default();
     let json_path = args
         .json
         .clone()
@@ -92,7 +87,7 @@ fn main() {
     };
     println!(
         "Streaming {WIDTH}-wide Bernoulli rasters in {BAND_ROWS}-row bands \
-         (density {DENSITY}, merger {merger}, fold {fold}{mode})\n"
+         (density {DENSITY}, merger {merger}{mode})\n"
     );
     let mut table = Table::new(
         [
@@ -116,7 +111,7 @@ fn main() {
         let mut components = 0u64;
         let mut peak = 0usize;
         for &t in &threads {
-            let cfg = StripConfig::parallel(t).with_merger(merger).with_fold(fold);
+            let cfg = StripConfig::parallel(t).with_merger(merger);
             let best = time_best_of(args.reps, || {
                 let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
                 let mut sink = CountComponents::default();
@@ -191,7 +186,6 @@ fn main() {
         density: DENSITY,
         threads,
         merger: merger.to_string(),
-        fold: fold.to_string(),
         prefetch: args.prefetch,
         pipeline: args.pipeline,
         rows,

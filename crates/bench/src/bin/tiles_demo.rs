@@ -35,7 +35,6 @@ const USAGE: &str = "tiles_demo: 2-D tile-grid out-of-core labeling throughput v
   --reps N         repetitions per cell (default 3)
   --threads CSV    in-row scan thread counts (default 1,4)
   --merger KIND    boundary merger for parallel mode: locked (default) or cas
-  --fold MODE      accumulation strategy: fused (default) or seq
   --prefetch       generate tile rows on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap row k's merge/spill with row k+1's scans
   --depth N        prefetch queue depth (default 2)
@@ -69,9 +68,6 @@ struct TilesBench {
     density: f64,
     threads: Vec<usize>,
     merger: String,
-    /// Accumulation strategy (`--fold`): `fused` folds component analysis
-    /// into the tile scans, `seq` is the sequential per-pixel baseline.
-    fold: String,
     /// Whether tile-row generation ran on a `ccl-pipeline` prefetch
     /// worker (`--prefetch`).
     prefetch: bool,
@@ -118,7 +114,6 @@ fn main() {
     let args = BinArgs::parse(USAGE);
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
     let merger = args.merger_or_default();
-    let fold = args.fold_or_default();
     let json_path = args
         .json
         .clone()
@@ -132,7 +127,7 @@ fn main() {
     };
     println!(
         "Tiling {WIDTH}-wide Bernoulli rasters into {TILE}x{TILE} tiles \
-         (density {DENSITY}, merger {merger}, fold {fold}{mode})\n"
+         (density {DENSITY}, merger {merger}{mode})\n"
     );
     let mut table = Table::new(
         [
@@ -156,9 +151,7 @@ fn main() {
         let mut components = 0u64;
         let mut peak = 0usize;
         for &t in &threads {
-            let cfg = TileGridConfig::parallel(t)
-                .with_merger(merger)
-                .with_fold(fold);
+            let cfg = TileGridConfig::parallel(t).with_merger(merger);
             let best = time_best_of(args.reps, || {
                 let stats =
                     run_labeling(&args, &cfg, height).expect("generator streams are infallible");
@@ -248,7 +241,6 @@ fn main() {
         density: DENSITY,
         threads,
         merger: merger.to_string(),
-        fold: fold.to_string(),
         prefetch: args.prefetch,
         pipeline: args.pipeline,
         rows,

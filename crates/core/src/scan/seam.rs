@@ -16,13 +16,13 @@
 
 use std::ops::Range;
 
-use ccl_unionfind::{EquivalenceStore, UnionFind};
+use ccl_unionfind::EquivalenceStore;
 
 /// A per-label payload that can be folded into another when two
-/// provisional labels turn out to name the same component — the hook that
-/// lets a seam merge combine *partial accumulators* (areas, bounding
-/// boxes, centroid sums…) at the instant it unions the labels, so no
-/// later pass over the pixels is needed.
+/// provisional labels turn out to name the same component — what lets a
+/// merge stage combine *partial accumulators* (areas, bounding boxes,
+/// centroid sums…) per label after the seams, so no later pass over the
+/// pixels is needed.
 ///
 /// Laws the fused-accumulation machinery relies on (property-tested by
 /// the consumers): `fold` must be **commutative** and **associative**
@@ -35,55 +35,6 @@ pub trait Foldable: Copy {
     /// Folds `other` into `self`. Called with the payloads of two label
     /// sets that were just discovered to be one component.
     fn fold(&mut self, other: &Self);
-}
-
-/// An [`EquivalenceStore`] adapter that folds per-label payloads as it
-/// unions: every merge that joins two distinct sets also folds the
-/// absorbed root's payload into the surviving root's slot (and resets the
-/// absorbed slot to [`Foldable::EMPTY`]). Passing a `FoldingStore` to
-/// [`merge_seam`] / [`merge_seam_span`] / [`merge_seam_strided`] is the
-/// *optional fold hook* of the fused-accumulation path: after the seam,
-/// the surviving roots' slots already hold the complete component
-/// payloads — no per-pixel pass remains.
-///
-/// The payload slice is indexed by label and must be kept **root-keyed**
-/// by the caller: every label's payload folded onto its set root before
-/// the first merge through this store (freshly scanned labels satisfy
-/// this trivially once a label→root fold pass has run). Sequential
-/// stores only — concurrent mergers fold nothing, by construction.
-pub struct FoldingStore<'a, S, P> {
-    inner: &'a mut S,
-    payloads: &'a mut [P],
-}
-
-impl<'a, S: UnionFind, P: Foldable> FoldingStore<'a, S, P> {
-    /// Wraps `inner`, folding `payloads` (indexed by label, root-keyed)
-    /// on every uniting merge.
-    pub fn new(inner: &'a mut S, payloads: &'a mut [P]) -> Self {
-        FoldingStore { inner, payloads }
-    }
-}
-
-impl<S: UnionFind, P: Foldable> EquivalenceStore for FoldingStore<'_, S, P> {
-    fn new_label(&mut self, label: u32) {
-        self.inner.new_label(label);
-    }
-
-    fn merge(&mut self, x: u32, y: u32) -> u32 {
-        let rx = self.inner.find(x);
-        let ry = self.inner.find(y);
-        if rx == ry {
-            return rx;
-        }
-        self.inner.merge(rx, ry);
-        // Which root survived is the store's choice (Rem-family keeps the
-        // minimum); ask rather than assume.
-        let keep = self.inner.find(rx);
-        let gone = if keep == rx { ry } else { rx };
-        let absorbed = std::mem::replace(&mut self.payloads[gone as usize], P::EMPTY);
-        self.payloads[keep as usize].fold(&absorbed);
-        keep
-    }
 }
 
 /// The seam body shared by every entry point: merges element `i` of `cur`
@@ -358,75 +309,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Toy payload: a sum + an element count, folding by addition.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    struct Part {
-        sum: u64,
-        n: u64,
-    }
-
-    impl Foldable for Part {
-        const EMPTY: Part = Part { sum: 0, n: 0 };
-
-        fn fold(&mut self, other: &Part) {
-            self.sum += other.sum;
-            self.n += other.n;
-        }
-    }
-
-    #[test]
-    fn folding_store_combines_payloads_on_union() {
-        let mut s = store_with(3);
-        let mut parts = [
-            Part::EMPTY,
-            Part { sum: 10, n: 1 },
-            Part { sum: 20, n: 2 },
-            Part { sum: 3, n: 1 },
-        ];
-        {
-            let mut fs = FoldingStore::new(&mut s, &mut parts);
-            merge_seam(&[1, 0, 2], &[0, 3, 0], &mut fs);
-        }
-        let root = s.find(3);
-        assert_eq!(root, 1, "Rem keeps the set minimum");
-        assert_eq!(parts[1], Part { sum: 33, n: 4 });
-        assert_eq!(parts[2], Part::EMPTY);
-        assert_eq!(parts[3], Part::EMPTY);
-    }
-
-    #[test]
-    fn folding_store_ignores_already_equivalent_merges() {
-        let mut s = store_with(2);
-        s.merge(1, 2);
-        let mut parts = [Part::EMPTY, Part { sum: 5, n: 2 }, Part::EMPTY];
-        let mut fs = FoldingStore::new(&mut s, &mut parts);
-        // repeated merges of the same pair fold exactly once (nothing on
-        // the second call: the sets are already one)
-        fs.merge(1, 2);
-        fs.merge(2, 1);
-        assert_eq!(parts[1], Part { sum: 5, n: 2 });
-    }
-
-    #[test]
-    fn folding_store_handles_non_root_arguments() {
-        // payloads are root-keyed: merging via non-root members must fold
-        // the roots' slots, not the members'.
-        let mut s = store_with(4);
-        s.merge(1, 2); // root 1
-        s.merge(3, 4); // root 3
-        let mut parts = [
-            Part::EMPTY,
-            Part { sum: 7, n: 3 },
-            Part::EMPTY,
-            Part { sum: 8, n: 1 },
-            Part::EMPTY,
-        ];
-        let mut fs = FoldingStore::new(&mut s, &mut parts);
-        fs.merge(2, 4);
-        assert_eq!(parts[1], Part { sum: 15, n: 4 });
-        assert_eq!(parts[3], Part::EMPTY);
     }
 
     #[test]

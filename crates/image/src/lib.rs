@@ -16,8 +16,6 @@
 //!   baseline),
 //! * [`packed`] — a bit-packed binary raster for memory-lean storage of the
 //!   large NLCD-class images,
-//! * [`morphology`] — 3×3 dilate/erode/open/close (used by the synthetic
-//!   dataset generators),
 //! * [`connectivity`] — the 4-/8-connectedness definitions of §III.
 //!
 //! All rasters are row-major; pixel `(row, col)` of an `R × C` image lives
@@ -31,7 +29,6 @@ pub mod connectivity;
 pub mod error;
 pub mod gray;
 pub mod io;
-pub mod morphology;
 pub mod packed;
 pub mod rgb;
 pub mod runs;

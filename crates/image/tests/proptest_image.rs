@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use ccl_image::io::{pbm, pgm, ppm};
-use ccl_image::morphology::{close, dilate, erode, open, Structuring};
 use ccl_image::threshold::im2bw;
 use ccl_image::{BinaryImage, GrayImage, PackedBinaryImage, RgbImage, RunImage};
 
@@ -67,29 +66,6 @@ proptest! {
                 prop_assert!(pair[0].end < pair[1].start, "not maximal/ordered");
             }
         }
-    }
-
-    #[test]
-    fn erosion_shrinks_dilation_grows(img in arb_binary()) {
-        for se in [Structuring::Box3, Structuring::Cross3] {
-            let e = erode(&img, se);
-            let d = dilate(&img, se);
-            for r in 0..img.height() {
-                for c in 0..img.width() {
-                    prop_assert!(e.get(r, c) <= img.get(r, c), "erode grew at ({r},{c})");
-                    prop_assert!(img.get(r, c) <= d.get(r, c), "dilate shrank at ({r},{c})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn opening_and_closing_are_idempotent(img in arb_binary()) {
-        let se = Structuring::Box3;
-        let o = open(&img, se);
-        prop_assert_eq!(&open(&o, se), &o, "opening not idempotent");
-        let cl = close(&img, se);
-        prop_assert_eq!(&close(&cl, se), &cl, "closing not idempotent");
     }
 
     #[test]

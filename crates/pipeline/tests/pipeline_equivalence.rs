@@ -164,8 +164,8 @@ proptest! {
 
     /// The composed rows stack — `PrefetchRows` decode worker feeding the
     /// pipelined strip labeler (decode ∥ scan ∥ merge) — is bit-identical
-    /// to the synchronous path for both fold modes, and its residency
-    /// stays within two bands + the carry row.
+    /// to the synchronous path, and its residency stays within two bands
+    /// + the carry row.
     #[test]
     fn prefetched_pipelined_rows_bit_identical(
         gen in 0usize..NUM_GENERATORS,
@@ -174,13 +174,11 @@ proptest! {
         band in 1usize..=17,
         threads in 1usize..=4,
         prefetch in proptest::bool::ANY,
-        fused in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        use ccl_stream::{analyze_stream_pipelined, FoldMode};
+        use ccl_stream::analyze_stream_pipelined;
         let img = generator_image(gen, w, h, seed);
-        let cfg = StripConfig::parallel(threads)
-            .with_fold(if fused { FoldMode::Fused } else { FoldMode::Sequential });
+        let cfg = StripConfig::parallel(threads);
         let mut sync_src = OwnedMemorySource::new(img.clone());
         let (sync_records, sync_stats) =
             analyze_stream(&mut sync_src, band, cfg.clone()).unwrap();

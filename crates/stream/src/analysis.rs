@@ -13,12 +13,12 @@
 //!
 //! # Partial accumulators and the seam fold (fused analysis)
 //!
-//! The fused accumulation path ([`FoldMode::Fused`](crate::FoldMode), the
-//! default) never walks the pixels in a separate sequential pass.
-//! Instead every *scan worker* builds a **partial accumulator table**
-//! keyed by provisional label while it scans its chunk (or tile), and
-//! the seam/merge stage combines partials per *label*, not per pixel.
-//! Three invariants make this exact:
+//! The labelers never walk the pixels in a separate sequential
+//! accumulation pass. Instead every *scan worker* builds a **partial
+//! accumulator table** keyed by provisional label while it scans its
+//! chunk (or tile), and the merge stage ([`crate::carry`]) combines
+//! partials per *label*, not per pixel. Three invariants make this
+//! exact:
 //!
 //! 1. **Per-pixel contributions are order-free.** Every pixel contributes
 //!    one single-pixel accumulator ([`Accum::pixel`]) computed from its
@@ -38,10 +38,9 @@
 //! 3. **Partials stay where their label is.** A chunk's partials live in
 //!    the chunk's disjoint provisional-label range, so scan workers
 //!    write without synchronization. The merge stage folds each used
-//!    label's partial onto its union-find root — O(labels), not
-//!    O(pixels) — either *during* the carry seam (sequential stores,
-//!    via [`ccl_core::scan::FoldingStore`]) or right after it
-//!    (concurrent stores, where folding inside the merger would race).
+//!    label's partial onto its union-find root right after the carry
+//!    seam — O(labels), not O(pixels), and race-free for concurrent
+//!    stores because every union has already happened.
 //!    The only pixels the merge stage ever touches are the band's (or
 //!    tile row's) **first line**, whose upper neighbours are the carry
 //!    row the scan stage must not depend on — an O(width) absorb.

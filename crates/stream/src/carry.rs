@@ -1,0 +1,378 @@
+//! The carry merge — the one merge stage both out-of-core engines share.
+//!
+//! The strip labeler ([`crate::StripLabeler`]) and the `ccl-tiles` grid
+//! labeler apply PAREMSP's structure — disjoint chunk scans plus one
+//! boundary merge — to a single *carried* row: everything a scanned band
+//! (or tile row) contributes after its own scan is settled here, against
+//! the open-component state carried from the previous one. [`CarryState`]
+//! owns that state (the carry row, one [`Accum`] per open component, the
+//! next stream id, the finalized count and the peak residency) and runs,
+//! per band:
+//!
+//! 1. the **first-line absorb** — the band's first line is the only part
+//!    of its partial accumulators the scan could not build (its upper
+//!    neighbours are the carry row), so it is folded in here in O(width);
+//! 2. the **carry seam** between the carry row and the band's first line,
+//!    split into column spans across the workers for concurrent stores;
+//! 3. the **per-label fold** — carried accumulators onto their (possibly
+//!    merged) roots, replaying every carried-id merge, then each used
+//!    label's partial onto its root: O(labels), never O(pixels);
+//! 4. **fresh ids** for new components, in raster order of their anchors;
+//! 5. **compaction** of the components still open on the band's last line
+//!    to active ids `1..=k`, which rebuilds the carry row;
+//! 6. **emission** of every closed component, ascending id.
+//!
+//! [`CarryState::finish`] drains the components still open at the end of
+//! the stream. The inputs are plain slices — the band's first and last
+//! label lines, the used label ranges, the partial table and the
+//! union-find view — so each engine keeps only its own scan and its own
+//! label emission, through the [`MergedBand`] this stage returns.
+
+use std::ops::Range;
+
+use ccl_core::par::{MergerKind, MergerStore};
+use ccl_core::scan::{merge_seam, merge_seam_span, split_spans, Foldable as _};
+use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
+
+use crate::analysis::{Accum, ComponentId, ComponentSink};
+use crate::labeler::BandUf;
+
+/// One scanned band (or tile row) as the carry merge sees it. Carried-id
+/// slots `1..=carry_cap` are reserved in `uf` and `partials`; the scan's
+/// labels start above them.
+pub struct ScannedLines<'a> {
+    /// Global row of the band's first line.
+    pub r0: usize,
+    /// Pixel rows in the band (≥ 1).
+    pub rows: usize,
+    /// Labels of the band's first line, `width` long.
+    pub first: &'a [u32],
+    /// Labels of the band's last line, `width` long.
+    pub last: &'a [u32],
+    /// The band's equivalences, every in-band seam already merged.
+    pub uf: BandUf,
+    /// Partial accumulators indexed by provisional label, covering every
+    /// band pixel except the first line.
+    pub partials: Vec<Accum>,
+    /// Provisional-label ranges the scan allocated.
+    pub used: &'a [Range<u32>],
+}
+
+/// How the carry seam merges into a concurrent store: the engine's
+/// worker count, merger and lock stripes. Sequential stores ignore it.
+#[derive(Debug, Clone, Copy)]
+pub struct SeamWorkers {
+    /// Column spans the seam splits into.
+    pub threads: usize,
+    /// Boundary-merge implementation.
+    pub merger: MergerKind,
+    /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
+    pub lock_stripes: Option<usize>,
+}
+
+/// Open-component state carried between bands: the carry row, the open
+/// accumulators and the id counters. See the module docs.
+#[derive(Debug)]
+pub struct CarryState {
+    width: usize,
+    /// Labels (active ids `1..=k`, 0 = background) of the last line of
+    /// the previous band; empty before the first band.
+    carry: Vec<u32>,
+    /// Accumulators of the open components, indexed by active id (slot 0
+    /// unused).
+    active: Vec<Accum>,
+    next_gid: u64,
+    finalized: u64,
+    peak_resident_rows: usize,
+}
+
+/// A merged band's label → stream-id resolution, for engines that emit
+/// labels (strips or tiles) after the merge.
+pub struct MergedBand {
+    uf: BandUf,
+    root_of: Vec<u32>,
+    acc: Vec<Accum>,
+    merges: Vec<(ComponentId, ComponentId)>,
+}
+
+impl MergedBand {
+    /// Carried ids that turned out to be one component in this band, as
+    /// ascending `(kept, absorbed)` pairs.
+    pub fn merges(&self) -> &[(ComponentId, ComponentId)] {
+        &self.merges
+    }
+
+    /// Stream id of provisional label `label` (0 for background).
+    #[inline]
+    pub fn gid(&mut self, label: u32) -> ComponentId {
+        if label == 0 {
+            return 0;
+        }
+        let root = self.uf.find_cached(&mut self.root_of, label);
+        self.acc[root as usize].gid
+    }
+}
+
+impl CarryState {
+    /// Empty state for a stream of the given width.
+    pub fn new(width: usize) -> Self {
+        CarryState {
+            width,
+            carry: Vec::new(),
+            active: vec![Accum::EMPTY],
+            next_gid: 1,
+            finalized: 0,
+            peak_resident_rows: 0,
+        }
+    }
+
+    /// Stream width in pixels.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Components currently open (touching the carry row).
+    pub fn open_components(&self) -> usize {
+        self.active.len() - 1
+    }
+
+    /// Components emitted so far.
+    pub fn finalized_components(&self) -> u64 {
+        self.finalized
+    }
+
+    /// Maximum pixel rows resident so far: the tallest band plus the
+    /// carry row.
+    pub fn peak_resident_rows(&self) -> usize {
+        self.peak_resident_rows
+    }
+
+    /// Merges one scanned band against the carry row, emits every
+    /// component that closed and rebuilds the carry (steps 1–6 of the
+    /// module docs).
+    pub fn merge(
+        &mut self,
+        band: ScannedLines<'_>,
+        seam: SeamWorkers,
+        components: &mut dyn ComponentSink,
+    ) -> MergedBand {
+        let ScannedLines {
+            r0,
+            rows,
+            first,
+            last,
+            mut uf,
+            partials: mut acc,
+            used,
+        } = band;
+        debug_assert_eq!(first.len(), self.width);
+        debug_assert_eq!(last.len(), self.width);
+        self.peak_resident_rows = self
+            .peak_resident_rows
+            .max(rows + usize::from(!self.carry.is_empty()));
+        let n_carry = self.open_components() as u32;
+
+        self.absorb_first_line(r0, first, &mut acc);
+        if !self.carry.is_empty() {
+            carry_seam(&self.carry, first, &mut uf, seam);
+        }
+
+        // After this block `acc[root]` holds the complete accumulator of
+        // every component with a pixel in the band (fresh ones still gid
+        // 0), `touched` lists the occupied roots, and `merges` the
+        // carried-id pairs that turned out to be one component.
+        let mut touched: Vec<u32> = Vec::new();
+        let mut merges: Vec<(ComponentId, ComponentId)> = Vec::new();
+        fold_carried(
+            &mut uf,
+            &self.active,
+            n_carry,
+            &mut acc,
+            &mut touched,
+            &mut merges,
+        );
+        let mut root_of: Vec<u32> = vec![u32::MAX; uf.slots()];
+        for range in used {
+            for l in range.clone() {
+                if acc[l as usize].is_empty() {
+                    continue;
+                }
+                let root = uf.find(l);
+                root_of[l as usize] = root;
+                if root == l {
+                    touched.push(l);
+                } else {
+                    let p = std::mem::replace(&mut acc[l as usize], Accum::EMPTY);
+                    acc[root as usize].fold(&p);
+                }
+            }
+        }
+
+        // Fresh ids in raster order of each new component's first pixel
+        // — its anchor, unique per component.
+        let mut fresh: Vec<((usize, usize), u32)> = touched
+            .iter()
+            .filter(|&&root| acc[root as usize].gid == 0)
+            .map(|&root| (acc[root as usize].anchor, root))
+            .collect();
+        fresh.sort_unstable();
+        for &(_, root) in &fresh {
+            acc[root as usize].gid = self.next_gid;
+            self.next_gid += 1;
+        }
+
+        // Components with a pixel on the band's last line stay open:
+        // compact them to active ids 1..=k (order of first occurrence on
+        // the line) and rebuild the carry row. Everything else has closed
+        // — no later row can reach it. The old carry row and accumulators
+        // are dead after the fold, so both are rebuilt in place: a fresh
+        // allocation that outlives the band would sit above the band's
+        // large partial table in the heap and keep its pages resident.
+        self.active.truncate(1);
+        self.carry.clear();
+        self.carry.resize(self.width, 0);
+        let mut survivor_id: Vec<u32> = vec![0; root_of.len()];
+        for (slot, &l) in self.carry.iter_mut().zip(last) {
+            if l == 0 {
+                continue;
+            }
+            let root = uf.find_cached(&mut root_of, l) as usize;
+            if survivor_id[root] == 0 {
+                self.active.push(acc[root]);
+                survivor_id[root] = (self.active.len() - 1) as u32;
+            }
+            *slot = survivor_id[root];
+        }
+        let closed: Vec<Accum> = touched
+            .iter()
+            .filter(|&&root| survivor_id[root as usize] == 0)
+            .map(|&root| acc[root as usize])
+            .collect();
+        self.emit(closed, components);
+
+        merges.sort_unstable();
+        MergedBand {
+            uf,
+            root_of,
+            acc,
+            merges,
+        }
+    }
+
+    /// Closes the stream: every still-open component is finalized and
+    /// emitted (ascending id).
+    pub fn finish<C: ComponentSink + ?Sized>(&mut self, components: &mut C) {
+        let remaining: Vec<Accum> = self.active.drain(1..).collect();
+        self.emit(remaining, components);
+        self.carry.clear();
+    }
+
+    /// Emits finalized components in ascending id order.
+    fn emit<C: ComponentSink + ?Sized>(&mut self, mut accs: Vec<Accum>, components: &mut C) {
+        accs.sort_by_key(|a| a.gid);
+        for acc in accs {
+            self.finalized += 1;
+            components.component(&acc.into_record());
+        }
+    }
+
+    /// Folds the band's first line into the partial table: its upper
+    /// neighbours are the carry row, which the scan stage never reads
+    /// (labels double as the foreground mask).
+    fn absorb_first_line(&self, r0: usize, first: &[u32], acc: &mut [Accum]) {
+        let w = first.len();
+        for (c, &l) in first.iter().enumerate() {
+            if l == 0 {
+                continue;
+            }
+            let west = c > 0 && first[c - 1] != 0;
+            let (nw, north, ne) = if self.carry.is_empty() {
+                (false, false, false)
+            } else {
+                (
+                    c > 0 && self.carry[c - 1] != 0,
+                    self.carry[c] != 0,
+                    c + 1 < w && self.carry[c + 1] != 0,
+                )
+            };
+            acc[l as usize].absorb(r0, c, west, nw, north, ne);
+        }
+    }
+}
+
+/// Merges the carry row with the band's first line (the paper's phase 3,
+/// run by the merge stage because it needs the carry row). Concurrent
+/// stores split the row into column spans across the workers; a span's
+/// diagonal probes read the full carry row ([`merge_seam_span`]), so the
+/// partition merges exactly the same pairs as one whole-row call.
+fn carry_seam(carry: &[u32], first: &[u32], uf: &mut BandUf, seam: SeamWorkers) {
+    match uf {
+        BandUf::Seq(store) => merge_seam(carry, first, store),
+        BandUf::Par(parents) => match seam.merger {
+            MergerKind::Locked => {
+                let merger = match seam.lock_stripes {
+                    Some(s) => LockedMerger::with_stripes(s),
+                    None => LockedMerger::new(),
+                };
+                seam_spans(carry, first, parents, seam.threads, &merger);
+            }
+            MergerKind::Cas => seam_spans(carry, first, parents, seam.threads, &CasMerger::new()),
+        },
+    }
+}
+
+fn seam_spans<M: ConcurrentMerger>(
+    carry: &[u32],
+    first: &[u32],
+    parents: &ConcurrentParents,
+    threads: usize,
+    merger: &M,
+) {
+    let spans = split_spans(carry.len(), threads);
+    if spans.len() <= 1 {
+        let mut store = MergerStore::new(parents, merger);
+        merge_seam(carry, first, &mut store);
+        return;
+    }
+    rayon::scope(|s| {
+        for span in spans {
+            s.spawn(move |_| {
+                let mut store = MergerStore::new(parents, merger);
+                merge_seam_span(carry, first, span, &mut store);
+            });
+        }
+    });
+}
+
+/// Folds the carried accumulators onto their (possibly merged) roots,
+/// recording first-occupancy roots in `touched` and carried-id merge
+/// pairs in `merges`. Any set containing a carried id is rooted at a
+/// carried id (Rem roots are set minima and carried ids occupy the low
+/// slots), so every carried root's slot is empty until this fold.
+fn fold_carried(
+    uf: &mut BandUf,
+    active: &[Accum],
+    n_carry: u32,
+    acc: &mut [Accum],
+    touched: &mut Vec<u32>,
+    merges: &mut Vec<(ComponentId, ComponentId)>,
+) {
+    for id in 1..=n_carry {
+        let root = uf.find(id);
+        let src = active[id as usize];
+        let dst = &mut acc[root as usize];
+        if dst.area == 0 {
+            *dst = src;
+            touched.push(root);
+        } else {
+            let (kept, absorbed) = if dst.gid <= src.gid {
+                (dst.gid, src.gid)
+            } else {
+                (src.gid, dst.gid)
+            };
+            dst.merge_with(&src);
+            dst.gid = kept;
+            merges.push((kept, absorbed));
+        }
+    }
+}

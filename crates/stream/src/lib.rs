@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod carry;
 pub mod driver;
 pub mod error;
 pub mod generators;
@@ -67,6 +68,6 @@ pub use driver::{
     stream_to_label_image, stream_to_label_image_pipelined,
 };
 pub use error::StreamError;
-pub use labeler::{BandUf, FoldMode, StreamStats, StripConfig, StripLabeler};
+pub use labeler::{BandUf, StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};
 pub use source::{MemorySource, OwnedMemorySource, RowSource};

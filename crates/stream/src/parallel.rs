@@ -5,42 +5,36 @@
 //! a disjoint provisional-label range into a shared [`ConcurrentParents`]
 //! array whose low slots `1..=carry_cap` are reserved for the carried
 //! inter-band labels. Chunk-boundary rows merge in parallel with the
-//! configured MERGER (Algorithm 8 or its CAS variant). In
-//! [`FoldMode::Fused`](crate::FoldMode) every worker also accumulates its
-//! chunk's partial [`Accum`] table while the pixels are cache-hot —
-//! writes stay contention-free because partials live in the chunk's own
-//! disjoint label range.
+//! configured MERGER (Algorithm 8 or its CAS variant). Every worker also
+//! accumulates its chunk's partial [`Accum`] table while the pixels are
+//! cache-hot — writes stay contention-free because partials live in the
+//! chunk's own disjoint label range.
 //!
 //! The inter-band carry seam is *not* scanned here: it belongs to the
-//! merge stage ([`carry_seam_parallel`]), which is the only per-band work
-//! that depends on the previous band — the split that lets the pipelined
+//! merge stage ([`crate::carry`]), which is the only per-band work that
+//! depends on the previous band — the split that lets the pipelined
 //! executor run this scan one band ahead.
 
 use std::ops::Range;
 
 use ccl_core::par::MergerStore;
-use ccl_core::scan::{merge_seam, merge_seam_span, scan_two_line, split_spans};
+use ccl_core::scan::{merge_seam, scan_two_line};
 use ccl_image::BinaryImage;
 use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
 use ccl_unionfind::EquivalenceStore;
 
 use crate::analysis::Accum;
-use crate::labeler::{accumulate_chunk, FoldMode, StripConfig};
+use crate::labeler::{accumulate_chunk, StripConfig};
 
 /// Scan-stage output: the band's labels, the shared parent array, the
-/// fused partial table (label-indexed) and the used label ranges.
-pub(crate) type ParallelScan = (
-    Vec<u32>,
-    ConcurrentParents,
-    Option<Vec<Accum>>,
-    Vec<Range<u32>>,
-);
+/// partial table (label-indexed) and the used label ranges.
+pub(crate) type ParallelScan = (Vec<u32>, ConcurrentParents, Vec<Accum>, Vec<Range<u32>>);
 
 /// Scans `band` with `cfg.threads` workers. Returns the band's label
 /// buffer, the shared parent array (slots `1..=carry_cap` reserved for
-/// carried labels, band labels from `carry_cap + 1`), the fused partial
-/// accumulator table (label-indexed, [`FoldMode::Fused`] only) and the
-/// label ranges each chunk actually allocated. `r0` is the global row of
+/// carried labels, band labels from `carry_cap + 1`), the partial
+/// accumulator table (label-indexed) and the label ranges each chunk
+/// actually allocated. `r0` is the global row of
 /// the band's first row.
 pub(crate) fn scan_band_parallel(
     band: &BinaryImage,
@@ -60,55 +54,6 @@ pub(crate) fn scan_band_parallel(
     }
 }
 
-/// Merges the inter-band carry seam in column spans across the configured
-/// workers (the paper's phase 3, run by the merge stage because it needs
-/// the carry row). A span's diagonal probes read the full carry row
-/// ([`merge_seam_span`]), so the partition merges exactly the same pairs
-/// as one whole-row call.
-pub(crate) fn carry_seam_parallel(
-    carry: &[u32],
-    top: &[u32],
-    parents: &ConcurrentParents,
-    cfg: &StripConfig,
-) {
-    match cfg.merger {
-        ccl_core::par::MergerKind::Locked => {
-            let merger = match cfg.lock_stripes {
-                Some(s) => LockedMerger::with_stripes(s),
-                None => LockedMerger::new(),
-            };
-            carry_seam_spans(carry, top, parents, cfg.threads, &merger);
-        }
-        ccl_core::par::MergerKind::Cas => {
-            carry_seam_spans(carry, top, parents, cfg.threads, &CasMerger::new())
-        }
-    }
-}
-
-fn carry_seam_spans<M: ConcurrentMerger>(
-    carry: &[u32],
-    top: &[u32],
-    parents: &ConcurrentParents,
-    threads: usize,
-    merger: &M,
-) {
-    let spans = split_spans(carry.len(), threads);
-    if spans.len() <= 1 {
-        let mut store = MergerStore::new(parents, merger);
-        merge_seam(carry, top, &mut store);
-        return;
-    }
-    rayon::scope(|s| {
-        for span in spans {
-            let parents = &parents;
-            s.spawn(move |_| {
-                let mut store = MergerStore::new(parents, merger);
-                merge_seam_span(carry, top, span, &mut store);
-            });
-        }
-    });
-}
-
 fn scan_with<M: ConcurrentMerger>(
     band: &BinaryImage,
     r0: usize,
@@ -118,7 +63,6 @@ fn scan_with<M: ConcurrentMerger>(
 ) -> ParallelScan {
     let (w, h) = (band.width(), band.height());
     debug_assert!(w > 0 && h > 0, "caller filters degenerate bands");
-    let fused = cfg.fold == FoldMode::Fused;
     let mut chunks = ccl_core::par::partition_rows(h, w, cfg.threads.max(1));
     for chunk in &mut chunks {
         chunk.label_offset += carry_cap;
@@ -134,26 +78,19 @@ fn scan_with<M: ConcurrentMerger>(
         }
     }
     let mut labels = vec![0u32; w * h];
-    let mut partials = fused.then(|| vec![Accum::EMPTY; slots]);
+    let mut partials = vec![Accum::EMPTY; slots];
     let mut nexts: Vec<u32> = chunks.iter().map(|c| c.label_offset).collect();
 
     // Phase 1: disjoint-range chunk scans (contention-free by
-    // construction); fused mode accumulates each chunk's partial table in
-    // the same worker, right after its scan, while the pixels are hot.
+    // construction); each chunk's partial table accumulates in the same
+    // worker, right after its scan, while the pixels are hot.
     rayon::scope(|s| {
         let mut rest: &mut [u32] = &mut labels;
-        let mut rest_parts: &mut [Accum] = match &mut partials {
-            Some(p) => &mut p[(carry_cap as usize + 1).min(slots)..],
-            None => &mut [],
-        };
+        let mut rest_parts: &mut [Accum] = &mut partials[(carry_cap as usize + 1).min(slots)..];
         for (chunk, next_out) in chunks.iter().zip(nexts.iter_mut()) {
             let (mine, tail) = rest.split_at_mut(chunk.num_rows() * w);
             rest = tail;
-            let (my_parts, ptail) = if fused {
-                rest_parts.split_at_mut(chunk.label_capacity as usize)
-            } else {
-                (&mut [] as &mut [Accum], rest_parts)
-            };
+            let (my_parts, ptail) = rest_parts.split_at_mut(chunk.label_capacity as usize);
             rest_parts = ptail;
             let parents = &parents;
             s.spawn(move |_| {
@@ -166,16 +103,14 @@ fn scan_with<M: ConcurrentMerger>(
                     chunk.label_offset,
                 );
                 *next_out = next;
-                if fused {
-                    accumulate_chunk(
-                        band,
-                        mine,
-                        chunk.rows.clone(),
-                        r0,
-                        chunk.label_offset,
-                        my_parts,
-                    );
-                }
+                accumulate_chunk(
+                    band,
+                    mine,
+                    chunk.rows.clone(),
+                    r0,
+                    chunk.label_offset,
+                    my_parts,
+                );
             });
         }
     });

@@ -7,14 +7,14 @@
 //!
 //! * **scan stage** — pull the next band from the source, scan it
 //!   (two-line + RemSP or PAREMSP worker groups), merge the
-//!   chunk-boundary seams and build the fused partial accumulator
+//!   chunk-boundary seams and build the partial accumulator
 //!   tables ([`scan_band`](crate::labeler)): independent of everything
 //!   before it, because carried ids are reserved by the width bound
 //!   `⌈w/2⌉` rather than the actual open-component count;
 //! * **merge stage** — the carry seam, the per-label accumulator fold,
-//!   compaction and component emission
-//!   ([`StripLabeler::merge_scanned_band`](crate::StripLabeler)):
-//!   inherently sequential, because each band's carry feeds the next.
+//!   compaction and component emission ([`crate::carry`], driven by
+//!   `StripLabeler::merge_scanned_band`): inherently sequential, because
+//!   each band's carry feeds the next.
 //!
 //! The executor runs the scan stage on a worker thread and the merge
 //! stage on the caller's, handing scanned bands across a **rendezvous
@@ -117,7 +117,6 @@ where
 mod tests {
     use super::*;
     use crate::analysis::{CollectLabelImage, ComponentRecord, CountComponents};
-    use crate::labeler::FoldMode;
     use crate::source::{MemorySource, OwnedMemorySource};
     use ccl_image::BinaryImage;
 
@@ -134,18 +133,15 @@ mod tests {
         )
         .unwrap();
 
-        for fold in [FoldMode::Sequential, FoldMode::Fused] {
-            let mut records: Vec<ComponentRecord> = Vec::new();
-            let mut src = OwnedMemorySource::new(img.clone());
-            let cfg = StripConfig::default().with_fold(fold);
-            let stats = run_pipelined(&mut src, 4, cfg, &mut records, None).unwrap();
-            assert_eq!(records, sync_records, "{fold}");
-            assert_eq!(stats.components, sync_stats.components);
-            assert_eq!(stats.rows, sync_stats.rows);
-            assert_eq!(stats.bands, sync_stats.bands);
-            // two 4-row bands + the carry row
-            assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
-        }
+        let mut records: Vec<ComponentRecord> = Vec::new();
+        let mut src = OwnedMemorySource::new(img);
+        let stats = run_pipelined(&mut src, 4, StripConfig::default(), &mut records, None).unwrap();
+        assert_eq!(records, sync_records);
+        assert_eq!(stats.components, sync_stats.components);
+        assert_eq!(stats.rows, sync_stats.rows);
+        assert_eq!(stats.bands, sync_stats.bands);
+        // two 4-row bands + the carry row
+        assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
     }
 
     #[test]

@@ -19,8 +19,8 @@ use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
 use ccl_image::BinaryImage;
 use ccl_stream::{
-    analyze_stream, analyze_stream_pipelined, stream_to_label_image, ComponentRecord, FoldMode,
-    MemorySource, OwnedMemorySource, RowSource, StripConfig, StripLabeler,
+    analyze_stream, analyze_stream_pipelined, stream_to_label_image, ComponentRecord, MemorySource,
+    OwnedMemorySource, RowSource, StripConfig, StripLabeler,
 };
 
 /// One image per synthetic generator family, sized `w × h` (the spiral is
@@ -59,13 +59,14 @@ const NUM_GENERATORS: usize = 15;
 
 /// Per-component features keyed by the raster-first anchor (unique per
 /// component), comparable across labelers: anchor, area, bbox, centroid,
-/// hole count. Centroid sums are integer accumulations in f64 (exact
-/// below 2^53), so equality is exact.
+/// perimeter, hole count. Centroid sums are integer accumulations in f64
+/// (exact below 2^53), so equality is exact.
 type Features = Vec<(
     (usize, usize),
     u64,
     (usize, usize, usize, usize),
     (f64, f64),
+    u64,
     u64,
 )>;
 
@@ -75,6 +76,21 @@ fn whole_image_features(img: &BinaryImage) -> Features {
     for (i, &l) in labels.as_slice().iter().enumerate() {
         if l != 0 && anchors[l as usize] == usize::MAX {
             anchors[l as usize] = i;
+        }
+    }
+    // brute-force perimeter: every 4-neighbour that is background or
+    // outside the image contributes one boundary edge
+    let mut perimeter = vec![0u64; labels.num_components() as usize + 1];
+    for r in 0..img.height() {
+        for c in 0..img.width() {
+            let l = labels.get(r, c) as usize;
+            if l == 0 {
+                continue;
+            }
+            perimeter[l] += [(-1isize, 0isize), (1, 0), (0, -1), (0, 1)]
+                .iter()
+                .filter(|&&(dr, dc)| img.get_or_bg(r as isize + dr, c as isize + dc) == 0)
+                .count() as u64;
         }
     }
     // independent hole oracle: one-pass V − E + F census per component
@@ -89,6 +105,7 @@ fn whole_image_features(img: &BinaryImage) -> Features {
                 region.area as u64,
                 region.bbox,
                 region.centroid,
+                perimeter[region.label as usize],
                 holes[region.label as usize - 1],
             )
         })
@@ -100,10 +117,37 @@ fn whole_image_features(img: &BinaryImage) -> Features {
 fn stream_features(records: &[ComponentRecord]) -> Features {
     let mut out: Features = records
         .iter()
-        .map(|r| (r.anchor, r.area, r.bbox, r.centroid, r.holes))
+        .map(|r| (r.anchor, r.area, r.bbox, r.centroid, r.perimeter, r.holes))
         .collect();
     out.sort_unstable_by_key(|f| f.0);
     out
+}
+
+/// The order contract of streamed records: ids strictly increase with
+/// anchor raster order, and records come out ordered by (index of the
+/// band containing row `max_r + 1`, id) — the band whose merge closes
+/// the component — with the components touching the last image row
+/// last, emitted by `finish`.
+fn assert_id_and_emission_order(records: &[ComponentRecord], band: usize, height: usize) {
+    let mut by_anchor: Vec<_> = records.iter().map(|r| (r.anchor, r.id)).collect();
+    by_anchor.sort_unstable();
+    assert!(
+        by_anchor.windows(2).all(|p| p[0].1 < p[1].1),
+        "ids do not follow anchor order"
+    );
+    let closing = |r: &ComponentRecord| {
+        let next = r.bbox.2 + 1;
+        let band_idx = if next == height {
+            usize::MAX
+        } else {
+            next / band
+        };
+        (band_idx, r.id)
+    };
+    assert!(
+        records.windows(2).all(|p| closing(&p[0]) < closing(&p[1])),
+        "records not in (closing band, id) order"
+    );
 }
 
 fn banded_features(img: &BinaryImage, band: usize, cfg: StripConfig) -> Features {
@@ -111,15 +155,18 @@ fn banded_features(img: &BinaryImage, band: usize, cfg: StripConfig) -> Features
     let (records, stats) = analyze_stream(&mut src, band, cfg).unwrap();
     assert_eq!(stats.components as usize, records.len());
     assert!(stats.peak_resident_rows <= 2 * band.max(1));
+    assert_id_and_emission_order(&records, band, img.height());
     stream_features(&records)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Satellite: `StripLabeler` analysis (count/areas/bboxes/centroids)
-    /// equals `aremsp` + `ccl_core::analysis` on the same image, across
-    /// band heights 1..=H and all synthetic generators.
+    /// Satellite: `StripLabeler` analysis (count/areas/bboxes/centroids/
+    /// perimeters/holes) equals `aremsp` + `ccl_core::analysis` + a
+    /// brute-force perimeter on the same image, in the streamed id and
+    /// emission order, across band heights 1..=H and all synthetic
+    /// generators.
     #[test]
     fn strip_analysis_matches_whole_image_analysis(
         gen in 0usize..NUM_GENERATORS,
@@ -153,41 +200,6 @@ proptest! {
         let seq = banded_features(&img, band, StripConfig::sequential());
         let par = banded_features(&img, band, cfg);
         prop_assert_eq!(par, seq, "generator {} threads {}", gen, threads);
-    }
-
-    /// Tentpole acceptance: the fused fold (per-chunk partial
-    /// accumulators merged at the seam) is bit-identical to the
-    /// sequential per-pixel fold — records *and* stats — across
-    /// generators, band heights and thread counts, synchronous and
-    /// pipelined.
-    #[test]
-    fn fused_fold_bit_identical_to_sequential_fold(
-        gen in 0usize..NUM_GENERATORS,
-        w in 1usize..=18,
-        h in 1usize..=18,
-        band in 1usize..=19,
-        threads in 1usize..=6,
-        pipelined in proptest::bool::ANY,
-        seed in 0u64..1000,
-    ) {
-        let img = generator_image(gen, w, h, seed);
-        let run = |fold: FoldMode| {
-            let cfg = StripConfig::parallel(threads).with_fold(fold);
-            if pipelined {
-                let mut src = OwnedMemorySource::new(img.clone());
-                analyze_stream_pipelined(&mut src, band, cfg).unwrap()
-            } else {
-                let mut src = MemorySource::new(&img);
-                analyze_stream(&mut src, band, cfg).unwrap()
-            }
-        };
-        let (seq_records, seq_stats) = run(FoldMode::Sequential);
-        let (fused_records, fused_stats) = run(FoldMode::Fused);
-        prop_assert_eq!(
-            fused_records, seq_records,
-            "generator {} band {} threads {} pipelined {}", gen, band, threads, pipelined
-        );
-        prop_assert_eq!(fused_stats, seq_stats);
     }
 
     /// The pipelined scan ∥ merge executor produces the same records as

@@ -9,7 +9,9 @@
 //!   strided columns ([`merge_seam_strided`]) directly over the per-tile
 //!   label buffers, no transpose and no stitched full-width buffer;
 //! * the **horizontal seam** against the carried last pixel row of the
-//!   previous tile row ([`merge_seam`]), exactly like the strip labeler.
+//!   previous tile row, through the carry merge the strip labeler uses
+//!   too ([`ccl_stream::carry`]): the tile row's first and last pixel
+//!   lines are assembled in O(width) and handed over as plain slices.
 //!
 //! In parallel mode the tiles of the resident row are scanned by
 //! `threads` workers and the vertical seams merge concurrently with the
@@ -29,14 +31,11 @@
 use std::ops::Range;
 
 use ccl_core::par::{MergerKind, MergerStore};
-use ccl_core::scan::{
-    max_labels_two_line, merge_seam, merge_seam_span, merge_seam_strided, scan_two_line,
-    split_spans, Foldable as _, FoldingStore,
-};
+use ccl_core::scan::{max_labels_two_line, merge_seam_strided, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
 use ccl_stream::analysis::Accum;
-use ccl_stream::labeler::fold_carried;
-use ccl_stream::{BandUf, ComponentSink, FoldMode, StreamStats};
+use ccl_stream::carry::{CarryState, ScannedLines, SeamWorkers};
+use ccl_stream::{BandUf, ComponentSink, StreamStats};
 use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
@@ -44,12 +43,12 @@ use crate::error::TilesError;
 use crate::sink::{TileMeta, TileSink};
 
 /// Scan-stage output of the parallel tile-row path: per-tile label
-/// buffers, the shared parent array, the fused partial table
-/// (label-indexed) and the used label ranges.
+/// buffers, the shared parent array, the partial table (label-indexed)
+/// and the used label ranges.
 type ParallelTileScan = (
     Vec<Vec<u32>>,
     ConcurrentParents,
-    Option<Vec<Accum>>,
+    Vec<Accum>,
     Vec<Range<u32>>,
 );
 
@@ -63,10 +62,6 @@ pub struct TileGridConfig {
     pub merger: MergerKind,
     /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
     pub lock_stripes: Option<usize>,
-    /// Accumulation strategy (default [`FoldMode::Fused`]: the tile
-    /// scans build partial accumulator tables, the merge stage folds per
-    /// label instead of re-reading every pixel).
-    pub fold: FoldMode,
 }
 
 impl Default for TileGridConfig {
@@ -75,7 +70,6 @@ impl Default for TileGridConfig {
             threads: 1,
             merger: MergerKind::default(),
             lock_stripes: None,
-            fold: FoldMode::default(),
         }
     }
 }
@@ -97,12 +91,6 @@ impl TileGridConfig {
     /// Builder: replaces the boundary-merge implementation.
     pub fn with_merger(mut self, merger: MergerKind) -> Self {
         self.merger = merger;
-        self
-    }
-
-    /// Builder: replaces the accumulation strategy.
-    pub fn with_fold(mut self, fold: FoldMode) -> Self {
-        self.fold = fold;
         self
     }
 }
@@ -160,20 +148,11 @@ impl TileGridStats {
 /// assert_eq!(sink[0].area, 4);
 /// ```
 pub struct TileGridLabeler {
-    width: usize,
     cfg: TileGridConfig,
     rows_done: usize,
     tile_rows_done: usize,
     tiles_done: usize,
-    /// Labels (active ids `1..=k`, 0 = background) of the last pixel row
-    /// of the previous tile row; empty before the first row.
-    carry: Vec<u32>,
-    /// Accumulators of the open components, indexed by active id (slot 0
-    /// unused).
-    active: Vec<Accum>,
-    next_gid: u64,
-    finalized: u64,
-    peak_resident_rows: usize,
+    carry: CarryState,
 }
 
 impl TileGridLabeler {
@@ -185,22 +164,17 @@ impl TileGridLabeler {
     /// Labeler with explicit configuration.
     pub fn with_config(width: usize, cfg: TileGridConfig) -> Self {
         TileGridLabeler {
-            width,
             cfg,
             rows_done: 0,
             tile_rows_done: 0,
             tiles_done: 0,
-            carry: Vec::new(),
-            active: vec![Accum::EMPTY],
-            next_gid: 1,
-            finalized: 0,
-            peak_resident_rows: 0,
+            carry: CarryState::new(width),
         }
     }
 
     /// Grid width in pixels.
     pub fn width(&self) -> usize {
-        self.width
+        self.carry.width()
     }
 
     /// Pixel rows labeled so far.
@@ -215,18 +189,18 @@ impl TileGridLabeler {
 
     /// Components currently open (touching the carry row).
     pub fn open_components(&self) -> usize {
-        self.active.len() - 1
+        self.carry.open_components()
     }
 
     /// Components emitted so far.
     pub fn finalized_components(&self) -> u64 {
-        self.finalized
+        self.carry.finalized_components()
     }
 
     /// Maximum pixel rows resident at any point so far (tallest tile row
     /// + 1 carry row) — never exceeds two tile rows.
     pub fn peak_resident_rows(&self) -> usize {
-        self.peak_resident_rows
+        self.carry.peak_resident_rows()
     }
 
     /// Labels the next tile row, emitting every component that closes.
@@ -254,19 +228,14 @@ impl TileGridLabeler {
     /// Closes the grid: every still-open component is finalized and
     /// emitted (ascending id), and the run's summary returned.
     pub fn finish<C: ComponentSink + ?Sized>(mut self, components: &mut C) -> TileGridStats {
-        let mut remaining: Vec<Accum> = self.active.drain(1..).collect();
-        remaining.sort_by_key(|a| a.gid);
-        for acc in remaining {
-            self.finalized += 1;
-            components.component(&acc.into_record());
-        }
+        self.carry.finish(components);
         TileGridStats {
-            width: self.width,
+            width: self.width(),
             rows: self.rows_done,
             tile_rows: self.tile_rows_done,
             tiles: self.tiles_done,
-            components: self.finalized,
-            peak_resident_rows: self.peak_resident_rows,
+            components: self.carry.finalized_components(),
+            peak_resident_rows: self.carry.peak_resident_rows(),
         }
     }
 
@@ -276,314 +245,64 @@ impl TileGridLabeler {
         components: &mut dyn ComponentSink,
         sink: Option<&mut dyn TileSink>,
     ) -> Result<(), TilesError> {
-        let n_carry = (self.active.len() - 1) as u32;
-        let row = scan_tile_row(tiles, self.width, &self.cfg, n_carry, self.rows_done)?;
+        let n_carry = self.carry.open_components() as u32;
+        let row = scan_tile_row(tiles, self.width(), &self.cfg, n_carry, self.rows_done)?;
         self.merge_scanned(row, components, sink)
     }
 
-    /// The merge/accumulate stage: restores connectivity between a
-    /// scanned tile row and the carried boundary row, folds the open
-    /// accumulators, emits closed components (and labeled tiles), and
-    /// rebuilds the carry. Counterpart of [`scan_tile_row`]; the two
-    /// called back-to-back are exactly [`Self::push_tile_row`], while the
-    /// pipelined executor ([`crate::pipeline`]) runs them on different
-    /// threads, one tile row apart.
+    /// The merge stage: the shared carry merge ([`CarryState::merge`])
+    /// over the tile row's assembled first and last lines, then every
+    /// labeled tile (and any id merges) through `sink`. Counterpart of
+    /// [`scan_tile_row`]; the two called back-to-back are exactly
+    /// [`Self::push_tile_row`], while the pipelined executor
+    /// ([`crate::pipeline`]) runs them on different threads, one tile row
+    /// apart.
     pub(crate) fn merge_scanned(
         &mut self,
         row: ScannedTileRow,
         components: &mut dyn ComponentSink,
         sink: Option<&mut dyn TileSink>,
     ) -> Result<(), TilesError> {
-        let th = row.th;
-        if row.degenerate {
+        let ScannedTileRow {
+            th,
+            widths,
+            x0s,
+            bufs,
+            uf,
+            partials,
+            used,
+            degenerate,
+        } = row;
+        if degenerate {
             self.rows_done += th;
             self.tile_rows_done += usize::from(th > 0);
             return Ok(());
         }
-        let w = self.width;
-        self.peak_resident_rows = self
-            .peak_resident_rows
-            .max(th + usize::from(!self.carry.is_empty()));
-        let n_carry = (self.active.len() - 1) as u32;
+        let w = self.width();
         let r0 = self.rows_done;
-        let nslots = row.uf.slots();
-
-        let ScannedTileRow {
-            widths,
-            x0s,
-            bufs,
-            mut uf,
+        let first = assemble_row(&bufs, &widths, 0, w);
+        let last = assemble_row(&bufs, &widths, th - 1, w);
+        let lines = ScannedLines {
+            r0,
+            rows: th,
+            first: &first,
+            last: &last,
+            uf,
             partials,
-            used,
-            ..
-        } = row;
-        let ntiles = bufs.len();
-
-        let mut root_of: Vec<u32> = vec![u32::MAX; nslots];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut merges: Vec<(u64, u64)> = Vec::new();
-
-        // Fold phase: after this block `acc[root]` holds the complete
-        // accumulator of every component with a pixel in the row (fresh
-        // ones still gid 0), `touched` lists the occupied roots, and
-        // `merges` the carried-id pairs that turned out to be one
-        // component. The horizontal carry seam — the only part of the
-        // row's labeling that depends on earlier tile rows — runs here
-        // too.
-        let mut acc = match partials {
-            Some(mut parts) => {
-                // Fused: partials are complete except the row's first
-                // line — absorb it here, where the carry row is known
-                // (labels double as the foreground mask).
-                for t in 0..ntiles {
-                    let tw = widths[t];
-                    for c in 0..tw {
-                        let l = bufs[t][c];
-                        if l == 0 {
-                            continue;
-                        }
-                        let x = x0s[t] + c;
-                        let west = if c > 0 {
-                            bufs[t][c - 1] != 0
-                        } else {
-                            t > 0 && widths[t - 1] > 0 && bufs[t - 1][widths[t - 1] - 1] != 0
-                        };
-                        let (nw, north, ne) = if !self.carry.is_empty() {
-                            (
-                                x > 0 && self.carry[x - 1] != 0,
-                                self.carry[x] != 0,
-                                x + 1 < w && self.carry[x + 1] != 0,
-                            )
-                        } else {
-                            (false, false, false)
-                        };
-                        parts[l as usize].absorb(r0, x, west, nw, north, ne);
-                    }
-                }
-                let is_par = matches!(uf, BandUf::Par(_));
-                match &mut uf {
-                    BandUf::Seq(store) => {
-                        // Fold each used label's partial onto its in-row
-                        // root, then let the carry seam itself combine
-                        // partials as it unions (the core fold hook).
-                        for range in &used {
-                            for l in range.clone() {
-                                if parts[l as usize].is_empty() {
-                                    continue;
-                                }
-                                let root = store.find(l);
-                                if root == l {
-                                    touched.push(l);
-                                } else {
-                                    let p = std::mem::replace(&mut parts[l as usize], Accum::EMPTY);
-                                    parts[root as usize].fold(&p);
-                                }
-                            }
-                        }
-                        for id in 1..=n_carry {
-                            parts[id as usize] = self.active[id as usize];
-                            touched.push(id);
-                        }
-                        if !self.carry.is_empty() {
-                            let top = assemble_row(&bufs, &widths, 0, w);
-                            let mut folding = FoldingStore::new(store, &mut parts);
-                            merge_seam(&self.carry, &top, &mut folding);
-                        }
-                        // Carried ids that now share a root merged; replay
-                        // the pairwise events (identical to the
-                        // sequential fold's bookkeeping).
-                        let mut kept: Vec<u64> = vec![0; n_carry as usize + 1];
-                        for id in 1..=n_carry {
-                            let root = store.find(id) as usize;
-                            debug_assert!(root <= n_carry as usize, "carried roots are carried");
-                            let gid = self.active[id as usize].gid;
-                            if kept[root] == 0 {
-                                kept[root] = gid;
-                            } else {
-                                let (k, a) = if kept[root] <= gid {
-                                    (kept[root], gid)
-                                } else {
-                                    (gid, kept[root])
-                                };
-                                merges.push((k, a));
-                                kept[root] = k;
-                            }
-                        }
-                    }
-                    BandUf::Par(parents) => {
-                        // Concurrent mergers cannot fold safely mid-union:
-                        // run the carry seam first (column spans across
-                        // the workers); the fold below happens after, per
-                        // label — O(labels), not O(pixels).
-                        if !self.carry.is_empty() {
-                            let top = assemble_row(&bufs, &widths, 0, w);
-                            merge_carry_seam_parallel(&self.carry, &top, parents, &self.cfg);
-                        }
-                    }
-                }
-                if is_par {
-                    fold_carried(
-                        &mut uf,
-                        &self.active,
-                        n_carry,
-                        &mut parts,
-                        &mut touched,
-                        &mut merges,
-                    );
-                    for range in &used {
-                        for l in range.clone() {
-                            if parts[l as usize].is_empty() {
-                                continue;
-                            }
-                            let root = uf.find(l);
-                            root_of[l as usize] = root;
-                            if root == l {
-                                touched.push(l);
-                            } else {
-                                let p = std::mem::replace(&mut parts[l as usize], Accum::EMPTY);
-                                parts[root as usize].fold(&p);
-                            }
-                        }
-                    }
-                }
-                parts
-            }
-            None => {
-                // Sequential fold: seam first, then one pass over the
-                // row's pixels accumulating per root (the pre-fused
-                // baseline).
-                if !self.carry.is_empty() {
-                    let top = assemble_row(&bufs, &widths, 0, w);
-                    match &mut uf {
-                        BandUf::Seq(store) => merge_seam(&self.carry, &top, store),
-                        BandUf::Par(parents) => {
-                            merge_carry_seam_parallel(&self.carry, &top, parents, &self.cfg)
-                        }
-                    }
-                }
-                let mut acc = vec![Accum::EMPTY; nslots];
-                fold_carried(
-                    &mut uf,
-                    &self.active,
-                    n_carry,
-                    &mut acc,
-                    &mut touched,
-                    &mut merges,
-                );
-
-                // Accumulate the row's pixels per root in *global raster
-                // order* (row-major across the whole tile row), so fresh
-                // ids are assigned exactly as the strip labeler would and
-                // anchors stay raster-first. `prev`/`cur` carry the
-                // previous global pixel row's foreground mask across tile
-                // boundaries for the perimeter/Euler folds (the carry row
-                // for the first line).
-                let mut prev: Vec<bool> = vec![false; w];
-                for (x, &l) in self.carry.iter().enumerate() {
-                    prev[x] = l != 0;
-                }
-                let mut cur: Vec<bool> = vec![false; w];
-                for r in 0..th {
-                    for t in 0..ntiles {
-                        let tw = widths[t];
-                        let base = r * tw;
-                        for c in 0..tw {
-                            let l = bufs[t][base + c];
-                            let x = x0s[t] + c;
-                            cur[x] = l != 0;
-                            if l == 0 {
-                                continue;
-                            }
-                            let root = uf.find_cached(&mut root_of, l);
-                            let west = x > 0 && cur[x - 1];
-                            let nw = x > 0 && prev[x - 1];
-                            let north = prev[x];
-                            let ne = x + 1 < w && prev[x + 1];
-                            let slot = &mut acc[root as usize];
-                            let (gr, gc) = (r0 + r, x);
-                            if slot.area == 0 {
-                                debug_assert!(!west && !north, "first pixel with live 4-neighbour");
-                                *slot = Accum::first(gr, gc);
-                                touched.push(root);
-                            } else {
-                                slot.add(gr, gc, west, nw, north, ne);
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut prev, &mut cur);
-                }
-                acc
-            }
+            used: &used,
         };
-
-        // Assign fresh ids in raster order of each new component's first
-        // pixel — its anchor, unique per component, so the sort
-        // reproduces the sequential pass's id sequence exactly.
-        let mut fresh: Vec<((usize, usize), u32)> = touched
-            .iter()
-            .filter(|&&root| {
-                let a = &acc[root as usize];
-                a.area > 0 && a.gid == 0
-            })
-            .map(|&root| (acc[root as usize].anchor, root))
-            .collect();
-        fresh.sort_unstable();
-        for &(_, root) in &fresh {
-            acc[root as usize].gid = self.next_gid;
-            self.next_gid += 1;
-        }
-
-        // Components with a pixel on the row's last line stay open:
-        // compact them to active ids 1..=k and rebuild the carry row.
-        // The fused sequential path resolves roots lazily: its carry seam
-        // changed roots after the fold sweep, so the cache fills here.
-        let mut new_active: Vec<Accum> = vec![Accum::EMPTY];
-        let mut new_carry = vec![0u32; w];
-        let mut survivor_id: Vec<u32> = vec![0; nslots];
-        for t in 0..ntiles {
-            let tw = widths[t];
-            let base = (th - 1) * tw;
-            for c in 0..tw {
-                let l = bufs[t][base + c];
-                if l == 0 {
-                    continue;
-                }
-                let root = uf.find_cached(&mut root_of, l) as usize;
-                if survivor_id[root] == 0 {
-                    new_active.push(acc[root]);
-                    survivor_id[root] = (new_active.len() - 1) as u32;
-                }
-                new_carry[x0s[t] + c] = survivor_id[root];
-            }
-        }
-
-        let mut closed: Vec<Accum> = touched
-            .iter()
-            .filter(|&&root| survivor_id[root as usize] == 0 && acc[root as usize].area > 0)
-            .map(|&root| acc[root as usize])
-            .collect();
-        closed.sort_by_key(|a| a.gid);
-        for acc in closed {
-            self.finalized += 1;
-            components.component(&acc.into_record());
-        }
-
+        let seam = SeamWorkers {
+            threads: self.cfg.threads,
+            merger: self.cfg.merger,
+            lock_stripes: self.cfg.lock_stripes,
+        };
+        let mut ids = self.carry.merge(lines, seam, components);
         if let Some(sink) = sink {
-            merges.sort_unstable();
-            for (kept, absorbed) in merges {
+            for &(kept, absorbed) in ids.merges() {
                 sink.merge(kept, absorbed);
             }
-            for t in 0..ntiles {
-                let tw = widths[t];
-                let mut gids = vec![0u64; tw * th];
-                for (i, g) in gids.iter_mut().enumerate() {
-                    let l = bufs[t][i];
-                    if l == 0 {
-                        continue;
-                    }
-                    let root = uf.find_cached(&mut root_of, l);
-                    *g = acc[root as usize].gid;
-                }
+            for (t, buf) in bufs.iter().enumerate() {
+                let gids: Vec<u64> = buf.iter().map(|&l| ids.gid(l)).collect();
                 sink.tile(
                     &TileMeta {
                         tile_row: self.tile_rows_done,
@@ -597,12 +316,9 @@ impl TileGridLabeler {
                 )?;
             }
         }
-
-        self.active = new_active;
-        self.carry = new_carry;
         self.rows_done += th;
         self.tile_rows_done += 1;
-        self.tiles_done += ntiles;
+        self.tiles_done += bufs.len();
         Ok(())
     }
 }
@@ -623,10 +339,10 @@ pub(crate) struct ScannedTileRow {
     /// The row's equivalences: carried-id slots `1..=carry_cap`, tile
     /// labels from `carry_cap + 1`.
     pub(crate) uf: BandUf,
-    /// Fused mode: partial accumulators indexed by provisional label,
-    /// covering every pixel of the row except its first line (whose
-    /// upper neighbours are the carry row the scan must not read).
-    pub(crate) partials: Option<Vec<Accum>>,
+    /// Partial accumulators indexed by provisional label, covering every
+    /// pixel of the row except its first line (whose upper neighbours are
+    /// the carry row the scan must not read).
+    pub(crate) partials: Vec<Accum>,
     /// Provisional-label ranges the scan actually allocated — the merge
     /// stage's fold sweeps these instead of the full slot space.
     pub(crate) used: Vec<Range<u32>>,
@@ -635,7 +351,7 @@ pub(crate) struct ScannedTileRow {
     pub(crate) degenerate: bool,
 }
 
-/// Accumulates one tile's fused partial table: every foreground pixel of
+/// Accumulates one tile's partial table: every foreground pixel of
 /// the tile's rows `1..th` folds its single-pixel accumulator into
 /// `parts[label - base]`. Neighbour probes read the raw tile pixels —
 /// the adjacent tiles' edge columns included — so the result never
@@ -690,8 +406,8 @@ fn accumulate_tile(
 /// The scan stage: validates a tile row's shape, scans every tile with
 /// chunk-local semantics (RemSP sequentially, PAREMSP worker groups in
 /// parallel mode), merges the vertical seams between adjacent tiles, and
-/// — in [`FoldMode::Fused`] — accumulates every tile's partial table
-/// while the pixels are hot ([`accumulate_tile`]).
+/// accumulates every tile's partial table while the pixels are hot
+/// ([`accumulate_tile`]).
 ///
 /// Everything here is independent of the carried boundary row — the one
 /// dependency between consecutive tile rows — except for the size of the
@@ -732,12 +448,11 @@ pub(crate) fn scan_tile_row(
             x0s: Vec::new(),
             bufs: Vec::new(),
             uf: BandUf::Seq(RemSP::new()),
-            partials: None,
+            partials: Vec::new(),
             used: Vec::new(),
             degenerate: true,
         });
     }
-    let fused = cfg.fold == FoldMode::Fused;
     let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
     let mut x0s = Vec::with_capacity(tiles.len());
     let mut x0 = 0usize;
@@ -758,17 +473,13 @@ pub(crate) fn scan_tile_row(
             store.new_label(id);
         }
         let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-        let mut partials = fused.then(|| vec![Accum::EMPTY; capacity]);
+        let mut partials = vec![Accum::EMPTY; capacity];
         let mut next = carry_cap + 1;
         for (t, buf) in bufs.iter_mut().enumerate() {
             next = scan_two_line(&tiles[t], 0..th, buf, &mut store, next);
-            if let Some(parts) = &mut partials {
-                accumulate_tile(tiles, t, buf, th, r0, x0s[t], 0, parts);
-            }
+            accumulate_tile(tiles, t, buf, th, r0, x0s[t], 0, &mut partials);
         }
-        if let Some(parts) = &mut partials {
-            parts.truncate(next as usize);
-        }
+        partials.truncate(next as usize);
         for t in 1..tiles.len() {
             let lw = widths[t - 1];
             merge_seam_strided(
@@ -816,44 +527,6 @@ pub(crate) fn scan_tile_row(
     })
 }
 
-/// Merges the horizontal carry seam in column spans across the
-/// configured workers (phase 3 of the parallel mode, run by the merge
-/// stage because it needs the carry row).
-fn merge_carry_seam_parallel(
-    carry: &[u32],
-    top: &[u32],
-    parents: &ConcurrentParents,
-    cfg: &TileGridConfig,
-) {
-    match cfg.merger {
-        MergerKind::Locked => {
-            let merger = match cfg.lock_stripes {
-                Some(s) => LockedMerger::with_stripes(s),
-                None => LockedMerger::new(),
-            };
-            carry_seam_spans(carry, top, parents, cfg.threads, &merger);
-        }
-        MergerKind::Cas => carry_seam_spans(carry, top, parents, cfg.threads, &CasMerger::new()),
-    }
-}
-
-fn carry_seam_spans<M: ConcurrentMerger>(
-    carry: &[u32],
-    top: &[u32],
-    parents: &ConcurrentParents,
-    threads: usize,
-    merger: &M,
-) {
-    rayon::scope(|s| {
-        for span in split_spans(carry.len(), threads) {
-            s.spawn(move |_| {
-                let mut store = MergerStore::new(parents, merger);
-                merge_seam_span(carry, top, span, &mut store);
-            });
-        }
-    });
-}
-
 /// Copies local row `r` of every tile buffer into one `width`-long row.
 fn assemble_row(bufs: &[Vec<u32>], widths: &[usize], r: usize, width: usize) -> Vec<u32> {
     let mut row = Vec::with_capacity(width);
@@ -867,11 +540,10 @@ fn assemble_row(bufs: &[Vec<u32>], widths: &[usize], r: usize, width: usize) -> 
 /// Parallel tile-row scan: tiles are grouped into at most `threads`
 /// contiguous runs scanned concurrently with disjoint provisional-label
 /// ranges, then the vertical seams merge concurrently with the configured
-/// MERGER. In [`FoldMode::Fused`] every worker also accumulates its
-/// tiles' partial [`Accum`] tables (contention-free: partials live in
-/// the tile's own label range; neighbour probes read raw pixels, never
-/// another worker's labels). The horizontal carry seam is the merge
-/// stage's job ([`merge_carry_seam_parallel`]).
+/// MERGER. Every worker also accumulates its tiles' partial [`Accum`]
+/// tables (contention-free: partials live in the tile's own label range;
+/// neighbour probes read raw pixels, never another worker's labels). The
+/// horizontal carry seam is the merge stage's job ([`ccl_stream::carry`]).
 #[allow(clippy::too_many_arguments)]
 fn scan_tile_row_parallel<M: ConcurrentMerger>(
     tiles: &[BinaryImage],
@@ -885,7 +557,6 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
 ) -> ParallelTileScan {
     let ntiles = tiles.len();
     let threads = cfg.threads.max(1);
-    let fused = cfg.fold == FoldMode::Fused;
     // disjoint label ranges, one per tile
     let mut offsets = Vec::with_capacity(ntiles);
     let mut next = carry_cap + 1;
@@ -901,20 +572,17 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
         }
     }
     let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-    let mut partials = fused.then(|| vec![Accum::EMPTY; next as usize]);
+    let mut partials = vec![Accum::EMPTY; next as usize];
     let mut nexts: Vec<u32> = offsets.clone();
 
     // Phase 1: per-tile scans, grouped into contiguous runs of tiles
-    // (contention-free: disjoint ranges, one ChunkStore per group);
-    // fused mode accumulates each tile's partial table in the same
-    // worker, right after its scan, while the pixels are hot.
+    // (contention-free: disjoint ranges, one ChunkStore per group); each
+    // tile's partial table accumulates in the same worker, right after
+    // its scan, while the pixels are hot.
     rayon::scope(|s| {
         let mut rest: &mut [Vec<u32>] = &mut bufs;
         let mut rest_next: &mut [u32] = &mut nexts;
-        let mut rest_parts: &mut [Accum] = match &mut partials {
-            Some(p) => &mut p[(carry_cap as usize + 1)..],
-            None => &mut [],
-        };
+        let mut rest_parts: &mut [Accum] = &mut partials[(carry_cap as usize + 1)..];
         for group in split_spans(ntiles, threads) {
             let (mine, tail) = rest.split_at_mut(group.len());
             rest = tail;
@@ -924,11 +592,7 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
                 .clone()
                 .map(|t| max_labels_two_line(th, widths[t]))
                 .sum();
-            let (my_parts, ptail) = if fused {
-                rest_parts.split_at_mut(group_caps)
-            } else {
-                (&mut [] as &mut [Accum], rest_parts)
-            };
+            let (my_parts, ptail) = rest_parts.split_at_mut(group_caps);
             rest_parts = ptail;
             let parents = &parents;
             let offsets = &offsets;
@@ -937,12 +601,10 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
                 let mut parts_rest = my_parts;
                 for ((t, buf), next_out) in group.zip(mine).zip(my_nexts) {
                     *next_out = scan_two_line(&tiles[t], 0..th, buf, &mut store, offsets[t]);
-                    if fused {
-                        let cap = max_labels_two_line(th, widths[t]);
-                        let (tile_parts, tail) = parts_rest.split_at_mut(cap);
-                        parts_rest = tail;
-                        accumulate_tile(tiles, t, buf, th, r0, x0s[t], offsets[t], tile_parts);
-                    }
+                    let cap = max_labels_two_line(th, widths[t]);
+                    let (tile_parts, tail) = parts_rest.split_at_mut(cap);
+                    parts_rest = tail;
+                    accumulate_tile(tiles, t, buf, th, r0, x0s[t], offsets[t], tile_parts);
                 }
             });
         }
@@ -1098,28 +760,6 @@ mod tests {
                 let (par, par_stats) = run_tiled(&img, 7, 5, cfg);
                 assert_eq!(par, seq, "{threads} threads, {merger}");
                 assert_eq!(par_stats, seq_stats);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_fold_is_bit_identical_to_sequential_fold() {
-        let mut state = 77u64;
-        let mut rnd = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 40) & 1 == 1
-        };
-        let img = BinaryImage::from_fn(29, 23, |_, _| rnd());
-        for (tw, th) in [(1, 1), (4, 3), (7, 5), (29, 23)] {
-            for threads in [1, 2, 4] {
-                let seq_cfg = TileGridConfig::parallel(threads).with_fold(FoldMode::Sequential);
-                let fused_cfg = TileGridConfig::parallel(threads).with_fold(FoldMode::Fused);
-                let (seq, seq_stats) = run_tiled(&img, tw, th, seq_cfg);
-                let (fused, fused_stats) = run_tiled(&img, tw, th, fused_cfg);
-                assert_eq!(fused, seq, "{tw}x{th} tiles, {threads} threads");
-                assert_eq!(fused_stats, seq_stats);
             }
         }
     }

@@ -84,9 +84,11 @@ where
 
         let mut merged: Result<(), TilesError> = Ok(());
         while let Ok(row) = rx.recv() {
-            nrows += 1;
-            max_pair = max_pair.max(prev_th + row.th);
-            prev_th = row.th;
+            if !row.degenerate {
+                nrows += 1;
+                max_pair = max_pair.max(prev_th + row.th);
+                prev_th = row.th;
+            }
             let sink_ref = sink.as_mut().map(|s| &mut **s as &mut dyn TileSink);
             if let Err(e) = labeler.merge_scanned(row, components, sink_ref) {
                 merged = Err(e);
@@ -134,6 +136,21 @@ mod tests {
         assert_eq!(stats.tiles, sync_stats.tiles);
         // two 4-row tile rows + the carry row
         assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
+
+        // zero-width grid: no row holds pixels, so nothing is resident
+        let empty = BinaryImage::zeros(0, 6);
+        let mut sync_records: Vec<ComponentRecord> = Vec::new();
+        let mut sync_src = GridSource::from_image(&empty, 1, 2);
+        let sync_stats =
+            crate::driver::label_tiles(&mut sync_src, TileGridConfig::default(), &mut sync_records)
+                .unwrap();
+        let mut records: Vec<ComponentRecord> = Vec::new();
+        let mut src = GridSource::from_image(&empty, 1, 2);
+        let stats = run_pipelined(&mut src, TileGridConfig::default(), &mut records, None).unwrap();
+        assert_eq!(records, sync_records);
+        assert_eq!(stats, sync_stats);
+        assert_eq!(stats.rows, 6);
+        assert_eq!(stats.peak_resident_rows, 0);
     }
 
     #[test]

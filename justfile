@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test doc smoke stream-smoke tiles-smoke pipeline-smoke fold-smoke bench-smoke
+ci: fmt-check clippy build test doc smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
 
 # Format the whole workspace in place.
 fmt:
@@ -46,13 +46,7 @@ pipeline-smoke:
     cargo run --locked --release --example pipeline_prefetch
     cargo run --locked --release -p ccl-bench --bin pipeline_demo -- --reps 1 --json /tmp/BENCH_pipeline_smoke.json
 
-# Fused-vs-sequential accumulation equivalence: strip + tile analyzers,
-# synchronous + pipelined, 1 and 4 threads, records compared field by
-# field. Fast enough for every push.
-fold-smoke:
-    cargo run --locked --release -p ccl-bench --bin fold_smoke
-
-# Compile all eleven criterion benches without running them.
+# Compile all ten criterion benches without running them.
 bench-smoke:
     cargo bench --locked --no-run --workspace
 

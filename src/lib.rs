@@ -79,8 +79,7 @@ pub mod prelude {
     pub use ccl_stream::{
         analyze_stream, analyze_stream_pipelined, label_stream, label_stream_pipelined,
         stream_to_label_image, stream_to_label_image_pipelined, ComponentRecord, ComponentSink,
-        FoldMode, MemorySource, OwnedMemorySource, RowSource, StreamStats, StripConfig,
-        StripLabeler,
+        MemorySource, OwnedMemorySource, RowSource, StreamStats, StripConfig, StripLabeler,
     };
     pub use ccl_tiles::{
         analyze_tiles, analyze_tiles_pipelined, label_tiles, label_tiles_pipelined,
