@@ -39,7 +39,7 @@ fn bench_stream_scaling(c: &mut Criterion) {
             b.iter(|| {
                 let mut src = MemorySource::new(&img);
                 let mut sink = CountComponents::default();
-                label_stream(&mut src, band, StripConfig::sequential(), &mut sink).unwrap();
+                label_stream(&mut src, band, StripConfig::sequential(), &mut sink, None).unwrap();
                 black_box(sink.count)
             })
         });
@@ -53,8 +53,14 @@ fn bench_stream_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     let mut src = MemorySource::new(&img);
                     let mut sink = CountComponents::default();
-                    label_stream(&mut src, 1024, StripConfig::parallel(threads), &mut sink)
-                        .unwrap();
+                    label_stream(
+                        &mut src,
+                        1024,
+                        StripConfig::parallel(threads),
+                        &mut sink,
+                        None,
+                    )
+                    .unwrap();
                     black_box(sink.count)
                 })
             },

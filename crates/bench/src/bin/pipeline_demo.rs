@@ -8,16 +8,16 @@
 //! so the win is measurable on any machine, single-core CI included) and
 //! runs the same raster through every execution mode:
 //!
-//! * rows: synchronous vs `PrefetchRows` (decode ∥ label);
-//! * tiles: synchronous vs the pipelined executor (scan ∥ merge) vs the
-//!   full three-stage stack `PrefetchTiles` + pipelined
+//! * rows and tiles alike: synchronous, prefetched (`PrefetchRows` /
+//!   `PrefetchTiles`: decode ∥ label), the pipelined executor
+//!   (scan ∥ merge), and the full three-stage stack of both
 //!   (decode ∥ scan ∥ merge);
 //!
 //! asserting identical component counts throughout and reporting wall
 //! time + speedup per mode. The JSON snapshot
 //! (`results/BENCH_pipeline.json`) and the committed
-//! `results/BENCH_HISTORY.jsonl` line record the prefetch-on/off pair so
-//! the overlap win is visible in the perf trajectory.
+//! `results/BENCH_HISTORY.jsonl` line record all eight modes so the
+//! overlap win is visible in the perf trajectory.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin pipeline_demo \
@@ -31,8 +31,8 @@ use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::{write_json, Table};
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_pipeline::{PacedRows, PrefetchRows, PrefetchTiles};
-use ccl_stream::{label_stream, label_stream_pipelined, CountComponents, StripConfig};
-use ccl_tiles::{label_tiles, label_tiles_pipelined, GridSource, TileGridConfig};
+use ccl_stream::{label_stream, CountComponents, StripConfig};
+use ccl_tiles::{label_tiles, GridSource, TileGridConfig};
 use serde::Serialize;
 
 const USAGE: &str = "pipeline_demo: decode/scan/merge overlap on a generation-bound workload
@@ -110,73 +110,65 @@ fn main() {
         }
     };
 
-    // --- row bands ---
-    let strip_cfg = StripConfig::default;
-    let rows_sync = measure("rows sync", None, &mut || {
-        let mut src = source();
-        let mut sink = CountComponents::default();
-        label_stream(&mut src, BAND, strip_cfg(), &mut sink).expect("infallible");
-        sink.count
-    });
-    let rows_pf = measure("rows decode∥label", Some(rows_sync.ms), &mut || {
-        let mut src = PrefetchRows::with_depth(source(), BAND, args.depth);
-        let mut sink = CountComponents::default();
-        label_stream(&mut src, BAND, strip_cfg(), &mut sink).expect("infallible");
-        sink.count
-    });
-    let rows_pipe = measure("rows scan∥merge", Some(rows_sync.ms), &mut || {
-        let mut src = source();
-        let mut sink = CountComponents::default();
-        label_stream_pipelined(&mut src, BAND, strip_cfg(), &mut sink).expect("infallible");
-        sink.count
-    });
-    let rows_full = measure(
-        "rows decode∥scan∥merge",
-        Some(rows_sync.ms),
-        &mut || {
-            let mut src = PrefetchRows::with_depth(source(), BAND, args.depth);
+    // Each engine runs the same four modes: (prefetch, pipelined).
+    const MODES: [(&str, bool, bool); 4] = [
+        ("sync", false, false),
+        ("decode∥label", true, false),
+        ("scan∥merge", false, true),
+        ("decode∥scan∥merge", true, true),
+    ];
+    let mut rows_modes: Vec<Mode> = Vec::new();
+    for (name, prefetch, pipelined) in MODES {
+        let cfg = StripConfig {
+            pipelined,
+            ..StripConfig::default()
+        };
+        let sync_ms = rows_modes.first().map(|m| m.ms);
+        rows_modes.push(measure(&format!("rows {name}"), sync_ms, &mut || {
             let mut sink = CountComponents::default();
-            label_stream_pipelined(&mut src, BAND, strip_cfg(), &mut sink).expect("infallible");
+            if prefetch {
+                let mut src = PrefetchRows::with_depth(source(), BAND, args.depth);
+                label_stream(&mut src, BAND, cfg, &mut sink, None)
+            } else {
+                label_stream(&mut source(), BAND, cfg, &mut sink, None)
+            }
+            .expect("infallible");
             sink.count
-        },
-    );
-    assert_eq!(rows_pf.components, rows_sync.components);
-    assert_eq!(rows_pipe.components, rows_sync.components);
-    assert_eq!(rows_full.components, rows_sync.components);
-
-    // --- tile grid ---
-    let tile_cfg = TileGridConfig::default;
-    let tiles_sync = measure("tiles sync", None, &mut || {
-        let mut grid = GridSource::new(source(), TILE, TILE);
-        let mut sink = CountComponents::default();
-        label_tiles(&mut grid, tile_cfg(), &mut sink).expect("infallible");
-        sink.count
-    });
-    let tiles_pipe = measure("tiles scan∥merge", Some(tiles_sync.ms), &mut || {
-        let mut grid = GridSource::new(source(), TILE, TILE);
-        let mut sink = CountComponents::default();
-        label_tiles_pipelined(&mut grid, tile_cfg(), &mut sink).expect("infallible");
-        sink.count
-    });
-    let tiles_full = measure(
-        "tiles decode∥scan∥merge",
-        Some(tiles_sync.ms),
-        &mut || {
-            let grid = GridSource::new(source(), TILE, TILE);
-            let mut staged = PrefetchTiles::with_depth(grid, args.depth);
+        }));
+    }
+    let mut tiles_modes: Vec<Mode> = Vec::new();
+    for (name, prefetch, pipelined) in MODES {
+        let cfg = TileGridConfig {
+            pipelined,
+            ..TileGridConfig::default()
+        };
+        let sync_ms = tiles_modes.first().map(|m| m.ms);
+        tiles_modes.push(measure(&format!("tiles {name}"), sync_ms, &mut || {
+            let mut grid = GridSource::new(source(), TILE, TILE);
             let mut sink = CountComponents::default();
-            label_tiles_pipelined(&mut staged, tile_cfg(), &mut sink).expect("infallible");
+            if prefetch {
+                let mut staged = PrefetchTiles::with_depth(grid, args.depth);
+                label_tiles(&mut staged, cfg, &mut sink, None)
+            } else {
+                label_tiles(&mut grid, cfg, &mut sink, None)
+            }
+            .expect("infallible");
             sink.count
-        },
+        }));
+    }
+    let components = rows_modes[0].components;
+    assert!(
+        rows_modes
+            .iter()
+            .chain(&tiles_modes)
+            .all(|m| m.components == components),
+        "every mode must find the same components"
     );
-    assert_eq!(tiles_pipe.components, tiles_sync.components);
-    assert_eq!(tiles_full.components, tiles_sync.components);
 
     println!("{}", table.render());
     println!(
-        "Identical component counts in every mode ({}); the overlap modes hide \
-         the decode latency behind labeling.",
-        tiles_sync.components
+        "Identical component counts in every mode ({components}); the overlap \
+         modes hide the decode latency behind labeling."
     );
 
     let result = PipelineBench {
@@ -186,8 +178,8 @@ fn main() {
         tile: TILE,
         depth: args.depth,
         device_latency_ms: DEVICE_LATENCY.as_secs_f64() * 1e3,
-        rows_modes: vec![rows_sync, rows_pf, rows_pipe, rows_full],
-        tiles_modes: vec![tiles_sync, tiles_pipe, tiles_full],
+        rows_modes,
+        tiles_modes,
     };
     if let Some(dir) = std::path::Path::new(&json_path).parent() {
         std::fs::create_dir_all(dir).expect("create results dir");

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin stream_demo \
-//!     [--reps N] [--threads CSV] [--merger locked|cas] [--json PATH]
+//!     [--reps N] [--threads CSV] [--prefetch] [--pipeline] [--depth N] [--json PATH]
 //! ```
 
 use ccl_bench::BinArgs;
@@ -21,13 +21,12 @@ use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::{write_json, Table};
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_pipeline::PrefetchRows;
-use ccl_stream::{label_stream, label_stream_pipelined, CountComponents, StripConfig};
+use ccl_stream::{label_stream, CountComponents, StripConfig};
 use serde::Serialize;
 
 const USAGE: &str = "stream_demo: bounded-memory streaming throughput vs image height
   --reps N         repetitions per cell (default 3)
   --threads CSV    in-band scan thread counts (default 1,4)
-  --merger KIND    boundary merger for parallel mode: locked (default) or cas
   --prefetch       generate bands on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap band k's carry seam/fold with band k+1's scan
   --depth N        prefetch queue depth (default 2)
@@ -60,7 +59,6 @@ struct StreamBench {
     band_rows: usize,
     density: f64,
     threads: Vec<usize>,
-    merger: String,
     /// Whether band generation ran on a `ccl-pipeline` prefetch worker
     /// (`--prefetch`), overlapping generation with labeling.
     prefetch: bool,
@@ -72,8 +70,11 @@ struct StreamBench {
 
 fn main() {
     let args = BinArgs::parse(USAGE);
+    if args.merger.is_some() {
+        eprintln!("unknown argument --merger\n{USAGE}");
+        std::process::exit(2);
+    }
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
-    let merger = args.merger_or_default();
     let json_path = args
         .json
         .clone()
@@ -87,7 +88,7 @@ fn main() {
     };
     println!(
         "Streaming {WIDTH}-wide Bernoulli rasters in {BAND_ROWS}-row bands \
-         (density {DENSITY}, merger {merger}{mode})\n"
+         (density {DENSITY}{mode})\n"
     );
     let mut table = Table::new(
         [
@@ -111,27 +112,18 @@ fn main() {
         let mut components = 0u64;
         let mut peak = 0usize;
         for &t in &threads {
-            let cfg = StripConfig::parallel(t).with_merger(merger);
+            let cfg = StripConfig {
+                pipelined: args.pipeline,
+                ..StripConfig::parallel(t)
+            };
             let best = time_best_of(args.reps, || {
-                let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
+                let mut source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
                 let mut sink = CountComponents::default();
-                let stats = match (args.prefetch, args.pipeline) {
-                    (true, true) => {
-                        let mut staged = PrefetchRows::with_depth(source, BAND_ROWS, args.depth);
-                        label_stream_pipelined(&mut staged, BAND_ROWS, cfg.clone(), &mut sink)
-                    }
-                    (true, false) => {
-                        let mut staged = PrefetchRows::with_depth(source, BAND_ROWS, args.depth);
-                        label_stream(&mut staged, BAND_ROWS, cfg.clone(), &mut sink)
-                    }
-                    (false, true) => {
-                        let mut source = source;
-                        label_stream_pipelined(&mut source, BAND_ROWS, cfg.clone(), &mut sink)
-                    }
-                    (false, false) => {
-                        let mut source = source;
-                        label_stream(&mut source, BAND_ROWS, cfg.clone(), &mut sink)
-                    }
+                let stats = if args.prefetch {
+                    let mut staged = PrefetchRows::with_depth(source, BAND_ROWS, args.depth);
+                    label_stream(&mut staged, BAND_ROWS, cfg, &mut sink, None)
+                } else {
+                    label_stream(&mut source, BAND_ROWS, cfg, &mut sink, None)
                 }
                 .expect("generator streams are infallible");
                 components = stats.components;
@@ -185,7 +177,6 @@ fn main() {
         band_rows: BAND_ROWS,
         density: DENSITY,
         threads,
-        merger: merger.to_string(),
         prefetch: args.prefetch,
         pipeline: args.pipeline,
         rows,

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin tiles_demo \
-//!     [--reps N] [--threads CSV] [--merger locked|cas] [--json PATH]
+//!     [--reps N] [--threads CSV] [--prefetch] [--pipeline] [--depth N] [--json PATH]
 //! ```
 
 use ccl_bench::BinArgs;
@@ -26,15 +26,13 @@ use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_pipeline::PrefetchTiles;
 use ccl_stream::CountComponents;
 use ccl_tiles::{
-    label_tiles, label_tiles_pipelined, spill_tiles, spill_tiles_pipelined, GridSource,
-    SpillFormat, TileGridConfig, TileGridStats, TilesError,
+    label_tiles, GridSource, SpillFormat, SpillSink, TileGridConfig, TileGridStats, TilesError,
 };
 use serde::Serialize;
 
 const USAGE: &str = "tiles_demo: 2-D tile-grid out-of-core labeling throughput vs image height
   --reps N         repetitions per cell (default 3)
   --threads CSV    in-row scan thread counts (default 1,4)
-  --merger KIND    boundary merger for parallel mode: locked (default) or cas
   --prefetch       generate tile rows on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap row k's merge/spill with row k+1's scans
   --depth N        prefetch queue depth (default 2)
@@ -67,7 +65,6 @@ struct TilesBench {
     tile: usize,
     density: f64,
     threads: Vec<usize>,
-    merger: String,
     /// Whether tile-row generation ran on a `ccl-pipeline` prefetch
     /// worker (`--prefetch`).
     prefetch: bool,
@@ -81,39 +78,30 @@ struct TilesBench {
     spill_height: usize,
 }
 
-/// Labels one generated grid with the mode the flags selected.
+/// Labels one generated grid, prefetched when the flags ask for it.
 fn run_labeling(
     args: &BinArgs,
-    cfg: &TileGridConfig,
+    cfg: TileGridConfig,
     height: usize,
 ) -> Result<TileGridStats, TilesError> {
     let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
-    let grid = GridSource::new(source, TILE, TILE);
+    let mut grid = GridSource::new(source, TILE, TILE);
     let mut sink = CountComponents::default();
-    match (args.prefetch, args.pipeline) {
-        (true, true) => {
-            let mut staged = PrefetchTiles::with_depth(grid, args.depth);
-            label_tiles_pipelined(&mut staged, cfg.clone(), &mut sink)
-        }
-        (true, false) => {
-            let mut staged = PrefetchTiles::with_depth(grid, args.depth);
-            label_tiles(&mut staged, cfg.clone(), &mut sink)
-        }
-        (false, true) => {
-            let mut grid = grid;
-            label_tiles_pipelined(&mut grid, cfg.clone(), &mut sink)
-        }
-        (false, false) => {
-            let mut grid = grid;
-            label_tiles(&mut grid, cfg.clone(), &mut sink)
-        }
+    if args.prefetch {
+        let mut staged = PrefetchTiles::with_depth(grid, args.depth);
+        label_tiles(&mut staged, cfg, &mut sink, None)
+    } else {
+        label_tiles(&mut grid, cfg, &mut sink, None)
     }
 }
 
 fn main() {
     let args = BinArgs::parse(USAGE);
+    if args.merger.is_some() {
+        eprintln!("unknown argument --merger\n{USAGE}");
+        std::process::exit(2);
+    }
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
-    let merger = args.merger_or_default();
     let json_path = args
         .json
         .clone()
@@ -127,7 +115,7 @@ fn main() {
     };
     println!(
         "Tiling {WIDTH}-wide Bernoulli rasters into {TILE}x{TILE} tiles \
-         (density {DENSITY}, merger {merger}{mode})\n"
+         (density {DENSITY}{mode})\n"
     );
     let mut table = Table::new(
         [
@@ -151,10 +139,13 @@ fn main() {
         let mut components = 0u64;
         let mut peak = 0usize;
         for &t in &threads {
-            let cfg = TileGridConfig::parallel(t).with_merger(merger);
+            let cfg = TileGridConfig {
+                pipelined: args.pipeline,
+                ..TileGridConfig::parallel(t)
+            };
             let best = time_best_of(args.reps, || {
                 let stats =
-                    run_labeling(&args, &cfg, height).expect("generator streams are infallible");
+                    run_labeling(&args, cfg, height).expect("generator streams are infallible");
                 components = stats.components;
                 peak = stats.peak_resident_rows;
                 stats
@@ -210,22 +201,14 @@ fn main() {
         let _ = std::fs::remove_dir_all(&spill_dir);
         let source = bernoulli_stream(WIDTH, spill_height, DENSITY, spill_height as u64);
         let mut grid = GridSource::new(source, TILE, TILE);
-        if args.pipeline {
-            spill_tiles_pipelined(
-                &mut grid,
-                TileGridConfig::default(),
-                &spill_dir,
-                SpillFormat::RawU32,
-            )
-        } else {
-            spill_tiles(
-                &mut grid,
-                TileGridConfig::default(),
-                &spill_dir,
-                SpillFormat::RawU32,
-            )
-        }
-        .expect("spill to temp dir")
+        let cfg = TileGridConfig {
+            pipelined: args.pipeline,
+            ..TileGridConfig::default()
+        };
+        let mut spill = SpillSink::create(&spill_dir, SpillFormat::RawU32).expect("spill dir");
+        let mut sink = CountComponents::default();
+        label_tiles(&mut grid, cfg, &mut sink, Some(&mut spill)).expect("label and spill");
+        spill.close().expect("close spill")
     });
     let _ = std::fs::remove_dir_all(&spill_dir);
     let spill_mpix = (WIDTH * spill_height) as f64 / 1e6;
@@ -240,7 +223,6 @@ fn main() {
         tile: TILE,
         density: DENSITY,
         threads,
-        merger: merger.to_string(),
         prefetch: args.prefetch,
         pipeline: args.pipeline,
         rows,

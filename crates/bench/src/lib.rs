@@ -104,8 +104,8 @@ pub struct BinArgs {
     /// `--prefetch`: wrap the source in a `ccl-pipeline` prefetcher
     /// (decode on a worker thread).
     pub prefetch: bool,
-    /// `--pipeline`: use the pipelined tile-row executor
-    /// (scan ∥ merge) where the binary supports it.
+    /// `--pipeline`: run the drivers' pipelined executor (scan ∥ merge)
+    /// where the binary supports it.
     pub pipeline: bool,
     /// `--depth <n>`: prefetch queue depth (default 2).
     pub depth: usize,
@@ -131,9 +131,8 @@ impl Default for BinArgs {
 
 impl BinArgs {
     /// The boundary merger to use: the `--merger` override when given,
-    /// otherwise the default. Shared by every binary that sweeps PAREMSP
-    /// (`table4`, `fig5`, `stream_demo`, `tiles_demo`) so the flag's
-    /// semantics exist exactly once.
+    /// otherwise the default. Shared by the binaries that sweep PAREMSP
+    /// (`table4`, `fig5`) so the flag's semantics exist exactly once.
     pub fn merger_or_default(&self) -> ccl_core::par::MergerKind {
         self.merger.unwrap_or_default()
     }

@@ -14,6 +14,49 @@ pub mod shapes;
 pub mod stream;
 pub mod texture;
 
+use ccl_image::BinaryImage;
+
+/// Number of generator families [`family_image`] draws from.
+#[doc(hidden)]
+pub const FAMILIES: usize = 15;
+
+/// One image from generator family `family` (`0..FAMILIES`): noise,
+/// landcover, blobs, shapes, text, the textures and the adversarial
+/// patterns, sized `w × h` (the spiral is square by construction). The
+/// out-of-core engines' property suites all draw from here, so each
+/// covers the same families. Test support, not a dataset API: hidden
+/// from the docs.
+#[doc(hidden)]
+pub fn family_image(family: usize, w: usize, h: usize, seed: u64) -> BinaryImage {
+    let params = blobs::BlobParams {
+        coverage: 0.35,
+        min_radius: 1,
+        max_radius: 4,
+    };
+    let lc = landcover::LandcoverParams {
+        base_scale: 6.0,
+        octaves: 3,
+        persistence: 0.5,
+    };
+    match family {
+        0 => noise::bernoulli(w, h, 0.45, seed),
+        1 => landcover::landcover(w, h, lc, seed),
+        2 => blobs::blob_field(w, h, params, seed),
+        3 => shapes::shape_scene(w, h, 1 + (seed % 7) as usize, seed),
+        4 => shapes::text_page(w, h, 1, seed),
+        5 => texture::checkerboard(w, h, 1 + (seed % 3) as usize),
+        6 => texture::stripes(w, h, 5, 2, (1, 1)),
+        7 => texture::grating(w, h, 0.31, 0.17, 0.4),
+        8 => texture::rings(w, h, 4.0),
+        9 => adversarial::serpentine(w, h),
+        10 => adversarial::comb(w, h, h / 2),
+        11 => adversarial::fine_checkerboard(w, h),
+        12 => adversarial::hstripes(w, h),
+        13 => adversarial::vstripes(w, h),
+        _ => adversarial::spiral(w.max(3)),
+    }
+}
+
 /// A deterministic 64-bit mix used by the hash-based generators
 /// (SplitMix64 finalizer).
 #[inline]

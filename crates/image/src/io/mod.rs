@@ -59,6 +59,39 @@ pub(crate) fn next_usize(data: &[u8], pos: &mut usize) -> Result<usize, ImageErr
         .map_err(|_| ImageError::Parse(format!("invalid number {s:?}")))
 }
 
+/// `width × height × channels` samples, or a parse error when the product
+/// overflows `usize` (a hostile header must not wrap into a small buffer).
+pub(crate) fn sample_count(
+    width: usize,
+    height: usize,
+    channels: usize,
+) -> Result<usize, ImageError> {
+    width
+        .checked_mul(height)
+        .and_then(|n| n.checked_mul(channels))
+        .ok_or_else(|| ImageError::Parse(format!("image dimensions {width}x{height} overflow")))
+}
+
+/// [`sample_count`] for an ASCII body starting at `pos`, rejected before
+/// anything is allocated when the bytes left cannot hold it: every ASCII
+/// sample takes at least one byte.
+pub(crate) fn ascii_sample_count(
+    data: &[u8],
+    pos: usize,
+    width: usize,
+    height: usize,
+    channels: usize,
+) -> Result<usize, ImageError> {
+    let n = sample_count(width, height, channels)?;
+    let left = data.len().saturating_sub(pos);
+    if n > left {
+        return Err(ImageError::Parse(format!(
+            "truncated ASCII sample data: {n} samples declared, {left} bytes left"
+        )));
+    }
+    Ok(n)
+}
+
 /// Consumes exactly one whitespace byte after a header (the Netpbm spec
 /// requires a single whitespace before binary sample data).
 pub(crate) fn expect_single_whitespace(data: &[u8], pos: &mut usize) -> Result<(), ImageError> {
@@ -99,5 +132,19 @@ mod tests {
         assert_eq!(pos, 1);
         let mut pos2 = 0;
         assert!(expect_single_whitespace(b"x", &mut pos2).is_err());
+    }
+
+    /// Headers declaring far more samples than the buffer holds, or
+    /// dimensions whose product wraps, are parse errors — not a 40 GB
+    /// allocation abort and not an index panic.
+    #[test]
+    fn hostile_headers_are_parse_errors() {
+        let parse_err = |r: Result<(), ImageError>| matches!(r, Err(ImageError::Parse(_)));
+        assert!(parse_err(pbm::read(b"P1 200000 200000\n0").map(drop)));
+        assert!(parse_err(pgm::read(b"P2 200000 200000 255\n0").map(drop)));
+        assert!(parse_err(ppm::read(b"P3 200000 200000 255\n0").map(drop)));
+        assert!(parse_err(
+            pbm::read(b"P4 8796093022208 16777216\n").map(drop)
+        ));
     }
 }

@@ -8,7 +8,7 @@
 use crate::bitmap::BinaryImage;
 use crate::error::ImageError;
 
-use super::{expect_single_whitespace, next_token, next_usize};
+use super::{ascii_sample_count, expect_single_whitespace, next_token, next_usize, sample_count};
 
 /// Serializes to ASCII PBM (`P1`). Rows are emitted one per line.
 pub fn write_ascii(img: &BinaryImage) -> Vec<u8> {
@@ -62,10 +62,11 @@ pub fn read(data: &[u8]) -> Result<BinaryImage, ImageError> {
 fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<BinaryImage, ImageError> {
     let width = next_usize(data, pos)?;
     let height = next_usize(data, pos)?;
-    let mut pixels = Vec::with_capacity(width * height);
+    let n = ascii_sample_count(data, *pos, width, height, 1)?;
+    let mut pixels = Vec::with_capacity(n);
     // P1 allows samples to be packed without whitespace; read digit by
     // digit, skipping whitespace and comments.
-    while pixels.len() < width * height {
+    while pixels.len() < n {
         while *pos < data.len() && data[*pos].is_ascii_whitespace() {
             *pos += 1;
         }
@@ -97,14 +98,14 @@ fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<BinaryImage, ImageEr
     let height = next_usize(data, pos)?;
     expect_single_whitespace(data, pos)?;
     let bytes_per_row = width.div_ceil(8);
-    let need = bytes_per_row * height;
+    let need = sample_count(bytes_per_row, height, 1)?;
     if data.len() - *pos < need {
         return Err(ImageError::Parse(format!(
             "truncated P4 sample data: need {need} bytes, have {}",
             data.len() - *pos
         )));
     }
-    let mut pixels = vec![0u8; width * height];
+    let mut pixels = vec![0u8; sample_count(width, height, 1)?];
     for r in 0..height {
         let row_bytes = &data[*pos + r * bytes_per_row..*pos + (r + 1) * bytes_per_row];
         for c in 0..width {

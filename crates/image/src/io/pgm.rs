@@ -6,7 +6,7 @@
 use crate::error::ImageError;
 use crate::gray::GrayImage;
 
-use super::{expect_single_whitespace, next_token, next_usize};
+use super::{ascii_sample_count, expect_single_whitespace, next_token, next_usize, sample_count};
 
 /// Serializes to ASCII PGM (`P2`) with maxval 255.
 pub fn write_ascii(img: &GrayImage) -> Vec<u8> {
@@ -77,10 +77,7 @@ pub fn read_binary16(data: &[u8]) -> Result<(usize, usize, Vec<u16>), ImageError
         )));
     }
     expect_single_whitespace(data, &mut pos)?;
-    let need = width
-        .checked_mul(height)
-        .and_then(|n| n.checked_mul(2))
-        .ok_or_else(|| ImageError::Parse("image dimensions overflow".into()))?;
+    let need = sample_count(width, height, 2)?;
     if data.len() - pos < need {
         return Err(ImageError::Parse("truncated 16-bit P5 sample data".into()));
     }
@@ -115,8 +112,9 @@ fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<GrayImage, ImageError
     if maxval == 0 || maxval > 65535 {
         return Err(ImageError::Parse(format!("invalid maxval {maxval}")));
     }
-    let mut pixels = Vec::with_capacity(width * height);
-    for _ in 0..width * height {
+    let n = ascii_sample_count(data, *pos, width, height, 1)?;
+    let mut pixels = Vec::with_capacity(n);
+    for _ in 0..n {
         let v = next_usize(data, pos)?;
         if v > maxval {
             return Err(ImageError::Parse(format!(
@@ -138,7 +136,7 @@ fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<GrayImage, ImageErro
         )));
     }
     expect_single_whitespace(data, pos)?;
-    let need = width * height;
+    let need = sample_count(width, height, 1)?;
     if data.len() - *pos < need {
         return Err(ImageError::Parse("truncated P5 sample data".into()));
     }

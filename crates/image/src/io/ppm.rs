@@ -8,7 +8,7 @@
 use crate::error::ImageError;
 use crate::rgb::RgbImage;
 
-use super::{expect_single_whitespace, next_token, next_usize};
+use super::{ascii_sample_count, expect_single_whitespace, next_token, next_usize, sample_count};
 
 /// Serializes to ASCII PPM (`P3`) with maxval 255.
 pub fn write_ascii(img: &RgbImage) -> Vec<u8> {
@@ -58,8 +58,9 @@ fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<RgbImage, ImageError>
     if maxval == 0 || maxval > 65535 {
         return Err(ImageError::Parse(format!("invalid maxval {maxval}")));
     }
-    let mut samples = Vec::with_capacity(width * height * 3);
-    for _ in 0..width * height * 3 {
+    let n = ascii_sample_count(data, *pos, width, height, 3)?;
+    let mut samples = Vec::with_capacity(n);
+    for _ in 0..n {
         let v = next_usize(data, pos)?;
         if v > maxval {
             return Err(ImageError::Parse(format!(
@@ -81,7 +82,7 @@ fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<RgbImage, ImageError
         )));
     }
     expect_single_whitespace(data, pos)?;
-    let need = width * height * 3;
+    let need = sample_count(width, height, 3)?;
     if data.len() - *pos < need {
         return Err(ImageError::Parse("truncated P6 sample data".into()));
     }

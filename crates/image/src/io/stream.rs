@@ -220,7 +220,7 @@ impl<R: Read> PbmBands<R> {
         if rows == 0 {
             return Ok(None);
         }
-        let mut pixels = vec![0u8; rows * self.width];
+        let mut pixels = vec![0u8; super::sample_count(self.width, rows, 1)?];
         match self.kind {
             PbmKind::Ascii => {
                 for px in pixels.iter_mut() {
@@ -347,7 +347,7 @@ impl<R: Read> PgmBands<R> {
         if rows == 0 {
             return Ok(None);
         }
-        let mut pixels = vec![0u8; rows * self.width];
+        let mut pixels = vec![0u8; super::sample_count(self.width, rows, 1)?];
         match self.kind {
             PgmKind::Ascii => {
                 for px in pixels.iter_mut() {

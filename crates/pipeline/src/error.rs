@@ -21,17 +21,9 @@ pub enum PipelineError {
 
 impl PipelineError {
     /// Builds [`PipelineError::WorkerPanicked`] from a caught panic
-    /// payload (`&str`/`String` payloads pass through as the message,
-    /// anything else becomes a generic one).
+    /// payload ([`panic_message`](ccl_stream::error::panic_message)).
     pub fn worker_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "worker panicked".to_string()
-        };
-        PipelineError::WorkerPanicked(msg)
+        PipelineError::WorkerPanicked(ccl_stream::error::panic_message(payload))
     }
 }
 

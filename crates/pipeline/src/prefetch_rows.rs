@@ -8,9 +8,9 @@ use crate::worker::PrefetchWorker;
 
 /// Moves a [`RowSource`] onto a worker thread and hands its bands to the
 /// consumer through a bounded channel, so band *generation/decode*
-/// overlaps band *labeling*. Implements [`RowSource`] itself, so every
-/// existing driver (`label_stream`, `analyze_stream`,
-/// `stream_to_label_image`, `GridSource` windowing) composes unchanged.
+/// overlaps band *labeling*. Implements [`RowSource`] itself, so the
+/// drivers (`label_stream`, `analyze_stream`) and `GridSource` windowing
+/// compose unchanged.
 ///
 /// * **Backpressure**: the worker pulls at most `depth` bands ahead
 ///   (default 2 — a double buffer), then blocks until the consumer

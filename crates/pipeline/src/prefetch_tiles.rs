@@ -10,9 +10,9 @@ use crate::worker::PrefetchWorker;
 /// the consumer through a bounded channel — the tile-grid counterpart of
 /// [`PrefetchRows`](crate::PrefetchRows), with the same backpressure,
 /// shutdown and error semantics. Implements [`TileSource`] itself, so the
-/// grid drivers (`analyze_tiles`, `spill_tiles`, the `*_pipelined`
-/// variants) compose unchanged; stacked under a pipelined driver it
-/// yields a three-stage pipeline: decode ∥ scan ∥ merge/spill.
+/// grid drivers (`label_tiles`, `analyze_tiles`) compose unchanged;
+/// stacked under a driver run with `pipelined: true` it yields a
+/// three-stage pipeline: decode ∥ scan ∥ merge/spill.
 pub struct PrefetchTiles<S> {
     width: usize,
     tile_width: usize,

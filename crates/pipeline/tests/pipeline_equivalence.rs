@@ -8,82 +8,60 @@ use proptest::prelude::*;
 
 use ccl_core::seq::aremsp;
 use ccl_core::verify::labelings_equivalent;
-use ccl_datasets::synth::adversarial::{
-    comb, fine_checkerboard, hstripes, serpentine, spiral, vstripes,
-};
-use ccl_datasets::synth::blobs::{blob_field, BlobParams};
-use ccl_datasets::synth::landcover::{landcover, LandcoverParams};
 use ccl_datasets::synth::noise::bernoulli;
-use ccl_datasets::synth::shapes::{shape_scene, text_page};
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
+use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
 use ccl_pipeline::{PrefetchRows, PrefetchTiles};
 use ccl_stream::{
-    analyze_stream, stream_to_label_image, OwnedMemorySource, RowSource, StreamError, StripConfig,
+    analyze_stream, label_stream, CollectLabelImage, CountComponents, OwnedMemorySource, RowSource,
+    StreamError, StreamStats, StripConfig,
 };
-use ccl_tiles::{
-    analyze_tiles, analyze_tiles_pipelined, tiles_to_label_image_pipelined, GridSource,
-    TileGridConfig, TileSource, TilesError,
-};
+use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TileSource, TilesError};
 
-/// One image per synthetic generator family (mirrors the `ccl-stream` and
-/// `ccl-tiles` equivalence suites).
-fn generator_image(idx: usize, w: usize, h: usize, seed: u64) -> BinaryImage {
-    let params = BlobParams {
-        coverage: 0.35,
-        min_radius: 1,
-        max_radius: 4,
-    };
-    let lc = LandcoverParams {
-        base_scale: 6.0,
-        octaves: 3,
-        persistence: 0.5,
-    };
-    match idx {
-        0 => bernoulli(w, h, 0.45, seed),
-        1 => landcover(w, h, lc, seed),
-        2 => blob_field(w, h, params, seed),
-        3 => shape_scene(w, h, 1 + (seed % 7) as usize, seed),
-        4 => text_page(w, h, 1, seed),
-        5 => checkerboard(w, h, 1 + (seed % 3) as usize),
-        6 => stripes(w, h, 5, 2, (1, 1)),
-        7 => grating(w, h, 0.31, 0.17, 0.4),
-        8 => rings(w, h, 4.0),
-        9 => serpentine(w, h),
-        10 => comb(w, h, h / 2),
-        11 => fine_checkerboard(w, h),
-        12 => hstripes(w, h),
-        13 => vstripes(w, h),
-        _ => spiral(w.max(3)),
+/// The grid config that runs the pipelined executor.
+fn pipelined_tiles() -> TileGridConfig {
+    TileGridConfig {
+        pipelined: true,
+        ..TileGridConfig::default()
     }
 }
-
-const NUM_GENERATORS: usize = 15;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Tentpole acceptance, rows: a prefetched source (any depth) feeding
-    /// `analyze_stream` produces bit-identical records *and* stats to the
-    /// synchronous path, across band heights and all generators.
+    /// `analyze_stream` — synchronous or pipelined (decode ∥ scan ∥
+    /// merge), any thread count — produces bit-identical records *and*
+    /// stats to the unprefetched synchronous path, across band heights
+    /// and all generators; a pipelined run's residency stays within two
+    /// bands + the carry row.
     #[test]
     fn prefetched_rows_bit_identical(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=18,
         h in 1usize..=18,
         band in 1usize..=19,
         depth in 1usize..=3,
+        threads in 1usize..=4,
+        pipelined in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
+        let img = family_image(gen, w, h, seed);
         let mut sync_src = OwnedMemorySource::new(img.clone());
         let (sync_records, sync_stats) =
             analyze_stream(&mut sync_src, band, StripConfig::default()).unwrap();
         let mut pf = PrefetchRows::with_depth(OwnedMemorySource::new(img), band, depth);
-        let (records, stats) = analyze_stream(&mut pf, band, StripConfig::default()).unwrap();
-        prop_assert_eq!(records, sync_records, "generator {} band {}", gen, band);
-        prop_assert_eq!(stats, sync_stats);
+        let cfg = StripConfig { threads, pipelined };
+        let (records, stats) = analyze_stream(&mut pf, band, cfg).unwrap();
+        prop_assert_eq!(records, sync_records, "generator {} band {} {:?}", gen, band, cfg);
+        prop_assert!(stats.peak_resident_rows <= 2 * band + 1);
+        let peak_resident_rows = if pipelined {
+            sync_stats.peak_resident_rows
+        } else {
+            stats.peak_resident_rows
+        };
+        prop_assert_eq!(StreamStats { peak_resident_rows, ..stats }, sync_stats);
     }
 
     /// A prefetch band height different from the consumer's: the adapter
@@ -91,14 +69,14 @@ proptest! {
     /// stays identical by band-height invariance.
     #[test]
     fn prefetched_rows_with_mismatched_band_heights(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=16,
         h in 1usize..=16,
         band in 1usize..=17,
         pf_band in 1usize..=17,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
+        let img = family_image(gen, w, h, seed);
         let mut sync_src = OwnedMemorySource::new(img.clone());
         let (sync_records, _) =
             analyze_stream(&mut sync_src, band, StripConfig::default()).unwrap();
@@ -125,112 +103,60 @@ proptest! {
         );
     }
 
-    /// Tentpole acceptance, tiles: prefetched tile rows + the pipelined
-    /// executor (decode ∥ scan ∥ merge) produce bit-identical records to
-    /// the synchronous grid across tile shapes, thread counts and all
-    /// generators; only the residency stat differs, and it stays within
-    /// two tile rows + the carry row.
+    /// Tentpole acceptance, tiles: prefetched tile rows through the grid
+    /// driver — synchronous or pipelined (decode ∥ scan ∥ merge), any
+    /// thread count — produce bit-identical records and stats to the
+    /// unprefetched synchronous grid across tile shapes and all
+    /// generators; a pipelined run's residency stays within two tile rows
+    /// + the carry row.
     #[test]
-    fn prefetched_pipelined_tiles_bit_identical(
-        gen in 0usize..NUM_GENERATORS,
+    fn prefetched_tiles_bit_identical(
+        gen in 0usize..FAMILIES,
         w in 1usize..=16,
         h in 1usize..=16,
         tw in 1usize..=9,
         th in 1usize..=9,
         threads in 1usize..=4,
-        prefetch in proptest::bool::ANY,
+        pipelined in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
-        let cfg = TileGridConfig::parallel(threads);
+        let img = family_image(gen, w, h, seed);
         let mut sync_src = GridSource::from_image(&img, tw, th);
-        let (sync_records, sync_stats) = analyze_tiles(&mut sync_src, cfg.clone()).unwrap();
+        let (sync_records, sync_stats) =
+            analyze_tiles(&mut sync_src, TileGridConfig::default()).unwrap();
 
         let grid = GridSource::new(OwnedMemorySource::new(img), tw, th);
-        let (records, stats) = if prefetch {
-            let mut staged = PrefetchTiles::new(grid);
-            analyze_tiles_pipelined(&mut staged, cfg).unwrap()
-        } else {
-            let mut grid = grid;
-            analyze_tiles_pipelined(&mut grid, cfg).unwrap()
-        };
-        prop_assert_eq!(records, sync_records, "generator {} tiles {}x{}", gen, tw, th);
-        prop_assert_eq!(stats.components, sync_stats.components);
-        prop_assert_eq!(stats.rows, sync_stats.rows);
-        prop_assert_eq!(stats.tile_rows, sync_stats.tile_rows);
-        prop_assert_eq!(stats.tiles, sync_stats.tiles);
+        let mut staged = PrefetchTiles::new(grid);
+        let cfg = TileGridConfig { threads, pipelined };
+        let (records, stats) = analyze_tiles(&mut staged, cfg).unwrap();
+        prop_assert_eq!(records, sync_records, "generator {} tiles {}x{} {:?}", gen, tw, th, cfg);
         prop_assert!(stats.peak_resident_rows <= 2 * th + 1);
-    }
-
-    /// The composed rows stack — `PrefetchRows` decode worker feeding the
-    /// pipelined strip labeler (decode ∥ scan ∥ merge) — is bit-identical
-    /// to the synchronous path, and its residency stays within two bands
-    /// + the carry row.
-    #[test]
-    fn prefetched_pipelined_rows_bit_identical(
-        gen in 0usize..NUM_GENERATORS,
-        w in 1usize..=16,
-        h in 1usize..=16,
-        band in 1usize..=17,
-        threads in 1usize..=4,
-        prefetch in proptest::bool::ANY,
-        seed in 0u64..1000,
-    ) {
-        use ccl_stream::analyze_stream_pipelined;
-        let img = generator_image(gen, w, h, seed);
-        let cfg = StripConfig::parallel(threads);
-        let mut sync_src = OwnedMemorySource::new(img.clone());
-        let (sync_records, sync_stats) =
-            analyze_stream(&mut sync_src, band, cfg.clone()).unwrap();
-
-        let (records, stats) = if prefetch {
-            let mut staged = PrefetchRows::new(OwnedMemorySource::new(img), band);
-            analyze_stream_pipelined(&mut staged, band, cfg).unwrap()
+        let peak_resident_rows = if pipelined {
+            sync_stats.peak_resident_rows
         } else {
-            let mut src = OwnedMemorySource::new(img);
-            analyze_stream_pipelined(&mut src, band, cfg).unwrap()
+            stats.peak_resident_rows
         };
-        prop_assert_eq!(records, sync_records, "generator {} band {}", gen, band);
-        prop_assert_eq!(stats.components, sync_stats.components);
-        prop_assert_eq!(stats.rows, sync_stats.rows);
-        prop_assert_eq!(stats.bands, sync_stats.bands);
-        prop_assert!(stats.peak_resident_rows <= 2 * band + 1);
-    }
-
-    /// Labeled output through the pipeline reconciles into the exact
-    /// whole-image partition.
-    #[test]
-    fn pipelined_labels_reconcile_to_aremsp_partition(
-        gen in 0usize..NUM_GENERATORS,
-        w in 1usize..=14,
-        h in 1usize..=14,
-        tw in 1usize..=8,
-        th in 1usize..=8,
-        seed in 0u64..1000,
-    ) {
-        let img = generator_image(gen, w, h, seed);
-        let mut grid = GridSource::new(OwnedMemorySource::new(img.clone()), tw, th);
-        let (li, stats) =
-            tiles_to_label_image_pipelined(&mut grid, TileGridConfig::default()).unwrap();
-        let reference = aremsp(&img);
-        prop_assert_eq!(stats.components, reference.num_components() as u64);
-        prop_assert!(labelings_equivalent(&li, &reference));
+        prop_assert_eq!(TileGridStats { peak_resident_rows, ..stats }, sync_stats);
     }
 
     /// Prefetched strips reconcile into the exact whole-image partition
     /// (the labeled-output path composes with prefetching too).
     #[test]
     fn prefetched_strip_labels_reconcile(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=14,
         h in 1usize..=14,
         band in 1usize..=15,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
+        let img = family_image(gen, w, h, seed);
         let mut pf = PrefetchRows::new(OwnedMemorySource::new(img.clone()), band);
-        let (li, stats) =
-            stream_to_label_image(&mut pf, band, StripConfig::default()).unwrap();
+        let mut strips = CollectLabelImage::default();
+        let mut comps = CountComponents::default();
+        let stats =
+            label_stream(&mut pf, band, StripConfig::default(), &mut comps, Some(&mut strips))
+                .unwrap();
+        let li = strips.into_label_image();
         let reference = aremsp(&img);
         prop_assert_eq!(stats.components, reference.num_components() as u64);
         prop_assert!(labelings_equivalent(&li, &reference));
@@ -282,7 +208,7 @@ fn midstream_row_failure_surfaces_through_driver() {
 fn midstream_tile_failure_surfaces_through_pipelined_driver() {
     let grid = GridSource::new(FailingRows { good: 4 }, 3, 2);
     let mut staged = PrefetchTiles::new(grid);
-    let err = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap_err();
+    let err = analyze_tiles(&mut staged, pipelined_tiles()).unwrap_err();
     match err {
         TilesError::Stream(StreamError::Image(e)) => {
             assert!(e.to_string().contains("corrupt band 3"))
@@ -318,7 +244,7 @@ fn panicking_tile_source_surfaces_through_pipelined_driver() {
         }
     }
     let mut staged = PrefetchTiles::new(PanicsMidStream { good: 2 });
-    let err = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap_err();
+    let err = analyze_tiles(&mut staged, pipelined_tiles()).unwrap_err();
     match err {
         TilesError::Worker(msg) => assert!(msg.contains("corrupted"), "{msg}"),
         other => panic!("expected Worker error, got {other:?}"),
@@ -334,7 +260,7 @@ fn staged_pipeline_matches_whole_image_at_scale() {
     let source = bernoulli_stream(w, h, 0.5, 123);
     let grid = GridSource::new(source, tile, tile);
     let mut staged = PrefetchTiles::new(grid);
-    let (records, stats) = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap();
+    let (records, stats) = analyze_tiles(&mut staged, pipelined_tiles()).unwrap();
     assert_eq!(stats.rows, h);
     assert!(stats.peak_resident_rows <= 2 * tile + 1);
 
@@ -354,7 +280,7 @@ fn gigascale_staged_pipeline_bounded_memory() {
     let source = bernoulli_stream(w, h, 0.5, 9001);
     let grid = GridSource::new(source, tile, tile);
     let mut staged = PrefetchTiles::new(grid);
-    let (_, stats) = analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).unwrap();
+    let (_, stats) = analyze_tiles(&mut staged, pipelined_tiles()).unwrap();
     assert_eq!(stats.rows, h);
     assert_eq!(stats.peak_resident_rows, 2 * tile + 1);
 

@@ -30,9 +30,9 @@
 
 use std::ops::Range;
 
-use ccl_core::par::{MergerKind, MergerStore};
+use ccl_core::par::MergerStore;
 use ccl_core::scan::{merge_seam, merge_seam_span, split_spans, Foldable as _};
-use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
+use ccl_unionfind::par::LockedMerger;
 
 use crate::analysis::{Accum, ComponentId, ComponentSink};
 use crate::labeler::BandUf;
@@ -56,18 +56,6 @@ pub struct ScannedLines<'a> {
     pub partials: Vec<Accum>,
     /// Provisional-label ranges the scan allocated.
     pub used: &'a [Range<u32>],
-}
-
-/// How the carry seam merges into a concurrent store: the engine's
-/// worker count, merger and lock stripes. Sequential stores ignore it.
-#[derive(Debug, Clone, Copy)]
-pub struct SeamWorkers {
-    /// Column spans the seam splits into.
-    pub threads: usize,
-    /// Boundary-merge implementation.
-    pub merger: MergerKind,
-    /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
-    pub lock_stripes: Option<usize>,
 }
 
 /// Open-component state carried between bands: the carry row, the open
@@ -142,18 +130,20 @@ impl CarryState {
     }
 
     /// Maximum pixel rows resident so far: the tallest band plus the
-    /// carry row.
+    /// carry row (the pipelined executor counts its own two-band
+    /// residency instead).
     pub fn peak_resident_rows(&self) -> usize {
         self.peak_resident_rows
     }
 
     /// Merges one scanned band against the carry row, emits every
     /// component that closed and rebuilds the carry (steps 1–6 of the
-    /// module docs).
+    /// module docs). A parallel band's carry seam splits into `threads`
+    /// column spans.
     pub fn merge(
         &mut self,
         band: ScannedLines<'_>,
-        seam: SeamWorkers,
+        threads: usize,
         components: &mut dyn ComponentSink,
     ) -> MergedBand {
         let ScannedLines {
@@ -174,7 +164,7 @@ impl CarryState {
 
         self.absorb_first_line(r0, first, &mut acc);
         if !self.carry.is_empty() {
-            carry_seam(&self.carry, first, &mut uf, seam);
+            carry_seam(&self.carry, first, &mut uf, threads);
         }
 
         // After this block `acc[root]` holds the complete accumulator of
@@ -302,32 +292,16 @@ impl CarryState {
 
 /// Merges the carry row with the band's first line (the paper's phase 3,
 /// run by the merge stage because it needs the carry row). Concurrent
-/// stores split the row into column spans across the workers; a span's
-/// diagonal probes read the full carry row ([`merge_seam_span`]), so the
-/// partition merges exactly the same pairs as one whole-row call.
-fn carry_seam(carry: &[u32], first: &[u32], uf: &mut BandUf, seam: SeamWorkers) {
-    match uf {
-        BandUf::Seq(store) => merge_seam(carry, first, store),
-        BandUf::Par(parents) => match seam.merger {
-            MergerKind::Locked => {
-                let merger = match seam.lock_stripes {
-                    Some(s) => LockedMerger::with_stripes(s),
-                    None => LockedMerger::new(),
-                };
-                seam_spans(carry, first, parents, seam.threads, &merger);
-            }
-            MergerKind::Cas => seam_spans(carry, first, parents, seam.threads, &CasMerger::new()),
-        },
-    }
-}
-
-fn seam_spans<M: ConcurrentMerger>(
-    carry: &[u32],
-    first: &[u32],
-    parents: &ConcurrentParents,
-    threads: usize,
-    merger: &M,
-) {
+/// stores split the row into column spans across `threads` workers
+/// sharing one lock-based MERGER; a span's diagonal probes read the full
+/// carry row ([`merge_seam_span`]), so the partition merges exactly the
+/// same pairs as one whole-row call.
+fn carry_seam(carry: &[u32], first: &[u32], uf: &mut BandUf, threads: usize) {
+    let parents = match uf {
+        BandUf::Seq(store) => return merge_seam(carry, first, store),
+        BandUf::Par(parents) => &*parents,
+    };
+    let merger = &LockedMerger::new();
     let spans = split_spans(carry.len(), threads);
     if spans.len() <= 1 {
         let mut store = MergerStore::new(parents, merger);

@@ -1,31 +1,59 @@
-//! Convenience drivers — pull a whole [`RowSource`] through a
-//! [`StripLabeler`].
+//! The strip engine's driver — pull a whole [`RowSource`] through a
+//! [`StripLabeler`], synchronously or pipelined.
 
-use ccl_core::label::LabelImage;
-
-use crate::analysis::{CollectLabelImage, ComponentRecord, ComponentSink, CountComponents};
+use crate::analysis::{ComponentRecord, ComponentSink, LabelSink};
 use crate::error::StreamError;
-use crate::labeler::{StreamStats, StripConfig, StripLabeler};
+use crate::labeler::{scan_band, ScannedBand, StreamStats, StripConfig, StripLabeler};
 use crate::source::RowSource;
 
 /// Streams `source` through a strip labeler in bands of `band_rows`,
-/// emitting every component through `sink`. Never holds more than one
-/// band (plus the carry row) of pixels.
-pub fn label_stream<S, C>(
+/// emitting every component through `components` and, when given, every
+/// labeled strip (and id merge) through `labels` — pass a
+/// [`CollectLabelImage`](crate::CollectLabelImage) to reconcile the
+/// strips into a whole label image.
+///
+/// Synchronously the labeler never holds more than one band plus the
+/// carry row of pixels. With [`StripConfig::pipelined`] band *k + 1*'s
+/// scan overlaps band *k*'s merge on a worker thread
+/// ([`crate::pipeline`]): output is identical, and
+/// [`StreamStats::peak_resident_rows`] reports the two-band + carry
+/// residency.
+pub fn label_stream<S>(
     source: &mut S,
     band_rows: usize,
     cfg: StripConfig,
-    sink: &mut C,
+    components: &mut dyn ComponentSink,
+    mut labels: Option<&mut dyn LabelSink>,
 ) -> Result<StreamStats, StreamError>
 where
-    S: RowSource + ?Sized,
-    C: ComponentSink,
+    S: RowSource + Send + ?Sized,
 {
-    let mut labeler = StripLabeler::with_config(source.width(), cfg);
-    while let Some(band) = source.next_band(band_rows)? {
-        labeler.push_band(&band, sink)?;
+    let width = source.width();
+    let mut labeler = StripLabeler::with_config(width, cfg);
+    if !cfg.pipelined {
+        while let Some(band) = source.next_band(band_rows)? {
+            labeler.process(&band, components, labels.as_deref_mut())?;
+        }
+        return Ok(labeler.finish(components));
     }
-    Ok(labeler.finish(sink))
+    let mut r0 = 0;
+    let peak = crate::pipeline::run(
+        width,
+        |carry_cap| {
+            let Some(band) = source.next_band(band_rows)? else {
+                return Ok(None);
+            };
+            let scanned = scan_band(&band, width, &cfg, carry_cap, r0)?;
+            r0 += band.height();
+            Ok(Some(scanned))
+        },
+        |band| labeler.merge_scanned_band(band, components, labels.as_deref_mut()),
+        ScannedBand::resident_rows,
+        StreamError::worker_panic,
+    )?;
+    let mut stats = labeler.finish(components);
+    stats.peak_resident_rows = peak;
+    Ok(stats)
 }
 
 /// [`label_stream`] collecting every [`ComponentRecord`] (emission order:
@@ -36,85 +64,11 @@ pub fn analyze_stream<S>(
     cfg: StripConfig,
 ) -> Result<(Vec<ComponentRecord>, StreamStats), StreamError>
 where
-    S: RowSource + ?Sized,
-{
-    let mut records = Vec::new();
-    let stats = label_stream(source, band_rows, cfg, &mut records)?;
-    Ok((records, stats))
-}
-
-/// Streams `source` and reconciles the labeled strips into a full
-/// [`LabelImage`] — for callers who *do* want label output and can afford
-/// it (the image is O(width × height); the labeling still runs in O(band)
-/// working memory on top).
-pub fn stream_to_label_image<S>(
-    source: &mut S,
-    band_rows: usize,
-    cfg: StripConfig,
-) -> Result<(LabelImage, StreamStats), StreamError>
-where
-    S: RowSource + ?Sized,
-{
-    let mut labeler = StripLabeler::with_config(source.width(), cfg);
-    let mut components = CountComponents::default();
-    let mut strips = CollectLabelImage::default();
-    while let Some(band) = source.next_band(band_rows)? {
-        labeler.push_band_with_labels(&band, &mut components, &mut strips)?;
-    }
-    let stats = labeler.finish(&mut components);
-    Ok((strips.into_label_image(), stats))
-}
-
-/// [`label_stream`] with the two-stage pipeline of [`crate::pipeline`]:
-/// band *k + 1*'s scan (and fused partial accumulation) overlaps band
-/// *k*'s carry seam / fold / compaction on a worker thread. Components
-/// are bit-identical to the synchronous driver;
-/// [`StreamStats::peak_resident_rows`] reports the pipeline's two-band +
-/// carry residency.
-pub fn label_stream_pipelined<S, C>(
-    source: &mut S,
-    band_rows: usize,
-    cfg: StripConfig,
-    sink: &mut C,
-) -> Result<StreamStats, StreamError>
-where
-    S: RowSource + Send + ?Sized,
-    C: ComponentSink,
-{
-    crate::pipeline::run_pipelined(source, band_rows, cfg, sink, None)
-}
-
-/// [`analyze_stream`] with the two-stage pipeline (see
-/// [`label_stream_pipelined`]).
-pub fn analyze_stream_pipelined<S>(
-    source: &mut S,
-    band_rows: usize,
-    cfg: StripConfig,
-) -> Result<(Vec<ComponentRecord>, StreamStats), StreamError>
-where
     S: RowSource + Send + ?Sized,
 {
     let mut records = Vec::new();
-    let stats = label_stream_pipelined(source, band_rows, cfg, &mut records)?;
+    let stats = label_stream(source, band_rows, cfg, &mut records, None)?;
     Ok((records, stats))
-}
-
-/// [`stream_to_label_image`] with the two-stage pipeline (see
-/// [`label_stream_pipelined`]): labeled strips are emitted by the merge
-/// stage while the scan stage works one band ahead.
-pub fn stream_to_label_image_pipelined<S>(
-    source: &mut S,
-    band_rows: usize,
-    cfg: StripConfig,
-) -> Result<(LabelImage, StreamStats), StreamError>
-where
-    S: RowSource + Send + ?Sized,
-{
-    let mut components = CountComponents::default();
-    let mut strips = CollectLabelImage::default();
-    let stats =
-        crate::pipeline::run_pipelined(source, band_rows, cfg, &mut components, Some(&mut strips))?;
-    Ok((strips.into_label_image(), stats))
 }
 
 #[cfg(test)]
@@ -138,17 +92,42 @@ mod tests {
         assert_eq!(stats.bands, 2);
     }
 
+    /// Runs `img` through [`label_stream`] in bands of `band_rows`,
+    /// synchronously and pipelined.
+    fn both_modes(img: &BinaryImage, band_rows: usize) -> [(Vec<ComponentRecord>, StreamStats); 2] {
+        [false, true].map(|pipelined| {
+            let cfg = StripConfig {
+                pipelined,
+                ..StripConfig::default()
+            };
+            analyze_stream(&mut MemorySource::new(img), band_rows, cfg).unwrap()
+        })
+    }
+
     #[test]
-    fn stream_to_label_image_matches_aremsp() {
-        let img = BinaryImage::parse(
-            "#.#
-             .#.
-             #.#",
+    fn pipelined_run_reports_two_bands_plus_carry() {
+        let img = BinaryImage::from_fn(23, 37, |r, c| (r * 31 + c * 17) % 3 != 0);
+        let [(sync_records, sync_stats), (records, stats)] = both_modes(&img, 4);
+        assert_eq!(records, sync_records);
+        assert_eq!(sync_stats.peak_resident_rows, 4 + 1);
+        assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
+        let peak_resident_rows = sync_stats.peak_resident_rows;
+        assert_eq!(
+            StreamStats {
+                peak_resident_rows,
+                ..stats
+            },
+            sync_stats
         );
-        let mut src = MemorySource::new(&img);
-        let (li, stats) = stream_to_label_image(&mut src, 1, StripConfig::default()).unwrap();
-        assert_eq!(stats.components, 1);
-        let reference = ccl_core::seq::aremsp(&img);
-        assert!(ccl_core::verify::labelings_equivalent(&li, &reference));
+    }
+
+    #[test]
+    fn zero_width_stream_holds_no_rows_in_either_mode() {
+        let img = BinaryImage::zeros(0, 6);
+        let [(sync_records, sync_stats), (records, stats)] = both_modes(&img, 2);
+        assert_eq!(records, sync_records);
+        assert_eq!(stats, sync_stats);
+        assert_eq!(stats.rows, 6);
+        assert_eq!(stats.peak_resident_rows, 0);
     }
 }

@@ -22,20 +22,24 @@ pub enum StreamError {
     Worker(String),
 }
 
+/// The message of a caught panic payload: `&str`/`String` payloads pass
+/// through, anything else becomes a generic one. Shared by every error
+/// type whose pipeline stage joins a worker thread.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked".to_string()
+    }
+}
+
 impl StreamError {
     /// Builds [`StreamError::Worker`] from a caught panic payload
-    /// (`&str`/`String` payloads pass through as the message, anything
-    /// else becomes a generic one). Used wherever a pipeline stage joins
-    /// a worker thread.
+    /// ([`panic_message`]).
     pub fn worker_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "worker panicked".to_string()
-        };
-        StreamError::Worker(msg)
+        StreamError::Worker(panic_message(payload))
     }
 }
 

@@ -40,56 +40,52 @@
 
 use std::ops::Range;
 
-use ccl_core::par::MergerKind;
 use ccl_core::scan::{max_labels_two_line, scan_two_line};
 use ccl_image::BinaryImage;
 use ccl_unionfind::par::ConcurrentParents;
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentSink, LabelSink};
-use crate::carry::{CarryState, ScannedLines, SeamWorkers};
+use crate::carry::{CarryState, ScannedLines};
 use crate::error::StreamError;
 use crate::parallel::scan_band_parallel;
 
-/// Configuration for [`StripLabeler`].
-#[derive(Debug, Clone)]
+/// Configuration of both out-of-core engines: the strip labeler and the
+/// `ccl-tiles` grid labeler (re-exported there as `TileGridConfig`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripConfig {
-    /// Worker threads for the in-band scan (1 = sequential AREMSP).
+    /// Worker threads for the scan and the seam merges within one band
+    /// or tile row (1 = sequential AREMSP).
     pub threads: usize,
-    /// Boundary-merge implementation for the parallel mode.
-    pub merger: MergerKind,
-    /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
-    pub lock_stripes: Option<usize>,
+    /// Whether the drivers ([`label_stream`](crate::label_stream),
+    /// `ccl_tiles::label_tiles`) run the pipelined executor
+    /// ([`crate::pipeline`]): band *k + 1*'s scan overlaps band *k*'s
+    /// merge. Output is identical; residency grows to two bands + carry.
+    /// The labelers themselves ignore it.
+    pub pipelined: bool,
 }
 
 impl Default for StripConfig {
     fn default() -> Self {
         StripConfig {
             threads: 1,
-            merger: MergerKind::default(),
-            lock_stripes: None,
+            pipelined: false,
         }
     }
 }
 
 impl StripConfig {
-    /// Sequential in-band scanning (AREMSP per band).
+    /// Sequential scanning (AREMSP per band or tile).
     pub fn sequential() -> Self {
         StripConfig::default()
     }
 
-    /// PAREMSP across `threads` workers within each band.
+    /// PAREMSP across `threads` workers within each band or tile row.
     pub fn parallel(threads: usize) -> Self {
         StripConfig {
             threads,
             ..StripConfig::default()
         }
-    }
-
-    /// Builder: replaces the boundary-merge implementation.
-    pub fn with_merger(mut self, merger: MergerKind) -> Self {
-        self.merger = merger;
-        self
     }
 }
 
@@ -105,8 +101,9 @@ pub struct StreamStats {
     /// Total components emitted.
     pub components: u64,
     /// Maximum pixel rows resident at any point: the tallest band plus
-    /// the one carried boundary row — the labeler's bounded-memory
-    /// guarantee (≤ 2 bands for any band height ≥ 1).
+    /// the one carried boundary row (≤ 2 bands for any band height ≥ 1).
+    /// Pipelined runs hold two bands at once and report the tallest pair
+    /// of consecutive bands plus the carry row (≤ 2 × band + 1).
     pub peak_resident_rows: usize,
 }
 
@@ -199,6 +196,17 @@ pub(crate) struct ScannedBand {
     pub(crate) degenerate: bool,
 }
 
+impl ScannedBand {
+    /// Pixel rows the band keeps resident (none for a degenerate band).
+    pub(crate) fn resident_rows(&self) -> usize {
+        if self.degenerate {
+            0
+        } else {
+            self.h
+        }
+    }
+}
+
 /// The scan stage: validates the band's width, scans it with chunk-local
 /// semantics (two-line + RemSP sequentially, PAREMSP worker groups in
 /// parallel mode), merges the chunk-boundary seams, and accumulates every
@@ -254,7 +262,8 @@ pub(crate) fn scan_band(
             degenerate: false,
         })
     } else {
-        let (labels, parents, partials, used) = scan_band_parallel(band, r0, carry_cap, cfg);
+        let (labels, parents, partials, used) =
+            scan_band_parallel(band, r0, carry_cap, cfg.threads);
         Ok(ScannedBand {
             h,
             labels,
@@ -406,11 +415,12 @@ impl StripLabeler {
         }
     }
 
-    fn process(
+    /// [`Self::push_band`] with the label sink optional.
+    pub(crate) fn process(
         &mut self,
         band: &BinaryImage,
         components: &mut dyn ComponentSink,
-        strips: Option<&mut dyn LabelSink>,
+        strips: Option<&mut (dyn LabelSink + '_)>,
     ) -> Result<(), StreamError> {
         let n_carry = self.carry.open_components() as u32;
         let scanned = scan_band(band, self.width(), &self.cfg, n_carry, self.rows_done)?;
@@ -424,7 +434,7 @@ impl StripLabeler {
         &mut self,
         band: ScannedBand,
         components: &mut dyn ComponentSink,
-        strips: Option<&mut dyn LabelSink>,
+        strips: Option<&mut (dyn LabelSink + '_)>,
     ) -> Result<(), StreamError> {
         let ScannedBand {
             h,
@@ -450,12 +460,7 @@ impl StripLabeler {
             partials,
             used: &used,
         };
-        let seam = SeamWorkers {
-            threads: self.cfg.threads,
-            merger: self.cfg.merger,
-            lock_stripes: self.cfg.lock_stripes,
-        };
-        let mut ids = self.carry.merge(lines, seam, components);
+        let mut ids = self.carry.merge(lines, self.cfg.threads, components);
         if let Some(sink) = strips {
             for &(kept, absorbed) in ids.merges() {
                 sink.merge(kept, absorbed);
@@ -627,12 +632,9 @@ mod tests {
         let img = BinaryImage::from_fn(40, 57, |_, _| rnd());
         let (seq, seq_stats) = run_banded(&img, 9, StripConfig::sequential());
         for threads in [2, 3, 8] {
-            for merger in MergerKind::ALL {
-                let cfg = StripConfig::parallel(threads).with_merger(merger);
-                let (par, par_stats) = run_banded(&img, 9, cfg);
-                assert_eq!(par, seq, "{threads} threads, {merger}");
-                assert_eq!(par_stats, seq_stats);
-            }
+            let (par, par_stats) = run_banded(&img, 9, StripConfig::parallel(threads));
+            assert_eq!(par, seq, "{threads} threads");
+            assert_eq!(par_stats, seq_stats);
         }
     }
 

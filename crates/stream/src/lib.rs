@@ -27,8 +27,12 @@
 //!   and Euler-characteristic hole count, emitted the moment a
 //!   component closes, **without ever materializing a label image**
 //!   (following Lemaitre & Lacassagne's on-the-fly analysis);
-//! * [`LabelSink`] / [`stream_to_label_image`] — optional labeled-strip
-//!   output for callers who do want labels.
+//! * [`label_stream`] — the driver: pulls a whole source through the
+//!   labeler, emitting components and, optionally, labeled strips through
+//!   a [`LabelSink`] ([`CollectLabelImage`] reconciles them into a label
+//!   image); [`StripConfig::pipelined`] overlaps band *k + 1*'s scan with
+//!   band *k*'s merge ([`pipeline`], the executor `ccl-tiles` shares).
+//!   [`analyze_stream`] is the collect-the-records shorthand.
 //!
 //! ## Example
 //!
@@ -63,10 +67,7 @@ pub use analysis::{
     Accum, CollectLabelImage, ComponentId, ComponentRecord, ComponentSink, CountComponents,
     LabelSink,
 };
-pub use driver::{
-    analyze_stream, analyze_stream_pipelined, label_stream, label_stream_pipelined,
-    stream_to_label_image, stream_to_label_image_pipelined,
-};
+pub use driver::{analyze_stream, label_stream};
 pub use error::StreamError;
 pub use labeler::{BandUf, StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};

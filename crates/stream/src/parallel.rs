@@ -5,7 +5,7 @@
 //! a disjoint provisional-label range into a shared [`ConcurrentParents`]
 //! array whose low slots `1..=carry_cap` are reserved for the carried
 //! inter-band labels. Chunk-boundary rows merge in parallel with the
-//! configured MERGER (Algorithm 8 or its CAS variant). Every worker also
+//! paper's lock-based MERGER (Algorithm 8). Every worker also
 //! accumulates its chunk's partial [`Accum`] table while the pixels are
 //! cache-hot — writes stay contention-free because partials live in the
 //! chunk's own disjoint label range.
@@ -20,50 +20,30 @@ use std::ops::Range;
 use ccl_core::par::MergerStore;
 use ccl_core::scan::{merge_seam, scan_two_line};
 use ccl_image::BinaryImage;
-use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
+use ccl_unionfind::par::{ConcurrentParents, LockedMerger};
 use ccl_unionfind::EquivalenceStore;
 
 use crate::analysis::Accum;
-use crate::labeler::{accumulate_chunk, StripConfig};
+use crate::labeler::accumulate_chunk;
 
 /// Scan-stage output: the band's labels, the shared parent array, the
 /// partial table (label-indexed) and the used label ranges.
 pub(crate) type ParallelScan = (Vec<u32>, ConcurrentParents, Vec<Accum>, Vec<Range<u32>>);
 
-/// Scans `band` with `cfg.threads` workers. Returns the band's label
+/// Scans `band` with `threads` workers. Returns the band's label
 /// buffer, the shared parent array (slots `1..=carry_cap` reserved for
 /// carried labels, band labels from `carry_cap + 1`), the partial
 /// accumulator table (label-indexed) and the label ranges each chunk
-/// actually allocated. `r0` is the global row of
-/// the band's first row.
+/// actually allocated. `r0` is the global row of the band's first row.
 pub(crate) fn scan_band_parallel(
     band: &BinaryImage,
     r0: usize,
     carry_cap: u32,
-    cfg: &StripConfig,
-) -> ParallelScan {
-    match cfg.merger {
-        ccl_core::par::MergerKind::Locked => {
-            let merger = match cfg.lock_stripes {
-                Some(s) => LockedMerger::with_stripes(s),
-                None => LockedMerger::new(),
-            };
-            scan_with(band, r0, carry_cap, cfg, &merger)
-        }
-        ccl_core::par::MergerKind::Cas => scan_with(band, r0, carry_cap, cfg, &CasMerger::new()),
-    }
-}
-
-fn scan_with<M: ConcurrentMerger>(
-    band: &BinaryImage,
-    r0: usize,
-    carry_cap: u32,
-    cfg: &StripConfig,
-    merger: &M,
+    threads: usize,
 ) -> ParallelScan {
     let (w, h) = (band.width(), band.height());
     debug_assert!(w > 0 && h > 0, "caller filters degenerate bands");
-    let mut chunks = ccl_core::par::partition_rows(h, w, cfg.threads.max(1));
+    let mut chunks = ccl_core::par::partition_rows(h, w, threads.max(1));
     for chunk in &mut chunks {
         chunk.label_offset += carry_cap;
     }
@@ -115,8 +95,10 @@ fn scan_with<M: ConcurrentMerger>(
         }
     });
 
-    // Phase 2: chunk-boundary seams in parallel with the configured merger.
+    // Phase 2: chunk-boundary seams in parallel with the lock-based
+    // MERGER (Algorithm 8).
     if chunks.len() > 1 {
+        let merger = &LockedMerger::new();
         let labels_ref = &labels;
         rayon::scope(|s| {
             for chunk in &chunks[1..] {

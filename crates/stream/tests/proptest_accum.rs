@@ -14,50 +14,9 @@
 use proptest::prelude::*;
 
 use ccl_core::scan::Foldable as _;
-use ccl_datasets::synth::adversarial::{
-    comb, fine_checkerboard, hstripes, serpentine, spiral, vstripes,
-};
-use ccl_datasets::synth::blobs::{blob_field, BlobParams};
-use ccl_datasets::synth::landcover::{landcover, LandcoverParams};
-use ccl_datasets::synth::noise::bernoulli;
-use ccl_datasets::synth::shapes::{shape_scene, text_page};
-use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
+use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
 use ccl_stream::Accum;
-
-/// One image per synthetic generator family (mirrors the equivalence
-/// suites).
-fn generator_image(idx: usize, w: usize, h: usize, seed: u64) -> BinaryImage {
-    let params = BlobParams {
-        coverage: 0.35,
-        min_radius: 1,
-        max_radius: 4,
-    };
-    let lc = LandcoverParams {
-        base_scale: 6.0,
-        octaves: 3,
-        persistence: 0.5,
-    };
-    match idx {
-        0 => bernoulli(w, h, 0.45, seed),
-        1 => landcover(w, h, lc, seed),
-        2 => blob_field(w, h, params, seed),
-        3 => shape_scene(w, h, 1 + (seed % 7) as usize, seed),
-        4 => text_page(w, h, 1, seed),
-        5 => checkerboard(w, h, 1 + (seed % 3) as usize),
-        6 => stripes(w, h, 5, 2, (1, 1)),
-        7 => grating(w, h, 0.31, 0.17, 0.4),
-        8 => rings(w, h, 4.0),
-        9 => serpentine(w, h),
-        10 => comb(w, h, h / 2),
-        11 => fine_checkerboard(w, h),
-        12 => hstripes(w, h),
-        13 => vstripes(w, h),
-        _ => spiral(w.max(3)),
-    }
-}
-
-const NUM_GENERATORS: usize = 15;
 
 /// Exact (bitwise for the f64 sums) comparison key over every field
 /// `merge_with` touches.
@@ -130,12 +89,12 @@ proptest! {
     /// from every generator family.
     #[test]
     fn merge_with_is_commutative(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=16,
         h in 1usize..=16,
         seed in 0u64..1000,
     ) {
-        let units = pixel_units(&generator_image(gen, w, h, seed));
+        let units = pixel_units(&family_image(gen, w, h, seed));
         let partials = partition(&units, 2, seed ^ 0xA5A5);
         if partials.len() == 2 {
             let mut ab = partials[0];
@@ -149,12 +108,12 @@ proptest! {
     /// `merge_with` is associative: (a ∪ b) ∪ c == a ∪ (b ∪ c).
     #[test]
     fn merge_with_is_associative(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=16,
         h in 1usize..=16,
         seed in 0u64..1000,
     ) {
-        let units = pixel_units(&generator_image(gen, w, h, seed));
+        let units = pixel_units(&family_image(gen, w, h, seed));
         let partials = partition(&units, 3, seed ^ 0x5A5A);
         if partials.len() == 3 {
             let mut left = partials[0];
@@ -175,13 +134,13 @@ proptest! {
     /// nondeterministic order.
     #[test]
     fn any_fold_order_matches_the_sequential_fold(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=16,
         h in 1usize..=16,
         parts in 1usize..=9,
         seed in 0u64..1000,
     ) {
-        let units = pixel_units(&generator_image(gen, w, h, seed));
+        let units = pixel_units(&family_image(gen, w, h, seed));
         if !units.is_empty() {
             // raster-order sequential fold (what Accum::first + add build)
             let mut seq = Accum::EMPTY;

@@ -8,54 +8,15 @@ use proptest::prelude::*;
 use ccl_core::analysis::region_properties;
 use ccl_core::seq::aremsp;
 use ccl_core::verify::labelings_equivalent;
-use ccl_datasets::synth::adversarial::{
-    comb, fine_checkerboard, hstripes, serpentine, spiral, vstripes,
-};
 use ccl_datasets::synth::blobs::{blob_field, BlobParams};
-use ccl_datasets::synth::landcover::{landcover, LandcoverParams};
 use ccl_datasets::synth::noise::bernoulli;
-use ccl_datasets::synth::shapes::{shape_scene, text_page};
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
+use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
 use ccl_stream::{
-    analyze_stream, analyze_stream_pipelined, stream_to_label_image, ComponentRecord, MemorySource,
-    OwnedMemorySource, RowSource, StripConfig, StripLabeler,
+    analyze_stream, label_stream, CollectLabelImage, ComponentRecord, LabelSink, MemorySource,
+    RowSource, StreamStats, StripConfig, StripLabeler,
 };
-
-/// One image per synthetic generator family, sized `w × h` (the spiral is
-/// square by construction).
-fn generator_image(idx: usize, w: usize, h: usize, seed: u64) -> BinaryImage {
-    let params = BlobParams {
-        coverage: 0.35,
-        min_radius: 1,
-        max_radius: 4,
-    };
-    let lc = LandcoverParams {
-        base_scale: 6.0,
-        octaves: 3,
-        persistence: 0.5,
-    };
-    match idx {
-        0 => bernoulli(w, h, 0.45, seed),
-        1 => landcover(w, h, lc, seed),
-        2 => blob_field(w, h, params, seed),
-        3 => shape_scene(w, h, 1 + (seed % 7) as usize, seed),
-        4 => text_page(w, h, 1, seed),
-        5 => checkerboard(w, h, 1 + (seed % 3) as usize),
-        6 => stripes(w, h, 5, 2, (1, 1)),
-        7 => grating(w, h, 0.31, 0.17, 0.4),
-        8 => rings(w, h, 4.0),
-        9 => serpentine(w, h),
-        10 => comb(w, h, h / 2),
-        11 => fine_checkerboard(w, h),
-        12 => hstripes(w, h),
-        13 => vstripes(w, h),
-        _ => spiral(w.max(3)),
-    }
-}
-
-const NUM_GENERATORS: usize = 15;
 
 /// Per-component features keyed by the raster-first anchor (unique per
 /// component), comparable across labelers: anchor, area, bbox, centroid,
@@ -159,6 +120,17 @@ fn banded_features(img: &BinaryImage, band: usize, cfg: StripConfig) -> Features
     stream_features(&records)
 }
 
+/// The residency a pipelined run must report for an image `height` rows
+/// tall cut into bands of `unit_rows`: the tallest pair of consecutive
+/// bands plus the carry row, or the lone band when there is only one.
+fn pipelined_peak(height: usize, unit_rows: usize) -> usize {
+    if height > unit_rows {
+        height.min(2 * unit_rows) + 1
+    } else {
+        height
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -169,80 +141,77 @@ proptest! {
     /// generators.
     #[test]
     fn strip_analysis_matches_whole_image_analysis(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=20,
         h in 1usize..=20,
         band in 1usize..=21,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
+        let img = family_image(gen, w, h, seed);
         let expected = whole_image_features(&img);
         let got = banded_features(&img, band, StripConfig::default());
         prop_assert_eq!(got, expected, "generator {} band {}", gen, band);
     }
 
     /// The in-band PAREMSP mode is output-identical to the sequential
-    /// mode, for every merger and thread count.
+    /// mode, for every thread count.
     #[test]
     fn parallel_mode_matches_sequential(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=18,
         h in 1usize..=18,
         band in 1usize..=19,
         threads in 2usize..=8,
-        cas in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        use ccl_core::par::MergerKind;
-        let img = generator_image(gen, w, h, seed);
-        let cfg = StripConfig::parallel(threads)
-            .with_merger(if cas { MergerKind::Cas } else { MergerKind::Locked });
+        let img = family_image(gen, w, h, seed);
         let seq = banded_features(&img, band, StripConfig::sequential());
-        let par = banded_features(&img, band, cfg);
+        let par = banded_features(&img, band, StripConfig::parallel(threads));
         prop_assert_eq!(par, seq, "generator {} threads {}", gen, threads);
     }
 
-    /// The pipelined scan ∥ merge executor produces the same records as
-    /// the synchronous driver, and its residency never exceeds two bands
-    /// plus the carry row.
+    /// The one driver in every mode — pipelined or not, label sink
+    /// present or absent, 1–3 threads — emits exactly the records and
+    /// stats of the plain synchronous sequential run. Only a pipelined
+    /// run's residency differs: two bands + the carry row instead of one.
+    /// Labeled strips reconcile into the exact whole-image partition.
     #[test]
-    fn pipelined_strip_matches_synchronous(
-        gen in 0usize..NUM_GENERATORS,
+    fn driver_modes_agree(
+        gen in 0usize..FAMILIES,
         w in 1usize..=18,
         h in 1usize..=18,
         band in 1usize..=19,
+        threads in 1usize..=3,
+        pipelined in proptest::bool::ANY,
+        with_labels in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
-        let mut sync_src = MemorySource::new(&img);
-        let (sync_records, sync_stats) =
-            analyze_stream(&mut sync_src, band, StripConfig::default()).unwrap();
-        let mut src = OwnedMemorySource::new(img.clone());
-        let (records, stats) =
-            analyze_stream_pipelined(&mut src, band, StripConfig::default()).unwrap();
-        prop_assert_eq!(records, sync_records, "generator {} band {}", gen, band);
-        prop_assert_eq!(stats.components, sync_stats.components);
-        prop_assert_eq!(stats.rows, sync_stats.rows);
-        prop_assert_eq!(stats.bands, sync_stats.bands);
-        prop_assert!(stats.peak_resident_rows <= 2 * band.min(img.height().max(1)) + 1);
-    }
+        let img = family_image(gen, w, h, seed);
+        let (expected, expected_stats) =
+            analyze_stream(&mut MemorySource::new(&img), band, StripConfig::default()).unwrap();
 
-    /// Labeled-strip output reconciles into the exact whole-image
-    /// partition.
-    #[test]
-    fn strip_labels_reconcile_to_aremsp_partition(
-        gen in 0usize..NUM_GENERATORS,
-        w in 1usize..=16,
-        h in 1usize..=16,
-        band in 1usize..=17,
-        seed in 0u64..1000,
-    ) {
-        let img = generator_image(gen, w, h, seed);
-        let mut src = MemorySource::new(&img);
-        let (li, stats) = stream_to_label_image(&mut src, band, StripConfig::default()).unwrap();
-        let reference = aremsp(&img);
-        prop_assert_eq!(stats.components, reference.num_components() as u64);
-        prop_assert!(labelings_equivalent(&li, &reference));
+        let mut records: Vec<ComponentRecord> = Vec::new();
+        let mut strips = CollectLabelImage::default();
+        let labels = with_labels.then_some(&mut strips as &mut dyn LabelSink);
+        let cfg = StripConfig { threads, pipelined };
+        let stats =
+            label_stream(&mut MemorySource::new(&img), band, cfg, &mut records, labels).unwrap();
+        prop_assert_eq!(&records, &expected, "generator {} band {} {:?}", gen, band, cfg);
+        let band_rows = band.min(img.height());
+        if pipelined {
+            prop_assert!(stats.peak_resident_rows <= 2 * band_rows + 1);
+            prop_assert_eq!(stats.peak_resident_rows, pipelined_peak(img.height(), band));
+        } else {
+            prop_assert!(stats.peak_resident_rows <= band_rows + 1);
+        }
+        let peak_resident_rows = expected_stats.peak_resident_rows;
+        prop_assert_eq!(StreamStats { peak_resident_rows, ..stats }, expected_stats);
+        if with_labels {
+            let li = strips.into_label_image();
+            let reference = aremsp(&img);
+            prop_assert_eq!(li.num_components(), reference.num_components());
+            prop_assert!(labelings_equivalent(&li, &reference));
+        }
     }
 }
 
@@ -302,8 +271,11 @@ fn gigascale_stream_flat_memory_matches_whole_image() {
     // bands + the carry row — the pipelined ≤ 2-band bound — and the
     // records are bit-identical to the synchronous run.
     let mut piped_source = bernoulli_stream(w, h, 0.5, 4242);
-    let (piped_records, piped_stats) =
-        analyze_stream_pipelined(&mut piped_source, band, StripConfig::default()).unwrap();
+    let pipelined = StripConfig {
+        pipelined: true,
+        ..StripConfig::default()
+    };
+    let (piped_records, piped_stats) = analyze_stream(&mut piped_source, band, pipelined).unwrap();
     assert_eq!(piped_stats.rows, h);
     assert!(
         piped_stats.peak_resident_rows <= 2 * band + 1,

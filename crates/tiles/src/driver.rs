@@ -1,33 +1,63 @@
-//! Convenience drivers — pull a whole [`TileSource`] through a
-//! [`TileGridLabeler`].
+//! The grid engine's driver — pull a whole [`TileSource`] through a
+//! [`TileGridLabeler`], synchronously or pipelined.
 
-use std::path::Path;
-
-use ccl_core::label::LabelImage;
-use ccl_stream::{ComponentRecord, ComponentSink, CountComponents};
+use ccl_stream::{ComponentRecord, ComponentSink};
 
 use crate::error::TilesError;
-use crate::labeler::{TileGridConfig, TileGridLabeler, TileGridStats};
-use crate::sink::{CollectTiles, SpillFormat, SpillManifest, SpillSink};
+use crate::labeler::{
+    scan_tile_row, ScannedTileRow, TileGridConfig, TileGridLabeler, TileGridStats,
+};
+use crate::sink::TileSink;
 use crate::source::TileSource;
 
 /// Streams `source` through a grid labeler tile row by tile row, emitting
-/// every component through `sink`. Never holds more than one tile row
-/// (plus the carry row) of pixels.
-pub fn label_tiles<S, C>(
+/// every component through `components` and, when given, every labeled
+/// tile (and id merge) through `tiles` — pass a
+/// [`CollectTiles`](crate::CollectTiles) for a whole label image, or a
+/// [`SpillSink`](crate::SpillSink) (then
+/// [`close`](crate::SpillSink::close) it) to spill the labels to disk.
+///
+/// Synchronously the labeler never holds more than one tile row plus the
+/// carry row of pixels. With [`TileGridConfig::pipelined`] row *k + 1*'s
+/// tile scans overlap row *k*'s seam merge, accumulation and spill on a
+/// worker thread ([`ccl_stream::pipeline`]): output is identical, and
+/// [`TileGridStats::peak_resident_rows`] reports the two-tile-row + carry
+/// residency.
+pub fn label_tiles<S>(
     source: &mut S,
     cfg: TileGridConfig,
-    sink: &mut C,
+    components: &mut dyn ComponentSink,
+    mut tiles: Option<&mut dyn TileSink>,
 ) -> Result<TileGridStats, TilesError>
 where
-    S: TileSource + ?Sized,
-    C: ComponentSink,
+    S: TileSource + Send + ?Sized,
 {
-    let mut labeler = TileGridLabeler::with_config(source.width(), cfg);
-    while let Some(tiles) = source.next_tile_row()? {
-        labeler.push_tile_row(&tiles, sink)?;
+    let width = source.width();
+    let mut labeler = TileGridLabeler::with_config(width, cfg);
+    if !cfg.pipelined {
+        while let Some(row) = source.next_tile_row()? {
+            labeler.process(&row, components, tiles.as_deref_mut())?;
+        }
+        return Ok(labeler.finish(components));
     }
-    Ok(labeler.finish(sink))
+    let mut r0 = 0;
+    let peak = ccl_stream::pipeline::run(
+        width,
+        |carry_cap| {
+            let Some(row) = source.next_tile_row()? else {
+                return Ok(None);
+            };
+            let scanned = scan_tile_row(&row, width, &cfg, carry_cap, r0)?;
+            r0 += scanned.th;
+            Ok(Some(scanned))
+        },
+        |row| labeler.merge_scanned(row, components, tiles.as_deref_mut()),
+        ScannedTileRow::resident_rows,
+        TilesError::worker_panic,
+    )?;
+    let mut stats = labeler.finish(components);
+    stats.peak_resident_rows = peak;
+    Ok(stats)
 }
 
 /// [`label_tiles`] collecting every [`ComponentRecord`] (emission order:
@@ -37,131 +67,20 @@ pub fn analyze_tiles<S>(
     cfg: TileGridConfig,
 ) -> Result<(Vec<ComponentRecord>, TileGridStats), TilesError>
 where
-    S: TileSource + ?Sized,
-{
-    let mut records = Vec::new();
-    let stats = label_tiles(source, cfg, &mut records)?;
-    Ok((records, stats))
-}
-
-/// Streams `source` and reconciles the labeled tiles into a full
-/// [`LabelImage`] — for callers who want label output resident (the image
-/// is O(width × height); the labeling still runs in O(tile row) working
-/// memory on top).
-pub fn tiles_to_label_image<S>(
-    source: &mut S,
-    cfg: TileGridConfig,
-) -> Result<(LabelImage, TileGridStats), TilesError>
-where
-    S: TileSource + ?Sized,
-{
-    let mut labeler = TileGridLabeler::with_config(source.width(), cfg);
-    let mut components = CountComponents::default();
-    let mut tiles = CollectTiles::default();
-    while let Some(row) = source.next_tile_row()? {
-        labeler.push_tile_row_with_labels(&row, &mut components, &mut tiles)?;
-    }
-    let stats = labeler.finish(&mut components);
-    Ok((tiles.into_label_image(), stats))
-}
-
-/// The fully out-of-core pipeline: streams `source` through the grid
-/// labeler while spilling every labeled tile to `dir` via [`SpillSink`],
-/// then closes the sink (sidecar manifest + final-label patching). Both
-/// input and output stay bounded-memory; reconstruct the partition later
-/// with [`read_spilled_label_image`](crate::sink::read_spilled_label_image).
-pub fn spill_tiles<S>(
-    source: &mut S,
-    cfg: TileGridConfig,
-    dir: impl AsRef<Path>,
-    format: SpillFormat,
-) -> Result<(SpillManifest, TileGridStats), TilesError>
-where
-    S: TileSource + ?Sized,
-{
-    let mut labeler = TileGridLabeler::with_config(source.width(), cfg);
-    let mut components = CountComponents::default();
-    let mut sink = SpillSink::create(dir.as_ref(), format)?;
-    while let Some(row) = source.next_tile_row()? {
-        labeler.push_tile_row_with_labels(&row, &mut components, &mut sink)?;
-    }
-    let stats = labeler.finish(&mut components);
-    let manifest = sink.close()?;
-    Ok((manifest, stats))
-}
-
-/// [`label_tiles`] with the two-stage pipeline of [`crate::pipeline`]:
-/// row *k + 1*'s tile scans overlap row *k*'s seam merge / accumulation
-/// on a worker thread. Components are bit-identical to the synchronous
-/// driver; [`TileGridStats::peak_resident_rows`] reports the pipeline's
-/// two-tile-row + carry residency.
-pub fn label_tiles_pipelined<S, C>(
-    source: &mut S,
-    cfg: TileGridConfig,
-    sink: &mut C,
-) -> Result<TileGridStats, TilesError>
-where
-    S: TileSource + Send + ?Sized,
-    C: ComponentSink,
-{
-    crate::pipeline::run_pipelined(source, cfg, sink, None)
-}
-
-/// [`analyze_tiles`] with the two-stage pipeline (see
-/// [`label_tiles_pipelined`]).
-pub fn analyze_tiles_pipelined<S>(
-    source: &mut S,
-    cfg: TileGridConfig,
-) -> Result<(Vec<ComponentRecord>, TileGridStats), TilesError>
-where
     S: TileSource + Send + ?Sized,
 {
     let mut records = Vec::new();
-    let stats = label_tiles_pipelined(source, cfg, &mut records)?;
+    let stats = label_tiles(source, cfg, &mut records, None)?;
     Ok((records, stats))
-}
-
-/// [`tiles_to_label_image`] with the two-stage pipeline (see
-/// [`label_tiles_pipelined`]): labeled tiles are emitted by the merge
-/// stage while the scan stage works one tile row ahead.
-pub fn tiles_to_label_image_pipelined<S>(
-    source: &mut S,
-    cfg: TileGridConfig,
-) -> Result<(LabelImage, TileGridStats), TilesError>
-where
-    S: TileSource + Send + ?Sized,
-{
-    let mut components = CountComponents::default();
-    let mut tiles = CollectTiles::default();
-    let stats = crate::pipeline::run_pipelined(source, cfg, &mut components, Some(&mut tiles))?;
-    Ok((tiles.into_label_image(), stats))
-}
-
-/// [`spill_tiles`] with the two-stage pipeline (see
-/// [`label_tiles_pipelined`]): row *k*'s spill writes overlap row
-/// *k + 1*'s tile scans, so the disk never idles behind the scanner nor
-/// the scanner behind the disk.
-pub fn spill_tiles_pipelined<S>(
-    source: &mut S,
-    cfg: TileGridConfig,
-    dir: impl AsRef<Path>,
-    format: SpillFormat,
-) -> Result<(SpillManifest, TileGridStats), TilesError>
-where
-    S: TileSource + Send + ?Sized,
-{
-    let mut components = CountComponents::default();
-    let mut sink = SpillSink::create(dir.as_ref(), format)?;
-    let stats = crate::pipeline::run_pipelined(source, cfg, &mut components, Some(&mut sink))?;
-    let manifest = sink.close()?;
-    Ok((manifest, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{SpillFormat, SpillSink};
     use crate::source::GridSource;
     use ccl_image::BinaryImage;
+    use ccl_stream::CountComponents;
 
     #[test]
     fn analyze_tiles_counts_components() {
@@ -179,22 +98,54 @@ mod tests {
         assert_eq!(stats.tiles, 6);
     }
 
-    #[test]
-    fn tiles_to_label_image_matches_aremsp() {
-        let img = BinaryImage::parse(
-            "#.#
-             .#.
-             #.#",
-        );
-        let mut src = GridSource::from_image(&img, 2, 2);
-        let (li, stats) = tiles_to_label_image(&mut src, TileGridConfig::default()).unwrap();
-        assert_eq!(stats.components, 1);
-        let reference = ccl_core::seq::aremsp(&img);
-        assert!(ccl_core::verify::labelings_equivalent(&li, &reference));
+    /// Runs `img` through [`label_tiles`] in `tw × th` tiles,
+    /// synchronously and pipelined.
+    fn both_modes(
+        img: &BinaryImage,
+        tw: usize,
+        th: usize,
+    ) -> [(Vec<ComponentRecord>, TileGridStats); 2] {
+        [false, true].map(|pipelined| {
+            let cfg = TileGridConfig {
+                pipelined,
+                ..TileGridConfig::default()
+            };
+            analyze_tiles(&mut GridSource::from_image(img, tw, th), cfg).unwrap()
+        })
     }
 
     #[test]
-    fn spill_tiles_end_to_end() {
+    fn pipelined_run_reports_two_tile_rows_plus_carry() {
+        let img = BinaryImage::from_fn(23, 37, |r, c| (r * 31 + c * 17) % 3 != 0);
+        let [(sync_records, sync_stats), (records, stats)] = both_modes(&img, 5, 4);
+        assert_eq!(records, sync_records);
+        assert_eq!(sync_stats.peak_resident_rows, 4 + 1);
+        assert_eq!(stats.peak_resident_rows, 2 * 4 + 1);
+        let peak_resident_rows = sync_stats.peak_resident_rows;
+        assert_eq!(
+            TileGridStats {
+                peak_resident_rows,
+                ..stats
+            },
+            sync_stats
+        );
+    }
+
+    /// A zero-width grid's tile rows are degenerate: they still have a
+    /// height, but no pixels, so nothing is resident in either mode.
+    #[test]
+    fn zero_width_grid_holds_no_rows_in_either_mode() {
+        let img = BinaryImage::zeros(0, 6);
+        let [(sync_records, sync_stats), (records, stats)] = both_modes(&img, 1, 2);
+        assert_eq!(records, sync_records);
+        assert_eq!(stats, sync_stats);
+        assert_eq!(stats.rows, 6);
+        assert_eq!(stats.tile_rows, 3);
+        assert_eq!(stats.peak_resident_rows, 0);
+    }
+
+    #[test]
+    fn spill_sink_end_to_end() {
         let dir = crate::sink::temp_spill_dir("driver");
         let img = BinaryImage::parse(
             "#.#.#
@@ -202,13 +153,16 @@ mod tests {
              #####",
         );
         let mut src = GridSource::from_image(&img, 2, 2);
-        let (manifest, stats) = spill_tiles(
+        let mut spill = SpillSink::create(&dir, SpillFormat::Pgm16).unwrap();
+        let mut comps = CountComponents::default();
+        let stats = label_tiles(
             &mut src,
             TileGridConfig::default(),
-            &dir,
-            SpillFormat::Pgm16,
+            &mut comps,
+            Some(&mut spill),
         )
         .unwrap();
+        let manifest = spill.close().unwrap();
         assert_eq!(stats.components, 1);
         assert_eq!(manifest.width, 5);
         assert_eq!(manifest.rows, 3);

@@ -46,18 +46,9 @@ pub enum TilesError {
 
 impl TilesError {
     /// Builds [`TilesError::Worker`] from a caught panic payload
-    /// (`&str`/`String` payloads pass through as the message, anything
-    /// else becomes a generic one). Used wherever a pipeline stage joins
-    /// a worker thread.
+    /// ([`panic_message`](ccl_stream::error::panic_message)).
     pub fn worker_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "worker panicked".to_string()
-        };
-        TilesError::Worker(msg)
+        TilesError::Worker(ccl_stream::error::panic_message(payload))
     }
 }
 

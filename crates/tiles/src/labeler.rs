@@ -15,8 +15,8 @@
 //!
 //! In parallel mode the tiles of the resident row are scanned by
 //! `threads` workers and the vertical seams merge concurrently with the
-//! configured MERGER (Algorithm 8 or its CAS variant) — PAREMSP across
-//! the tile row. After each row the label space is compacted to the
+//! paper's lock-based MERGER (Algorithm 8) — PAREMSP across the tile
+//! row. After each row the label space is compacted to the
 //! components still *open* on the carry boundary and every retired slot
 //! is recycled, so resident state is
 //!
@@ -30,13 +30,13 @@
 
 use std::ops::Range;
 
-use ccl_core::par::{MergerKind, MergerStore};
+use ccl_core::par::MergerStore;
 use ccl_core::scan::{max_labels_two_line, merge_seam_strided, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
 use ccl_stream::analysis::Accum;
-use ccl_stream::carry::{CarryState, ScannedLines, SeamWorkers};
-use ccl_stream::{BandUf, ComponentSink, StreamStats};
-use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
+use ccl_stream::carry::{CarryState, ScannedLines};
+use ccl_stream::{BandUf, ComponentSink};
+use ccl_unionfind::par::{ConcurrentParents, LockedMerger};
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::error::TilesError;
@@ -52,51 +52,13 @@ type ParallelTileScan = (
     Vec<Range<u32>>,
 );
 
-/// Configuration for [`TileGridLabeler`].
-#[derive(Debug, Clone)]
-pub struct TileGridConfig {
-    /// Worker threads for the in-row tile scans and seam merges
-    /// (1 = fully sequential).
-    pub threads: usize,
-    /// Boundary-merge implementation for the parallel mode.
-    pub merger: MergerKind,
-    /// Lock stripes for [`MergerKind::Locked`]; `None` = default.
-    pub lock_stripes: Option<usize>,
-}
-
-impl Default for TileGridConfig {
-    fn default() -> Self {
-        TileGridConfig {
-            threads: 1,
-            merger: MergerKind::default(),
-            lock_stripes: None,
-        }
-    }
-}
-
-impl TileGridConfig {
-    /// Sequential scanning (AREMSP tile by tile).
-    pub fn sequential() -> Self {
-        TileGridConfig::default()
-    }
-
-    /// PAREMSP across `threads` workers within each tile row.
-    pub fn parallel(threads: usize) -> Self {
-        TileGridConfig {
-            threads,
-            ..TileGridConfig::default()
-        }
-    }
-
-    /// Builder: replaces the boundary-merge implementation.
-    pub fn with_merger(mut self, merger: MergerKind) -> Self {
-        self.merger = merger;
-        self
-    }
-}
+/// Configuration for [`TileGridLabeler`] and the grid driver: the strip
+/// engine's config, shared by both out-of-core engines.
+pub use ccl_stream::StripConfig as TileGridConfig;
 
 /// Summary returned by [`TileGridLabeler::finish`]. Mirrors
-/// [`StreamStats`] with the grid-specific tile counters added.
+/// [`StreamStats`](ccl_stream::StreamStats) with the grid-specific tile
+/// counters added.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileGridStats {
     /// Grid width in pixels.
@@ -111,20 +73,10 @@ pub struct TileGridStats {
     pub components: u64,
     /// Maximum pixel rows resident at any point: the tallest tile row
     /// plus the one carried boundary row — the ≤ 2-tile-row bound.
+    /// Pipelined runs hold two tile rows at once and report the tallest
+    /// pair of consecutive tile rows plus the carry row
+    /// (≤ 2 × tile height + 1).
     pub peak_resident_rows: usize,
-}
-
-impl TileGridStats {
-    /// The stats viewed as the equivalent row-band stream summary.
-    pub fn as_stream_stats(&self) -> StreamStats {
-        StreamStats {
-            width: self.width,
-            rows: self.rows,
-            bands: self.tile_rows,
-            components: self.components,
-            peak_resident_rows: self.peak_resident_rows,
-        }
-    }
 }
 
 /// The tile-grid two-pass labeling engine. See the module docs.
@@ -239,11 +191,12 @@ impl TileGridLabeler {
         }
     }
 
-    fn process(
+    /// [`Self::push_tile_row`] with the tile sink optional.
+    pub(crate) fn process(
         &mut self,
         tiles: &[BinaryImage],
         components: &mut dyn ComponentSink,
-        sink: Option<&mut dyn TileSink>,
+        sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), TilesError> {
         let n_carry = self.carry.open_components() as u32;
         let row = scan_tile_row(tiles, self.width(), &self.cfg, n_carry, self.rows_done)?;
@@ -255,13 +208,13 @@ impl TileGridLabeler {
     /// labeled tile (and any id merges) through `sink`. Counterpart of
     /// [`scan_tile_row`]; the two called back-to-back are exactly
     /// [`Self::push_tile_row`], while the pipelined executor
-    /// ([`crate::pipeline`]) runs them on different threads, one tile row
-    /// apart.
+    /// ([`ccl_stream::pipeline`]) runs them on different threads, one
+    /// tile row apart.
     pub(crate) fn merge_scanned(
         &mut self,
         row: ScannedTileRow,
         components: &mut dyn ComponentSink,
-        sink: Option<&mut dyn TileSink>,
+        sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), TilesError> {
         let ScannedTileRow {
             th,
@@ -291,12 +244,7 @@ impl TileGridLabeler {
             partials,
             used: &used,
         };
-        let seam = SeamWorkers {
-            threads: self.cfg.threads,
-            merger: self.cfg.merger,
-            lock_stripes: self.cfg.lock_stripes,
-        };
-        let mut ids = self.carry.merge(lines, seam, components);
+        let mut ids = self.carry.merge(lines, self.cfg.threads, components);
         if let Some(sink) = sink {
             for &(kept, absorbed) in ids.merges() {
                 sink.merge(kept, absorbed);
@@ -349,6 +297,17 @@ pub(crate) struct ScannedTileRow {
     /// True for rows with no pixels (zero height or zero width): the
     /// merge stage only counts them.
     pub(crate) degenerate: bool,
+}
+
+impl ScannedTileRow {
+    /// Pixel rows the tile row keeps resident (none for a degenerate row).
+    pub(crate) fn resident_rows(&self) -> usize {
+        if self.degenerate {
+            0
+        } else {
+            self.th
+        }
+    }
 }
 
 /// Accumulates one tile's partial table: every foreground pixel of
@@ -494,25 +453,8 @@ pub(crate) fn scan_tile_row(
         let used: Vec<Range<u32>> = std::iter::once(carry_cap + 1..next).collect();
         (bufs, BandUf::Seq(store), partials, used)
     } else {
-        let (bufs, parents, partials, used) = match cfg.merger {
-            MergerKind::Locked => {
-                let merger = match cfg.lock_stripes {
-                    Some(s) => LockedMerger::with_stripes(s),
-                    None => LockedMerger::new(),
-                };
-                scan_tile_row_parallel(tiles, &widths, &x0s, th, carry_cap, cfg, r0, &merger)
-            }
-            MergerKind::Cas => scan_tile_row_parallel(
-                tiles,
-                &widths,
-                &x0s,
-                th,
-                carry_cap,
-                cfg,
-                r0,
-                &CasMerger::new(),
-            ),
-        };
+        let (bufs, parents, partials, used) =
+            scan_tile_row_parallel(tiles, &widths, &x0s, th, carry_cap, cfg.threads, r0);
         (bufs, BandUf::Par(parents), partials, used)
     };
     Ok(ScannedTileRow {
@@ -539,24 +481,23 @@ fn assemble_row(bufs: &[Vec<u32>], widths: &[usize], r: usize, width: usize) -> 
 
 /// Parallel tile-row scan: tiles are grouped into at most `threads`
 /// contiguous runs scanned concurrently with disjoint provisional-label
-/// ranges, then the vertical seams merge concurrently with the configured
-/// MERGER. Every worker also accumulates its tiles' partial [`Accum`]
-/// tables (contention-free: partials live in the tile's own label range;
-/// neighbour probes read raw pixels, never another worker's labels). The
-/// horizontal carry seam is the merge stage's job ([`ccl_stream::carry`]).
-#[allow(clippy::too_many_arguments)]
-fn scan_tile_row_parallel<M: ConcurrentMerger>(
+/// ranges, then the vertical seams merge concurrently with the lock-based
+/// MERGER (Algorithm 8). Every worker also accumulates its tiles' partial
+/// [`Accum`] tables (contention-free: partials live in the tile's own
+/// label range; neighbour probes read raw pixels, never another worker's
+/// labels). The horizontal carry seam is the merge stage's job
+/// ([`ccl_stream::carry`]).
+fn scan_tile_row_parallel(
     tiles: &[BinaryImage],
     widths: &[usize],
     x0s: &[usize],
     th: usize,
     carry_cap: u32,
-    cfg: &TileGridConfig,
+    threads: usize,
     r0: usize,
-    merger: &M,
 ) -> ParallelTileScan {
     let ntiles = tiles.len();
-    let threads = cfg.threads.max(1);
+    let threads = threads.max(1);
     // disjoint label ranges, one per tile
     let mut offsets = Vec::with_capacity(ntiles);
     let mut next = carry_cap + 1;
@@ -611,8 +552,9 @@ fn scan_tile_row_parallel<M: ConcurrentMerger>(
     });
 
     // Phase 2: vertical seams between adjacent tiles, concurrently with
-    // the shared merger (each boundary reads two finished tile buffers).
+    // one shared merger (each boundary reads two finished tile buffers).
     if ntiles > 1 {
+        let merger = &LockedMerger::new();
         let bufs_ref = &bufs;
         rayon::scope(|s| {
             for group in split_spans(ntiles - 1, threads) {
@@ -755,12 +697,9 @@ mod tests {
         let img = BinaryImage::from_fn(37, 29, |_, _| rnd());
         let (seq, seq_stats) = run_tiled(&img, 7, 5, TileGridConfig::sequential());
         for threads in [2, 3, 8] {
-            for merger in MergerKind::ALL {
-                let cfg = TileGridConfig::parallel(threads).with_merger(merger);
-                let (par, par_stats) = run_tiled(&img, 7, 5, cfg);
-                assert_eq!(par, seq, "{threads} threads, {merger}");
-                assert_eq!(par_stats, seq_stats);
-            }
+            let (par, par_stats) = run_tiled(&img, 7, 5, TileGridConfig::parallel(threads));
+            assert_eq!(par, seq, "{threads} threads");
+            assert_eq!(par_stats, seq_stats);
         }
     }
 

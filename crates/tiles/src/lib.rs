@@ -29,12 +29,14 @@
 //! * [`TileGridLabeler`] — the engine (see [`labeler`]);
 //! * [`TileSink`] / [`CollectTiles`] / [`SpillSink`] — labeled-tile
 //!   output, in memory or spilled ([`sink`]);
-//! * [`analyze_tiles`] / [`label_tiles`] / [`tiles_to_label_image`] /
-//!   [`spill_tiles`] — whole-stream drivers;
-//! * the `*_pipelined` drivers — the same, with row *k + 1*'s tile scans
-//!   overlapped against row *k*'s seam merge / accumulation / spill on a
-//!   worker thread ([`pipeline`]): bit-identical output, at most two
-//!   tile rows + the carry row resident.
+//! * [`label_tiles`] — the driver: pulls a whole source through the
+//!   labeler, emitting components and, optionally, labeled tiles through
+//!   a [`TileSink`] (collected in memory or spilled); with
+//!   [`TileGridConfig::pipelined`] row *k + 1*'s tile scans overlap row
+//!   *k*'s seam merge / accumulation / spill on a worker thread (the
+//!   executor in [`ccl_stream::pipeline`]): identical output, at most two
+//!   tile rows + the carry row resident. [`analyze_tiles`] is the
+//!   collect-the-records shorthand.
 //!
 //! ## Example
 //!
@@ -57,14 +59,10 @@
 pub mod driver;
 pub mod error;
 pub mod labeler;
-pub mod pipeline;
 pub mod sink;
 pub mod source;
 
-pub use driver::{
-    analyze_tiles, analyze_tiles_pipelined, label_tiles, label_tiles_pipelined, spill_tiles,
-    spill_tiles_pipelined, tiles_to_label_image, tiles_to_label_image_pipelined,
-};
+pub use driver::{analyze_tiles, label_tiles};
 pub use error::TilesError;
 pub use labeler::{TileGridConfig, TileGridLabeler, TileGridStats};
 pub use sink::{

@@ -8,55 +8,16 @@ use proptest::prelude::*;
 
 use ccl_core::seq::aremsp;
 use ccl_core::verify::labelings_equivalent;
-use ccl_datasets::synth::adversarial::{
-    comb, fine_checkerboard, hstripes, serpentine, spiral, vstripes,
-};
 use ccl_datasets::synth::blobs::{blob_field, BlobParams};
-use ccl_datasets::synth::landcover::{landcover, LandcoverParams};
 use ccl_datasets::synth::noise::bernoulli;
-use ccl_datasets::synth::shapes::{shape_scene, text_page};
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_datasets::synth::texture::{checkerboard, grating, rings, stripes};
+use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
-use ccl_stream::ComponentRecord;
+use ccl_stream::{ComponentRecord, CountComponents};
 use ccl_tiles::{
-    analyze_tiles, read_spilled_label_image, spill_tiles, temp_spill_dir, tiles_to_label_image,
-    GridSource, SpillFormat, TileGridConfig,
+    analyze_tiles, label_tiles, read_spilled_label_image, temp_spill_dir, CollectTiles, GridSource,
+    SpillFormat, SpillManifest, SpillSink, TileGridConfig, TileGridStats, TileSink, TileSource,
 };
-
-/// One image per synthetic generator family (mirrors the `ccl-stream`
-/// equivalence suite).
-fn generator_image(idx: usize, w: usize, h: usize, seed: u64) -> BinaryImage {
-    let params = BlobParams {
-        coverage: 0.35,
-        min_radius: 1,
-        max_radius: 4,
-    };
-    let lc = LandcoverParams {
-        base_scale: 6.0,
-        octaves: 3,
-        persistence: 0.5,
-    };
-    match idx {
-        0 => bernoulli(w, h, 0.45, seed),
-        1 => landcover(w, h, lc, seed),
-        2 => blob_field(w, h, params, seed),
-        3 => shape_scene(w, h, 1 + (seed % 7) as usize, seed),
-        4 => text_page(w, h, 1, seed),
-        5 => checkerboard(w, h, 1 + (seed % 3) as usize),
-        6 => stripes(w, h, 5, 2, (1, 1)),
-        7 => grating(w, h, 0.31, 0.17, 0.4),
-        8 => rings(w, h, 4.0),
-        9 => serpentine(w, h),
-        10 => comb(w, h, h / 2),
-        11 => fine_checkerboard(w, h),
-        12 => hstripes(w, h),
-        13 => vstripes(w, h),
-        _ => spiral(w.max(3)),
-    }
-}
-
-const NUM_GENERATORS: usize = 15;
 
 /// Per-component features keyed by the raster-first anchor, including the
 /// streamed perimeter and hole count; the whole-image side recomputes
@@ -165,6 +126,17 @@ fn tiled_features(img: &BinaryImage, tw: usize, th: usize, cfg: TileGridConfig) 
     record_features(&records)
 }
 
+/// The residency a pipelined run must report for an image `height` rows
+/// tall cut into tile rows of `unit_rows`: the tallest pair of consecutive
+/// tile rows plus the carry row, or the lone tile row when there is only one.
+fn pipelined_peak(height: usize, unit_rows: usize) -> usize {
+    if height > unit_rows {
+        height.min(2 * unit_rows) + 1
+    } else {
+        height
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -174,59 +146,95 @@ proptest! {
     /// tile shapes 1×1..=W×H and all generators.
     #[test]
     fn grid_analysis_matches_whole_image(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=18,
         h in 1usize..=18,
         tw in 1usize..=19,
         th in 1usize..=19,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
+        let img = family_image(gen, w, h, seed);
         let expected = whole_image_features(&img);
         let got = tiled_features(&img, tw, th, TileGridConfig::default());
         prop_assert_eq!(got, expected, "generator {} tiles {}x{}", gen, tw, th);
     }
 
     /// The in-row PAREMSP mode is output-identical to the sequential
-    /// mode, for every merger and thread count.
+    /// mode, for every thread count.
     #[test]
     fn parallel_mode_matches_sequential(
-        gen in 0usize..NUM_GENERATORS,
+        gen in 0usize..FAMILIES,
         w in 1usize..=16,
         h in 1usize..=16,
         tw in 1usize..=9,
         th in 1usize..=9,
         threads in 2usize..=8,
-        cas in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        use ccl_core::par::MergerKind;
-        let img = generator_image(gen, w, h, seed);
-        let cfg = TileGridConfig::parallel(threads)
-            .with_merger(if cas { MergerKind::Cas } else { MergerKind::Locked });
+        let img = family_image(gen, w, h, seed);
         let seq = tiled_features(&img, tw, th, TileGridConfig::sequential());
-        let par = tiled_features(&img, tw, th, cfg);
+        let par = tiled_features(&img, tw, th, TileGridConfig::parallel(threads));
         prop_assert_eq!(par, seq, "generator {} threads {}", gen, threads);
     }
 
-    /// Labeled-tile output reconciles into the exact whole-image
-    /// partition.
+    /// The one driver in every mode — pipelined or not, tile sink present
+    /// or absent, 1–3 threads — emits exactly the records and stats of
+    /// the plain synchronous sequential run. Only a pipelined run's
+    /// residency differs: two tile rows + the carry row instead of one.
+    /// Labeled tiles reconcile into the exact whole-image partition.
     #[test]
-    fn tile_labels_reconcile_to_aremsp_partition(
-        gen in 0usize..NUM_GENERATORS,
-        w in 1usize..=14,
-        h in 1usize..=14,
-        tw in 1usize..=8,
-        th in 1usize..=8,
+    fn driver_modes_agree(
+        gen in 0usize..FAMILIES,
+        w in 1usize..=16,
+        h in 1usize..=16,
+        tw in 1usize..=9,
+        th in 1usize..=9,
+        threads in 1usize..=3,
+        pipelined in proptest::bool::ANY,
+        with_tiles in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        let img = generator_image(gen, w, h, seed);
+        let img = family_image(gen, w, h, seed);
+        let (expected, expected_stats) =
+            analyze_tiles(&mut GridSource::from_image(&img, tw, th), TileGridConfig::default())
+                .unwrap();
+
+        let mut records: Vec<ComponentRecord> = Vec::new();
+        let mut collected = CollectTiles::default();
+        let tiles = with_tiles.then_some(&mut collected as &mut dyn TileSink);
+        let cfg = TileGridConfig { threads, pipelined };
         let mut src = GridSource::from_image(&img, tw, th);
-        let (li, stats) = tiles_to_label_image(&mut src, TileGridConfig::default()).unwrap();
-        let reference = aremsp(&img);
-        prop_assert_eq!(stats.components, reference.num_components() as u64);
-        prop_assert!(labelings_equivalent(&li, &reference));
+        let stats = label_tiles(&mut src, cfg, &mut records, tiles).unwrap();
+        prop_assert_eq!(&records, &expected, "generator {} tiles {}x{} {:?}", gen, tw, th, cfg);
+        let row_rows = th.min(img.height());
+        if pipelined {
+            prop_assert!(stats.peak_resident_rows <= 2 * row_rows + 1);
+            prop_assert_eq!(stats.peak_resident_rows, pipelined_peak(img.height(), th));
+        } else {
+            prop_assert!(stats.peak_resident_rows <= row_rows + 1);
+        }
+        let peak_resident_rows = expected_stats.peak_resident_rows;
+        prop_assert_eq!(TileGridStats { peak_resident_rows, ..stats }, expected_stats);
+        if with_tiles {
+            let li = collected.into_label_image();
+            let reference = aremsp(&img);
+            prop_assert_eq!(li.num_components(), reference.num_components());
+            prop_assert!(labelings_equivalent(&li, &reference));
+        }
     }
+}
+
+/// Runs the grid driver with a [`SpillSink`] writing `format` to `dir`,
+/// then closes the spill.
+fn spill<S: TileSource + Send>(
+    src: &mut S,
+    cfg: TileGridConfig,
+    dir: &std::path::Path,
+    format: SpillFormat,
+) -> (SpillManifest, TileGridStats) {
+    let mut sink = SpillSink::create(dir, format).unwrap();
+    let stats = label_tiles(src, cfg, &mut CountComponents::default(), Some(&mut sink)).unwrap();
+    (sink.close().unwrap(), stats)
 }
 
 /// Spill round-trip at moderate scale, both formats: the spilled tiles +
@@ -247,8 +255,7 @@ fn spilled_tiles_reconstruct_exact_partition() {
     for (format, tag) in [(SpillFormat::RawU32, "raw"), (SpillFormat::Pgm16, "pgm")] {
         let dir = temp_spill_dir(tag);
         let mut src = GridSource::from_image(&img, 32, 16);
-        let (manifest, stats) =
-            spill_tiles(&mut src, TileGridConfig::default(), &dir, format).unwrap();
+        let (manifest, stats) = spill(&mut src, TileGridConfig::default(), &dir, format);
         assert_eq!(manifest.width, 120);
         assert_eq!(manifest.rows, 90);
         assert_eq!(stats.components, reference.num_components() as u64);
@@ -267,13 +274,12 @@ fn streamed_grid_spills_and_reconstructs() {
     let dir = temp_spill_dir("it_streamed");
     let source = bernoulli_stream(w, h, 0.5, 99);
     let mut grid = GridSource::new(source, tile, tile);
-    let (manifest, stats) = spill_tiles(
+    let (manifest, stats) = spill(
         &mut grid,
         TileGridConfig::default(),
         &dir,
         SpillFormat::RawU32,
-    )
-    .unwrap();
+    );
     assert_eq!(stats.rows, h);
     assert!(stats.peak_resident_rows <= 2 * tile);
     assert_eq!(manifest.tiles.len(), (w / tile) * (h / tile));
@@ -304,13 +310,12 @@ fn hundred_megapixel_grid_bounded_memory_and_spill() {
 
     let source = bernoulli_stream(w, h, 0.5, 4242);
     let mut grid = GridSource::new(source, tile, tile);
-    let (manifest, stats) = spill_tiles(
+    let (manifest, stats) = spill(
         &mut grid,
         TileGridConfig::default(),
         &dir,
         SpillFormat::RawU32,
-    )
-    .unwrap();
+    );
     assert_eq!(stats.rows, h);
     assert_eq!(stats.tiles, (w / tile) * (h / tile));
     assert!(
@@ -333,13 +338,11 @@ fn hundred_megapixel_grid_bounded_memory_and_spill() {
     let dir = temp_spill_dir("it_gigascale_pipelined");
     let source = bernoulli_stream(w, h, 0.5, 4242);
     let mut grid = GridSource::new(source, tile, tile);
-    let (manifest, stats) = ccl_tiles::spill_tiles_pipelined(
-        &mut grid,
-        TileGridConfig::default(),
-        &dir,
-        SpillFormat::RawU32,
-    )
-    .unwrap();
+    let pipelined = TileGridConfig {
+        pipelined: true,
+        ..TileGridConfig::default()
+    };
+    let (manifest, stats) = spill(&mut grid, pipelined, &dir, SpillFormat::RawU32);
     assert_eq!(stats.rows, h);
     assert!(
         stats.peak_resident_rows <= 2 * tile + 1,

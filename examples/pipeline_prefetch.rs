@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 use paremsp::datasets::synth::stream::bernoulli_stream;
 use paremsp::pipeline::PacedRows;
 use paremsp::prelude::{
-    analyze_stream, analyze_tiles, analyze_tiles_pipelined, GridSource, PrefetchRows,
-    PrefetchTiles, StripConfig, TileGridConfig,
+    analyze_stream, analyze_tiles, GridSource, PrefetchRows, PrefetchTiles, StripConfig,
+    TileGridConfig,
 };
 
 const W: usize = 512;
@@ -76,8 +76,12 @@ fn main() {
     let t = Instant::now();
     let grid = GridSource::new(source(), TILE, TILE);
     let mut staged = PrefetchTiles::new(grid);
+    let pipelined = TileGridConfig {
+        pipelined: true,
+        ..TileGridConfig::default()
+    };
     let (tiles_pipe_records, tiles_pipe_stats) =
-        analyze_tiles_pipelined(&mut staged, TileGridConfig::default()).expect("pipelined tiles");
+        analyze_tiles(&mut staged, pipelined).expect("pipelined tiles");
     let tiles_pipe_ms = t.elapsed().as_secs_f64() * 1e3;
     println!(
         "tiles, decode∥scan∥merge: {tiles_pipe_ms:7.1} ms  ({:.2}x)",

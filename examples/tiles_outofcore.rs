@@ -11,8 +11,8 @@
 use paremsp::datasets::synth::noise::bernoulli;
 use paremsp::datasets::synth::stream::bernoulli_stream;
 use paremsp::prelude::{
-    aremsp, labelings_equivalent, read_spilled_label_image, spill_tiles, GridSource, SpillFormat,
-    TileGridConfig,
+    aremsp, label_tiles, labelings_equivalent, read_spilled_label_image, CountComponents,
+    GridSource, SpillFormat, SpillSink, TileGridConfig,
 };
 
 fn main() {
@@ -24,13 +24,16 @@ fn main() {
     //    spills to disk the moment it is finished.
     let source = bernoulli_stream(w, h, 0.4, 11);
     let mut grid = GridSource::new(source, tile, tile);
-    let (manifest, stats) = spill_tiles(
+    let mut spill = SpillSink::create(&dir, SpillFormat::Pgm16).expect("create spill dir");
+    let mut components = CountComponents::default();
+    let stats = label_tiles(
         &mut grid,
         TileGridConfig::default(),
-        &dir,
-        SpillFormat::Pgm16,
+        &mut components,
+        Some(&mut spill),
     )
     .expect("spill pipeline");
+    let manifest = spill.close().expect("close spill");
     println!(
         "labeled {}x{} ({:.1} Mpixel) in {}x{} tiles: {} components, \
          peak {} resident pixel rows (≤ {} = 2 tile rows)",

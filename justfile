@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test doc smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
+ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
 
 # Format the whole workspace in place.
 fmt:
@@ -23,6 +23,11 @@ build:
 # Full test suite: unit, integration, property and doc tests.
 test:
     cargo test --locked -q --workspace
+
+# The benchmark's own tests: perfbench is a separate workspace that
+# compiles against the crates' public APIs, so this catches API breaks.
+perfbench-test:
+    cargo test --locked --release --manifest-path perfbench/Cargo.toml
 
 # CI's rustdoc gate: every public item documented, no broken links.
 doc:
@@ -65,8 +70,9 @@ stream-stress:
     cargo test --release -p ccl-stream --test stream_equivalence -- --ignored
 
 # Full-scale tile-grid acceptance run: 100 Mpixel in 512x512 tiles with
-# spill-to-disk output, <= 2 tile rows resident, exact reconstruction —
-# synchronous and pipelined.
+# spill-to-disk output through `label_tiles` + `SpillSink`, exact
+# reconstruction — synchronous (<= 1 tile row + carry resident) and
+# `pipelined: true` (<= 2 tile rows + carry).
 tiles-stress:
     cargo test --release -p ccl-tiles --test tiles_equivalence -- --ignored
 

@@ -24,9 +24,9 @@
 //!   and spill-to-disk label output with a sidecar merge table — both
 //!   input and output bounded by O(tile row)
 //! * [`pipeline`] — prefetching source adapters (decode on a worker
-//!   thread, bounded double buffer) and, together with the `*_pipelined`
-//!   drivers in [`tiles`], a decode ∥ scan ∥ merge execution pipeline
-//!   with bit-identical output
+//!   thread, bounded double buffer) and, stacked under a driver run with
+//!   `pipelined: true`, a decode ∥ scan ∥ merge execution pipeline with
+//!   bit-identical output
 //!
 //! ## Quickstart
 //!
@@ -77,14 +77,12 @@ pub mod prelude {
     pub use ccl_image::{BinaryImage, Connectivity, GrayImage, RgbImage};
     pub use ccl_pipeline::{PacedRows, PacedTiles, PipelineError, PrefetchRows, PrefetchTiles};
     pub use ccl_stream::{
-        analyze_stream, analyze_stream_pipelined, label_stream, label_stream_pipelined,
-        stream_to_label_image, stream_to_label_image_pipelined, ComponentRecord, ComponentSink,
-        MemorySource, OwnedMemorySource, RowSource, StreamStats, StripConfig, StripLabeler,
+        analyze_stream, label_stream, CollectLabelImage, ComponentRecord, ComponentSink,
+        CountComponents, MemorySource, OwnedMemorySource, RowSource, StreamStats, StripConfig,
+        StripLabeler,
     };
     pub use ccl_tiles::{
-        analyze_tiles, analyze_tiles_pipelined, label_tiles, label_tiles_pipelined,
-        read_spilled_label_image, spill_tiles, spill_tiles_pipelined, tiles_to_label_image,
-        tiles_to_label_image_pipelined, GridSource, SpillFormat, TileGridConfig, TileGridLabeler,
-        TileGridStats, TileSource,
+        analyze_tiles, label_tiles, read_spilled_label_image, CollectTiles, GridSource,
+        SpillFormat, SpillSink, TileGridConfig, TileGridLabeler, TileGridStats, TileSource,
     };
 }
