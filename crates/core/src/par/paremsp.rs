@@ -3,8 +3,11 @@
 //! Parallel phases run as tasks on rayon's persistent global pool, with
 //! concurrency bounded by the number of chunk tasks — the same execution
 //! model as the paper's OpenMP runtime (a worker pool that outlives each
-//! parallel region). Spawning OS threads per call instead costs ~0.5 ms
-//! per thread, which would swamp the ≤ 1 Mpixel images of Table IV.
+//! parallel region). Spawning OS threads per call instead costs about
+//! 25 µs per thread (an empty 2-task region: about 50 µs with spawned
+//! threads, about 4 µs on the pool, 2-vCPU x86-64 VM) in each of the
+//! three parallel phases: several times the whole sequential labeling of
+//! a 64×64 image (about 15 µs).
 //!
 //! Four phases, each timed separately so Figures 5a ("local") and 5b
 //! ("local + merge") can be reproduced:

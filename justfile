@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
+ci: fmt-check clippy build test rayon-release-test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
 
 # Format the whole workspace in place.
 fmt:
@@ -23,6 +23,11 @@ build:
 # Full test suite: unit, integration, property and doc tests.
 test:
     cargo test --locked -q --workspace
+
+# The rayon shim's tests in release mode: the pool's lifetime erasure is
+# unsafe code, so it is also tested with optimizations on.
+rayon-release-test:
+    cargo test --locked --release -p rayon
 
 # The benchmark's own tests: perfbench is a separate workspace that
 # compiles against the crates' public APIs, so this catches API breaks.
