@@ -1,11 +1,13 @@
 //! Streaming-engine scaling: strip-labeled analysis vs whole-image
-//! AREMSP + analysis, across band heights and in-band thread counts.
+//! AREMSP + analysis, across band heights and scan thread counts.
 //!
 //! Expected shape: the strip labeler tracks whole-image AREMSP closely at
 //! large bands (same scan, one extra seam per band plus the per-band
 //! compaction), degrades gracefully toward 1-row bands (seam merges and
-//! carry-row compaction per row), and the parallel in-band mode helps
-//! once bands are tall enough to amortize task spawning.
+//! carry-row compaction per row), and the parallel mode — each band cut
+//! into one column tile per thread, stitched along the vertical seams —
+//! helps once bands are large enough to amortize the band split and the
+//! task hand-off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

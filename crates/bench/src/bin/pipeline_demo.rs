@@ -8,8 +8,8 @@
 //! so the win is measurable on any machine, single-core CI included) and
 //! runs the same raster through every execution mode:
 //!
-//! * rows and tiles alike: synchronous, prefetched (`PrefetchRows` /
-//!   `PrefetchTiles`: decode ∥ label), the pipelined executor
+//! * rows and tiles alike: synchronous, prefetched (`PrefetchRows`,
+//!   under the `GridSource` for tiles: decode ∥ label), the pipelined executor
 //!   (scan ∥ merge), and the full three-stage stack of both
 //!   (decode ∥ scan ∥ merge);
 //!
@@ -30,7 +30,7 @@ use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::{write_json, Table};
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_pipeline::{PacedRows, PrefetchRows, PrefetchTiles};
+use ccl_pipeline::{PacedRows, PrefetchRows};
 use ccl_stream::{label_stream, CountComponents, StripConfig};
 use ccl_tiles::{label_tiles, GridSource, TileGridConfig};
 use serde::Serialize;
@@ -144,12 +144,12 @@ fn main() {
         };
         let sync_ms = tiles_modes.first().map(|m| m.ms);
         tiles_modes.push(measure(&format!("tiles {name}"), sync_ms, &mut || {
-            let mut grid = GridSource::new(source(), TILE, TILE);
             let mut sink = CountComponents::default();
             if prefetch {
-                let mut staged = PrefetchTiles::with_depth(grid, args.depth);
-                label_tiles(&mut staged, cfg, &mut sink, None)
+                let src = PrefetchRows::with_depth(source(), TILE, args.depth);
+                label_tiles(&mut GridSource::new(src, TILE, TILE), cfg, &mut sink, None)
             } else {
+                let mut grid = GridSource::new(source(), TILE, TILE);
                 label_tiles(&mut grid, cfg, &mut sink, None)
             }
             .expect("infallible");

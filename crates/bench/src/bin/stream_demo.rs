@@ -26,7 +26,7 @@ use serde::Serialize;
 
 const USAGE: &str = "stream_demo: bounded-memory streaming throughput vs image height
   --reps N         repetitions per cell (default 3)
-  --threads CSV    in-band scan thread counts (default 1,4)
+  --threads CSV    scan thread counts, one column tile per thread (default 1,4)
   --prefetch       generate bands on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap band k's carry seam/fold with band k+1's scan
   --depth N        prefetch queue depth (default 2)

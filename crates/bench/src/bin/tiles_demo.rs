@@ -23,7 +23,7 @@ use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::{write_json, Table};
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_pipeline::PrefetchTiles;
+use ccl_pipeline::PrefetchRows;
 use ccl_stream::CountComponents;
 use ccl_tiles::{
     label_tiles, GridSource, SpillFormat, SpillSink, TileGridConfig, TileGridStats, TilesError,
@@ -32,7 +32,7 @@ use serde::Serialize;
 
 const USAGE: &str = "tiles_demo: 2-D tile-grid out-of-core labeling throughput vs image height
   --reps N         repetitions per cell (default 3)
-  --threads CSV    in-row scan thread counts (default 1,4)
+  --threads CSV    tile-row scan thread counts (default 1,4)
   --prefetch       generate tile rows on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap row k's merge/spill with row k+1's scans
   --depth N        prefetch queue depth (default 2)
@@ -85,12 +85,12 @@ fn run_labeling(
     height: usize,
 ) -> Result<TileGridStats, TilesError> {
     let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
-    let mut grid = GridSource::new(source, TILE, TILE);
     let mut sink = CountComponents::default();
     if args.prefetch {
-        let mut staged = PrefetchTiles::with_depth(grid, args.depth);
-        label_tiles(&mut staged, cfg, &mut sink, None)
+        let src = PrefetchRows::with_depth(source, TILE, args.depth);
+        label_tiles(&mut GridSource::new(src, TILE, TILE), cfg, &mut sink, None)
     } else {
+        let mut grid = GridSource::new(source, TILE, TILE);
         label_tiles(&mut grid, cfg, &mut sink, None)
     }
 }

@@ -11,12 +11,21 @@
 //! `maxval ≤ 255`, like [`super::pgm::read`]). Sample semantics match the
 //! whole-buffer readers exactly — the round-trip tests below parse writer
 //! output band-wise and compare with the one-shot readers.
+//!
+//! Header values are untrusted: a band's buffers start at no more than
+//! 1 MiB and grow only as sample bytes arrive, so a header declaring a
+//! terabyte-wide or -tall raster over a short body returns
+//! [`ImageError::Parse`] instead of aborting on allocation.
 
 use std::io::Read;
 
 use crate::bitmap::BinaryImage;
 use crate::error::ImageError;
 use crate::gray::GrayImage;
+
+/// Upper bound, in bytes, on what a band decoder allocates or reads at a
+/// time before the stream has delivered the bytes to fill it.
+const CHUNK: usize = 1 << 20;
 
 /// Incremental token scanner over a byte stream: whitespace-delimited
 /// tokens, `#` comments running to end of line, single-byte pushback for
@@ -220,15 +229,16 @@ impl<R: Read> PbmBands<R> {
         if rows == 0 {
             return Ok(None);
         }
-        let mut pixels = vec![0u8; super::sample_count(self.width, rows, 1)?];
+        let samples = super::sample_count(self.width, rows, 1)?;
+        let mut pixels = Vec::with_capacity(samples.min(CHUNK));
         match self.kind {
             PbmKind::Ascii => {
-                for px in pixels.iter_mut() {
+                for _ in 0..samples {
                     let b = self
                         .scanner
                         .next_content_byte()?
                         .ok_or_else(|| ImageError::Parse("truncated P1 sample data".into()))?;
-                    *px = match b {
+                    pixels.push(match b {
                         b'0' => 0,
                         b'1' => 1,
                         other => {
@@ -236,16 +246,21 @@ impl<R: Read> PbmBands<R> {
                                 "invalid P1 sample byte {other:#x}"
                             )))
                         }
-                    };
+                    });
                 }
             }
             PbmKind::Binary => {
-                let bytes_per_row = self.width.div_ceil(8);
-                let mut row_bytes = vec![0u8; bytes_per_row];
-                for r in 0..rows {
-                    self.scanner.read_exact(&mut row_bytes)?;
-                    for c in 0..self.width {
-                        pixels[r * self.width + c] = (row_bytes[c / 8] >> (7 - c % 8)) & 1;
+                // A row is ⌈width/8⌉ bytes, read in chunks of at most
+                // `CHUNK` bytes (8 × `CHUNK` pixels).
+                let mut row_bytes = Vec::with_capacity(self.width.div_ceil(8).min(CHUNK));
+                for _ in 0..rows {
+                    let mut left = self.width;
+                    while left > 0 {
+                        let n = left.min(8 * CHUNK);
+                        row_bytes.resize(n.div_ceil(8), 0);
+                        self.scanner.read_exact(&mut row_bytes)?;
+                        pixels.extend((0..n).map(|c| (row_bytes[c >> 3] >> (7 - (c & 7))) & 1));
+                        left -= n;
                     }
                 }
             }
@@ -347,10 +362,11 @@ impl<R: Read> PgmBands<R> {
         if rows == 0 {
             return Ok(None);
         }
-        let mut pixels = vec![0u8; super::sample_count(self.width, rows, 1)?];
+        let samples = super::sample_count(self.width, rows, 1)?;
+        let mut pixels = Vec::with_capacity(samples.min(CHUNK));
         match self.kind {
             PgmKind::Ascii => {
-                for px in pixels.iter_mut() {
+                for _ in 0..samples {
                     let v = self.scanner.next_usize()?;
                     if v > self.maxval {
                         return Err(ImageError::Parse(format!(
@@ -358,11 +374,15 @@ impl<R: Read> PgmBands<R> {
                             self.maxval
                         )));
                     }
-                    *px = ((v * 255 + self.maxval / 2) / self.maxval) as u8;
+                    pixels.push(((v * 255 + self.maxval / 2) / self.maxval) as u8);
                 }
             }
             PgmKind::Binary => {
-                self.scanner.read_exact(&mut pixels)?;
+                while pixels.len() < samples {
+                    let start = pixels.len();
+                    pixels.resize(start + (samples - start).min(CHUNK), 0);
+                    self.scanner.read_exact(&mut pixels[start..])?;
+                }
                 if self.maxval != 255 {
                     for v in pixels.iter_mut() {
                         *v = ((*v as usize * 255 + self.maxval / 2) / self.maxval).min(255) as u8;
@@ -489,6 +509,42 @@ mod tests {
         assert_eq!((bands.width(), bands.height()), (3, 2));
         let all = bands.next_band(10).unwrap().unwrap();
         assert_eq!(all.as_slice(), &[1, 0, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn huge_headers_over_short_bodies_are_parse_errors() {
+        let parse_err = |r: Result<bool, ImageError>| matches!(r, Err(ImageError::Parse(_)));
+        let pbm_band = |data: &[u8], rows: usize| {
+            PbmBands::new(data).and_then(|mut b| b.next_band(rows).map(|b| b.is_some()))
+        };
+        let pgm_band = |data: &[u8], rows: usize| {
+            PgmBands::new(data).and_then(|mut b| b.next_band(rows).map(|b| b.is_some()))
+        };
+        // huge width: one band's pixels (or one P4 row's bytes) would not
+        // fit in memory
+        assert!(parse_err(pbm_band(b"P4 1099511627776 4096\n", 256)));
+        assert!(parse_err(pbm_band(b"P1 1099511627776 4096\n0 1 1", 256)));
+        assert!(parse_err(pgm_band(b"P5 1099511627776 4096 255\n\x07", 256)));
+        assert!(parse_err(pgm_band(b"P2 1099511627776 4096 255\n7 8", 256)));
+        // huge height: narrow rows, but a caller asking for every row
+        assert!(parse_err(pbm_band(
+            b"P4 16 1099511627776\n\xff\x00",
+            usize::MAX
+        )));
+        assert!(parse_err(pbm_band(b"P1 16 1099511627776\n0 1", usize::MAX)));
+        assert!(parse_err(pgm_band(
+            b"P5 16 1099511627776 255\n\x01",
+            usize::MAX
+        )));
+        assert!(parse_err(pgm_band(
+            b"P2 16 1099511627776 255\n1 2",
+            usize::MAX
+        )));
+        // width × rows overflowing usize
+        assert!(parse_err(pbm_band(
+            b"P4 8796093022208 16777216\n",
+            usize::MAX
+        )));
     }
 
     #[test]

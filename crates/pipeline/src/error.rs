@@ -3,7 +3,6 @@
 use std::fmt;
 
 use ccl_stream::StreamError;
-use ccl_tiles::TilesError;
 
 /// What went wrong behind a prefetcher. Every failure mode of the worker
 /// thread is represented — a source error is forwarded as-is, a panic is
@@ -13,8 +12,6 @@ use ccl_tiles::TilesError;
 pub enum PipelineError {
     /// The wrapped [`RowSource`](ccl_stream::RowSource) failed.
     Stream(StreamError),
-    /// The wrapped [`TileSource`](ccl_tiles::TileSource) failed.
-    Tiles(TilesError),
     /// The worker thread panicked; the payload is the panic message.
     WorkerPanicked(String),
 }
@@ -31,7 +28,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Stream(e) => write!(f, "prefetched row source failed: {e}"),
-            PipelineError::Tiles(e) => write!(f, "prefetched tile source failed: {e}"),
             PipelineError::WorkerPanicked(msg) => write!(f, "prefetch worker panicked: {msg}"),
         }
     }
@@ -41,7 +37,6 @@ impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PipelineError::Stream(e) => Some(e),
-            PipelineError::Tiles(e) => Some(e),
             PipelineError::WorkerPanicked(_) => None,
         }
     }
@@ -53,12 +48,6 @@ impl From<StreamError> for PipelineError {
     }
 }
 
-impl From<TilesError> for PipelineError {
-    fn from(e: TilesError) -> Self {
-        PipelineError::Tiles(e)
-    }
-}
-
 /// Surfacing through the [`RowSource`](ccl_stream::RowSource) trait: the
 /// source's own error passes through unchanged; a worker panic becomes
 /// [`StreamError::Worker`].
@@ -66,21 +55,7 @@ impl From<PipelineError> for StreamError {
     fn from(e: PipelineError) -> Self {
         match e {
             PipelineError::Stream(e) => e,
-            PipelineError::Tiles(e) => StreamError::Worker(e.to_string()),
             PipelineError::WorkerPanicked(msg) => StreamError::Worker(msg),
-        }
-    }
-}
-
-/// Surfacing through the [`TileSource`](ccl_tiles::TileSource) trait: the
-/// source's own error passes through unchanged; a worker panic becomes
-/// [`TilesError::Worker`].
-impl From<PipelineError> for TilesError {
-    fn from(e: PipelineError) -> Self {
-        match e {
-            PipelineError::Tiles(e) => e,
-            PipelineError::Stream(e) => TilesError::Stream(e),
-            PipelineError::WorkerPanicked(msg) => TilesError::Worker(msg),
         }
     }
 }
@@ -102,12 +77,5 @@ mod tests {
         assert!(e.source().is_none());
         let s: StreamError = e.into();
         assert!(matches!(s, StreamError::Worker(_)));
-
-        let e: PipelineError = TilesError::Manifest("truncated".into()).into();
-        let t: TilesError = e.into();
-        assert!(matches!(t, TilesError::Manifest(_)));
-
-        let t: TilesError = PipelineError::WorkerPanicked("boom".into()).into();
-        assert!(matches!(t, TilesError::Worker(_)));
     }
 }

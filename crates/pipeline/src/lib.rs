@@ -10,12 +10,14 @@
 //! band decodes, then the source sits idle while the band labels. This
 //! crate closes that gap with two composable pieces:
 //!
-//! * [`PrefetchRows`] / [`PrefetchTiles`] — source adapters that move the
-//!   wrapped [`RowSource`](ccl_stream::RowSource) /
-//!   [`TileSource`](ccl_tiles::TileSource) onto a worker thread and hand
-//!   bands/tile rows through a bounded double buffer (configurable depth,
-//!   backpressure, clean shutdown on drop). Both implement the original
-//!   source traits, so every existing driver composes unchanged.
+//! * [`PrefetchRows`] — the source adapter that moves the wrapped
+//!   [`RowSource`](ccl_stream::RowSource) onto a worker thread and hands
+//!   bands through a bounded double buffer (configurable depth,
+//!   backpressure, clean shutdown on drop). It implements `RowSource`
+//!   itself, so every driver composes unchanged — tile grids included: a
+//!   tile row is a windowed band, so
+//!   [`GridSource`](ccl_tiles::GridSource)`::new(PrefetchRows::with_depth(src, th, depth), tw, th)`
+//!   decodes tile rows one thread ahead.
 //! * the **pipelined executor** in `ccl-stream`
 //!   ([`ccl_stream::pipeline`], selected by `pipelined: true` in the
 //!   config of [`label_stream`](ccl_stream::label_stream) or
@@ -25,16 +27,17 @@
 //!
 //! Stacked, they form a three-stage pipeline — decode ∥ scan ∥
 //! merge/spill — with bit-identical output to the synchronous paths.
-//! [`PacedRows`]/[`PacedTiles`] complete the toolkit: device-paced
-//! wrappers that impose a configurable per-pull latency, modelling the
-//! disk/network/sensor stalls that make real decode generation-bound
-//! (and making the overlap win measurable on any machine — hiding
-//! *latency* needs no spare core).
+//! [`PacedRows`] completes the toolkit: a device-paced wrapper that
+//! imposes a configurable per-pull latency (per tile row under a
+//! `GridSource`), modelling the disk/network/sensor stalls that make real
+//! decode generation-bound (and making the overlap win measurable on any
+//! machine — hiding *latency* needs no spare core).
 //!
 //! Failures are typed, never hangs: a source error behind a prefetcher
 //! surfaces as itself; a *panicking* source surfaces as
-//! [`PipelineError::WorkerPanicked`] (mapped to the
-//! `Worker` variants of the source-trait error types).
+//! [`PipelineError::WorkerPanicked`] (mapped to
+//! [`StreamError::Worker`](ccl_stream::StreamError::Worker), which a
+//! `GridSource` forwards as `TilesError::Stream`).
 //!
 //! ## Example
 //!
@@ -61,10 +64,8 @@
 pub mod error;
 pub mod paced;
 pub mod prefetch_rows;
-pub mod prefetch_tiles;
 mod worker;
 
 pub use error::PipelineError;
-pub use paced::{PacedRows, PacedTiles};
+pub use paced::PacedRows;
 pub use prefetch_rows::PrefetchRows;
-pub use prefetch_tiles::PrefetchTiles;

@@ -1,10 +1,12 @@
-//! [`PacedRows`] / [`PacedTiles`] — device-paced source wrappers.
+//! [`PacedRows`] — the device-paced source wrapper.
 //!
 //! Real out-of-core inputs are rarely CPU-bound: the next band waits on
 //! a disk seek, an object-store GET or a sensor readout, and the wall
 //! time lost there is *latency*, not compute. These wrappers impose that
 //! latency explicitly — each pull blocks the configured duration before
-//! delivering — which makes two things possible:
+//! delivering — which makes two things possible (for tile rows too: a
+//! [`GridSource`](ccl_tiles::GridSource) over a `PacedRows` stalls once
+//! per tile row):
 //!
 //! * **honest demos/benches** of the prefetch win: hiding device latency
 //!   behind labeling needs no spare core, so `pipeline_demo` shows the
@@ -16,7 +18,6 @@ use std::time::Duration;
 
 use ccl_image::BinaryImage;
 use ccl_stream::{RowSource, StreamError};
-use ccl_tiles::{TileSource, TilesError};
 
 /// A [`RowSource`] that blocks `latency` before every delivered band —
 /// the band is "fetched from a device" rather than computed. Once the
@@ -69,68 +70,11 @@ impl<S: RowSource> RowSource for PacedRows<S> {
     }
 }
 
-/// A [`TileSource`] that blocks `latency` before every delivered tile
-/// row — the tile-grid counterpart of [`PacedRows`], with the same
-/// end-of-stream behaviour.
-pub struct PacedTiles<S> {
-    inner: S,
-    latency: Duration,
-    done: bool,
-}
-
-impl<S: TileSource> PacedTiles<S> {
-    /// Paces `inner` at one `latency` stall per tile row.
-    pub fn new(inner: S, latency: Duration) -> Self {
-        PacedTiles {
-            inner,
-            latency,
-            done: false,
-        }
-    }
-
-    /// Consumes the wrapper, returning the wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TileSource> TileSource for PacedTiles<S> {
-    fn width(&self) -> usize {
-        self.inner.width()
-    }
-
-    fn tile_width(&self) -> usize {
-        self.inner.tile_width()
-    }
-
-    fn tile_height(&self) -> usize {
-        self.inner.tile_height()
-    }
-
-    fn rows_remaining(&self) -> Option<usize> {
-        self.inner.rows_remaining()
-    }
-
-    fn next_tile_row(&mut self) -> Result<Option<Vec<BinaryImage>>, TilesError> {
-        if self.done {
-            return self.inner.next_tile_row();
-        }
-        if self.inner.rows_remaining() != Some(0) {
-            std::thread::sleep(self.latency);
-        }
-        let out = self.inner.next_tile_row();
-        if matches!(out, Ok(None) | Err(_)) {
-            self.done = true;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccl_stream::OwnedMemorySource;
-    use ccl_tiles::GridSource;
+    use ccl_tiles::{GridSource, TileSource};
     use std::time::Instant;
 
     #[test]
@@ -149,9 +93,13 @@ mod tests {
                 break;
             }
         }
-        let mut paced_tiles = PacedTiles::new(
-            GridSource::new(OwnedMemorySource::new(img.clone()), 3, 4),
-            Duration::from_micros(100),
+        let mut paced_tiles = GridSource::new(
+            PacedRows::new(
+                OwnedMemorySource::new(img.clone()),
+                Duration::from_micros(100),
+            ),
+            3,
+            4,
         );
         let mut plain_tiles = GridSource::from_image(&img, 3, 4);
         loop {

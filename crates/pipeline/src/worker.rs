@@ -1,15 +1,15 @@
-//! Shared worker-thread plumbing behind the prefetch adapters.
+//! Worker-thread plumbing behind the prefetch adapter.
 
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 use crate::error::PipelineError;
 
-/// The state every prefetcher shares: a bounded queue of prefetched
-/// items, the producer thread's join handle, and the bookkeeping that
-/// turns join outcomes into typed errors exactly once. The adapters add
-/// only their source-trait surface (dimensions, row accounting, band
-/// splitting) on top.
+/// The prefetcher's thread state: a bounded queue of prefetched items,
+/// the producer thread's join handle, and the bookkeeping that turns
+/// join outcomes into typed errors exactly once.
+/// [`PrefetchRows`](crate::PrefetchRows) adds only its source-trait
+/// surface (dimensions, row accounting, band splitting) on top.
 ///
 /// Dropping the worker disconnects the channel first — the producer's
 /// next send fails and the thread exits — then joins, so a partially

@@ -12,12 +12,12 @@ use ccl_datasets::synth::noise::bernoulli;
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
-use ccl_pipeline::{PrefetchRows, PrefetchTiles};
+use ccl_pipeline::PrefetchRows;
 use ccl_stream::{
     analyze_stream, label_stream, CollectLabelImage, CountComponents, OwnedMemorySource, RowSource,
     StreamError, StreamStats, StripConfig,
 };
-use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TileSource, TilesError};
+use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TilesError};
 
 /// The grid config that runs the pipelined executor.
 fn pipelined_tiles() -> TileGridConfig {
@@ -125,8 +125,7 @@ proptest! {
         let (sync_records, sync_stats) =
             analyze_tiles(&mut sync_src, TileGridConfig::default()).unwrap();
 
-        let grid = GridSource::new(OwnedMemorySource::new(img), tw, th);
-        let mut staged = PrefetchTiles::new(grid);
+        let mut staged = GridSource::new(PrefetchRows::new(OwnedMemorySource::new(img), th), tw, th);
         let cfg = TileGridConfig { threads, pipelined };
         let (records, stats) = analyze_tiles(&mut staged, cfg).unwrap();
         prop_assert_eq!(records, sync_records, "generator {} tiles {}x{} {:?}", gen, tw, th, cfg);
@@ -206,8 +205,7 @@ fn midstream_row_failure_surfaces_through_driver() {
 /// still arrives typed.
 #[test]
 fn midstream_tile_failure_surfaces_through_pipelined_driver() {
-    let grid = GridSource::new(FailingRows { good: 4 }, 3, 2);
-    let mut staged = PrefetchTiles::new(grid);
+    let mut staged = GridSource::new(PrefetchRows::new(FailingRows { good: 4 }, 2), 3, 2);
     let err = analyze_tiles(&mut staged, pipelined_tiles()).unwrap_err();
     match err {
         TilesError::Stream(StreamError::Image(e)) => {
@@ -224,29 +222,23 @@ fn panicking_tile_source_surfaces_through_pipelined_driver() {
     struct PanicsMidStream {
         good: usize,
     }
-    impl TileSource for PanicsMidStream {
+    impl RowSource for PanicsMidStream {
         fn width(&self) -> usize {
             4
-        }
-        fn tile_width(&self) -> usize {
-            4
-        }
-        fn tile_height(&self) -> usize {
-            2
         }
         fn rows_remaining(&self) -> Option<usize> {
             None
         }
-        fn next_tile_row(&mut self) -> Result<Option<Vec<BinaryImage>>, TilesError> {
+        fn next_band(&mut self, max_rows: usize) -> Result<Option<BinaryImage>, StreamError> {
             assert!(self.good > 0, "generator state corrupted");
             self.good -= 1;
-            Ok(Some(vec![BinaryImage::ones(4, 2)]))
+            Ok(Some(BinaryImage::ones(4, max_rows.min(2))))
         }
     }
-    let mut staged = PrefetchTiles::new(PanicsMidStream { good: 2 });
+    let mut staged = GridSource::new(PrefetchRows::new(PanicsMidStream { good: 2 }, 2), 4, 2);
     let err = analyze_tiles(&mut staged, pipelined_tiles()).unwrap_err();
     match err {
-        TilesError::Worker(msg) => assert!(msg.contains("corrupted"), "{msg}"),
+        TilesError::Stream(StreamError::Worker(msg)) => assert!(msg.contains("corrupted"), "{msg}"),
         other => panic!("expected Worker error, got {other:?}"),
     }
 }
@@ -257,9 +249,8 @@ fn panicking_tile_source_surfaces_through_pipelined_driver() {
 #[test]
 fn staged_pipeline_matches_whole_image_at_scale() {
     let (w, h, tile) = (256usize, 2048usize, 64usize);
-    let source = bernoulli_stream(w, h, 0.5, 123);
-    let grid = GridSource::new(source, tile, tile);
-    let mut staged = PrefetchTiles::new(grid);
+    let source = PrefetchRows::new(bernoulli_stream(w, h, 0.5, 123), tile);
+    let mut staged = GridSource::new(source, tile, tile);
     let (records, stats) = analyze_tiles(&mut staged, pipelined_tiles()).unwrap();
     assert_eq!(stats.rows, h);
     assert!(stats.peak_resident_rows <= 2 * tile + 1);
@@ -277,9 +268,8 @@ fn staged_pipeline_matches_whole_image_at_scale() {
 #[ignore = "67-Mpixel stress run; use cargo test --release -- --ignored"]
 fn gigascale_staged_pipeline_bounded_memory() {
     let (w, h, tile) = (4096usize, 16_384usize, 512usize);
-    let source = bernoulli_stream(w, h, 0.5, 9001);
-    let grid = GridSource::new(source, tile, tile);
-    let mut staged = PrefetchTiles::new(grid);
+    let source = PrefetchRows::new(bernoulli_stream(w, h, 0.5, 9001), tile);
+    let mut staged = GridSource::new(source, tile, tile);
     let (_, stats) = analyze_tiles(&mut staged, pipelined_tiles()).unwrap();
     assert_eq!(stats.rows, h);
     assert_eq!(stats.peak_resident_rows, 2 * tile + 1);

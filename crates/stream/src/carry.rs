@@ -23,40 +23,21 @@
 //! 6. **emission** of every closed component, ascending id.
 //!
 //! [`CarryState::finish`] drains the components still open at the end of
-//! the stream. The inputs are plain slices — the band's first and last
-//! label lines, the used label ranges, the partial table and the
-//! union-find view — so each engine keeps only its own scan and its own
-//! label emission, through the [`MergedBand`] this stage returns.
+//! the stream. The input is the [`ScannedRow`] of the shared scan stage
+//! ([`crate::scan`]) — one tile for a sequential strip band, several
+//! column tiles otherwise; the first and last label lines are borrowed
+//! from a one-tile row and assembled in O(width) from several tiles — so
+//! each engine keeps only its own label emission, through the
+//! [`MergedBand`] this stage returns.
 
-use std::ops::Range;
+use std::borrow::Cow;
 
 use ccl_core::par::MergerStore;
 use ccl_core::scan::{merge_seam, merge_seam_span, split_spans, Foldable as _};
 use ccl_unionfind::par::LockedMerger;
 
 use crate::analysis::{Accum, ComponentId, ComponentSink};
-use crate::labeler::BandUf;
-
-/// One scanned band (or tile row) as the carry merge sees it. Carried-id
-/// slots `1..=carry_cap` are reserved in `uf` and `partials`; the scan's
-/// labels start above them.
-pub struct ScannedLines<'a> {
-    /// Global row of the band's first line.
-    pub r0: usize,
-    /// Pixel rows in the band (≥ 1).
-    pub rows: usize,
-    /// Labels of the band's first line, `width` long.
-    pub first: &'a [u32],
-    /// Labels of the band's last line, `width` long.
-    pub last: &'a [u32],
-    /// The band's equivalences, every in-band seam already merged.
-    pub uf: BandUf,
-    /// Partial accumulators indexed by provisional label, covering every
-    /// band pixel except the first line.
-    pub partials: Vec<Accum>,
-    /// Provisional-label ranges the scan allocated.
-    pub used: &'a [Range<u32>],
-}
+use crate::scan::{BandUf, ScannedRow};
 
 /// Open-component state carried between bands: the carry row, the open
 /// accumulators and the id counters. See the module docs.
@@ -74,13 +55,33 @@ pub struct CarryState {
     peak_resident_rows: usize,
 }
 
-/// A merged band's label → stream-id resolution, for engines that emit
-/// labels (strips or tiles) after the merge.
+/// A merged band's tile labels and their label → stream-id resolution,
+/// for engines that emit labels (strips or tiles) after the merge.
 pub struct MergedBand {
+    rows: usize,
+    widths: Vec<usize>,
+    labels: Vec<Vec<u32>>,
+    ids: StreamIds,
+    merges: Vec<(ComponentId, ComponentId)>,
+}
+
+/// Provisional label → stream id, through the merged equivalences.
+struct StreamIds {
     uf: BandUf,
     root_of: Vec<u32>,
     acc: Vec<Accum>,
-    merges: Vec<(ComponentId, ComponentId)>,
+}
+
+impl StreamIds {
+    /// Stream id of provisional label `label` (0 for background).
+    #[inline]
+    fn gid(&mut self, label: u32) -> ComponentId {
+        if label == 0 {
+            return 0;
+        }
+        let root = self.uf.find_cached(&mut self.root_of, label);
+        self.acc[root as usize].gid
+    }
 }
 
 impl MergedBand {
@@ -90,14 +91,29 @@ impl MergedBand {
         &self.merges
     }
 
-    /// Stream id of provisional label `label` (0 for background).
-    #[inline]
-    pub fn gid(&mut self, label: u32) -> ComponentId {
-        if label == 0 {
-            return 0;
-        }
-        let root = self.uf.find_cached(&mut self.root_of, label);
-        self.acc[root as usize].gid
+    /// Widths of the band's tiles, left to right.
+    pub fn tile_widths(&self) -> &[usize] {
+        &self.widths
+    }
+
+    /// Stream ids of tile `t`'s pixels, row-major within the tile.
+    pub fn tile_gids(&mut self, t: usize) -> Vec<ComponentId> {
+        let ids = &mut self.ids;
+        self.labels[t].iter().map(|&l| ids.gid(l)).collect()
+    }
+
+    /// Stream ids of the whole band, row-major across every tile.
+    pub fn gids(&mut self) -> Vec<ComponentId> {
+        let (labels, widths, ids) = (&self.labels, &self.widths, &mut self.ids);
+        (0..self.rows)
+            .flat_map(|r| {
+                labels
+                    .iter()
+                    .zip(widths)
+                    .flat_map(move |(buf, &tw)| &buf[r * tw..(r + 1) * tw])
+            })
+            .map(|&l| ids.gid(l))
+            .collect()
     }
 }
 
@@ -136,25 +152,29 @@ impl CarryState {
         self.peak_resident_rows
     }
 
-    /// Merges one scanned band against the carry row, emits every
-    /// component that closed and rebuilds the carry (steps 1–6 of the
-    /// module docs). A parallel band's carry seam splits into `threads`
-    /// column spans.
+    /// Merges one scanned, non-degenerate band against the carry row,
+    /// emits every component that closed and rebuilds the carry (steps
+    /// 1–6 of the module docs). A parallel band's carry seam splits into
+    /// `threads` column spans.
     pub fn merge(
         &mut self,
-        band: ScannedLines<'_>,
+        band: ScannedRow,
         threads: usize,
         components: &mut dyn ComponentSink,
     ) -> MergedBand {
-        let ScannedLines {
+        let ScannedRow {
             r0,
             rows,
-            first,
-            last,
+            widths,
+            labels,
             mut uf,
             partials: mut acc,
             used,
         } = band;
+        debug_assert!(!labels.is_empty(), "degenerate bands are the engines' job");
+        let first = line(&labels, &widths, 0);
+        let last = line(&labels, &widths, rows - 1);
+        let (first, last) = (&*first, &*last);
         debug_assert_eq!(first.len(), self.width);
         debug_assert_eq!(last.len(), self.width);
         self.peak_resident_rows = self
@@ -183,7 +203,7 @@ impl CarryState {
         );
         let mut root_of: Vec<u32> = vec![u32::MAX; uf.slots()];
         for range in used {
-            for l in range.clone() {
+            for l in range {
                 if acc[l as usize].is_empty() {
                     continue;
                 }
@@ -242,9 +262,10 @@ impl CarryState {
 
         merges.sort_unstable();
         MergedBand {
-            uf,
-            root_of,
-            acc,
+            rows,
+            widths,
+            labels,
+            ids: StreamIds { uf, root_of, acc },
             merges,
         }
     }
@@ -287,6 +308,22 @@ impl CarryState {
             };
             acc[l as usize].absorb(r0, c, west, nw, north, ne);
         }
+    }
+}
+
+/// Labels of local line `r` across every tile buffer, left to right:
+/// borrowed from a one-tile row, assembled in O(width) otherwise.
+fn line<'a>(labels: &'a [Vec<u32>], widths: &[usize], r: usize) -> Cow<'a, [u32]> {
+    match (labels, widths) {
+        ([one], &[w]) => Cow::Borrowed(&one[r * w..(r + 1) * w]),
+        _ => Cow::Owned(
+            labels
+                .iter()
+                .zip(widths)
+                .flat_map(|(buf, &tw)| &buf[r * tw..(r + 1) * tw])
+                .copied()
+                .collect(),
+        ),
     }
 }
 

@@ -3,7 +3,8 @@
 
 use crate::analysis::{ComponentRecord, ComponentSink, LabelSink};
 use crate::error::StreamError;
-use crate::labeler::{scan_band, ScannedBand, StreamStats, StripConfig, StripLabeler};
+use crate::labeler::{scan_band, StreamStats, StripConfig, StripLabeler};
+use crate::scan::ScannedRow;
 use crate::source::RowSource;
 
 /// Streams `source` through a strip labeler in bands of `band_rows`,
@@ -43,12 +44,12 @@ where
             let Some(band) = source.next_band(band_rows)? else {
                 return Ok(None);
             };
-            let scanned = scan_band(&band, width, &cfg, carry_cap, r0)?;
+            let scanned = scan_band(&band, width, cfg.threads, carry_cap, r0)?;
             r0 += band.height();
             Ok(Some(scanned))
         },
         |band| labeler.merge_scanned_band(band, components, labels.as_deref_mut()),
-        ScannedBand::resident_rows,
+        ScannedRow::resident_rows,
         StreamError::worker_panic,
     )?;
     let mut stats = labeler.finish(components);

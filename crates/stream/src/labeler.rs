@@ -1,7 +1,7 @@
 //! [`StripLabeler`] — the bounded-memory streaming two-pass engine.
 //!
-//! PAREMSP's structure (disjoint provisional-label ranges per row chunk,
-//! boundary rows merged afterwards) is exactly what out-of-core labeling
+//! PAREMSP's structure (disjoint provisional-label ranges per chunk,
+//! boundaries merged afterwards) is exactly what out-of-core labeling
 //! needs: treat every arriving band as a chunk, merge its first row
 //! against the *carried* last row of the previous band, and throw the
 //! band away. The only state that crosses bands is
@@ -17,45 +17,44 @@
 //! are emitted through [`ComponentSink`] and their slots reused.
 //!
 //! The per-band work splits into two stages with one dependency between
-//! consecutive bands (mirroring the `ccl-tiles` grid labeler):
+//! consecutive bands, both shared with the `ccl-tiles` grid labeler:
 //!
-//! * **scan stage** (`scan_band`) — the two-line scan + RemSP
-//!   ([`StripConfig::threads`]` == 1`) or full PAREMSP across threads
-//!   within the resident band, chunk-boundary seams included. Carried
-//!   ids are reserved by capacity (the synchronous path passes the exact
-//!   open-component count, the pipelined executor the width bound
-//!   `⌈w/2⌉`), so the stage never looks at the carry row. Each scan
-//!   worker also builds the per-chunk **partial accumulator table** for
-//!   its pixels while it scans (see [`crate::analysis`] for the
-//!   invariants).
+//! * **scan stage** (`scan_band`) — a band is a row of column tiles: one
+//!   tile scanned with the two-line scan + RemSP when
+//!   [`StripConfig::threads`]` == 1`, `threads` column tiles scanned by
+//!   as many workers otherwise, vertical seams between them merged with
+//!   the paper's MERGER ([`crate::scan`]). Carried ids are reserved by
+//!   capacity (the synchronous path passes the exact open-component
+//!   count, the pipelined executor the width bound `⌈w/2⌉`), so the stage
+//!   never looks at the carry row. Each scan worker also builds its
+//!   tiles' **partial accumulator tables** while it scans (see
+//!   [`crate::analysis`] for the invariants).
 //! * **merge stage** (`StripLabeler::merge_scanned_band`) — the carry
-//!   seam, the per-label accumulator fold, compaction and component
-//!   emission ([`crate::carry`], shared with the `ccl-tiles` grid
-//!   labeler), then the band's labeled strip: inherently sequential,
-//!   because each band's carry feeds the next.
+//!   seam, the per-label fold, compaction and component emission
+//!   ([`crate::carry`]), then the band's labeled strip: inherently
+//!   sequential, because each band's carry feeds the next.
 //!
-//! Both modes produce identical output — the band-end bookkeeping only
-//! ever sees set-minimum roots, which every path agrees on, and the fold
-//! is exact (commutative, associative, integer-valued f64 sums).
+//! Every thread count produces identical output — the carry merge only
+//! ever sees set-minimum roots, which every path agrees on, numbers new
+//! components in raster order of their anchors, and the fold is exact
+//! (commutative, associative, integer-valued f64 sums), so the column
+//! split cannot show in records or labels.
 
-use std::ops::Range;
-
-use ccl_core::scan::{max_labels_two_line, scan_two_line};
+use ccl_core::scan::split_spans;
 use ccl_image::BinaryImage;
-use ccl_unionfind::par::ConcurrentParents;
-use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
-use crate::analysis::{Accum, ComponentSink, LabelSink};
-use crate::carry::{CarryState, ScannedLines};
+use crate::analysis::{ComponentSink, LabelSink};
+use crate::carry::CarryState;
 use crate::error::StreamError;
-use crate::parallel::scan_band_parallel;
+use crate::scan::{scan_tile_row, ScannedRow};
 
 /// Configuration of both out-of-core engines: the strip labeler and the
 /// `ccl-tiles` grid labeler (re-exported there as `TileGridConfig`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripConfig {
     /// Worker threads for the scan and the seam merges within one band
-    /// or tile row (1 = sequential AREMSP).
+    /// or tile row (1 = sequential AREMSP). A parallel strip band is cut
+    /// into this many column tiles.
     pub threads: usize,
     /// Whether the drivers ([`label_stream`](crate::label_stream),
     /// `ccl_tiles::label_tiles`) run the pipelined executor
@@ -107,207 +106,42 @@ pub struct StreamStats {
     pub peak_resident_rows: usize,
 }
 
-/// Post-scan view of one band's (or tile row's) equivalences: sequential
-/// RemSP or the parallel shared parent array. Both are Rem-family
-/// (parents ≤ children), so [`BandUf::find`] returns the set's minimum
-/// label in either case — the property the end-of-band bookkeeping
-/// relies on for mode-independent output.
+/// The strip engine's scan stage: validates the band's width and hands
+/// it to the shared tile-row scan ([`scan_tile_row`]) — as one tile (no
+/// copy) when sequential, as [`split_spans`]`(width, threads)` column
+/// tiles when parallel, so each worker scans one column of the band.
 ///
-/// Public for the same reason as [`Accum`]: it is the mode-bridging
-/// building block shared by every labeler with the strip structure (the
-/// `ccl-tiles` grid labeler reuses it verbatim).
-pub enum BandUf {
-    /// Sequential mode: one RemSP store owns the whole label space.
-    Seq(RemSP),
-    /// Parallel mode: the shared parent array the worker scans and
-    /// seam merges operated on (all workers joined).
-    Par(ConcurrentParents),
-}
-
-impl BandUf {
-    /// Root (set minimum) of `x`'s equivalence class.
-    #[inline]
-    pub fn find(&mut self, x: u32) -> u32 {
-        match self {
-            BandUf::Seq(uf) => uf.find(x),
-            BandUf::Par(p) => {
-                let mut r = x;
-                loop {
-                    let q = p.load(r);
-                    if q == r {
-                        return r;
-                    }
-                    r = q;
-                }
-            }
-        }
-    }
-
-    /// Memoized [`BandUf::find`]: `cache` holds one slot per label
-    /// (`u32::MAX` = unresolved). The merge stage's per-label fold,
-    /// compaction and gid-fill passes all resolve through one cache —
-    /// callers that resolve *before* a late seam must not reuse the
-    /// same cache after it.
-    #[inline]
-    pub fn find_cached(&mut self, cache: &mut [u32], x: u32) -> u32 {
-        if cache[x as usize] != u32::MAX {
-            cache[x as usize]
-        } else {
-            let r = self.find(x);
-            cache[x as usize] = r;
-            r
-        }
-    }
-
-    /// Size of the underlying label slot space (registered or not).
-    pub fn slots(&self) -> usize {
-        match self {
-            BandUf::Seq(uf) => uf.len(),
-            BandUf::Par(p) => p.capacity(),
-        }
-    }
-}
-
-/// Post-scan state of one band: the label buffer with all in-band seams
-/// merged, the union-find view the merge stage resolves roots through,
-/// and the scan workers' partial accumulator tables.
-/// Produced by [`scan_band`], consumed by
-/// [`StripLabeler::merge_scanned_band`]; the two called back-to-back are
-/// exactly [`StripLabeler::push_band`], while the pipelined executor
-/// ([`crate::pipeline`]) runs them on different threads, one band apart.
-pub(crate) struct ScannedBand {
-    /// Band height in rows (kept for degenerate rows too).
-    pub(crate) h: usize,
-    /// The band's labels, row-major. Carried-id slots `1..=carry_cap`
-    /// are reserved; band labels start at `carry_cap + 1`.
-    pub(crate) labels: Vec<u32>,
-    /// The band's equivalences (chunk seams already merged, carry seam
-    /// pending — it is the merge stage's job).
-    pub(crate) uf: BandUf,
-    /// Partial accumulators indexed by provisional label, covering every
-    /// band pixel except the band's first row (whose upper neighbours are
-    /// the carry row the scan must not read).
-    pub(crate) partials: Vec<Accum>,
-    /// Provisional-label ranges the scan actually allocated — the merge
-    /// stage's fold sweeps these instead of the full slot space.
-    pub(crate) used: Vec<Range<u32>>,
-    /// True for bands with no pixels (zero height or zero width): the
-    /// merge stage only counts them.
-    pub(crate) degenerate: bool,
-}
-
-impl ScannedBand {
-    /// Pixel rows the band keeps resident (none for a degenerate band).
-    pub(crate) fn resident_rows(&self) -> usize {
-        if self.degenerate {
-            0
-        } else {
-            self.h
-        }
-    }
-}
-
-/// The scan stage: validates the band's width, scans it with chunk-local
-/// semantics (two-line + RemSP sequentially, PAREMSP worker groups in
-/// parallel mode), merges the chunk-boundary seams, and accumulates every
-/// scan worker's partial table while the pixels are hot.
-///
-/// Everything here is independent of the carried boundary row except the
-/// size of the reserved low label slots: carried ids occupy
-/// `1..=carry_cap`, band labels start at `carry_cap + 1`. The synchronous
-/// path passes the exact open-component count; the pipelined executor
-/// passes the width bound `⌈w/2⌉`, so the scan can run before the
-/// previous band's compaction has decided the real count. `r0` is the
-/// global row of the band's first row (partial accumulators hold global
-/// coordinates).
+/// Carried ids occupy slots `1..=carry_cap`: the synchronous path passes
+/// the exact open-component count, the pipelined executor the width
+/// bound `⌈w/2⌉`. `r0` is the global row of the band's first row.
 pub(crate) fn scan_band(
     band: &BinaryImage,
     width: usize,
-    cfg: &StripConfig,
+    threads: usize,
     carry_cap: u32,
     r0: usize,
-) -> Result<ScannedBand, StreamError> {
+) -> Result<ScannedRow, StreamError> {
     if band.width() != width {
         return Err(StreamError::WidthMismatch {
             expected: width,
             got: band.width(),
         });
     }
-    let (w, h) = (width, band.height());
-    if h == 0 || w == 0 {
-        return Ok(ScannedBand {
-            h,
-            labels: Vec::new(),
-            uf: BandUf::Seq(RemSP::new()),
-            partials: Vec::new(),
-            used: Vec::new(),
-            degenerate: true,
-        });
+    let spans = split_spans(width, threads);
+    if spans.len() <= 1 {
+        return Ok(scan_tile_row(
+            std::slice::from_ref(band),
+            threads,
+            carry_cap,
+            r0,
+        ));
     }
-    if cfg.threads <= 1 {
-        let mut store = RemSP::with_capacity(1 + carry_cap as usize + max_labels_two_line(h, w));
-        for id in 0..=carry_cap {
-            store.new_label(id);
-        }
-        let mut labels = vec![0u32; h * w];
-        let next = scan_two_line(band, 0..h, &mut labels, &mut store, carry_cap + 1);
-        let mut partials = vec![Accum::EMPTY; next as usize];
-        accumulate_chunk(band, &labels, 0..h, r0, 0, &mut partials);
-        Ok(ScannedBand {
-            h,
-            labels,
-            uf: BandUf::Seq(store),
-            partials,
-            used: std::iter::once(carry_cap + 1..next).collect(),
-            degenerate: false,
-        })
-    } else {
-        let (labels, parents, partials, used) =
-            scan_band_parallel(band, r0, carry_cap, cfg.threads);
-        Ok(ScannedBand {
-            h,
-            labels,
-            uf: BandUf::Par(parents),
-            partials,
-            used,
-            degenerate: false,
-        })
-    }
-}
-
-/// Accumulates one scan worker's partial table: every foreground
-/// pixel of band rows `rows` (the worker's chunk) folds its single-pixel
-/// accumulator into `parts[label - base]`. Neighbour probes read the raw
-/// band pixels — rows above the chunk included — so the result never
-/// depends on another chunk's label buffer, which may not exist yet. The
-/// band's global first row is always skipped: its upper neighbours are
-/// the carry row, which the merge stage absorbs in O(width).
-pub(crate) fn accumulate_chunk(
-    band: &BinaryImage,
-    chunk_labels: &[u32],
-    rows: Range<usize>,
-    r0: usize,
-    base: u32,
-    parts: &mut [Accum],
-) {
-    let w = band.width();
-    for br in rows.start.max(1)..rows.end {
-        let lr = br - rows.start;
-        let row_labels = &chunk_labels[lr * w..(lr + 1) * w];
-        let cur = band.row(br);
-        let up = band.row(br - 1);
-        for c in 0..w {
-            let l = row_labels[c];
-            if l == 0 {
-                continue;
-            }
-            let west = c > 0 && cur[c - 1] == 1;
-            let nw = c > 0 && up[c - 1] == 1;
-            let north = up[c] == 1;
-            let ne = c + 1 < w && up[c + 1] == 1;
-            parts[(l - base) as usize].absorb(r0 + br, c, west, nw, north, ne);
-        }
-    }
+    let h = band.height();
+    let tiles: Vec<BinaryImage> = spans
+        .into_iter()
+        .map(|cols| band.crop(0, cols.start, cols.len(), h))
+        .collect();
+    Ok(scan_tile_row(&tiles, threads, carry_cap, r0))
 }
 
 /// The streaming two-pass labeling engine. See the module docs.
@@ -423,7 +257,13 @@ impl StripLabeler {
         strips: Option<&mut (dyn LabelSink + '_)>,
     ) -> Result<(), StreamError> {
         let n_carry = self.carry.open_components() as u32;
-        let scanned = scan_band(band, self.width(), &self.cfg, n_carry, self.rows_done)?;
+        let scanned = scan_band(
+            band,
+            self.width(),
+            self.cfg.threads,
+            n_carry,
+            self.rows_done,
+        )?;
         self.merge_scanned_band(scanned, components, strips)
     }
 
@@ -432,41 +272,23 @@ impl StripLabeler {
     /// `strips`. Counterpart of [`scan_band`].
     pub(crate) fn merge_scanned_band(
         &mut self,
-        band: ScannedBand,
+        band: ScannedRow,
         components: &mut dyn ComponentSink,
         strips: Option<&mut (dyn LabelSink + '_)>,
     ) -> Result<(), StreamError> {
-        let ScannedBand {
-            h,
-            labels,
-            uf,
-            partials,
-            used,
-            degenerate,
-        } = band;
-        if degenerate {
+        let h = band.rows();
+        if band.is_degenerate() {
             self.rows_done += h;
             self.bands_done += usize::from(h > 0);
             return Ok(());
         }
-        let w = self.width();
         let r0 = self.rows_done;
-        let lines = ScannedLines {
-            r0,
-            rows: h,
-            first: &labels[..w],
-            last: &labels[(h - 1) * w..],
-            uf,
-            partials,
-            used: &used,
-        };
-        let mut ids = self.carry.merge(lines, self.cfg.threads, components);
+        let mut merged = self.carry.merge(band, self.cfg.threads, components);
         if let Some(sink) = strips {
-            for &(kept, absorbed) in ids.merges() {
+            for &(kept, absorbed) in merged.merges() {
                 sink.merge(kept, absorbed);
             }
-            let gids: Vec<u64> = labels.iter().map(|&l| ids.gid(l)).collect();
-            sink.strip(r0, w, &gids);
+            sink.strip(r0, self.width(), &merged.gids());
         }
         self.rows_done += h;
         self.bands_done += 1;

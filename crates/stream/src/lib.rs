@@ -4,8 +4,8 @@
 //! on-the-fly component analysis — the out-of-core extension of the
 //! PAREMSP reproduction (Gupta et al., IPPS 2014).
 //!
-//! PAREMSP labels an image by scanning disjoint row chunks with disjoint
-//! provisional-label ranges and merging only the chunk-boundary rows.
+//! PAREMSP labels an image by scanning disjoint chunks with disjoint
+//! provisional-label ranges and merging only the chunk boundaries.
 //! That structure is exactly what *out-of-core* labeling needs: when row
 //! bands arrive one at a time (a file being decoded, a sensor scanning, a
 //! generator producing), each band is a chunk, the boundary merge happens
@@ -19,9 +19,12 @@
 //!   paper's `im2bw`) and the streamed `ccl-datasets` generators
 //!   ([`generators`]);
 //! * [`StripLabeler`] — the engine: two-line scan + RemSP per band
-//!   (sequential) or full PAREMSP across threads within the resident
-//!   band ([`StripConfig::parallel`]), one carried boundary row per
-//!   seam, and label-slot recycling so closed components cost nothing;
+//!   (sequential) or, with [`StripConfig::parallel`], the band cut into
+//!   one column tile per thread, scanned concurrently and stitched along
+//!   the vertical seams — the scan stage ([`scan`]) the `ccl-tiles` grid
+//!   labeler runs on its tile rows too — plus one carried boundary row
+//!   per band seam and label-slot recycling so closed components cost
+//!   nothing;
 //! * [`ComponentRecord`] / [`ComponentSink`] — per-component area,
 //!   bounding box, centroid, raster anchor, 4-neighbourhood perimeter
 //!   and Euler-characteristic hole count, emitted the moment a
@@ -59,8 +62,8 @@ pub mod error;
 pub mod generators;
 pub mod labeler;
 pub mod netpbm;
-mod parallel;
 pub mod pipeline;
+pub mod scan;
 pub mod source;
 
 pub use analysis::{
@@ -69,6 +72,6 @@ pub use analysis::{
 };
 pub use driver::{analyze_stream, label_stream};
 pub use error::StreamError;
-pub use labeler::{BandUf, StreamStats, StripConfig, StripLabeler};
+pub use labeler::{StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};
 pub use source::{MemorySource, OwnedMemorySource, RowSource};

@@ -5,11 +5,11 @@
 //! split their per-unit work the same way, with one dependency between
 //! consecutive units:
 //!
-//! * **scan stage** — pull the next unit from the source and scan it
-//!   (in-band or in-row seams and the partial accumulator tables
-//!   included): independent of everything before it, because carried ids
-//!   are reserved by the width bound `⌈w/2⌉` rather than the actual
-//!   open-component count;
+//! * **scan stage** — pull the next unit from the source and scan it as
+//!   a row of column tiles ([`crate::scan`]: vertical seams between the
+//!   tiles and the partial accumulator tables included): independent of
+//!   everything before it, because carried ids are reserved by the width
+//!   bound `⌈w/2⌉` rather than the actual open-component count;
 //! * **merge stage** — the carry seam, the per-label fold, compaction,
 //!   component emission and label output ([`crate::carry`]): inherently
 //!   sequential, because each unit's carry feeds the next.

@@ -171,7 +171,7 @@ proptest! {
     }
 
     /// The one driver in every mode — pipelined or not, label sink
-    /// present or absent, 1–3 threads — emits exactly the records and
+    /// present or absent, 1–8 threads — emits exactly the records and
     /// stats of the plain synchronous sequential run. Only a pipelined
     /// run's residency differs: two bands + the carry row instead of one.
     /// Labeled strips reconcile into the exact whole-image partition.
@@ -181,7 +181,7 @@ proptest! {
         w in 1usize..=18,
         h in 1usize..=18,
         band in 1usize..=19,
-        threads in 1usize..=3,
+        threads in 1usize..=8,
         pipelined in proptest::bool::ANY,
         with_labels in proptest::bool::ANY,
         seed in 0u64..1000,

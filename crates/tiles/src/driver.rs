@@ -1,12 +1,11 @@
 //! The grid engine's driver — pull a whole [`TileSource`] through a
 //! [`TileGridLabeler`], synchronously or pipelined.
 
+use ccl_stream::scan::ScannedRow;
 use ccl_stream::{ComponentRecord, ComponentSink};
 
 use crate::error::TilesError;
-use crate::labeler::{
-    scan_tile_row, ScannedTileRow, TileGridConfig, TileGridLabeler, TileGridStats,
-};
+use crate::labeler::{scan_row, TileGridConfig, TileGridLabeler, TileGridStats};
 use crate::sink::TileSink;
 use crate::source::TileSource;
 
@@ -47,12 +46,12 @@ where
             let Some(row) = source.next_tile_row()? else {
                 return Ok(None);
             };
-            let scanned = scan_tile_row(&row, width, &cfg, carry_cap, r0)?;
-            r0 += scanned.th;
+            let scanned = scan_row(&row, width, cfg.threads, carry_cap, r0)?;
+            r0 += scanned.rows();
             Ok(Some(scanned))
         },
         |row| labeler.merge_scanned(row, components, tiles.as_deref_mut()),
-        ScannedTileRow::resident_rows,
+        ScannedRow::resident_rows,
         TilesError::worker_panic,
     )?;
     let mut stats = labeler.finish(components);

@@ -37,10 +37,10 @@ pub enum TilesError {
     },
     /// The spill sidecar manifest is missing or malformed.
     Manifest(String),
-    /// A background pipeline worker (the tile-scan stage or a
-    /// `ccl-pipeline` prefetcher) died without producing a tile row —
-    /// typically a panic in the wrapped source; the payload is the panic
-    /// message.
+    /// The pipelined executor's tile-scan stage died without producing a
+    /// tile row — typically a panic in the wrapped source; the payload is
+    /// the panic message. (A `ccl-pipeline` prefetcher under a
+    /// `GridSource` reports its panic as [`TilesError::Stream`].)
     Worker(String),
 }
 

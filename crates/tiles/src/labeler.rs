@@ -6,51 +6,39 @@
 //! ranges), then connectivity is restored along both seam orientations —
 //!
 //! * **vertical seams** between horizontally adjacent tiles, walked as
-//!   strided columns ([`merge_seam_strided`]) directly over the per-tile
-//!   label buffers, no transpose and no stitched full-width buffer;
+//!   strided columns directly over the per-tile label buffers, no
+//!   transpose and no stitched full-width buffer;
 //! * the **horizontal seam** against the carried last pixel row of the
-//!   previous tile row, through the carry merge the strip labeler uses
-//!   too ([`ccl_stream::carry`]): the tile row's first and last pixel
-//!   lines are assembled in O(width) and handed over as plain slices.
+//!   previous tile row, through the carry merge ([`ccl_stream::carry`]):
+//!   the tile row's first and last pixel lines are assembled in O(width).
 //!
-//! In parallel mode the tiles of the resident row are scanned by
-//! `threads` workers and the vertical seams merge concurrently with the
-//! paper's lock-based MERGER (Algorithm 8) — PAREMSP across the tile
-//! row. After each row the label space is compacted to the
-//! components still *open* on the carry boundary and every retired slot
-//! is recycled, so resident state is
+//! Both stages are `ccl-stream`'s, shared with the strip labeler — whose
+//! bands are tile rows of one tile (sequential) or one column tile per
+//! thread: the scan stage ([`ccl_stream::scan`]) scans the tiles of the
+//! resident row, in parallel mode by `threads` workers with the vertical
+//! seams merged concurrently by the paper's lock-based MERGER
+//! (Algorithm 8) — PAREMSP across the tile row — and the carry merge
+//! settles the horizontal seam. This engine adds only the tile-row
+//! validation, its tile counters and the [`TileMeta`] of every labeled
+//! tile. After each row the label space is compacted to the components
+//! still *open* on the carry boundary and every retired slot is
+//! recycled, so resident state is
 //!
 //! * one tile row of pixels and labels,
 //! * one carry row (`width` labels),
-//! * one [`Accum`] per open component,
+//! * one [`Accum`](ccl_stream::Accum) per open component,
 //!
 //! i.e. **at most two tile rows** of pixel-equivalent memory, independent
 //! of image height — and independent of image *width* mattering only
 //! linearly (the carry row), never quadratically.
 
-use std::ops::Range;
-
-use ccl_core::par::MergerStore;
-use ccl_core::scan::{max_labels_two_line, merge_seam_strided, scan_two_line, split_spans};
 use ccl_image::BinaryImage;
-use ccl_stream::analysis::Accum;
-use ccl_stream::carry::{CarryState, ScannedLines};
-use ccl_stream::{BandUf, ComponentSink};
-use ccl_unionfind::par::{ConcurrentParents, LockedMerger};
-use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
+use ccl_stream::carry::CarryState;
+use ccl_stream::scan::{scan_tile_row, ScannedRow};
+use ccl_stream::ComponentSink;
 
 use crate::error::TilesError;
 use crate::sink::{TileMeta, TileSink};
-
-/// Scan-stage output of the parallel tile-row path: per-tile label
-/// buffers, the shared parent array, the partial table (label-indexed)
-/// and the used label ranges.
-type ParallelTileScan = (
-    Vec<Vec<u32>>,
-    ConcurrentParents,
-    Vec<Accum>,
-    Vec<Range<u32>>,
-);
 
 /// Configuration for [`TileGridLabeler`] and the grid driver: the strip
 /// engine's config, shared by both out-of-core engines.
@@ -199,193 +187,76 @@ impl TileGridLabeler {
         sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), TilesError> {
         let n_carry = self.carry.open_components() as u32;
-        let row = scan_tile_row(tiles, self.width(), &self.cfg, n_carry, self.rows_done)?;
+        let row = scan_row(
+            tiles,
+            self.width(),
+            self.cfg.threads,
+            n_carry,
+            self.rows_done,
+        )?;
         self.merge_scanned(row, components, sink)
     }
 
-    /// The merge stage: the shared carry merge ([`CarryState::merge`])
-    /// over the tile row's assembled first and last lines, then every
-    /// labeled tile (and any id merges) through `sink`. Counterpart of
-    /// [`scan_tile_row`]; the two called back-to-back are exactly
-    /// [`Self::push_tile_row`], while the pipelined executor
+    /// The merge stage: the shared carry merge ([`CarryState::merge`]),
+    /// then every labeled tile (and any id merges) through `sink`.
+    /// Counterpart of [`scan_row`]; the two called back-to-back are
+    /// exactly [`Self::push_tile_row`], while the pipelined executor
     /// ([`ccl_stream::pipeline`]) runs them on different threads, one
     /// tile row apart.
     pub(crate) fn merge_scanned(
         &mut self,
-        row: ScannedTileRow,
+        row: ScannedRow,
         components: &mut dyn ComponentSink,
         sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), TilesError> {
-        let ScannedTileRow {
-            th,
-            widths,
-            x0s,
-            bufs,
-            uf,
-            partials,
-            used,
-            degenerate,
-        } = row;
-        if degenerate {
+        let th = row.rows();
+        if row.is_degenerate() {
             self.rows_done += th;
             self.tile_rows_done += usize::from(th > 0);
             return Ok(());
         }
-        let w = self.width();
         let r0 = self.rows_done;
-        let first = assemble_row(&bufs, &widths, 0, w);
-        let last = assemble_row(&bufs, &widths, th - 1, w);
-        let lines = ScannedLines {
-            r0,
-            rows: th,
-            first: &first,
-            last: &last,
-            uf,
-            partials,
-            used: &used,
-        };
-        let mut ids = self.carry.merge(lines, self.cfg.threads, components);
+        let mut merged = self.carry.merge(row, self.cfg.threads, components);
+        let ntiles = merged.tile_widths().len();
         if let Some(sink) = sink {
-            for &(kept, absorbed) in ids.merges() {
+            for &(kept, absorbed) in merged.merges() {
                 sink.merge(kept, absorbed);
             }
-            for (t, buf) in bufs.iter().enumerate() {
-                let gids: Vec<u64> = buf.iter().map(|&l| ids.gid(l)).collect();
-                sink.tile(
-                    &TileMeta {
-                        tile_row: self.tile_rows_done,
-                        tile_col: t,
-                        row0: r0,
-                        col0: x0s[t],
-                        width: widths[t],
-                        height: th,
-                    },
-                    &gids,
-                )?;
+            let mut col0 = 0;
+            for t in 0..ntiles {
+                let width = merged.tile_widths()[t];
+                let meta = TileMeta {
+                    tile_row: self.tile_rows_done,
+                    tile_col: t,
+                    row0: r0,
+                    col0,
+                    width,
+                    height: th,
+                };
+                sink.tile(&meta, &merged.tile_gids(t))?;
+                col0 += width;
             }
         }
         self.rows_done += th;
         self.tile_rows_done += 1;
-        self.tiles_done += bufs.len();
+        self.tiles_done += ntiles;
         Ok(())
     }
 }
 
-/// Post-scan state of one tile row: per-tile label buffers with the
-/// vertical seams already merged, and the union-find view the merge
-/// stage resolves roots through. Produced by [`scan_tile_row`], consumed
-/// by [`TileGridLabeler::merge_scanned`].
-pub(crate) struct ScannedTileRow {
-    /// Height of every tile in the row (0 for degenerate rows).
-    pub(crate) th: usize,
-    /// Per-tile widths, left to right.
-    pub(crate) widths: Vec<usize>,
-    /// Per-tile global column offsets.
-    pub(crate) x0s: Vec<usize>,
-    /// Per-tile label buffers (row-major within each tile).
-    pub(crate) bufs: Vec<Vec<u32>>,
-    /// The row's equivalences: carried-id slots `1..=carry_cap`, tile
-    /// labels from `carry_cap + 1`.
-    pub(crate) uf: BandUf,
-    /// Partial accumulators indexed by provisional label, covering every
-    /// pixel of the row except its first line (whose upper neighbours are
-    /// the carry row the scan must not read).
-    pub(crate) partials: Vec<Accum>,
-    /// Provisional-label ranges the scan actually allocated — the merge
-    /// stage's fold sweeps these instead of the full slot space.
-    pub(crate) used: Vec<Range<u32>>,
-    /// True for rows with no pixels (zero height or zero width): the
-    /// merge stage only counts them.
-    pub(crate) degenerate: bool,
-}
-
-impl ScannedTileRow {
-    /// Pixel rows the tile row keeps resident (none for a degenerate row).
-    pub(crate) fn resident_rows(&self) -> usize {
-        if self.degenerate {
-            0
-        } else {
-            self.th
-        }
-    }
-}
-
-/// Accumulates one tile's partial table: every foreground pixel of
-/// the tile's rows `1..th` folds its single-pixel accumulator into
-/// `parts[label - base]`. Neighbour probes read the raw tile pixels —
-/// the adjacent tiles' edge columns included — so the result never
-/// depends on another tile's label buffer, which may not exist yet. The
-/// row's global first line is always skipped: its upper neighbours are
-/// the carry row, which the merge stage absorbs in O(width).
-#[allow(clippy::too_many_arguments)]
-fn accumulate_tile(
-    tiles: &[BinaryImage],
-    t: usize,
-    buf: &[u32],
-    th: usize,
-    r0: usize,
-    x0: usize,
-    base: u32,
-    parts: &mut [Accum],
-) {
-    let tile = &tiles[t];
-    let tw = tile.width();
-    let left = (t > 0).then(|| &tiles[t - 1]).filter(|l| l.width() > 0);
-    let right = tiles.get(t + 1).filter(|r| r.width() > 0);
-    for r in 1..th {
-        let row_base = r * tw;
-        let cur = tile.row(r);
-        let up = tile.row(r - 1);
-        for c in 0..tw {
-            let l = buf[row_base + c];
-            if l == 0 {
-                continue;
-            }
-            let west = if c > 0 {
-                cur[c - 1] == 1
-            } else {
-                left.is_some_and(|lt| lt.row(r)[lt.width() - 1] == 1)
-            };
-            let nw = if c > 0 {
-                up[c - 1] == 1
-            } else {
-                left.is_some_and(|lt| lt.row(r - 1)[lt.width() - 1] == 1)
-            };
-            let north = up[c] == 1;
-            let ne = if c + 1 < tw {
-                up[c + 1] == 1
-            } else {
-                right.is_some_and(|rt| rt.row(r - 1)[0] == 1)
-            };
-            parts[(l - base) as usize].absorb(r0 + r, x0 + c, west, nw, north, ne);
-        }
-    }
-}
-
-/// The scan stage: validates a tile row's shape, scans every tile with
-/// chunk-local semantics (RemSP sequentially, PAREMSP worker groups in
-/// parallel mode), merges the vertical seams between adjacent tiles, and
-/// accumulates every tile's partial table while the pixels are hot
-/// ([`accumulate_tile`]).
-///
-/// Everything here is independent of the carried boundary row — the one
-/// dependency between consecutive tile rows — except for the size of the
-/// reserved low label slots: carried ids occupy `1..=carry_cap`, tile
-/// labels start at `carry_cap + 1`. The synchronous path passes the
-/// exact open-component count; the pipelined executor passes the width
-/// bound `⌈w/2⌉` (no row can carry more open components than that), so
-/// the scan can run before the previous row's compaction has decided the
-/// real count. Unused reserved slots stay singleton sets that no tile
-/// label ever resolves to, so the output is identical either way. `r0`
-/// is the global row of the tile row's first line (partial accumulators
-/// hold global coordinates).
-pub(crate) fn scan_tile_row(
+/// The grid engine's scan stage: validates a tile row's shape (widths
+/// summing to the grid width, one shared height) and hands it to the
+/// shared tile-row scan ([`scan_tile_row`]). Carried ids occupy slots
+/// `1..=carry_cap` (the exact open-component count synchronously, the
+/// width bound `⌈w/2⌉` in the pipelined executor); `r0` is the global
+/// row of the tile row's first line.
+pub(crate) fn scan_row(
     tiles: &[BinaryImage],
     width: usize,
-    cfg: &TileGridConfig,
+    threads: usize,
     carry_cap: u32,
     r0: usize,
-) -> Result<ScannedTileRow, TilesError> {
+) -> Result<ScannedRow, TilesError> {
     let total: usize = tiles.iter().map(BinaryImage::width).sum();
     if total != width {
         return Err(TilesError::WidthMismatch {
@@ -393,193 +264,14 @@ pub(crate) fn scan_tile_row(
             got: total,
         });
     }
-    let th = tiles.first().map_or(0, |t| t.height());
+    let th = tiles.first().map_or(0, BinaryImage::height);
     if let Some(bad) = tiles.iter().find(|t| t.height() != th) {
         return Err(TilesError::RaggedTileRow {
             expected: th,
             got: bad.height(),
         });
     }
-    if th == 0 || width == 0 {
-        return Ok(ScannedTileRow {
-            th,
-            widths: Vec::new(),
-            x0s: Vec::new(),
-            bufs: Vec::new(),
-            uf: BandUf::Seq(RemSP::new()),
-            partials: Vec::new(),
-            used: Vec::new(),
-            degenerate: true,
-        });
-    }
-    let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
-    let mut x0s = Vec::with_capacity(tiles.len());
-    let mut x0 = 0usize;
-    for &tw in &widths {
-        x0s.push(x0);
-        x0 += tw;
-    }
-
-    let (bufs, uf, partials, used) = if cfg.threads <= 1 {
-        let capacity: usize = widths
-            .iter()
-            .map(|&tw| max_labels_two_line(th, tw))
-            .sum::<usize>()
-            + 1
-            + carry_cap as usize;
-        let mut store = RemSP::with_capacity(capacity);
-        for id in 0..=carry_cap {
-            store.new_label(id);
-        }
-        let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-        let mut partials = vec![Accum::EMPTY; capacity];
-        let mut next = carry_cap + 1;
-        for (t, buf) in bufs.iter_mut().enumerate() {
-            next = scan_two_line(&tiles[t], 0..th, buf, &mut store, next);
-            accumulate_tile(tiles, t, buf, th, r0, x0s[t], 0, &mut partials);
-        }
-        partials.truncate(next as usize);
-        for t in 1..tiles.len() {
-            let lw = widths[t - 1];
-            merge_seam_strided(
-                &bufs[t - 1][lw - 1..],
-                lw,
-                &bufs[t],
-                widths[t],
-                th,
-                &mut store,
-            );
-        }
-        let used: Vec<Range<u32>> = std::iter::once(carry_cap + 1..next).collect();
-        (bufs, BandUf::Seq(store), partials, used)
-    } else {
-        let (bufs, parents, partials, used) =
-            scan_tile_row_parallel(tiles, &widths, &x0s, th, carry_cap, cfg.threads, r0);
-        (bufs, BandUf::Par(parents), partials, used)
-    };
-    Ok(ScannedTileRow {
-        th,
-        widths,
-        x0s,
-        bufs,
-        uf,
-        partials,
-        used,
-        degenerate: false,
-    })
-}
-
-/// Copies local row `r` of every tile buffer into one `width`-long row.
-fn assemble_row(bufs: &[Vec<u32>], widths: &[usize], r: usize, width: usize) -> Vec<u32> {
-    let mut row = Vec::with_capacity(width);
-    for (buf, &tw) in bufs.iter().zip(widths) {
-        row.extend_from_slice(&buf[r * tw..(r + 1) * tw]);
-    }
-    debug_assert_eq!(row.len(), width);
-    row
-}
-
-/// Parallel tile-row scan: tiles are grouped into at most `threads`
-/// contiguous runs scanned concurrently with disjoint provisional-label
-/// ranges, then the vertical seams merge concurrently with the lock-based
-/// MERGER (Algorithm 8). Every worker also accumulates its tiles' partial
-/// [`Accum`] tables (contention-free: partials live in the tile's own
-/// label range; neighbour probes read raw pixels, never another worker's
-/// labels). The horizontal carry seam is the merge stage's job
-/// ([`ccl_stream::carry`]).
-fn scan_tile_row_parallel(
-    tiles: &[BinaryImage],
-    widths: &[usize],
-    x0s: &[usize],
-    th: usize,
-    carry_cap: u32,
-    threads: usize,
-    r0: usize,
-) -> ParallelTileScan {
-    let ntiles = tiles.len();
-    let threads = threads.max(1);
-    // disjoint label ranges, one per tile
-    let mut offsets = Vec::with_capacity(ntiles);
-    let mut next = carry_cap + 1;
-    for &tw in widths {
-        offsets.push(next);
-        next += max_labels_two_line(th, tw) as u32;
-    }
-    let parents = ConcurrentParents::new(next as usize);
-    {
-        let mut store = parents.chunk_store();
-        for id in 1..=carry_cap {
-            store.new_label(id);
-        }
-    }
-    let mut bufs: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * th]).collect();
-    let mut partials = vec![Accum::EMPTY; next as usize];
-    let mut nexts: Vec<u32> = offsets.clone();
-
-    // Phase 1: per-tile scans, grouped into contiguous runs of tiles
-    // (contention-free: disjoint ranges, one ChunkStore per group); each
-    // tile's partial table accumulates in the same worker, right after
-    // its scan, while the pixels are hot.
-    rayon::scope(|s| {
-        let mut rest: &mut [Vec<u32>] = &mut bufs;
-        let mut rest_next: &mut [u32] = &mut nexts;
-        let mut rest_parts: &mut [Accum] = &mut partials[(carry_cap as usize + 1)..];
-        for group in split_spans(ntiles, threads) {
-            let (mine, tail) = rest.split_at_mut(group.len());
-            rest = tail;
-            let (my_nexts, ntail) = rest_next.split_at_mut(group.len());
-            rest_next = ntail;
-            let group_caps: usize = group
-                .clone()
-                .map(|t| max_labels_two_line(th, widths[t]))
-                .sum();
-            let (my_parts, ptail) = rest_parts.split_at_mut(group_caps);
-            rest_parts = ptail;
-            let parents = &parents;
-            let offsets = &offsets;
-            s.spawn(move |_| {
-                let mut store = parents.chunk_store();
-                let mut parts_rest = my_parts;
-                for ((t, buf), next_out) in group.zip(mine).zip(my_nexts) {
-                    *next_out = scan_two_line(&tiles[t], 0..th, buf, &mut store, offsets[t]);
-                    let cap = max_labels_two_line(th, widths[t]);
-                    let (tile_parts, tail) = parts_rest.split_at_mut(cap);
-                    parts_rest = tail;
-                    accumulate_tile(tiles, t, buf, th, r0, x0s[t], offsets[t], tile_parts);
-                }
-            });
-        }
-    });
-
-    // Phase 2: vertical seams between adjacent tiles, concurrently with
-    // one shared merger (each boundary reads two finished tile buffers).
-    if ntiles > 1 {
-        let merger = &LockedMerger::new();
-        let bufs_ref = &bufs;
-        rayon::scope(|s| {
-            for group in split_spans(ntiles - 1, threads) {
-                let parents = &parents;
-                s.spawn(move |_| {
-                    let mut store = MergerStore::new(parents, merger);
-                    // boundary i sits between tiles i and i + 1
-                    for t in group.start + 1..group.end + 1 {
-                        let lw = widths[t - 1];
-                        merge_seam_strided(
-                            &bufs_ref[t - 1][lw - 1..],
-                            lw,
-                            &bufs_ref[t],
-                            widths[t],
-                            th,
-                            &mut store,
-                        );
-                    }
-                });
-            }
-        });
-    }
-
-    let used = offsets.iter().zip(&nexts).map(|(&o, &n)| o..n).collect();
-    (bufs, parents, partials, used)
+    Ok(scan_tile_row(tiles, threads, carry_cap, r0))
 }
 
 #[cfg(test)]

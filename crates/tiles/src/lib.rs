@@ -8,19 +8,22 @@
 //! The strip labeler bounds memory by O(band) = O(image width × band
 //! height). Tiles bound the *unit of work* by O(tile) instead: every tile
 //! of the resident tile row is scanned independently (RemSP inside the
-//! tile, PAREMSP across worker threads over the row), then connectivity
-//! is restored along **both** seam orientations with the same
-//! `merge_seam` machinery — strided columns for the vertical seams
-//! between adjacent tiles, the carried boundary row for the horizontal
-//! seam (Komura's generalized label-equivalence merge over an arbitrary
-//! block decomposition). Label slots recycle after every tile row, keyed
-//! to the components still open on the carry boundary, so arbitrarily
-//! tall images label in at most **two tile rows** of resident memory.
+//! tile, PAREMSP across worker threads over the row — the scan stage
+//! `ccl-stream` shares with the strip labeler, whose bands are tile rows
+//! of column tiles), then connectivity is restored along **both** seam
+//! orientations with the same `merge_seam` machinery — strided columns
+//! for the vertical seams between adjacent tiles, the carried boundary
+//! row for the horizontal seam (Komura's generalized label-equivalence
+//! merge over an arbitrary block decomposition). Label slots recycle
+//! after every tile row, keyed to the components still open on the carry
+//! boundary, so arbitrarily tall images label in at most **two tile
+//! rows** of resident memory.
 //!
 //! The crate pairs the bounded-memory *input* with bounded-memory
 //! *output*: [`SpillSink`] spills each labeled tile to disk (raw
 //! little-endian `u32` or 16-bit PGM) with a sidecar manifest carrying
-//! the merge table, and patches final labels on close — so a gigapixel
+//! the merge table, and patches final labels on close, committing the
+//! spill by renaming the manifest into place — so a gigapixel
 //! labeling run never holds more than a tile row of pixels or labels.
 //!
 //! * [`TileSource`] / [`GridSource`] — pull-based tile rows windowed from

@@ -18,10 +18,18 @@
 //! round-trips without a JSON parser; [`read_manifest`] and
 //! [`read_spilled_label_image`] reconstruct the exact partition from the
 //! spilled tiles plus the merge table.
+//!
+//! The manifest is the spill's **commit point**: [`SpillSink::close`]
+//! patches the tiles first, then writes the manifest under a temporary
+//! name and renames it into place, and every tile patch goes through a
+//! temporary file and a rename too. A crash therefore leaves each file
+//! old or new, never torn, and a spill that never reached the commit has
+//! no manifest (a leftover one is removed by [`SpillSink::create`]), so
+//! reading it fails with a typed [`TilesError`].
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use ccl_core::label::LabelImage;
@@ -230,10 +238,16 @@ pub struct SpillSink {
 }
 
 impl SpillSink {
-    /// Creates the spill directory (and parents) and an empty sink.
+    /// Creates the spill directory (and parents) and an empty sink,
+    /// removing the manifest of an earlier spill into the same directory
+    /// until this one commits.
     pub fn create(dir: impl Into<PathBuf>, format: SpillFormat) -> Result<Self, TilesError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        match fs::remove_file(dir.join(MANIFEST_NAME)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
         Ok(SpillSink {
             dir,
             format,
@@ -263,30 +277,13 @@ impl SpillSink {
 
     fn write_tile(&self, meta: &TileMeta, gids: &[u64]) -> Result<(), TilesError> {
         let path = Self::tile_path(&self.dir, self.format, meta);
-        let limit = self.format.limit();
-        if let Some(&bad) = gids.iter().find(|&&g| g > limit) {
-            return Err(TilesError::LabelOverflow { gid: bad, limit });
-        }
-        let bytes = match self.format {
-            SpillFormat::RawU32 => {
-                let mut out = Vec::with_capacity(gids.len() * 4);
-                for &g in gids {
-                    out.extend_from_slice(&(g as u32).to_le_bytes());
-                }
-                out
-            }
-            SpillFormat::Pgm16 => {
-                let samples: Vec<u16> = gids.iter().map(|&g| g as u16).collect();
-                pgm::write_binary16(meta.width, meta.height, &samples)
-            }
-        };
-        fs::write(path, bytes)?;
+        fs::write(path, encode_tile(self.format, meta, gids)?)?;
         Ok(())
     }
 
-    /// Finalizes the spill: writes the sidecar manifest, then patches
-    /// every tile whose ids were absorbed by a merge — one tile resident
-    /// at a time — so the on-disk rasters carry final component ids.
+    /// Finalizes the spill: patches every tile whose ids were absorbed
+    /// by a merge — one tile resident at a time — so the on-disk rasters
+    /// carry final component ids, then commits the sidecar manifest.
     /// Returns the manifest.
     pub fn close(self) -> Result<SpillManifest, TilesError> {
         let (width, rows) = extent(self.tiles.iter());
@@ -297,7 +294,6 @@ impl SpillSink {
             tiles: self.tiles,
             merges: self.merges,
         };
-        write_manifest(&self.dir, &manifest)?;
 
         // resolve map: absorbed id -> final id (chains collapsed)
         let mut parent: HashMap<u64, u64> = HashMap::new();
@@ -317,6 +313,7 @@ impl SpillSink {
                 patch_tile(&self.dir, manifest.format, meta, &finals)?;
             }
         }
+        write_manifest(&self.dir, &manifest)?;
         Ok(manifest)
     }
 }
@@ -353,14 +350,39 @@ fn patch_tile(
     if changed {
         // final ids are always the *smaller* of a merged pair, so
         // patching can never overflow the format
-        let sink = SpillSink {
-            dir: dir.to_path_buf(),
-            format,
-            tiles: Vec::new(),
-            merges: Vec::new(),
-        };
-        sink.write_tile(meta, &gids)?;
+        write_atomic(&path, &encode_tile(format, meta, &gids)?)?;
     }
+    Ok(())
+}
+
+/// Encodes one tile's ids in the spill format.
+fn encode_tile(format: SpillFormat, meta: &TileMeta, gids: &[u64]) -> Result<Vec<u8>, TilesError> {
+    let limit = format.limit();
+    if let Some(&bad) = gids.iter().find(|&&g| g > limit) {
+        return Err(TilesError::LabelOverflow { gid: bad, limit });
+    }
+    Ok(match format {
+        SpillFormat::RawU32 => {
+            let mut out = Vec::with_capacity(gids.len() * 4);
+            for &g in gids {
+                out.extend_from_slice(&(g as u32).to_le_bytes());
+            }
+            out
+        }
+        SpillFormat::Pgm16 => {
+            let samples: Vec<u16> = gids.iter().map(|&g| g as u16).collect();
+            pgm::write_binary16(meta.width, meta.height, &samples)
+        }
+    })
+}
+
+/// Writes `bytes` to `path` through a temporary sibling and a rename, so
+/// a crash leaves the old file or the new one, never a torn one.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), TilesError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)?;
     Ok(())
 }
 
@@ -416,9 +438,7 @@ fn write_manifest(dir: &Path, manifest: &SpillManifest) -> Result<(), TilesError
     for &(kept, absorbed) in &manifest.merges {
         out.push_str(&format!("merge {kept} {absorbed}\n"));
     }
-    let mut f = fs::File::create(dir.join(MANIFEST_NAME))?;
-    f.write_all(out.as_bytes())?;
-    Ok(())
+    write_atomic(&dir.join(MANIFEST_NAME), out.as_bytes())
 }
 
 /// Parses the sidecar manifest of a spill directory.
@@ -697,6 +717,39 @@ mod tests {
         )
         .unwrap();
         assert!(read_manifest(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn uncommitted_spill_is_a_typed_error() {
+        // tile files plus only the temporary manifest a crash mid-commit
+        // leaves behind: no committed spill to read
+        let dir = temp_dir("uncommitted");
+        let mut sink = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+        sink.tile(&meta(0, 0, 0, 0, 2, 1), &[1, 1]).unwrap();
+        sink.tile(&meta(0, 1, 0, 2, 2, 1), &[2, 2]).unwrap();
+        sink.merge(1, 2);
+        sink.close().unwrap();
+        let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
+        fs::rename(dir.join(MANIFEST_NAME), &tmp).unwrap();
+        assert!(matches!(read_manifest(&dir), Err(TilesError::Manifest(_))));
+        assert!(matches!(
+            read_spilled_label_image(&dir),
+            Err(TilesError::Manifest(_))
+        ));
+        // a new spill into the directory withdraws the old commit
+        fs::rename(&tmp, dir.join(MANIFEST_NAME)).unwrap();
+        assert!(read_manifest(&dir).is_ok());
+        let sink = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+        assert!(matches!(read_manifest(&dir), Err(TilesError::Manifest(_))));
+        let manifest = sink.close().unwrap();
+        assert_eq!(read_manifest(&dir).unwrap(), manifest);
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

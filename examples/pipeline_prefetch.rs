@@ -15,8 +15,7 @@ use std::time::{Duration, Instant};
 use paremsp::datasets::synth::stream::bernoulli_stream;
 use paremsp::pipeline::PacedRows;
 use paremsp::prelude::{
-    analyze_stream, analyze_tiles, GridSource, PrefetchRows, PrefetchTiles, StripConfig,
-    TileGridConfig,
+    analyze_stream, analyze_tiles, GridSource, PrefetchRows, StripConfig, TileGridConfig,
 };
 
 const W: usize = 512;
@@ -65,7 +64,9 @@ fn main() {
     assert_eq!(pf_stats.components, sync_stats.components);
 
     // 3. Tile grid, synchronous vs the full three-stage pipeline:
-    //    decode (worker) ∥ scan tiles (worker) ∥ merge seams (main).
+    //    decode (worker) ∥ scan tiles (worker) ∥ merge seams (main). A
+    //    tile row is a windowed band, so the band prefetcher sits under
+    //    the grid.
     let t = Instant::now();
     let mut grid = GridSource::new(source(), TILE, TILE);
     let (tiles_sync_records, _) =
@@ -74,8 +75,7 @@ fn main() {
     println!("tiles, synchronous:       {tiles_sync_ms:7.1} ms");
 
     let t = Instant::now();
-    let grid = GridSource::new(source(), TILE, TILE);
-    let mut staged = PrefetchTiles::new(grid);
+    let mut staged = GridSource::new(PrefetchRows::new(source(), TILE), TILE, TILE);
     let pipelined = TileGridConfig {
         pipelined: true,
         ..TileGridConfig::default()
