@@ -7,7 +7,7 @@
 //! rows — at most one tile row plus the carry row, however tall the
 //! image grows. A final column times the fully out-of-core pipeline
 //! (labels *spilled to disk* as raw `u32` tiles with a sidecar merge
-//! table, patched on close) at the smallest height.
+//! table, committed on close) at the smallest height.
 //!
 //! Timings include row generation, so the metric is end-to-end pipeline
 //! throughput, comparable across commits via the JSON snapshot
@@ -72,7 +72,7 @@ struct TilesBench {
     pipeline: bool,
     rows: Vec<TilesRow>,
     /// Wall milliseconds of the fully out-of-core pipeline (label +
-    /// spill raw-u32 tiles to disk + patch on close) at the smallest
+    /// spill raw-u32 tiles to disk + commit on close) at the smallest
     /// height, sequential mode.
     spill_ms: f64,
     spill_height: usize,
@@ -193,7 +193,7 @@ fn main() {
     }
 
     // The fully out-of-core pipeline: spill labeled tiles to disk and
-    // patch final ids on close (pipelined overlaps the spill writes with
+    // commit the manifest on close (pipelined overlaps the spill writes with
     // the next row's scans when --pipeline is set).
     let spill_height = HEIGHTS[0];
     let spill_dir = ccl_tiles::temp_spill_dir("demo");
@@ -213,7 +213,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&spill_dir);
     let spill_mpix = (WIDTH * spill_height) as f64 / 1e6;
     println!(
-        "\nOut-of-core output: label + spill + patch {spill_mpix:.1} Mpixel \
+        "\nOut-of-core output: label + spill + commit {spill_mpix:.1} Mpixel \
          in {spill_ms:.1} ms ({:.1} Mpx/s incl. disk)",
         spill_mpix / (spill_ms / 1e3)
     );

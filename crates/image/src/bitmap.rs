@@ -4,7 +4,6 @@
 //! background pixels hold value 0. We store one byte per pixel: the scan
 //! phases of the labeling algorithms are branch-heavy inner loops and the
 //! byte representation lets them read neighbours without bit arithmetic.
-//! A bit-packed variant for bulk storage lives in [`crate::packed`].
 
 use crate::error::ImageError;
 

@@ -48,11 +48,16 @@ pub fn write_binary16(width: usize, height: usize, samples: &[u16]) -> Vec<u8> {
         "sample buffer size mismatch"
     );
     let mut out = Vec::with_capacity(samples.len() * 2 + 32);
-    out.extend_from_slice(format!("P5\n{width} {height}\n65535\n").as_bytes());
+    out.extend_from_slice(binary16_header(width, height).as_bytes());
     for &s in samples {
         out.extend_from_slice(&s.to_be_bytes());
     }
     out
+}
+
+/// The header [`write_binary16`] puts before the samples.
+pub fn binary16_header(width: usize, height: usize) -> String {
+    format!("P5\n{width} {height}\n65535\n")
 }
 
 /// Parses a 16-bit binary PGM (`P5`, maxval in `256..=65535`) into its

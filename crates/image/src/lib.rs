@@ -14,8 +14,6 @@
 //! * [`io`] — Netpbm (PBM/PGM/PPM, ASCII and binary) readers and writers,
 //! * [`runs`] — row run-length extraction (used by the run-based labeling
 //!   baseline),
-//! * [`packed`] — a bit-packed binary raster for memory-lean storage of the
-//!   large NLCD-class images,
 //! * [`connectivity`] — the 4-/8-connectedness definitions of §III.
 //!
 //! All rasters are row-major; pixel `(row, col)` of an `R × C` image lives
@@ -29,7 +27,6 @@ pub mod connectivity;
 pub mod error;
 pub mod gray;
 pub mod io;
-pub mod packed;
 pub mod rgb;
 pub mod runs;
 pub mod stats;
@@ -39,6 +36,5 @@ pub use bitmap::BinaryImage;
 pub use connectivity::Connectivity;
 pub use error::ImageError;
 pub use gray::GrayImage;
-pub use packed::PackedBinaryImage;
 pub use rgb::RgbImage;
 pub use runs::{Run, RunImage};

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use ccl_image::io::{pbm, pgm, ppm};
 use ccl_image::threshold::im2bw;
-use ccl_image::{BinaryImage, GrayImage, PackedBinaryImage, RgbImage, RunImage};
+use ccl_image::{BinaryImage, GrayImage, RgbImage, RunImage};
 
 fn arb_binary() -> impl Strategy<Value = BinaryImage> {
     (1usize..=20, 1usize..=20).prop_flat_map(|(w, h)| {
@@ -45,13 +45,6 @@ proptest! {
     #[test]
     fn pbm_round_trips(img in arb_binary()) {
         prop_assert_eq!(&pbm::read(&pbm::write_binary(&img)).unwrap(), &img);
-    }
-
-    #[test]
-    fn packed_round_trips(img in arb_binary()) {
-        let packed = PackedBinaryImage::from_binary(&img);
-        prop_assert_eq!(&packed.to_binary(), &img);
-        prop_assert_eq!(packed.count_foreground(), img.count_foreground());
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! rows** of resident memory.
 //!
 //! The crate pairs the bounded-memory *input* with bounded-memory
-//! *output*: [`SpillSink`] spills each labeled tile to disk (raw
-//! little-endian `u32` or 16-bit PGM) with a sidecar manifest carrying
-//! the merge table, and patches final labels on close, committing the
-//! spill by renaming the manifest into place — so a gigapixel
-//! labeling run never holds more than a tile row of pixels or labels.
+//! *output*: [`SpillSink`] writes each labeled tile to disk once (raw
+//! little-endian `u32` or 16-bit PGM) with its emission-time ids, and
+//! commits the spill on close by renaming a sidecar manifest into place.
+//! A tile's raw samples resolve to components through the manifest's
+//! merge table — so a gigapixel labeling run never holds more than a
+//! tile row of pixels or labels.
 //!
 //! * [`TileSource`] / [`GridSource`] — pull-based tile rows windowed from
 //!   any `ccl-stream` [`RowSource`](ccl_stream::RowSource): in-memory

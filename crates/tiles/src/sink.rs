@@ -9,27 +9,28 @@
 //!   [`LabelImage`] (tests and callers with memory to spare);
 //! * [`SpillSink`] — the out-of-core path: tiles are **spilled to disk**
 //!   as raw little-endian `u32` rasters or 16-bit PGM (`P5`, maxval
-//!   65535), a sidecar manifest records the grid geometry and the merge
-//!   table, and [`SpillSink::close`] patches the spilled files to final
-//!   labels one tile at a time — output memory stays O(tile), matching
-//!   the labeler's input bound.
+//!   65535), each written once with its emission-time ids, and a sidecar
+//!   manifest records the grid geometry and the merge table — output
+//!   memory stays O(tile), matching the labeler's input bound.
 //!
-//! The sidecar is a line-oriented text format (`manifest.txt`) so it
+//! A tile's raw samples are provisional ids: they resolve to components
+//! only through the manifest's merge table, which is the one place ids
+//! resolve (the paper's second pass, kept out of the tile files). The
+//! sidecar is a line-oriented text format (`manifest.txt`) so it
 //! round-trips without a JSON parser; [`read_manifest`] and
 //! [`read_spilled_label_image`] reconstruct the exact partition from the
 //! spilled tiles plus the merge table.
 //!
 //! The manifest is the spill's **commit point**: [`SpillSink::close`]
-//! patches the tiles first, then writes the manifest under a temporary
-//! name and renames it into place, and every tile patch goes through a
-//! temporary file and a rename too. A crash therefore leaves each file
-//! old or new, never torn, and a spill that never reached the commit has
-//! no manifest (a leftover one is removed by [`SpillSink::create`]), so
-//! reading it fails with a typed [`TilesError`].
+//! syncs every tile file, writes the manifest under a temporary name,
+//! syncs it, renames it into place and syncs the directory. A spill that
+//! never reached the commit has no manifest (a leftover one is removed
+//! by [`SpillSink::create`]), so reading it fails with a typed
+//! [`TilesError`].
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use ccl_core::label::LabelImage;
@@ -135,11 +136,17 @@ fn reconcile(
     for &(kept, absorbed) in merges {
         parent.insert(absorbed, kept);
     }
-    let resolve = |mut id: ComponentId| {
-        while let Some(&p) = parent.get(&id) {
-            id = p;
+    let mut resolve = |id: ComponentId| {
+        let mut root = id;
+        while let Some(&p) = parent.get(&root) {
+            root = p;
         }
-        id
+        // path compression: hostile chains stay linear overall
+        let mut cur = id;
+        while cur != root {
+            cur = parent.insert(cur, root).expect("cur lies on the chain");
+        }
+        root
     };
     let mut remap: HashMap<ComponentId, u32> = HashMap::new();
     let mut next = 0u32;
@@ -180,6 +187,18 @@ impl SpillFormat {
         }
     }
 
+    /// Byte length of a tile file as this format writes it, or `None`
+    /// if it does not fit a `u64`.
+    fn file_len(self, meta: &TileMeta) -> Option<u64> {
+        let samples = (meta.width as u64).checked_mul(meta.height as u64)?;
+        match self {
+            SpillFormat::RawU32 => samples.checked_mul(4),
+            SpillFormat::Pgm16 => samples
+                .checked_mul(2)?
+                .checked_add(pgm::binary16_header(meta.width, meta.height).len() as u64),
+        }
+    }
+
     fn extension(self) -> &'static str {
         match self {
             SpillFormat::RawU32 => "u32",
@@ -216,10 +235,9 @@ pub struct SpillManifest {
     /// Placement of every spilled tile, in emission (row-major) order.
     pub tiles: Vec<TileMeta>,
     /// The merge table: every `(kept, absorbed)` id unification, in
-    /// emission order. After [`SpillSink::close`] the tile files already
-    /// carry final ids, but the table is kept as the sidecar of record so
-    /// a reader can reconstruct the partition from *unpatched* spills too
-    /// (resolution is idempotent).
+    /// emission order, with `0 < kept < absorbed`. The tile files keep
+    /// their emission-time ids; this table is the only place they
+    /// resolve to components.
     pub merges: Vec<(ComponentId, ComponentId)>,
 }
 
@@ -227,8 +245,8 @@ const MANIFEST_NAME: &str = "manifest.txt";
 const MANIFEST_MAGIC: &str = "ccl-tiles spill v1";
 
 /// The out-of-core [`TileSink`]: spills each labeled tile to `dir` as it
-/// is emitted and patches final labels on [`close`](SpillSink::close).
-/// See the module docs for the file layout.
+/// is emitted, once, and commits the manifest on
+/// [`close`](SpillSink::close). See the module docs for the file layout.
 #[derive(Debug)]
 pub struct SpillSink {
     dir: PathBuf,
@@ -275,16 +293,9 @@ impl SpillSink {
         ))
     }
 
-    fn write_tile(&self, meta: &TileMeta, gids: &[u64]) -> Result<(), TilesError> {
-        let path = Self::tile_path(&self.dir, self.format, meta);
-        fs::write(path, encode_tile(self.format, meta, gids)?)?;
-        Ok(())
-    }
-
-    /// Finalizes the spill: patches every tile whose ids were absorbed
-    /// by a merge — one tile resident at a time — so the on-disk rasters
-    /// carry final component ids, then commits the sidecar manifest.
-    /// Returns the manifest.
+    /// Commits the spill: syncs every tile file, then writes, syncs and
+    /// renames the manifest into place and syncs the directory. Writes
+    /// no tile. Returns the manifest.
     pub fn close(self) -> Result<SpillManifest, TilesError> {
         let (width, rows) = extent(self.tiles.iter());
         let manifest = SpillManifest {
@@ -294,24 +305,8 @@ impl SpillSink {
             tiles: self.tiles,
             merges: self.merges,
         };
-
-        // resolve map: absorbed id -> final id (chains collapsed)
-        let mut parent: HashMap<u64, u64> = HashMap::new();
-        for &(kept, absorbed) in &manifest.merges {
-            parent.insert(absorbed, kept);
-        }
-        let mut finals: HashMap<u64, u64> = HashMap::new();
-        for &absorbed in parent.keys() {
-            let mut id = absorbed;
-            while let Some(&p) = parent.get(&id) {
-                id = p;
-            }
-            finals.insert(absorbed, id);
-        }
-        if !finals.is_empty() {
-            for meta in &manifest.tiles {
-                patch_tile(&self.dir, manifest.format, meta, &finals)?;
-            }
+        for meta in &manifest.tiles {
+            fs::File::open(Self::tile_path(&self.dir, self.format, meta))?.sync_all()?;
         }
         write_manifest(&self.dir, &manifest)?;
         Ok(manifest)
@@ -324,35 +319,11 @@ impl TileSink for SpillSink {
     }
 
     fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), TilesError> {
-        self.write_tile(meta, gids)?;
+        let path = Self::tile_path(&self.dir, self.format, meta);
+        fs::write(path, encode_tile(self.format, meta, gids)?)?;
         self.tiles.push(*meta);
         Ok(())
     }
-}
-
-/// Rewrites one spilled tile with absorbed ids mapped to their final ids.
-/// Skips the write when nothing in the tile changed.
-fn patch_tile(
-    dir: &Path,
-    format: SpillFormat,
-    meta: &TileMeta,
-    finals: &HashMap<u64, u64>,
-) -> Result<(), TilesError> {
-    let path = SpillSink::tile_path(dir, format, meta);
-    let mut gids = read_tile(&path, format, meta)?;
-    let mut changed = false;
-    for g in gids.iter_mut() {
-        if let Some(&f) = finals.get(g) {
-            *g = f;
-            changed = true;
-        }
-    }
-    if changed {
-        // final ids are always the *smaller* of a merged pair, so
-        // patching can never overflow the format
-        write_atomic(&path, &encode_tile(format, meta, &gids)?)?;
-    }
-    Ok(())
 }
 
 /// Encodes one tile's ids in the spill format.
@@ -376,35 +347,33 @@ fn encode_tile(format: SpillFormat, meta: &TileMeta, gids: &[u64]) -> Result<Vec
     })
 }
 
-/// Writes `bytes` to `path` through a temporary sibling and a rename, so
-/// a crash leaves the old file or the new one, never a torn one.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), TilesError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)?;
+/// Checks a tile file's byte length against the size its manifest entry
+/// declares.
+fn check_tile_len(
+    path: &Path,
+    format: SpillFormat,
+    meta: &TileMeta,
+    len: u64,
+) -> Result<(), TilesError> {
+    let expected = format.file_len(meta);
+    if expected != Some(len) {
+        return Err(TilesError::Manifest(format!(
+            "tile {} has {len} bytes, expected {expected:?}",
+            path.display()
+        )));
+    }
     Ok(())
 }
 
 /// Reads one spilled tile back into component ids.
 fn read_tile(path: &Path, format: SpillFormat, meta: &TileMeta) -> Result<Vec<u64>, TilesError> {
     let bytes = fs::read(path)?;
-    let expected = meta.width * meta.height;
+    check_tile_len(path, format, meta, bytes.len() as u64)?;
     match format {
-        SpillFormat::RawU32 => {
-            if bytes.len() != expected * 4 {
-                return Err(TilesError::Manifest(format!(
-                    "tile {} has {} bytes, expected {}",
-                    path.display(),
-                    bytes.len(),
-                    expected * 4
-                )));
-            }
-            Ok(bytes
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64)
-                .collect())
-        }
+        SpillFormat::RawU32 => Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64)
+            .collect()),
         SpillFormat::Pgm16 => {
             let (w, h, samples) = pgm::read_binary16(&bytes)?;
             if (w, h) != (meta.width, meta.height) {
@@ -438,7 +407,13 @@ fn write_manifest(dir: &Path, manifest: &SpillManifest) -> Result<(), TilesError
     for &(kept, absorbed) in &manifest.merges {
         out.push_str(&format!("merge {kept} {absorbed}\n"));
     }
-    write_atomic(&dir.join(MANIFEST_NAME), out.as_bytes())
+    let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(out.as_bytes())?;
+    file.sync_all()?;
+    fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
+    fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 /// Parses the sidecar manifest of a spill directory.
@@ -469,8 +444,10 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
     let format = SpillFormat::parse(&field(&next_line()?, "format")?)?;
     let width = parse_usize(&field(&next_line()?, "width")?)?;
     let rows = parse_usize(&field(&next_line()?, "rows")?)?;
+    // the vectors grow line by line: a declared count is not trusted
+    // with an allocation
     let ntiles = parse_usize(&field(&next_line()?, "tiles")?)?;
-    let mut tiles = Vec::with_capacity(ntiles);
+    let mut tiles = Vec::new();
     for _ in 0..ntiles {
         let line = next_line()?;
         let body = field(&line, "tile")?;
@@ -493,7 +470,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
         });
     }
     let nmerges = parse_usize(&field(&next_line()?, "merges")?)?;
-    let mut merges = Vec::with_capacity(nmerges);
+    let mut merges = Vec::new();
     for _ in 0..nmerges {
         let line = next_line()?;
         let body = field(&line, "merge")?;
@@ -504,7 +481,9 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
                     .map_err(|_| TilesError::Manifest(format!("invalid id {s:?}")))
             })
             .collect::<Result<_, _>>()?;
-        if nums.len() != 2 {
+        // the writer always keeps the smaller id, which is what makes
+        // resolution terminate
+        if nums.len() != 2 || nums[0] == 0 || nums[0] >= nums[1] {
             return Err(TilesError::Manifest(format!(
                 "malformed merge line {line:?}"
             )));
@@ -512,11 +491,20 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
         merges.push((nums[0], nums[1]));
     }
     // Self-consistency: every declared placement must fit the declared
-    // extent (and the extent itself must be addressable), so downstream
-    // readers can allocate and blit without bounds surprises.
-    width
+    // extent, and the tile areas must sum to it exactly, so a reader
+    // allocates only what the tiles cover and blits without bounds
+    // surprises.
+    let area = width
         .checked_mul(rows)
         .ok_or_else(|| TilesError::Manifest(format!("extent {width}x{rows} overflows")))?;
+    let covered = tiles.iter().try_fold(0usize, |sum, m| {
+        sum.checked_add(m.width.checked_mul(m.height)?)
+    });
+    if covered != Some(area) {
+        return Err(TilesError::Manifest(format!(
+            "tile areas sum to {covered:?}, declared extent {width}x{rows} is {area}"
+        )));
+    }
     for m in &tiles {
         let fits = m
             .col0
@@ -555,20 +543,29 @@ pub fn temp_spill_dir(tag: &str) -> PathBuf {
 }
 
 /// Reconstructs the exact labeling from a spill directory: reads the
-/// manifest, loads every tile, applies the merge table (a no-op on
-/// patched spills) and canonically renumbers into a [`LabelImage`].
-/// The *reader* holds the whole image — the spill itself was produced in
-/// O(tile) memory.
+/// manifest, checks every tile file's size against it, loads the tiles,
+/// resolves their raw ids through the merge table and canonically
+/// renumbers into a [`LabelImage`]. The *reader* holds the whole image —
+/// the spill itself was produced in O(tile) memory — and allocates it
+/// only once the files on disk account for every declared pixel.
 pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, TilesError> {
     let dir = dir.as_ref();
     let manifest = read_manifest(dir)?;
+    let paths: Vec<PathBuf> = manifest
+        .tiles
+        .iter()
+        .map(|meta| {
+            let path = SpillSink::tile_path(dir, manifest.format, meta);
+            let len = fs::metadata(&path)
+                .map_err(|e| TilesError::Manifest(format!("{}: {e}", path.display())))?
+                .len();
+            check_tile_len(&path, manifest.format, meta, len)?;
+            Ok(path)
+        })
+        .collect::<Result<_, TilesError>>()?;
     let mut gids = vec![0u64; manifest.width * manifest.rows];
-    for meta in &manifest.tiles {
-        let tile = read_tile(
-            &SpillSink::tile_path(dir, manifest.format, meta),
-            manifest.format,
-            meta,
-        )?;
+    for (meta, path) in manifest.tiles.iter().zip(&paths) {
+        let tile = read_tile(path, manifest.format, meta)?;
         blit(&mut gids, manifest.width, meta, &tile);
     }
     Ok(reconcile(
@@ -626,7 +623,7 @@ mod tests {
         assert_eq!(manifest.rows, 3);
         assert_eq!(manifest.merges, vec![(2, 3)]);
 
-        // files were patched: absorbed id 3 no longer appears
+        // tiles keep their emission-time ids: absorbed id 3 is on disk
         let back = read_manifest(&dir).unwrap();
         assert_eq!(back, manifest);
         let raw = read_tile(
@@ -635,7 +632,7 @@ mod tests {
             &back.tiles[1],
         )
         .unwrap();
-        assert_eq!(raw, vec![0, 2, 2, 0]);
+        assert_eq!(raw, vec![0, 3, 2, 0]);
 
         let li = read_spilled_label_image(&dir).unwrap();
         assert_eq!(li.num_components(), 2);
@@ -648,21 +645,28 @@ mod tests {
         let dir = temp_dir("pgm");
         let mut sink = SpillSink::create(&dir, SpillFormat::Pgm16).unwrap();
         sink.tile(&meta(0, 0, 0, 0, 3, 1), &[1, 0, 2]).unwrap();
+        // a tile holding only an id that is absorbed later
+        sink.tile(&meta(0, 1, 0, 3, 2, 1), &[2, 2]).unwrap();
         sink.merge(1, 2);
         let manifest = sink.close().unwrap();
         assert_eq!(manifest.format, SpillFormat::Pgm16);
-        // the spilled tile is a well-formed 16-bit PGM
-        let bytes = fs::read(SpillSink::tile_path(
-            &dir,
-            SpillFormat::Pgm16,
-            &manifest.tiles[0],
-        ))
-        .unwrap();
-        let (w, h, samples) = pgm::read_binary16(&bytes).unwrap();
-        assert_eq!((w, h), (3, 1));
-        assert_eq!(samples, vec![1, 0, 1]); // patched
+        // the spilled tiles are well-formed 16-bit PGMs holding the
+        // emission-time ids
+        let samples: Vec<Vec<u16>> = manifest
+            .tiles
+            .iter()
+            .map(|m| {
+                let bytes = fs::read(SpillSink::tile_path(&dir, SpillFormat::Pgm16, m)).unwrap();
+                let (w, h, samples) = pgm::read_binary16(&bytes).unwrap();
+                assert_eq!((w, h), (m.width, m.height));
+                samples
+            })
+            .collect();
+        assert_eq!(samples, vec![vec![1, 0, 2], vec![2, 2]]);
+        // the merge table alone resolves them
         let li = read_spilled_label_image(&dir).unwrap();
         assert_eq!(li.num_components(), 1);
+        assert_eq!(li.as_slice(), &[1, 0, 1, 1, 1]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -672,35 +676,6 @@ mod tests {
         let mut sink = SpillSink::create(&dir, SpillFormat::Pgm16).unwrap();
         let err = sink.tile(&meta(0, 0, 0, 0, 1, 1), &[70_000]).unwrap_err();
         assert!(matches!(err, TilesError::LabelOverflow { gid: 70_000, .. }));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn unpatched_spill_still_reconstructs() {
-        // write tiles + manifest by hand without patching: the reader's
-        // merge resolution alone must recover the partition
-        let dir = temp_dir("unpatched");
-        fs::create_dir_all(&dir).unwrap();
-        let tiles = vec![meta(0, 0, 0, 0, 2, 1), meta(0, 1, 0, 2, 2, 1)];
-        let manifest = SpillManifest {
-            format: SpillFormat::RawU32,
-            width: 4,
-            rows: 1,
-            tiles: tiles.clone(),
-            merges: vec![(1, 2)],
-        };
-        write_manifest(&dir, &manifest).unwrap();
-        let sink = SpillSink {
-            dir: dir.clone(),
-            format: SpillFormat::RawU32,
-            tiles: Vec::new(),
-            merges: Vec::new(),
-        };
-        sink.write_tile(&tiles[0], &[1, 1]).unwrap();
-        sink.write_tile(&tiles[1], &[2, 2]).unwrap();
-        let li = read_spilled_label_image(&dir).unwrap();
-        assert_eq!(li.num_components(), 1);
-        assert_eq!(li.as_slice(), &[1, 1, 1, 1]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -771,5 +746,110 @@ mod tests {
         assert!(matches!(err, TilesError::Manifest(_)), "{err}");
         assert!(read_spilled_label_image(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn spill_dropped_before_close_is_a_typed_error() {
+        // the in-process stand-in for a writer killed before its commit:
+        // tiles on disk, no manifest
+        let dir = temp_dir("dropped");
+        let mut sink = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+        sink.tile(&meta(0, 0, 0, 0, 2, 1), &[1, 1]).unwrap();
+        sink.tile(&meta(0, 1, 0, 2, 2, 1), &[2, 2]).unwrap();
+        sink.merge(1, 2);
+        drop(sink);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
+        assert!(matches!(read_manifest(&dir), Err(TilesError::Manifest(_))));
+        assert!(matches!(
+            read_spilled_label_image(&dir),
+            Err(TilesError::Manifest(_))
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes `body` after the magic line as the manifest of a fresh
+    /// directory and returns what both readers make of it.
+    fn read_hostile(tag: &str, body: &str) -> (TilesError, TilesError) {
+        let dir = temp_dir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(MANIFEST_NAME), format!("{MANIFEST_MAGIC}\n{body}")).unwrap();
+        let errs = (
+            read_manifest(&dir).unwrap_err(),
+            read_spilled_label_image(&dir).unwrap_err(),
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        errs
+    }
+
+    #[test]
+    fn hostile_counts_and_merges_are_typed_errors() {
+        let header = "format raw-u32\nwidth 2\nrows 1\n";
+        for (tag, body) in [
+            // a declared count is never an allocation
+            ("tiles_count", format!("{header}tiles 1000000000000000\n")),
+            (
+                "merges_count",
+                format!("{header}tiles 1\ntile 0 0 0 0 2 1\nmerges 1000000000000000\n"),
+            ),
+            // a self-merge would make resolution loop forever
+            (
+                "self_merge",
+                format!("{header}tiles 1\ntile 0 0 0 0 2 1\nmerges 1\nmerge 1 1\n"),
+            ),
+            (
+                "upward_merge",
+                format!("{header}tiles 1\ntile 0 0 0 0 2 1\nmerges 1\nmerge 2 1\n"),
+            ),
+            (
+                "zero_merge",
+                format!("{header}tiles 1\ntile 0 0 0 0 2 1\nmerges 1\nmerge 0 1\n"),
+            ),
+        ] {
+            let (a, b) = read_hostile(tag, &body);
+            assert!(matches!(a, TilesError::Manifest(_)), "{tag}: {a}");
+            assert!(matches!(b, TilesError::Manifest(_)), "{tag}: {b}");
+        }
+    }
+
+    #[test]
+    fn reader_allocates_only_what_the_spill_holds() {
+        // an extent no tile covers
+        let (a, b) = read_hostile(
+            "huge_extent",
+            "format raw-u32\nwidth 1000000000\nrows 1000000000\ntiles 0\nmerges 0\n",
+        );
+        assert!(matches!(a, TilesError::Manifest(_)), "{a}");
+        assert!(matches!(b, TilesError::Manifest(_)), "{b}");
+        // a covering tile whose file is missing, or shorter than declared
+        for format in [SpillFormat::RawU32, SpillFormat::Pgm16] {
+            let dir = temp_dir("short_tile");
+            let mut sink = SpillSink::create(&dir, format).unwrap();
+            sink.tile(&meta(0, 0, 0, 0, 2, 2), &[1, 0, 0, 1]).unwrap();
+            let manifest = sink.close().unwrap();
+            let path = SpillSink::tile_path(&dir, format, &manifest.tiles[0]);
+            let bytes = fs::read(&path).unwrap();
+            fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+            let err = read_spilled_label_image(&dir).unwrap_err();
+            assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+            fs::remove_file(&path).unwrap();
+            let err = read_spilled_label_image(&dir).unwrap_err();
+            assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn long_merge_chains_resolve() {
+        // every id absorbed by its predecessor: one component
+        let n = 10_000u64;
+        let mut sink = CollectTiles::default();
+        let ids: Vec<u64> = (1..=n).collect();
+        sink.tile(&meta(0, 0, 0, 0, n as usize, 1), &ids).unwrap();
+        for id in (2..=n).rev() {
+            sink.merge(id - 1, id);
+        }
+        let li = sink.into_label_image();
+        assert_eq!(li.num_components(), 1);
+        assert!(li.as_slice().iter().all(|&l| l == 1));
     }
 }

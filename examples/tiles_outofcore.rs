@@ -1,8 +1,8 @@
 //! Fully out-of-core labeling with `ccl-tiles`: a raster streamed from a
 //! generator in 64×64 tiles (never resident as a whole), labels spilled
-//! to disk as 16-bit PGM tiles with a sidecar merge table, final ids
-//! patched on close — then the spill is read back and verified against
-//! whole-image AREMSP.
+//! to disk as 16-bit PGM tiles, each written once, with a sidecar merge
+//! table through which the tiles' raw ids resolve — then the spill is
+//! read back and verified against whole-image AREMSP.
 //!
 //! ```text
 //! cargo run --release --example tiles_outofcore
