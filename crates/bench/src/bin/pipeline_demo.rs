@@ -17,7 +17,8 @@
 //! time + speedup per mode. The JSON snapshot
 //! (`results/BENCH_pipeline.json`) and the committed
 //! `results/BENCH_HISTORY.jsonl` line record all eight modes so the
-//! overlap win is visible in the perf trajectory.
+//! overlap win is visible in the perf trajectory. A run with `--json`
+//! elsewhere writes only its snapshot.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin pipeline_demo \
@@ -28,7 +29,7 @@ use std::time::Duration;
 
 use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
-use ccl_datasets::report::{write_json, Table};
+use ccl_datasets::report::Table;
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_pipeline::{PacedRows, PrefetchRows};
 use ccl_stream::{label_stream, CountComponents, StripConfig};
@@ -38,7 +39,8 @@ use serde::Serialize;
 const USAGE: &str = "pipeline_demo: decode/scan/merge overlap on a generation-bound workload
   --reps N         repetitions per mode (default 3)
   --depth N        prefetch queue depth (default 2)
-  --json PATH      snapshot path (default results/BENCH_pipeline.json)";
+  --json PATH      snapshot path (default results/BENCH_pipeline.json; only a
+                   default-path run appends to results/BENCH_HISTORY.jsonl)";
 
 const WIDTH: usize = 512;
 const HEIGHT: usize = 6144;
@@ -74,10 +76,6 @@ struct PipelineBench {
 
 fn main() {
     let args = BinArgs::parse(USAGE);
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_pipeline.json".to_string());
     let mpix = (WIDTH * HEIGHT) as f64 / 1e6;
     println!(
         "{WIDTH}x{HEIGHT} Bernoulli raster ({mpix:.1} Mpixel) behind a device-paced \
@@ -181,10 +179,10 @@ fn main() {
         rows_modes,
         tiles_modes,
     };
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    write_json(&json_path, &result).expect("write json");
-    ccl_bench::append_history("pipeline_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", ccl_bench::HISTORY_PATH);
+    ccl_bench::write_snapshot(
+        "pipeline_demo",
+        args.json.as_deref(),
+        "results/BENCH_pipeline.json",
+        &result,
+    );
 }

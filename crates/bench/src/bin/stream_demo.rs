@@ -9,7 +9,9 @@
 //! Timings include row generation (the stream is produced on the fly and
 //! never materialized), so the metric is end-to-end pipeline throughput —
 //! stable across runs and comparable across commits via the JSON
-//! snapshot (`results/BENCH_stream.json` by default).
+//! snapshot (`results/BENCH_stream.json` by default, which also appends
+//! a `results/BENCH_HISTORY.jsonl` line; a run with `--json` elsewhere
+//! writes only its snapshot).
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin stream_demo \
@@ -18,7 +20,7 @@
 
 use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
-use ccl_datasets::report::{write_json, Table};
+use ccl_datasets::report::Table;
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_pipeline::PrefetchRows;
 use ccl_stream::{label_stream, CountComponents, StripConfig};
@@ -30,7 +32,8 @@ const USAGE: &str = "stream_demo: bounded-memory streaming throughput vs image h
   --prefetch       generate bands on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap band k's carry seam/fold with band k+1's scan
   --depth N        prefetch queue depth (default 2)
-  --json PATH      snapshot path (default results/BENCH_stream.json)";
+  --json PATH      snapshot path (default results/BENCH_stream.json; only a
+                   default-path run appends to results/BENCH_HISTORY.jsonl)";
 
 const WIDTH: usize = 1024;
 const BAND_ROWS: usize = 1024;
@@ -75,10 +78,6 @@ fn main() {
         std::process::exit(2);
     }
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_stream.json".to_string());
 
     let mode = match (args.prefetch, args.pipeline) {
         (true, true) => ", decode∥scan∥merge",
@@ -181,10 +180,10 @@ fn main() {
         pipeline: args.pipeline,
         rows,
     };
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    write_json(&json_path, &result).expect("write json");
-    ccl_bench::append_history("stream_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", ccl_bench::HISTORY_PATH);
+    ccl_bench::write_snapshot(
+        "stream_demo",
+        args.json.as_deref(),
+        "results/BENCH_stream.json",
+        &result,
+    );
 }

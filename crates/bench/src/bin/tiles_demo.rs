@@ -12,7 +12,8 @@
 //! Timings include row generation, so the metric is end-to-end pipeline
 //! throughput, comparable across commits via the JSON snapshot
 //! (`results/BENCH_tiles.json`) and the committed history line
-//! (`results/BENCH_HISTORY.jsonl`).
+//! (`results/BENCH_HISTORY.jsonl`); a run with `--json` elsewhere writes
+//! only its snapshot.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin tiles_demo \
@@ -21,7 +22,7 @@
 
 use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
-use ccl_datasets::report::{write_json, Table};
+use ccl_datasets::report::Table;
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_pipeline::PrefetchRows;
 use ccl_stream::CountComponents;
@@ -36,7 +37,8 @@ const USAGE: &str = "tiles_demo: 2-D tile-grid out-of-core labeling throughput v
   --prefetch       generate tile rows on a worker thread (ccl-pipeline adapter)
   --pipeline       overlap row k's merge/spill with row k+1's scans
   --depth N        prefetch queue depth (default 2)
-  --json PATH      snapshot path (default results/BENCH_tiles.json)";
+  --json PATH      snapshot path (default results/BENCH_tiles.json; only a
+                   default-path run appends to results/BENCH_HISTORY.jsonl)";
 
 const WIDTH: usize = 1024;
 const TILE: usize = 256;
@@ -102,10 +104,6 @@ fn main() {
         std::process::exit(2);
     }
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_tiles.json".to_string());
 
     let mode = match (args.prefetch, args.pipeline) {
         (true, true) => ", decode∥scan∥merge",
@@ -229,10 +227,10 @@ fn main() {
         spill_ms,
         spill_height,
     };
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    write_json(&json_path, &result).expect("write json");
-    ccl_bench::append_history("tiles_demo", &result).expect("append history");
-    eprintln!("wrote {json_path} (+ {})", ccl_bench::HISTORY_PATH);
+    ccl_bench::write_snapshot(
+        "tiles_demo",
+        args.json.as_deref(),
+        "results/BENCH_tiles.json",
+        &result,
+    );
 }

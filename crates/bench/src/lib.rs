@@ -210,8 +210,9 @@ impl BinArgs {
     }
 }
 
-/// Path of the committed perf-trajectory log appended by `repro_all`,
-/// `stream_demo` and `tiles_demo`: one JSON object per line, so
+/// Path of the committed perf-trajectory log appended by `repro_all`
+/// and by `stream_demo`, `tiles_demo` and `pipeline_demo` when they write
+/// their default snapshot ([`write_snapshot`]): one JSON object per line, so
 /// regressions are visible across commits (`git log -p results/…`) and
 /// CI uploads the whole `results/` directory as an artifact.
 pub const HISTORY_PATH: &str = "results/BENCH_HISTORY.jsonl";
@@ -239,6 +240,31 @@ pub fn append_history<T: serde::Serialize>(bench: &str, value: &T) -> std::io::R
         .append(true)
         .open(HISTORY_PATH)?;
     f.write_all(line.as_bytes())
+}
+
+/// Writes a demo's JSON snapshot to `json` (its `--json PATH`) or, when
+/// that is `None`, to `default` under `results/`, creating the parent
+/// directory. Only a snapshot at its default path is a measurement worth
+/// keeping, so only then is it also appended to [`HISTORY_PATH`] as
+/// `bench`: a smoke run that sends its snapshot elsewhere leaves the
+/// committed history alone.
+pub fn write_snapshot<T: serde::Serialize>(
+    bench: &str,
+    json: Option<&str>,
+    default: &str,
+    value: &T,
+) {
+    let path = std::path::Path::new(json.unwrap_or(default));
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create snapshot dir");
+    }
+    ccl_datasets::report::write_json(path, value).expect("write json");
+    if path == std::path::Path::new(default) {
+        append_history(bench, value).expect("append history");
+        eprintln!("wrote {} (+ {HISTORY_PATH})", path.display());
+    } else {
+        eprintln!("wrote {}", path.display());
+    }
 }
 
 /// Collapses pretty-printed JSON to one line by dropping all whitespace

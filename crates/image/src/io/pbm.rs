@@ -8,7 +8,7 @@
 use crate::bitmap::BinaryImage;
 use crate::error::ImageError;
 
-use super::{ascii_sample_count, expect_single_whitespace, next_token, next_usize, sample_count};
+use super::{Decoder, Format};
 
 /// Serializes to ASCII PBM (`P1`). Rows are emitted one per line.
 pub fn write_ascii(img: &BinaryImage) -> Vec<u8> {
@@ -45,75 +45,13 @@ pub fn write_binary(img: &BinaryImage) -> Vec<u8> {
     out
 }
 
-/// Parses either PBM format, dispatching on the magic number.
+/// Parses either PBM format, dispatching on the magic number: the band
+/// decoder of [`super::stream::PbmBands`] over `data`, asked for one band
+/// of every row.
 pub fn read(data: &[u8]) -> Result<BinaryImage, ImageError> {
-    let mut pos = 0usize;
-    let magic = next_token(data, &mut pos)?;
-    match magic {
-        b"P1" => read_ascii_body(data, &mut pos),
-        b"P4" => read_binary_body(data, &mut pos),
-        other => Err(ImageError::Parse(format!(
-            "not a PBM stream (magic {:?})",
-            String::from_utf8_lossy(other)
-        ))),
-    }
-}
-
-fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<BinaryImage, ImageError> {
-    let width = next_usize(data, pos)?;
-    let height = next_usize(data, pos)?;
-    let n = ascii_sample_count(data, *pos, width, height, 1)?;
-    let mut pixels = Vec::with_capacity(n);
-    // P1 allows samples to be packed without whitespace; read digit by
-    // digit, skipping whitespace and comments.
-    while pixels.len() < n {
-        while *pos < data.len() && data[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-        if *pos < data.len() && data[*pos] == b'#' {
-            while *pos < data.len() && data[*pos] != b'\n' {
-                *pos += 1;
-            }
-            continue;
-        }
-        if *pos >= data.len() {
-            return Err(ImageError::Parse("truncated P1 sample data".into()));
-        }
-        match data[*pos] {
-            b'0' => pixels.push(0),
-            b'1' => pixels.push(1),
-            other => {
-                return Err(ImageError::Parse(format!(
-                    "invalid P1 sample byte {other:#x}"
-                )))
-            }
-        }
-        *pos += 1;
-    }
-    BinaryImage::from_raw(width, height, pixels)
-}
-
-fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<BinaryImage, ImageError> {
-    let width = next_usize(data, pos)?;
-    let height = next_usize(data, pos)?;
-    expect_single_whitespace(data, pos)?;
-    let bytes_per_row = width.div_ceil(8);
-    let need = sample_count(bytes_per_row, height, 1)?;
-    if data.len() - *pos < need {
-        return Err(ImageError::Parse(format!(
-            "truncated P4 sample data: need {need} bytes, have {}",
-            data.len() - *pos
-        )));
-    }
-    let mut pixels = vec![0u8; sample_count(width, height, 1)?];
-    for r in 0..height {
-        let row_bytes = &data[*pos + r * bytes_per_row..*pos + (r + 1) * bytes_per_row];
-        for c in 0..width {
-            pixels[r * width + c] = (row_bytes[c / 8] >> (7 - c % 8)) & 1;
-        }
-    }
-    *pos += need;
-    BinaryImage::from_raw(width, height, pixels)
+    let mut pbm = Decoder::open(data, Format::Pbm, 1..=1)?;
+    let pixels = pbm.bits(pbm.height)?;
+    BinaryImage::from_raw(pbm.width, pbm.height, pixels)
 }
 
 #[cfg(test)]

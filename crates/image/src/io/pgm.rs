@@ -6,7 +6,7 @@
 use crate::error::ImageError;
 use crate::gray::GrayImage;
 
-use super::{ascii_sample_count, expect_single_whitespace, next_token, next_usize, sample_count};
+use super::{Decoder, Format};
 
 /// Serializes to ASCII PGM (`P2`) with maxval 255.
 pub fn write_ascii(img: &GrayImage) -> Vec<u8> {
@@ -65,94 +65,26 @@ pub fn binary16_header(width: usize, height: usize) -> String {
 /// *not* rescaled to the maxval — because the consumer here (`ccl-tiles`)
 /// stores discrete labels, not luminance.
 pub fn read_binary16(data: &[u8]) -> Result<(usize, usize, Vec<u16>), ImageError> {
-    let mut pos = 0usize;
-    let magic = next_token(data, &mut pos)?;
-    if magic != b"P5" {
-        return Err(ImageError::Parse(format!(
-            "not a binary PGM stream (magic {:?})",
-            String::from_utf8_lossy(magic)
-        )));
+    let mut pgm = Decoder::open(data, Format::Pgm, 256..=65535)?;
+    if pgm.ascii {
+        return Err(ImageError::Parse(
+            "16-bit PGM requires the binary P5 encoding".into(),
+        ));
     }
-    let width = next_usize(data, &mut pos)?;
-    let height = next_usize(data, &mut pos)?;
-    let maxval = next_usize(data, &mut pos)?;
-    if !(256..=65535).contains(&maxval) {
-        return Err(ImageError::Parse(format!(
-            "16-bit PGM requires maxval in 256..=65535, got {maxval}"
-        )));
-    }
-    expect_single_whitespace(data, &mut pos)?;
-    let need = sample_count(width, height, 2)?;
-    if data.len() - pos < need {
-        return Err(ImageError::Parse("truncated 16-bit P5 sample data".into()));
-    }
-    let samples: Vec<u16> = data[pos..pos + need]
-        .chunks_exact(2)
-        .map(|b| u16::from_be_bytes([b[0], b[1]]))
-        .collect();
-    Ok((width, height, samples))
+    let samples = pgm.words(pgm.height)?;
+    Ok((pgm.width, pgm.height, samples))
 }
 
-/// Parses either PGM format, dispatching on the magic number.
+/// Parses either PGM format, dispatching on the magic number: the band
+/// decoder of [`super::stream::PgmBands`] over `data`, asked for one band
+/// of every row.
 ///
 /// Maxvals other than 255 are accepted for ASCII input and rescaled to the
 /// 0–255 range; binary input requires maxval ≤ 255 (one byte per sample).
 pub fn read(data: &[u8]) -> Result<GrayImage, ImageError> {
-    let mut pos = 0usize;
-    let magic = next_token(data, &mut pos)?;
-    match magic {
-        b"P2" => read_ascii_body(data, &mut pos),
-        b"P5" => read_binary_body(data, &mut pos),
-        other => Err(ImageError::Parse(format!(
-            "not a PGM stream (magic {:?})",
-            String::from_utf8_lossy(other)
-        ))),
-    }
-}
-
-fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<GrayImage, ImageError> {
-    let width = next_usize(data, pos)?;
-    let height = next_usize(data, pos)?;
-    let maxval = next_usize(data, pos)?;
-    if maxval == 0 || maxval > 65535 {
-        return Err(ImageError::Parse(format!("invalid maxval {maxval}")));
-    }
-    let n = ascii_sample_count(data, *pos, width, height, 1)?;
-    let mut pixels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = next_usize(data, pos)?;
-        if v > maxval {
-            return Err(ImageError::Parse(format!(
-                "sample {v} exceeds maxval {maxval}"
-            )));
-        }
-        pixels.push(((v * 255 + maxval / 2) / maxval) as u8);
-    }
-    GrayImage::from_raw(width, height, pixels)
-}
-
-fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<GrayImage, ImageError> {
-    let width = next_usize(data, pos)?;
-    let height = next_usize(data, pos)?;
-    let maxval = next_usize(data, pos)?;
-    if maxval == 0 || maxval > 255 {
-        return Err(ImageError::Parse(format!(
-            "binary PGM requires maxval in 1..=255, got {maxval}"
-        )));
-    }
-    expect_single_whitespace(data, pos)?;
-    let need = sample_count(width, height, 1)?;
-    if data.len() - *pos < need {
-        return Err(ImageError::Parse("truncated P5 sample data".into()));
-    }
-    let mut pixels = data[*pos..*pos + need].to_vec();
-    if maxval != 255 {
-        for v in &mut pixels {
-            *v = ((*v as usize * 255 + maxval / 2) / maxval).min(255) as u8;
-        }
-    }
-    *pos += need;
-    GrayImage::from_raw(width, height, pixels)
+    let mut pgm = Decoder::open(data, Format::Pgm, 1..=255)?;
+    let pixels = pgm.samples(pgm.height, 1)?;
+    GrayImage::from_raw(pgm.width, pgm.height, pixels)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use crate::error::ImageError;
 use crate::rgb::RgbImage;
 
-use super::{ascii_sample_count, expect_single_whitespace, next_token, next_usize, sample_count};
+use super::{Decoder, Format};
 
 /// Serializes to ASCII PPM (`P3`) with maxval 255.
 pub fn write_ascii(img: &RgbImage) -> Vec<u8> {
@@ -37,63 +37,13 @@ pub fn write_binary(img: &RgbImage) -> Vec<u8> {
     out
 }
 
-/// Parses either PPM format, dispatching on the magic number.
+/// Parses either PPM format, dispatching on the magic number: the PGM
+/// band decoder with three samples per pixel, asked for one band of every
+/// row. Maxvals are handled as in [`super::pgm::read`].
 pub fn read(data: &[u8]) -> Result<RgbImage, ImageError> {
-    let mut pos = 0usize;
-    let magic = next_token(data, &mut pos)?;
-    match magic {
-        b"P3" => read_ascii_body(data, &mut pos),
-        b"P6" => read_binary_body(data, &mut pos),
-        other => Err(ImageError::Parse(format!(
-            "not a PPM stream (magic {:?})",
-            String::from_utf8_lossy(other)
-        ))),
-    }
-}
-
-fn read_ascii_body(data: &[u8], pos: &mut usize) -> Result<RgbImage, ImageError> {
-    let width = next_usize(data, pos)?;
-    let height = next_usize(data, pos)?;
-    let maxval = next_usize(data, pos)?;
-    if maxval == 0 || maxval > 65535 {
-        return Err(ImageError::Parse(format!("invalid maxval {maxval}")));
-    }
-    let n = ascii_sample_count(data, *pos, width, height, 3)?;
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = next_usize(data, pos)?;
-        if v > maxval {
-            return Err(ImageError::Parse(format!(
-                "sample {v} exceeds maxval {maxval}"
-            )));
-        }
-        samples.push(((v * 255 + maxval / 2) / maxval) as u8);
-    }
-    RgbImage::from_raw(width, height, samples)
-}
-
-fn read_binary_body(data: &[u8], pos: &mut usize) -> Result<RgbImage, ImageError> {
-    let width = next_usize(data, pos)?;
-    let height = next_usize(data, pos)?;
-    let maxval = next_usize(data, pos)?;
-    if maxval == 0 || maxval > 255 {
-        return Err(ImageError::Parse(format!(
-            "binary PPM requires maxval in 1..=255, got {maxval}"
-        )));
-    }
-    expect_single_whitespace(data, pos)?;
-    let need = sample_count(width, height, 3)?;
-    if data.len() - *pos < need {
-        return Err(ImageError::Parse("truncated P6 sample data".into()));
-    }
-    let mut samples = data[*pos..*pos + need].to_vec();
-    if maxval != 255 {
-        for v in &mut samples {
-            *v = ((*v as usize * 255 + maxval / 2) / maxval).min(255) as u8;
-        }
-    }
-    *pos += need;
-    RgbImage::from_raw(width, height, samples)
+    let mut ppm = Decoder::open(data, Format::Ppm, 1..=255)?;
+    let samples = ppm.samples(ppm.height, 3)?;
+    RgbImage::from_raw(ppm.width, ppm.height, samples)
 }
 
 /// Deterministic label → color mapping (golden-ratio hue stepping, label 0

@@ -1,16 +1,16 @@
 //! Incremental Netpbm decoding — row bands pulled from a byte stream.
 //!
-//! The whole-buffer readers in [`super::pbm`] / [`super::pgm`] require the
-//! entire file in memory; for the out-of-core pipeline (`ccl-stream`) a
-//! gigapixel raster must instead be decoded a *band* of rows at a time.
-//! [`PbmBands`] and [`PgmBands`] parse the header eagerly from any
-//! [`std::io::Read`] and then hand out row bands on demand, holding only
-//! one band (plus a tiny token buffer) resident.
+//! For the out-of-core pipeline (`ccl-stream`) a gigapixel raster must be
+//! decoded a *band* of rows at a time. [`PbmBands`] and [`PgmBands`] parse
+//! the header eagerly from any [`std::io::Read`] and then hand out row
+//! bands on demand, holding only one band (plus a tiny token buffer)
+//! resident. Both are thin faces of the one Netpbm decoder in [`super`];
+//! the whole-buffer readers ([`super::pbm::read`], [`super::pgm::read`])
+//! are the same band decoder over a byte slice, asked for one band of
+//! every row.
 //!
 //! Formats: PBM `P1`/`P4` and PGM `P2`/`P5` (binary PGM limited to
-//! `maxval ≤ 255`, like [`super::pgm::read`]). Sample semantics match the
-//! whole-buffer readers exactly — the round-trip tests below parse writer
-//! output band-wise and compare with the one-shot readers.
+//! `maxval ≤ 255`, like [`super::pgm::read`]).
 //!
 //! Header values are untrusted: a band's buffers start at no more than
 //! 1 MiB and grow only as sample bytes arrive, so a header declaring a
@@ -19,136 +19,10 @@
 
 use std::io::Read;
 
+use super::{Decoder, Format};
 use crate::bitmap::BinaryImage;
 use crate::error::ImageError;
 use crate::gray::GrayImage;
-
-/// Upper bound, in bytes, on what a band decoder allocates or reads at a
-/// time before the stream has delivered the bytes to fill it.
-const CHUNK: usize = 1 << 20;
-
-/// Incremental token scanner over a byte stream: whitespace-delimited
-/// tokens, `#` comments running to end of line, single-byte pushback for
-/// the header/body boundary.
-struct ByteScanner<R: Read> {
-    inner: R,
-    peeked: Option<u8>,
-}
-
-impl<R: Read> ByteScanner<R> {
-    fn new(inner: R) -> Self {
-        ByteScanner {
-            inner,
-            peeked: None,
-        }
-    }
-
-    /// Next raw byte, or `None` at end of stream.
-    fn next_byte(&mut self) -> Result<Option<u8>, ImageError> {
-        if let Some(b) = self.peeked.take() {
-            return Ok(Some(b));
-        }
-        let mut buf = [0u8; 1];
-        loop {
-            match self.inner.read(&mut buf) {
-                Ok(0) => return Ok(None),
-                Ok(_) => return Ok(Some(buf[0])),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ImageError::Io(e)),
-            }
-        }
-    }
-
-    fn push_back(&mut self, b: u8) {
-        debug_assert!(self.peeked.is_none(), "single-byte pushback only");
-        self.peeked = Some(b);
-    }
-
-    /// Skips whitespace and `#` comments; returns the first content byte.
-    fn next_content_byte(&mut self) -> Result<Option<u8>, ImageError> {
-        loop {
-            match self.next_byte()? {
-                None => return Ok(None),
-                Some(b) if b.is_ascii_whitespace() => continue,
-                Some(b'#') => {
-                    // comment runs to end of line
-                    loop {
-                        match self.next_byte()? {
-                            None | Some(b'\n') => break,
-                            Some(_) => continue,
-                        }
-                    }
-                }
-                Some(b) => return Ok(Some(b)),
-            }
-        }
-    }
-
-    /// Reads the next whitespace-delimited token.
-    fn next_token(&mut self) -> Result<Vec<u8>, ImageError> {
-        let first = self
-            .next_content_byte()?
-            .ok_or_else(|| ImageError::Parse("unexpected end of stream".into()))?;
-        let mut tok = vec![first];
-        loop {
-            match self.next_byte()? {
-                None => break,
-                Some(b) if b.is_ascii_whitespace() => {
-                    self.push_back(b);
-                    break;
-                }
-                Some(b) => tok.push(b),
-            }
-        }
-        Ok(tok)
-    }
-
-    /// Parses an unsigned decimal token.
-    fn next_usize(&mut self) -> Result<usize, ImageError> {
-        let tok = self.next_token()?;
-        let s = std::str::from_utf8(&tok)
-            .map_err(|_| ImageError::Parse("non-ascii numeric token".into()))?;
-        s.parse()
-            .map_err(|_| ImageError::Parse(format!("invalid number {s:?}")))
-    }
-
-    /// Consumes the single whitespace byte separating a header from
-    /// binary sample data.
-    fn expect_single_whitespace(&mut self) -> Result<(), ImageError> {
-        match self.next_byte()? {
-            Some(b) if b.is_ascii_whitespace() => Ok(()),
-            _ => Err(ImageError::Parse(
-                "expected whitespace before sample data".into(),
-            )),
-        }
-    }
-
-    /// Fills `buf` exactly from the stream.
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), ImageError> {
-        let mut filled = 0;
-        if let Some(b) = self.peeked.take() {
-            if !buf.is_empty() {
-                buf[0] = b;
-                filled = 1;
-            }
-        }
-        self.inner
-            .read_exact(&mut buf[filled..])
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => {
-                    ImageError::Parse("truncated sample data".into())
-                }
-                _ => ImageError::Io(e),
-            })
-    }
-}
-
-/// Which PBM body encoding a [`PbmBands`] stream carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PbmKind {
-    Ascii,
-    Binary,
-}
 
 /// Incremental PBM (`P1`/`P4`) decoder: header parsed up front, rows
 /// delivered in bands of caller-chosen height.
@@ -166,56 +40,27 @@ enum PbmKind {
 /// assert_eq!(top.height(), 2);
 /// assert_eq!(top.row(0), img.row(0));
 /// ```
-pub struct PbmBands<R: Read> {
-    scanner: ByteScanner<R>,
-    width: usize,
-    height: usize,
-    rows_read: usize,
-    kind: PbmKind,
-}
+pub struct PbmBands<R: Read>(Decoder<R>);
 
 impl<R: Read> PbmBands<R> {
     /// Parses the PBM header (magic + dimensions) from `reader`.
     pub fn new(reader: R) -> Result<Self, ImageError> {
-        let mut scanner = ByteScanner::new(reader);
-        let magic = scanner.next_token()?;
-        let kind = match magic.as_slice() {
-            b"P1" => PbmKind::Ascii,
-            b"P4" => PbmKind::Binary,
-            other => {
-                return Err(ImageError::Parse(format!(
-                    "not a PBM stream (magic {:?})",
-                    String::from_utf8_lossy(other)
-                )))
-            }
-        };
-        let width = scanner.next_usize()?;
-        let height = scanner.next_usize()?;
-        if kind == PbmKind::Binary {
-            scanner.expect_single_whitespace()?;
-        }
-        Ok(PbmBands {
-            scanner,
-            width,
-            height,
-            rows_read: 0,
-            kind,
-        })
+        Decoder::open(reader, Format::Pbm, 1..=1).map(PbmBands)
     }
 
     /// Image width (columns).
     pub fn width(&self) -> usize {
-        self.width
+        self.0.width
     }
 
     /// Total image height declared by the header.
     pub fn height(&self) -> usize {
-        self.height
+        self.0.height
     }
 
     /// Rows not yet delivered.
     pub fn rows_remaining(&self) -> usize {
-        self.height - self.rows_read
+        self.0.rows_remaining()
     }
 
     /// Decodes the next band of at most `max_rows` rows; `Ok(None)` once
@@ -224,131 +69,42 @@ impl<R: Read> PbmBands<R> {
     /// # Panics
     /// Panics when `max_rows` is 0.
     pub fn next_band(&mut self, max_rows: usize) -> Result<Option<BinaryImage>, ImageError> {
-        assert!(max_rows > 0, "band height must be positive");
-        let rows = max_rows.min(self.rows_remaining());
-        if rows == 0 {
+        let Some(rows) = self.0.next_rows(max_rows) else {
             return Ok(None);
-        }
-        let samples = super::sample_count(self.width, rows, 1)?;
-        let mut pixels = Vec::with_capacity(samples.min(CHUNK));
-        match self.kind {
-            PbmKind::Ascii => {
-                for _ in 0..samples {
-                    let b = self
-                        .scanner
-                        .next_content_byte()?
-                        .ok_or_else(|| ImageError::Parse("truncated P1 sample data".into()))?;
-                    pixels.push(match b {
-                        b'0' => 0,
-                        b'1' => 1,
-                        other => {
-                            return Err(ImageError::Parse(format!(
-                                "invalid P1 sample byte {other:#x}"
-                            )))
-                        }
-                    });
-                }
-            }
-            PbmKind::Binary => {
-                // A row is ⌈width/8⌉ bytes, read in chunks of at most
-                // `CHUNK` bytes (8 × `CHUNK` pixels).
-                let mut row_bytes = Vec::with_capacity(self.width.div_ceil(8).min(CHUNK));
-                for _ in 0..rows {
-                    let mut left = self.width;
-                    while left > 0 {
-                        let n = left.min(8 * CHUNK);
-                        row_bytes.resize(n.div_ceil(8), 0);
-                        self.scanner.read_exact(&mut row_bytes)?;
-                        pixels.extend((0..n).map(|c| (row_bytes[c >> 3] >> (7 - (c & 7))) & 1));
-                        left -= n;
-                    }
-                }
-            }
-        }
-        self.rows_read += rows;
-        BinaryImage::from_raw(self.width, rows, pixels).map(Some)
+        };
+        BinaryImage::from_raw(self.0.width, rows, self.0.bits(rows)?).map(Some)
     }
-}
-
-/// Which PGM body encoding a [`PgmBands`] stream carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PgmKind {
-    Ascii,
-    Binary,
 }
 
 /// Incremental PGM (`P2`/`P5`) decoder: header parsed up front, grayscale
 /// rows delivered in bands. Samples are rescaled to `0..=255` exactly like
 /// [`super::pgm::read`]; binary streams require `maxval ≤ 255`.
-pub struct PgmBands<R: Read> {
-    scanner: ByteScanner<R>,
-    width: usize,
-    height: usize,
-    maxval: usize,
-    rows_read: usize,
-    kind: PgmKind,
-}
+pub struct PgmBands<R: Read>(Decoder<R>);
 
 impl<R: Read> PgmBands<R> {
     /// Parses the PGM header (magic, dimensions, maxval) from `reader`.
     pub fn new(reader: R) -> Result<Self, ImageError> {
-        let mut scanner = ByteScanner::new(reader);
-        let magic = scanner.next_token()?;
-        let kind = match magic.as_slice() {
-            b"P2" => PgmKind::Ascii,
-            b"P5" => PgmKind::Binary,
-            other => {
-                return Err(ImageError::Parse(format!(
-                    "not a PGM stream (magic {:?})",
-                    String::from_utf8_lossy(other)
-                )))
-            }
-        };
-        let width = scanner.next_usize()?;
-        let height = scanner.next_usize()?;
-        let maxval = scanner.next_usize()?;
-        match kind {
-            PgmKind::Ascii if maxval == 0 || maxval > 65535 => {
-                return Err(ImageError::Parse(format!("invalid maxval {maxval}")));
-            }
-            PgmKind::Binary if maxval == 0 || maxval > 255 => {
-                return Err(ImageError::Parse(format!(
-                    "binary PGM requires maxval in 1..=255, got {maxval}"
-                )));
-            }
-            _ => {}
-        }
-        if kind == PgmKind::Binary {
-            scanner.expect_single_whitespace()?;
-        }
-        Ok(PgmBands {
-            scanner,
-            width,
-            height,
-            maxval,
-            rows_read: 0,
-            kind,
-        })
+        Decoder::open(reader, Format::Pgm, 1..=255).map(PgmBands)
     }
 
     /// Image width (columns).
     pub fn width(&self) -> usize {
-        self.width
+        self.0.width
     }
 
     /// Total image height declared by the header.
     pub fn height(&self) -> usize {
-        self.height
+        self.0.height
     }
 
     /// The stream's declared maximum sample value.
     pub fn maxval(&self) -> usize {
-        self.maxval
+        self.0.maxval
     }
 
     /// Rows not yet delivered.
     pub fn rows_remaining(&self) -> usize {
-        self.height - self.rows_read
+        self.0.rows_remaining()
     }
 
     /// Decodes the next band of at most `max_rows` rows; `Ok(None)` once
@@ -357,41 +113,10 @@ impl<R: Read> PgmBands<R> {
     /// # Panics
     /// Panics when `max_rows` is 0.
     pub fn next_band(&mut self, max_rows: usize) -> Result<Option<GrayImage>, ImageError> {
-        assert!(max_rows > 0, "band height must be positive");
-        let rows = max_rows.min(self.rows_remaining());
-        if rows == 0 {
+        let Some(rows) = self.0.next_rows(max_rows) else {
             return Ok(None);
-        }
-        let samples = super::sample_count(self.width, rows, 1)?;
-        let mut pixels = Vec::with_capacity(samples.min(CHUNK));
-        match self.kind {
-            PgmKind::Ascii => {
-                for _ in 0..samples {
-                    let v = self.scanner.next_usize()?;
-                    if v > self.maxval {
-                        return Err(ImageError::Parse(format!(
-                            "sample {v} exceeds maxval {}",
-                            self.maxval
-                        )));
-                    }
-                    pixels.push(((v * 255 + self.maxval / 2) / self.maxval) as u8);
-                }
-            }
-            PgmKind::Binary => {
-                while pixels.len() < samples {
-                    let start = pixels.len();
-                    pixels.resize(start + (samples - start).min(CHUNK), 0);
-                    self.scanner.read_exact(&mut pixels[start..])?;
-                }
-                if self.maxval != 255 {
-                    for v in pixels.iter_mut() {
-                        *v = ((*v as usize * 255 + self.maxval / 2) / self.maxval).min(255) as u8;
-                    }
-                }
-            }
-        }
-        self.rows_read += rows;
-        GrayImage::from_raw(self.width, rows, pixels).map(Some)
+        };
+        GrayImage::from_raw(self.0.width, rows, self.0.samples(rows, 1)?).map(Some)
     }
 }
 

@@ -12,10 +12,7 @@ use paremsp::core::par::{paremsp_with, ParemspConfig};
 use paremsp::datasets::synth::landcover::{landcover, LandcoverParams};
 
 fn main() {
-    let megapixels: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8.0);
+    let megapixels = megapixels_arg(8.0);
     let height = ((megapixels * 1.0e6) / (4.0 / 3.0)).sqrt().round() as usize;
     let width = (megapixels * 1.0e6 / height as f64).round() as usize;
     eprintln!("generating {width}x{height} land-cover mask…");
@@ -66,4 +63,21 @@ fn main() {
             println!("  10^{decade}..10^{} px: {count} patches", decade + 1);
         }
     }
+}
+
+/// The optional `<megapixels>` argument, `default` when absent. A value
+/// that is not a number, is below one pixel, or comes with extra
+/// arguments prints usage to stderr and exits 2.
+fn megapixels_arg(default: f64) -> f64 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => return default,
+        [arg] => match arg.parse::<f64>() {
+            Ok(mp) if mp.is_finite() && mp * 1.0e6 >= 1.0 => return mp,
+            _ => eprintln!("invalid <megapixels> {arg:?}"),
+        },
+        [_, extra, ..] => eprintln!("unexpected argument {extra:?}"),
+    }
+    eprintln!("usage: landcover_analysis [<megapixels>]  (a positive size, default 8)");
+    std::process::exit(2);
 }

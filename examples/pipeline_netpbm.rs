@@ -50,10 +50,14 @@ fn main() -> std::io::Result<()> {
     )?;
     println!("wrote target/pipeline_input.ppm, pipeline_binary.pbm, pipeline_labels.ppm");
 
-    // Round-trip check: the PBM we wrote parses back identically.
+    // Round-trip check: the scene PPM and the PBM we wrote parse back
+    // identically.
     let reread =
-        pbm::read(&std::fs::read("target/pipeline_binary.pbm")?).expect("round-trip parse");
+        ppm::read(&std::fs::read("target/pipeline_input.ppm")?).expect("PPM round-trip parse");
+    assert_eq!(reread, img);
+    let reread =
+        pbm::read(&std::fs::read("target/pipeline_binary.pbm")?).expect("PBM round-trip parse");
     assert_eq!(reread, binary);
-    println!("PBM round-trip verified");
+    println!("PPM and PBM round-trips verified");
     Ok(())
 }

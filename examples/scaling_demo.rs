@@ -13,10 +13,7 @@ use paremsp::datasets::speedup::speedup;
 use paremsp::datasets::synth::landcover::{landcover, LandcoverParams};
 
 fn main() {
-    let megapixels: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16.0);
+    let megapixels = megapixels_arg(16.0);
     let side = (megapixels * 1.0e6).sqrt().round() as usize;
     eprintln!("generating {side}x{side} image…");
     let img = landcover(side, side, LandcoverParams::default(), 4242);
@@ -59,4 +56,21 @@ fn main() {
         ]);
     }
     println!("\n{}", table.render());
+}
+
+/// The optional `<megapixels>` argument, `default` when absent. A value
+/// that is not a number, is below one pixel, or comes with extra
+/// arguments prints usage to stderr and exits 2.
+fn megapixels_arg(default: f64) -> f64 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => return default,
+        [arg] => match arg.parse::<f64>() {
+            Ok(mp) if mp.is_finite() && mp * 1.0e6 >= 1.0 => return mp,
+            _ => eprintln!("invalid <megapixels> {arg:?}"),
+        },
+        [_, extra, ..] => eprintln!("unexpected argument {extra:?}"),
+    }
+    eprintln!("usage: scaling_demo [<megapixels>]  (a positive size, default 16)");
+    std::process::exit(2);
 }

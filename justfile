@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test rayon-release-test perfbench-test doc smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
+ci: fmt-check clippy build test rayon-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
 
 # Format the whole workspace in place.
 fmt:
@@ -41,6 +41,11 @@ doc:
 # Run the quickstart example end to end.
 smoke:
     cargo run --locked --release --example quickstart
+
+# Run the Netpbm pipeline example end to end: PPM -> im2bw -> PAREMSP,
+# with the written PPM and PBM read back by the whole-buffer readers.
+netpbm-smoke:
+    cargo run --locked --release --example pipeline_netpbm
 
 # Run the streaming (ccl-stream) example end to end.
 stream-smoke:

@@ -8,7 +8,8 @@
 //! names so applications need a single dependency:
 //!
 //! * [`image`] — binary/gray/RGB rasters, thresholding (`im2bw`), Netpbm
-//!   I/O (whole-buffer and incremental band decoding)
+//!   I/O (one decoder for all seven encodings: incremental row bands,
+//!   and whole-buffer readers that decode one band of every row)
 //! * [`unionfind`] — REM's union-find with splicing plus every comparison
 //!   variant, and the parallel mergers
 //! * [`core`] — the labeling algorithms: CCLLRPC, CCLREMSP, ARUN, AREMSP
