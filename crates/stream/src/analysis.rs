@@ -20,17 +20,20 @@
 //! partials per *label*, not per pixel. Three invariants make this
 //! exact:
 //!
-//! 1. **Per-pixel contributions are order-free.** Every pixel contributes
-//!    one single-pixel accumulator ([`Accum::pixel`]) computed from its
-//!    *already-scanned global* neighbours (west + the three above, read
-//!    from the raw pixels — never from another chunk's labels, which may
-//!    not exist yet). Areas, bounding boxes, coordinate sums (integer
-//!    f64, exact below 2^53), perimeter deltas, Euler deltas and the
-//!    raster-min anchor are all folded with a **commutative, associative**
-//!    operation whose identity is [`Accum::EMPTY`] — so any partition of
-//!    the pixels into partials, folded in any order, reproduces the
-//!    sequential fold bit for bit (property-tested in
-//!    `tests/proptest_accum.rs`).
+//! 1. **Per-run contributions are order-free.** The folded unit is a
+//!    **tile-local run** — a maximal stretch of foreground pixels on one
+//!    tile line — whose closed-form accumulator ([`Accum::run`]) equals
+//!    the fold of its pixels' single-pixel units ([`Accum::pixel`]).
+//!    A pixel's unit is computed from its *already-scanned global*
+//!    neighbours (west + the three above, read from the raw pixels —
+//!    never from another tile's labels, which may not exist yet). Areas,
+//!    bounding boxes, coordinate sums (integer f64, exact below 2^53),
+//!    perimeter deltas, Euler deltas and the raster-min anchor are all
+//!    folded with a **commutative, associative** operation whose
+//!    identity is [`Accum::EMPTY`] — so any partition of the runs into
+//!    partials, folded in any order, reproduces the sequential per-pixel
+//!    fold bit for bit (property-tested, runs against pixels included,
+//!    in `tests/proptest_accum.rs`).
 //! 2. **Attribution follows connectivity.** A perimeter/Euler delta is
 //!    attributed to the pixel that closes it, and the neighbours it
 //!    involves are 8-adjacent — always the same final component — so
@@ -43,7 +46,10 @@
 //!    stores because every union has already happened.
 //!    The only pixels the merge stage ever touches are the band's (or
 //!    tile row's) **first line**, whose upper neighbours are the carry
-//!    row the scan stage must not depend on — an O(width) absorb.
+//!    row the scan stage must not depend on — an O(width) fold of its
+//!    tile-local runs.
+
+use std::ops::Range;
 
 use ccl_core::label::LabelImage;
 use ccl_core::scan::Foldable;
@@ -156,10 +162,11 @@ impl Accum {
     }
 
     /// The accumulator of exactly one pixel with the given already-seen
-    /// neighbour mask — the unit the fused path folds: a component's
-    /// accumulator is the [`Foldable`] sum of its pixels' units (plus
-    /// nothing else), in any order. [`Accum::first`] is the special case
-    /// with no live neighbours.
+    /// neighbour mask — the definition the fused path's runs
+    /// ([`Accum::run`]) are checked against: a component's accumulator is
+    /// the [`Foldable`] sum of its pixels' units (plus nothing else), in
+    /// any order. [`Accum::first`] is the special case with no live
+    /// neighbours.
     #[inline]
     pub fn pixel(r: usize, c: usize, west: bool, nw: bool, north: bool, ne: bool) -> Accum {
         let mut a = Accum::first(r, c);
@@ -168,18 +175,52 @@ impl Accum {
         a
     }
 
-    /// Folds one pixel into a possibly-empty accumulator, in any order:
-    /// unlike [`Accum::add`] this neither assumes raster arrival nor a
-    /// live slot, so partial tables can absorb stray pixels (a band's
-    /// first line, accumulated by the merge stage) after the fact.
-    #[inline]
-    pub fn absorb(&mut self, r: usize, c: usize, west: bool, nw: bool, north: bool, ne: bool) {
-        if self.area == 0 {
-            *self = Accum::pixel(r, c, west, nw, north, ne);
-        } else {
-            let anchor = self.anchor.min((r, c));
-            self.add(r, c, west, nw, north, ne);
-            self.anchor = anchor;
+    /// The accumulator of one run: the foreground pixels `(r, c)` for
+    /// `c` in `cols` (non-empty), a maximal stretch of one tile line —
+    /// the unit the scan stage folds. It equals, bit for bit, the
+    /// raster-order fold of the run's [`Accum::pixel`] units, in closed
+    /// form. Every pixel after the first has its west neighbour in the
+    /// run, so the neighbour masks reduce to the first pixel's `west` and
+    /// `nw`, the 0/1 pixels `above` the run (`above[i]` is the north
+    /// neighbour of pixel `cols.start + i`) and the last pixel's `ne`:
+    /// - area `n`, `Σr = r·n`, `Σc = c₀·n + n(n−1)/2` (integer sums,
+    ///   converted to f64 once); bbox and anchor from the endpoints;
+    /// - perimeter `4n − 2((n−1) + west + Σnorth)`;
+    /// - Euler `1 + Σnorth − (west|nw|north₀) − Σ(north|ne)`.
+    ///
+    /// The neighbours may lie in the adjacent tiles or the carried row:
+    /// they are raw pixels, never labels.
+    pub fn run(
+        r: usize,
+        cols: Range<usize>,
+        west: bool,
+        nw: bool,
+        above: &[u8],
+        ne: bool,
+    ) -> Accum {
+        let n = cols.len();
+        debug_assert!(n > 0 && above.len() == n, "run and row above disagree");
+        // one pass for Σnorth and Σ(north|ne): each pixel's ne is the
+        // next pixel's north, and the last one's is `ne`
+        let last = above[n - 1];
+        let (mut north, mut north_or_ne) = (u64::from(last), u64::from(last | u8::from(ne)));
+        for (&p, &q) in above[..n - 1].iter().zip(&above[1..]) {
+            north += u64::from(p);
+            north_or_ne += u64::from(p | q);
+        }
+        let (n, c0) = (n as u64, cols.start as u64);
+        Accum {
+            area: n,
+            min_r: r,
+            min_c: cols.start,
+            max_r: r,
+            max_c: cols.end - 1,
+            sum_r: (r as u64 * n) as f64,
+            sum_c: (c0 * n + n * (n - 1) / 2) as f64,
+            anchor: (r, cols.start),
+            perimeter: 4 * n - 2 * (n - 1 + u64::from(west) + north),
+            euler: 1 + north as i64 - i64::from(west || nw || above[0] == 1) - north_or_ne as i64,
+            gid: 0,
         }
     }
 
@@ -457,13 +498,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_out_of_raster_order_keeps_raster_anchor() {
+    fn runs_out_of_raster_order_keep_raster_anchor() {
         let mut a = Accum::EMPTY;
-        a.absorb(5, 2, false, false, false, false);
-        a.absorb(1, 7, false, false, false, false); // raster-earlier pixel later
+        a.fold(&Accum::run(5, 2..4, false, false, &[0u8, 0], false));
+        // raster-earlier run folded later
+        a.fold(&Accum::run(1, 7..10, false, false, &[0u8, 0, 0], false));
         assert_eq!(a.anchor, (1, 7));
-        assert_eq!(a.area, 2);
-        assert_eq!((a.min_r, a.min_c, a.max_r, a.max_c), (1, 2, 5, 7));
+        assert_eq!(a.area, 5);
+        assert_eq!((a.min_r, a.min_c, a.max_r, a.max_c), (1, 2, 5, 9));
     }
 
     #[test]

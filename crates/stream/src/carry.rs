@@ -9,9 +9,11 @@
 //! next stream id, the finalized count and the peak residency) and runs,
 //! per band:
 //!
-//! 1. the **first-line absorb** — the band's first line is the only part
+//! 1. the **first-line fold** — the band's first line is the only part
 //!    of its partial accumulators the scan could not build (its upper
-//!    neighbours are the carry row), so it is folded in here in O(width);
+//!    neighbours are the carry row), so its tile-local runs are folded in
+//!    here ([`Accum::run`], north/nw/ne read from the carry row) in
+//!    O(width);
 //! 2. the **carry seam** between the carry row and the band's first line,
 //!    split into column spans across the workers for concurrent stores;
 //! 3. the **per-label fold** — carried accumulators onto their (possibly
@@ -37,7 +39,7 @@ use ccl_core::scan::{merge_seam, merge_seam_span, split_spans, Foldable as _};
 use ccl_unionfind::par::LockedMerger;
 
 use crate::analysis::{Accum, ComponentId, ComponentSink};
-use crate::scan::{BandUf, ScannedRow};
+use crate::scan::{for_each_run, BandUf, ScannedRow};
 
 /// Open-component state carried between bands: the carry row, the open
 /// accumulators and the id counters. See the module docs.
@@ -182,7 +184,7 @@ impl CarryState {
             .max(rows + usize::from(!self.carry.is_empty()));
         let n_carry = self.open_components() as u32;
 
-        self.absorb_first_line(r0, first, &mut acc);
+        self.fold_first_line(r0, first, &widths, &mut acc);
         if !self.carry.is_empty() {
             carry_seam(&self.carry, first, &mut uf, threads);
         }
@@ -287,26 +289,32 @@ impl CarryState {
         }
     }
 
-    /// Folds the band's first line into the partial table: its upper
-    /// neighbours are the carry row, which the scan stage never reads
-    /// (labels double as the foreground mask).
-    fn absorb_first_line(&self, r0: usize, first: &[u32], acc: &mut [Accum]) {
+    /// Folds the band's first line into the partial table, one
+    /// [`Accum::run`] per tile-local run (labels double as the
+    /// foreground mask): its upper neighbours are the carry row, which
+    /// the scan stage never reads. Runs stop at tile edges because every
+    /// tile label is created at a tile-local run start, so each used
+    /// label gets a non-empty partial.
+    fn fold_first_line(&self, r0: usize, first: &[u32], widths: &[usize], acc: &mut [Accum]) {
         let w = first.len();
-        for (c, &l) in first.iter().enumerate() {
-            if l == 0 {
-                continue;
-            }
-            let west = c > 0 && first[c - 1] != 0;
-            let (nw, north, ne) = if self.carry.is_empty() {
-                (false, false, false)
-            } else {
-                (
-                    c > 0 && self.carry[c - 1] != 0,
-                    self.carry[c] != 0,
-                    c + 1 < w && self.carry[c + 1] != 0,
-                )
-            };
-            acc[l as usize].absorb(r0, c, west, nw, north, ne);
+        let fg = |row: &[u32]| -> Vec<u8> { row.iter().map(|&l| u8::from(l != 0)).collect() };
+        let line = fg(first);
+        // the first band has no row above
+        let above = if self.carry.is_empty() {
+            vec![0; w]
+        } else {
+            fg(&self.carry)
+        };
+        let mut x0 = 0;
+        for &tw in widths {
+            for_each_run(&line[x0..x0 + tw], |a, b| {
+                let (a, b) = (x0 + a, x0 + b);
+                let west = a > 0 && line[a - 1] == 1;
+                let nw = a > 0 && above[a - 1] == 1;
+                let ne = b < w && above[b] == 1;
+                acc[first[a] as usize].fold(&Accum::run(r0, a..b, west, nw, &above[a..b], ne));
+            });
+            x0 += tw;
         }
     }
 }

@@ -17,9 +17,11 @@
 //!   columns ([`merge_seam_strided`]) over the tile buffers, concurrently
 //!   with the paper's lock-based MERGER (Algorithm 8) in parallel mode;
 //! * builds each tile's **partial accumulator table** in the worker that
-//!   scanned it, while the pixels are hot ([`crate::analysis`] has the
-//!   invariants). Neighbour probes read raw pixels — the adjacent tiles'
-//!   edge columns included — never another tile's labels.
+//!   scanned it, while the pixels are hot: one closed-form fold
+//!   ([`Accum::run`]) per tile-local run, into the label at the run's
+//!   first pixel ([`crate::analysis`] has the invariants). Neighbour
+//!   probes read raw pixels — the adjacent tiles' edge columns included
+//!   — never another tile's labels.
 //!
 //! The horizontal seam against the previous unit's carried row is not
 //! scanned here: it belongs to the carry merge ([`crate::carry`]), the
@@ -32,7 +34,9 @@
 use std::ops::Range;
 
 use ccl_core::par::MergerStore;
-use ccl_core::scan::{max_labels_two_line, merge_seam_strided, scan_two_line, split_spans};
+use ccl_core::scan::{
+    max_labels_two_line, merge_seam_strided, scan_two_line, split_spans, Foldable as _,
+};
 use ccl_image::BinaryImage;
 use ccl_unionfind::par::{ConcurrentParents, LockedMerger};
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
@@ -295,13 +299,15 @@ fn merge_vertical_seams<S: EquivalenceStore>(
     }
 }
 
-/// Accumulates one tile's partial table: every foreground pixel of the
-/// tile's lines `1..` folds its single-pixel accumulator into
-/// `parts[label - base]`. Neighbour probes read the raw tile pixels —
-/// the adjacent tiles' edge columns included — so the result never
-/// depends on another tile's label buffer, which may not exist yet. The
-/// row's first line is skipped: its upper neighbours are the carry row,
-/// which the carry merge absorbs in O(width).
+/// Accumulates one tile's partial table: every tile-local run of the
+/// tile's lines `1..` folds its closed-form accumulator ([`Accum::run`])
+/// into `parts[label - base]`, the label at the run's first pixel —
+/// where every provisional label is created, so each used label gets a
+/// non-empty partial. Neighbour probes read the raw tile pixels — the
+/// adjacent tiles' edge columns included — so the result never depends
+/// on another tile's label buffer, which may not exist yet. The row's
+/// first line is skipped: its upper neighbours are the carry row, which
+/// the carry merge folds in O(width).
 fn accumulate_tile(
     tiles: &[BinaryImage],
     t: usize,
@@ -328,15 +334,108 @@ fn accumulate_tile(
         });
         let right_ne = right.is_some_and(|rt| rt.row(r - 1)[0] == 1);
         let labels = &buf[r * tw..(r + 1) * tw];
-        for c in 0..tw {
-            let l = labels[c];
-            if l == 0 {
+        for_each_run(cur, |a, b| {
+            // a run is maximal, so only a run at the tile's left edge
+            // can have a west neighbour
+            let (west, nw) = if a > 0 {
+                (false, up[a - 1] == 1)
+            } else {
+                (left_w, left_nw)
+            };
+            let ne = if b < tw { up[b] == 1 } else { right_ne };
+            let acc = Accum::run(r0 + r, x0 + a..x0 + b, west, nw, &up[a..b], ne);
+            parts[(labels[a] - base) as usize].fold(&acc);
+        });
+    }
+}
+
+/// Calls `f(a, b)` for every run `[a, b)` of `line` — a maximal
+/// stretch of foreground in a line of 0/1 pixels — left to right.
+/// Word-wide: each 64-pixel block is packed to one bit per pixel (eight
+/// pixels per `u64` load), and the run edges are the set bits of
+/// `mask ^ (mask << 1)`, so the work per block is one step per run edge
+/// rather than one branch per pixel.
+pub(crate) fn for_each_run(line: &[u8], mut f: impl FnMut(usize, usize)) {
+    // bit i of the product's top byte is byte i of `x`, for 0/1 bytes
+    let pack = |x: u64| x.wrapping_mul(0x0102_0408_1020_4080) >> 56;
+    let n = line.len();
+    // `prev`: the pixel left of the block; `start`: the open run's start
+    let (mut prev, mut start) = (0u64, 0);
+    for (base, block) in (0..n).step_by(64).zip(line.chunks(64)) {
+        let mut m = 0;
+        let mut words = block.chunks_exact(8);
+        for (k, word) in words.by_ref().enumerate() {
+            m |= pack(u64::from_le_bytes(word.try_into().expect("8-byte chunk"))) << (8 * k);
+        }
+        let len = block.len();
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            m |= pack(u64::from_le_bytes(word)) << (len - tail.len());
+        }
+        let mut edges = (m ^ ((m << 1) | prev)) & (u64::MAX >> (64 - len));
+        while edges != 0 {
+            let p = edges.trailing_zeros() as usize;
+            edges &= edges - 1;
+            if (m >> p) & 1 == 1 {
+                start = base + p;
+            } else {
+                f(start, base + p);
+            }
+        }
+        prev = (m >> (len - 1)) & 1;
+    }
+    if prev == 1 {
+        f(start, n);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The runs of `line`, one byte at a time.
+    fn naive_runs(line: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut c = 0;
+        while c < line.len() {
+            if line[c] == 0 {
+                c += 1;
                 continue;
             }
-            let west = if c > 0 { cur[c - 1] == 1 } else { left_w };
-            let nw = if c > 0 { up[c - 1] == 1 } else { left_nw };
-            let ne = if c + 1 < tw { up[c + 1] == 1 } else { right_ne };
-            parts[(l - base) as usize].absorb(r0 + r, x0 + c, west, nw, up[c] == 1, ne);
+            let a = c;
+            while c < line.len() && line[c] == 1 {
+                c += 1;
+            }
+            out.push((a, c));
+        }
+        out
+    }
+
+    #[test]
+    fn word_wide_runs_match_a_byte_loop() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // every 8-pixel pattern, then random lines of every length
+        // around the word and block sizes at several densities
+        let mut lines: Vec<Vec<u8>> = (0..256u32)
+            .map(|bits| (0..8).map(|i| ((bits >> i) & 1) as u8).collect())
+            .collect();
+        for len in 0..=200 {
+            for density in [1, 2, 4, 7] {
+                lines.push((0..len).map(|_| u8::from(next() % 8 < density)).collect());
+            }
+        }
+        for line in &lines {
+            let mut runs = Vec::new();
+            for_each_run(line, |a, b| runs.push((a, b)));
+            assert_eq!(runs, naive_runs(line), "{line:?}");
         }
     }
 }

@@ -1,12 +1,21 @@
-//! Property tests for the fused-accumulation algebra: folding
-//! [`Accum`]s with [`Accum::merge_with`] is **commutative** and
-//! **associative** (with [`Accum::EMPTY`] as the identity of the full
-//! [`Foldable::fold`]), across all 15 synthetic generator families.
+//! Property tests for the fused-accumulation algebra, across all 15
+//! synthetic generator families.
 //!
-//! The fused path merges per-chunk partials in whatever order the seam
+//! The scan stage folds one closed-form accumulator per **tile-local
+//! run** ([`Accum::run`]); the per-pixel units ([`Accum::pixel`]) are the
+//! definition it must match. So the suite checks two things:
+//!
+//! 1. every tile-local run's [`Accum::run`] equals the raster-order fold
+//!    of its pixels' units bit for bit — runs at a tile's left or right
+//!    edge included, whose neighbour flags come from the adjacent tile;
+//! 2. folding [`Accum`]s with [`Accum::merge_with`] is **commutative**
+//!    and **associative** (with [`Accum::EMPTY`] as the identity of the
+//!    full [`Foldable::fold`]).
+//!
+//! The fused path merges per-tile partials in whatever order the seam
 //! phase happens to union labels — nondeterministic under concurrent
 //! mergers — so fold-order independence is exactly the property that
-//! makes its output bit-identical to the sequential per-pixel pass.
+//! makes its output bit-identical to a sequential per-pixel pass.
 //! Every field takes part: integer counters, bbox min/max, the raster-min
 //! anchor, and the centroid sums, whose f64 additions are exact (integer
 //! values below 2^53) and therefore genuinely associative.
@@ -42,28 +51,107 @@ fn key(a: &Accum) -> Key {
     )
 }
 
-/// The image's foreground pixels as single-pixel accumulators with their
-/// true already-scanned neighbour masks — the units the fused path folds.
-fn pixel_units(img: &BinaryImage) -> Vec<Accum> {
+/// The single-pixel accumulator of foreground pixel `(r, c)` with its
+/// true already-scanned neighbour mask — the unit the fused path folds.
+fn pixel_unit(img: &BinaryImage, r: usize, c: usize) -> Accum {
     let fg = |r: isize, c: isize| img.get_or_bg(r, c) == 1;
+    let (ri, ci) = (r as isize, c as isize);
+    Accum::pixel(
+        r,
+        c,
+        fg(ri, ci - 1),
+        fg(ri - 1, ci - 1),
+        fg(ri - 1, ci),
+        fg(ri - 1, ci + 1),
+    )
+}
+
+/// The image's foreground pixels as single-pixel units, in raster order.
+fn pixel_units(img: &BinaryImage) -> Vec<Accum> {
     let mut units = Vec::new();
     for r in 0..img.height() {
         for c in 0..img.width() {
-            if img.get(r, c) == 0 {
-                continue;
+            if img.get(r, c) == 1 {
+                units.push(pixel_unit(img, r, c));
             }
-            let (ri, ci) = (r as isize, c as isize);
-            units.push(Accum::pixel(
-                r,
-                c,
-                fg(ri, ci - 1),
-                fg(ri - 1, ci - 1),
-                fg(ri - 1, ci),
-                fg(ri - 1, ci + 1),
-            ));
         }
     }
     units
+}
+
+/// One tile-local run: row, columns, and whether it touches its tile's
+/// left or right edge.
+struct TileRun {
+    r: usize,
+    a: usize,
+    b: usize,
+    left_edge: bool,
+    right_edge: bool,
+}
+
+/// Every tile-local run of `img` cut into column tiles of `widths`
+/// (positive, cycled until the image is covered).
+fn tile_runs(img: &BinaryImage, widths: &[usize]) -> Vec<TileRun> {
+    let mut tiles = Vec::new();
+    let mut x0 = 0;
+    for &tw in widths.iter().cycle() {
+        if x0 >= img.width() {
+            break;
+        }
+        let x1 = (x0 + tw).min(img.width());
+        tiles.push(x0..x1);
+        x0 = x1;
+    }
+    let mut out = Vec::new();
+    for r in 0..img.height() {
+        let line = img.row(r);
+        for tile in &tiles {
+            let mut c = tile.start;
+            while c < tile.end {
+                if line[c] == 0 {
+                    c += 1;
+                    continue;
+                }
+                let a = c;
+                while c < tile.end && line[c] == 1 {
+                    c += 1;
+                }
+                out.push(TileRun {
+                    r,
+                    a,
+                    b: c,
+                    left_edge: a == tile.start,
+                    right_edge: c == tile.end,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// [`Accum::run`] of one tile-local run, its neighbour flags read from
+/// the whole raster (so from the adjacent tiles at a tile edge).
+fn run_accum(img: &BinaryImage, run: &TileRun) -> Accum {
+    let fg = |r: isize, c: isize| img.get_or_bg(r, c) == 1;
+    let (ri, ai, bi) = (run.r as isize, run.a as isize, run.b as isize);
+    let above: Vec<u8> = (ai..bi).map(|c| img.get_or_bg(ri - 1, c)).collect();
+    Accum::run(
+        run.r,
+        run.a..run.b,
+        fg(ri, ai - 1),
+        fg(ri - 1, ai - 1),
+        &above,
+        fg(ri - 1, bi),
+    )
+}
+
+/// The raster-order fold of one run's pixel units.
+fn run_pixel_fold(img: &BinaryImage, run: &TileRun) -> Accum {
+    let mut acc = Accum::EMPTY;
+    for c in run.a..run.b {
+        acc.fold(&pixel_unit(img, run.r, c));
+    }
+    acc
 }
 
 /// Splits `units` into `parts` non-empty partials by a seeded assignment,
@@ -84,6 +172,28 @@ fn partition(units: &[Accum], parts: usize, seed: u64) -> Vec<Accum> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every tile-local run's closed form equals the raster-order fold of
+    /// its pixel units, bitwise on every key field, for column tiles of
+    /// random widths — runs cut at a tile edge take their west, nw and
+    /// ne flags from the adjacent tile.
+    #[test]
+    fn run_equals_the_fold_of_its_pixel_units(
+        gen in 0usize..FAMILIES,
+        w in 1usize..=24,
+        h in 1usize..=12,
+        widths in proptest::collection::vec(1usize..=6, 1..6),
+        seed in 0u64..1000,
+    ) {
+        let img = family_image(gen, w, h, seed);
+        for run in tile_runs(&img, &widths) {
+            prop_assert_eq!(
+                key(&run_accum(&img, &run)),
+                key(&run_pixel_fold(&img, &run)),
+                "generator {}, row {}, cols {}..{}", gen, run.r, run.a, run.b
+            );
+        }
+    }
 
     /// `merge_with` is commutative: a ∪ b == b ∪ a on partials drawn
     /// from every generator family.
@@ -180,4 +290,35 @@ proptest! {
             prop_assert_eq!(key(&level[0]), key(&seq), "tree, generator {}", gen);
         }
     }
+}
+
+/// The run property above, on fixed seeds with narrow tiles, reaches
+/// runs at both tile edges whose neighbour flags are set only by the
+/// adjacent tile — so the edge cases cannot go untested by chance.
+#[test]
+fn edge_runs_with_neighbour_tile_flags_match_their_pixel_units() {
+    let (mut west_from_left, mut ne_from_right) = (0, 0);
+    for gen in 0..FAMILIES {
+        for seed in 0..4 {
+            let img = family_image(gen, 20, 12, seed);
+            for run in tile_runs(&img, &[3, 1, 5, 2]) {
+                let fg = |r: usize, c: usize| img.get_or_bg(r as isize, c as isize) == 1;
+                if run.left_edge && run.a > 0 && fg(run.r, run.a - 1) {
+                    west_from_left += 1;
+                }
+                if run.right_edge && run.r > 0 && fg(run.r - 1, run.b) {
+                    ne_from_right += 1;
+                }
+                assert_eq!(
+                    key(&run_accum(&img, &run)),
+                    key(&run_pixel_fold(&img, &run)),
+                    "generator {gen}, row {}, cols {}..{}",
+                    run.r,
+                    run.a,
+                    run.b
+                );
+            }
+        }
+    }
+    assert!(west_from_left > 0 && ne_from_right > 0);
 }

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test rayon-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke bench-smoke
+ci: fmt-check clippy build test rayon-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke perfbench-smoke bench-smoke
 
 # Format the whole workspace in place.
 fmt:
@@ -60,6 +60,14 @@ tiles-smoke:
 pipeline-smoke:
     cargo run --locked --release --example pipeline_prefetch
     cargo run --locked --release -p ccl-bench --bin pipeline_demo -- --reps 1 --json /tmp/BENCH_pipeline_smoke.json
+
+# Run every benchmark workload once, for one second, with its output
+# check: a workload whose records disagree with whole-image AREMSP
+# exits non-zero.
+perfbench-smoke:
+    for w in strip-noise strip-landcover tiles-spill frames-paremsp; do \
+        cargo run --locked --release --quiet --manifest-path perfbench/Cargo.toml -- --workload $w --seed 1 --seconds 1 --trace 0 || exit 1; \
+    done
 
 # Compile all ten criterion benches without running them.
 bench-smoke:
