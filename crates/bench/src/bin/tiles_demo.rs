@@ -3,9 +3,9 @@
 //! Streams Bernoulli-noise rasters of growing height through the
 //! `ccl-tiles` grid labeler (generator → tile windows → per-tile RemSP →
 //! dual-orientation seam merges → on-the-fly analysis) and reports wall
-//! time, throughput, component count and the labeler's peak resident
-//! rows — at most one tile row plus the carry row, however tall the
-//! image grows. A final column times the fully out-of-core pipeline
+//! time, throughput, component count, the provisional labels the scans
+//! allocated and the labeler's peak resident rows — at most one tile row
+//! plus the carry row, however tall the image grows. A final column times the fully out-of-core pipeline
 //! (labels *spilled to disk* as raw `u32` tiles with a sidecar merge
 //! table, committed on close) at the smallest height.
 //!
@@ -50,6 +50,9 @@ struct TilesRow {
     height: usize,
     megapixels: f64,
     components: u64,
+    /// Provisional labels the tile-row scans allocated (carried ids
+    /// excluded); the same at every thread count.
+    provisional_labels: u64,
     peak_resident_rows: usize,
     /// Peak resident rows as a fraction of the image height — the
     /// bounded-memory signal (quarters every time the height quadruples).
@@ -120,6 +123,7 @@ fn main() {
             "Height",
             "Mpixel",
             "Components",
+            "Labels",
             "Resident rows",
             "Resident",
         ]
@@ -134,7 +138,7 @@ fn main() {
     for &height in &HEIGHTS {
         let mpix = (WIDTH * height) as f64 / 1e6;
         let mut ms = Vec::new();
-        let mut components = 0u64;
+        let (mut components, mut labels) = (0u64, 0u64);
         let mut peak = 0usize;
         for &t in &threads {
             let cfg = TileGridConfig {
@@ -145,6 +149,7 @@ fn main() {
                 let stats =
                     run_labeling(&args, cfg, height).expect("generator streams are infallible");
                 components = stats.components;
+                labels = stats.provisional_labels;
                 peak = stats.peak_resident_rows;
                 stats
             });
@@ -155,6 +160,7 @@ fn main() {
             height,
             megapixels: mpix,
             components,
+            provisional_labels: labels,
             peak_resident_rows: peak,
             resident_fraction: peak as f64 / height as f64,
             ms: ms.clone(),
@@ -165,6 +171,7 @@ fn main() {
                 height.to_string(),
                 format!("{mpix:.1}"),
                 row.components.to_string(),
+                row.provisional_labels.to_string(),
                 row.peak_resident_rows.to_string(),
                 format!("{:.3}%", row.resident_fraction * 100.0),
             ]

@@ -7,6 +7,6 @@ pub mod partition;
 pub mod rayon_impl;
 
 pub use multipass_par::multipass_parallel;
-pub use paremsp::{paremsp, paremsp_with, MergerKind, MergerStore, ParemspConfig, PhaseTimings};
+pub use paremsp::{paremsp, paremsp_with, MergerKind, ParemspConfig, PhaseTimings};
 pub use partition::{partition_rows, Chunk};
 pub use rayon_impl::paremsp_rayon;

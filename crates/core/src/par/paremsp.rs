@@ -276,20 +276,19 @@ fn run<M: ConcurrentMerger>(
 }
 
 /// Adapts a [`ConcurrentMerger`] over a [`ConcurrentParents`] array to the
-/// sequential [`EquivalenceStore`] interface, so the shared seam logic
-/// ([`merge_seam`]) drives both PAREMSP's parallel boundary phase and any
-/// sequential consumer (the `ccl-stream` strip labeler).
+/// [`EquivalenceStore`] interface, so the shared seam logic
+/// ([`merge_seam`]) drives PAREMSP's parallel boundary phase.
 ///
 /// Only `merge` is supported; labels must already be registered by the
 /// scan phase.
-pub struct MergerStore<'a, M: ConcurrentMerger> {
+struct MergerStore<'a, M: ConcurrentMerger> {
     parents: &'a ConcurrentParents,
     merger: &'a M,
 }
 
 impl<'a, M: ConcurrentMerger> MergerStore<'a, M> {
     /// Wraps the shared parent array and a merger implementation.
-    pub fn new(parents: &'a ConcurrentParents, merger: &'a M) -> Self {
+    fn new(parents: &'a ConcurrentParents, merger: &'a M) -> Self {
         MergerStore { parents, merger }
     }
 }

@@ -37,7 +37,7 @@ pub mod seam;
 pub mod two_line;
 
 pub use decision_tree::scan_decision_tree;
-pub use seam::{merge_seam, merge_seam_span, merge_seam_strided, split_spans, Foldable};
+pub use seam::{merge_seam, merge_seam_strided, split_spans, Foldable};
 pub use two_line::scan_two_line;
 
 use ccl_unionfind::EquivalenceStore;

@@ -3,10 +3,10 @@
 //! This is the paper's Algorithm 7 lines 13–20, factored out of PAREMSP so
 //! that any consumer holding the labels of two adjacent lines can restore
 //! 8-connectivity across them: the parallel chunk-boundary MERGER phase
-//! (every boundary row in parallel), the `ccl-stream` strip labeler (one
-//! seam per band, split into column segments in parallel mode), and the
-//! `ccl-tiles` grid labeler (vertical seams between horizontally adjacent
-//! tiles, walked as strided columns).
+//! (every boundary row in parallel), and the out-of-core scan and carry
+//! merge of `ccl-stream` and `ccl-tiles` (one seam per band against the
+//! carried row; vertical seams between horizontally adjacent tiles,
+//! walked as strided columns).
 //!
 //! The lines may come from *different* label buffers — all that matters is
 //! that both lines' labels live in one equivalence store. The same logic
@@ -39,8 +39,7 @@ pub trait Foldable: Copy {
 
 /// The seam body shared by every entry point: merges element `i` of `cur`
 /// with elements `i-1`, `i`, `i+1` of `up` under 8-connectivity, for `i`
-/// in `span` (neighbour probes reach outside `span` but stay in
-/// `0..len`). The direct neighbour `up(i)` subsumes both diagonals when
+/// in `0..len`. The direct neighbour `up(i)` subsumes both diagonals when
 /// present; otherwise the two diagonals are merged individually
 /// (Algorithm 7 lines 13–20).
 #[inline]
@@ -48,11 +47,9 @@ fn seam_core<S: EquivalenceStore>(
     up: impl Fn(usize) -> u32,
     cur: impl Fn(usize) -> u32,
     len: usize,
-    span: Range<usize>,
     store: &mut S,
 ) {
-    debug_assert!(span.end <= len);
-    for c in span {
+    for c in 0..len {
         let le = cur(c);
         if le == 0 {
             continue;
@@ -91,32 +88,13 @@ fn seam_core<S: EquivalenceStore>(
 pub fn merge_seam<S: EquivalenceStore>(up: &[u32], cur: &[u32], store: &mut S) {
     assert_eq!(up.len(), cur.len(), "seam rows differ in width");
     let w = cur.len();
-    seam_core(|i| up[i], |i| cur[i], w, 0..w, store);
-}
-
-/// [`merge_seam`] restricted to the columns in `span`: only `cur[span]`
-/// pixels are merged, but their diagonal probes read the *full* `up` row,
-/// so a seam partitioned into disjoint spans merges exactly the same
-/// pairs as one whole-row call — the building block for parallelizing a
-/// single wide seam across threads (`ccl-stream`'s inter-band seam).
-///
-/// # Panics
-/// Panics when the rows differ in length or `span` exceeds it.
-pub fn merge_seam_span<S: EquivalenceStore>(
-    up: &[u32],
-    cur: &[u32],
-    span: Range<usize>,
-    store: &mut S,
-) {
-    assert_eq!(up.len(), cur.len(), "seam rows differ in width");
-    assert!(span.end <= cur.len(), "span exceeds seam width");
-    seam_core(|i| up[i], |i| cur[i], cur.len(), span, store);
+    seam_core(|i| up[i], |i| cur[i], w, store);
 }
 
 /// Splits `0..len` into at most `parts` contiguous, non-empty,
 /// near-equal spans (the first spans one element longer) — the standard
-/// partition for fanning a seam ([`merge_seam_span`]), a compaction pass
-/// or a tile run out across workers. Returns no spans when `len` is 0.
+/// partition for fanning rows, column tiles or a tile run out across
+/// workers. Returns no spans when `len` is 0.
 pub fn split_spans(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -164,13 +142,7 @@ pub fn merge_seam_strided<S: EquivalenceStore>(
         up.len() > (len - 1) * up_stride && cur.len() > (len - 1) * cur_stride,
         "strided seam out of bounds"
     );
-    seam_core(
-        |i| up[i * up_stride],
-        |i| cur[i * cur_stride],
-        len,
-        0..len,
-        store,
-    );
+    seam_core(|i| up[i * up_stride], |i| cur[i * cur_stride], len, store);
 }
 
 #[cfg(test)]
@@ -236,35 +208,6 @@ mod tests {
     fn mismatched_widths_panic() {
         let mut s = store_with(1);
         merge_seam(&[0, 0], &[0], &mut s);
-    }
-
-    #[test]
-    fn span_merges_only_its_columns_but_probes_full_row() {
-        // cur[2] sits in the span; its left diagonal up[1] lies outside it.
-        let mut s = store_with(2);
-        merge_seam_span(&[0, 1, 0, 0], &[0, 0, 2, 0], 2..4, &mut s);
-        assert!(s.same(1, 2));
-        // cur[1] outside the span: untouched even though up[1] is live
-        let mut s = store_with(2);
-        merge_seam_span(&[0, 1, 0, 0], &[0, 2, 0, 0], 2..4, &mut s);
-        assert!(!s.same(1, 2));
-    }
-
-    #[test]
-    fn partitioned_spans_equal_whole_row() {
-        let up = [1, 0, 2, 0, 3, 3, 0, 4];
-        let cur = [0, 5, 0, 6, 0, 7, 8, 0];
-        let mut whole = store_with(8);
-        merge_seam(&up, &cur, &mut whole);
-        let mut split = store_with(8);
-        for span in [0..3, 3..5, 5..8] {
-            merge_seam_span(&up, &cur, span, &mut split);
-        }
-        for x in 1..=8 {
-            for y in 1..=8 {
-                assert_eq!(whole.same(x, y), split.same(x, y), "({x}, {y})");
-            }
-        }
     }
 
     #[test]

@@ -38,12 +38,14 @@
 //!    attributed to the pixel that closes it, and the neighbours it
 //!    involves are 8-adjacent — always the same final component — so
 //!    per-component sums survive arbitrary chunk/tile/seam merges.
-//! 3. **Partials stay where their label is.** A chunk's partials live in
-//!    the chunk's disjoint provisional-label range, so scan workers
-//!    write without synchronization. The merge stage folds each used
-//!    label's partial onto its union-find root right after the carry
-//!    seam — O(labels), not O(pixels), and race-free for concurrent
-//!    stores because every union has already happened.
+//! 3. **Partials live in each worker's own table.** A scan worker
+//!    indexes its partials by its own group's labels, in a table no
+//!    other worker touches, so workers write without synchronization;
+//!    the stitch appends the tables in label order, as it does the
+//!    union-find parents ([`crate::scan`]). The merge stage folds each
+//!    used label's partial onto its union-find root right after the
+//!    carry seam — O(labels), not O(pixels), once every union has
+//!    happened.
 //!    The only pixels the merge stage ever touches are the band's (or
 //!    tile row's) **first line**, whose upper neighbours are the carry
 //!    row the scan stage must not depend on — an O(width) fold of its
@@ -85,7 +87,7 @@ pub struct ComponentRecord {
     /// this (8-connected) component, via Lemaitre & Lacassagne's
     /// Euler-characteristic fold — `holes = 1 - χ` where `χ = V − E + F`
     /// of the component's closed-pixel complex, accumulated per pixel
-    /// from its already-scanned neighbours (see [`Accum::add`]).
+    /// from its already-scanned neighbours (see [`Accum::pixel`]).
     pub holes: u64,
 }
 
@@ -167,6 +169,16 @@ impl Accum {
     /// the [`Foldable`] sum of its pixels' units (plus nothing else), in
     /// any order. [`Accum::first`] is the special case with no live
     /// neighbours.
+    ///
+    /// `west`/`nw`/`north`/`ne` are the four already-scanned foreground
+    /// neighbours of `(r, c)`: each shared 4-edge removes one boundary
+    /// edge from *both* endpoints (perimeter), and the pixel's Euler
+    /// contribution counts only the vertices/edges of its closed unit
+    /// square that no earlier pixel created:
+    /// `Δχ = ΔV − ΔE + 1 = 1 + north − (west|nw|north) − (north|ne)`.
+    /// Every shared vertex/edge joins 8-adjacent pixels, so attributing
+    /// the delta to this pixel's component keeps per-component sums exact
+    /// across merges.
     #[inline]
     pub fn pixel(r: usize, c: usize, west: bool, nw: bool, north: bool, ne: bool) -> Accum {
         let mut a = Accum::first(r, c);
@@ -222,30 +234,6 @@ impl Accum {
             euler: 1 + north as i64 - i64::from(west || nw || above[0] == 1) - north_or_ne as i64,
             gid: 0,
         }
-    }
-
-    /// Adds one pixel. Pixels arrive in raster order, so the anchor never
-    /// moves. `west`/`nw`/`north`/`ne` are the four already-scanned
-    /// foreground neighbours of `(r, c)`: each shared 4-edge removes one
-    /// boundary edge from *both* endpoints (perimeter), and the pixel's
-    /// Euler contribution counts only the vertices/edges of its closed
-    /// unit square that no earlier pixel created:
-    /// `Δχ = ΔV − ΔE + 1 = 1 + north − (west|nw|north) − (north|ne)`.
-    /// Every shared vertex/edge joins 8-adjacent pixels, so attributing
-    /// the delta to this pixel's open component keeps per-component sums
-    /// exact across merges.
-    #[inline]
-    pub fn add(&mut self, r: usize, c: usize, west: bool, nw: bool, north: bool, ne: bool) {
-        self.area += 1;
-        self.min_r = self.min_r.min(r);
-        self.min_c = self.min_c.min(c);
-        self.max_r = self.max_r.max(r);
-        self.max_c = self.max_c.max(c);
-        self.sum_r += r as f64;
-        self.sum_c += c as f64;
-        self.perimeter += 4 - 2 * (u64::from(west) + u64::from(north));
-        self.euler +=
-            1 + i64::from(north) - i64::from(west || nw || north) - i64::from(north || ne);
     }
 
     /// Folds another accumulator in (two open components discovered to be
@@ -436,8 +424,8 @@ mod tests {
     fn accum_tracks_bbox_centroid_anchor_perimeter() {
         // L-tromino at (2,3) (2,4) (3,3): perimeter 8, no hole
         let mut a = Accum::first(2, 3);
-        a.add(2, 4, true, false, false, false);
-        a.add(3, 3, false, false, true, true);
+        a.fold(&Accum::pixel(2, 4, true, false, false, false));
+        a.fold(&Accum::pixel(3, 3, false, false, true, true));
         assert_eq!(a.area, 3);
         assert_eq!((a.min_r, a.min_c, a.max_r, a.max_c), (2, 3, 3, 4));
         assert_eq!(a.anchor, (2, 3));
@@ -465,36 +453,31 @@ mod tests {
 
     #[test]
     fn euler_fold_counts_ring_hole() {
-        // 3x3 ring: add pixels in raster order with their already-scanned
-        // neighbours; χ ends at 0, so exactly one hole.
+        // 3x3 ring: fold pixel units in raster order with their
+        // already-scanned neighbours; χ ends at 0, so exactly one hole.
         let mut a = Accum::first(0, 0);
-        a.add(0, 1, true, false, false, false);
-        a.add(0, 2, true, false, false, false);
-        a.add(1, 0, false, false, true, true);
-        a.add(1, 2, false, true, true, false);
-        a.add(2, 0, false, false, true, false);
-        a.add(2, 1, true, true, false, true);
-        a.add(2, 2, true, false, true, false);
+        for (r, c, west, nw, north, ne) in [
+            (0, 1, true, false, false, false),
+            (0, 2, true, false, false, false),
+            (1, 0, false, false, true, true),
+            (1, 2, false, true, true, false),
+            (2, 0, false, false, true, false),
+            (2, 1, true, true, false, true),
+            (2, 2, true, false, true, false),
+        ] {
+            a.fold(&Accum::pixel(r, c, west, nw, north, ne));
+        }
         assert_eq!(a.euler, 0);
         a.gid = 1;
         assert_eq!(a.into_record().holes, 1);
     }
 
     #[test]
-    fn pixel_unit_matches_add_and_first() {
+    fn pixel_unit_without_neighbours_is_first() {
         assert_eq!(
             format!("{:?}", Accum::pixel(3, 4, false, false, false, false)),
             format!("{:?}", Accum::first(3, 4))
         );
-        // folding pixel units in raster order reproduces first + add
-        let mut seq = Accum::first(2, 3);
-        seq.add(2, 4, true, false, false, false);
-        seq.add(3, 3, false, false, true, true);
-        let mut folded = Accum::EMPTY;
-        folded.fold(&Accum::pixel(2, 3, false, false, false, false));
-        folded.fold(&Accum::pixel(2, 4, true, false, false, false));
-        folded.fold(&Accum::pixel(3, 3, false, false, true, true));
-        assert_eq!(format!("{seq:?}"), format!("{folded:?}"));
     }
 
     #[test]

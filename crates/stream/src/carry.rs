@@ -15,7 +15,7 @@
 //!    here ([`Accum::run`], north/nw/ne read from the carry row) in
 //!    O(width);
 //! 2. the **carry seam** between the carry row and the band's first line,
-//!    split into column spans across the workers for concurrent stores;
+//!    one sequential pass over the scan's stitched store;
 //! 3. the **per-label fold** — carried accumulators onto their (possibly
 //!    merged) roots, replaying every carried-id merge, then each used
 //!    label's partial onto its root: O(labels), never O(pixels);
@@ -28,18 +28,18 @@
 //! the stream. The input is the [`ScannedRow`] of the shared scan stage
 //! ([`crate::scan`]) — one tile for a sequential strip band, several
 //! column tiles otherwise; the first and last label lines are borrowed
-//! from a one-tile row and assembled in O(width) from several tiles — so
+//! from a one-tile row and assembled in O(width) from several tiles, each
+//! tile's label shift applied — so
 //! each engine keeps only its own label emission, through the
 //! [`MergedBand`] this stage returns.
 
 use std::borrow::Cow;
 
-use ccl_core::par::MergerStore;
-use ccl_core::scan::{merge_seam, merge_seam_span, split_spans, Foldable as _};
-use ccl_unionfind::par::LockedMerger;
+use ccl_core::scan::{merge_seam, Foldable as _};
+use ccl_unionfind::{RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentId, ComponentSink};
-use crate::scan::{for_each_run, BandUf, ScannedRow};
+use crate::scan::{for_each_run, shifted, ScannedRow};
 
 /// Open-component state carried between bands: the carry row, the open
 /// accumulators and the id counters. See the module docs.
@@ -54,6 +54,7 @@ pub struct CarryState {
     active: Vec<Accum>,
     next_gid: u64,
     finalized: u64,
+    provisional_labels: u64,
     peak_resident_rows: usize,
 }
 
@@ -63,27 +64,39 @@ pub struct MergedBand {
     rows: usize,
     widths: Vec<usize>,
     labels: Vec<Vec<u32>>,
+    shifts: Vec<u32>,
     ids: StreamIds,
     merges: Vec<(ComponentId, ComponentId)>,
 }
 
 /// Provisional label → stream id, through the merged equivalences.
 struct StreamIds {
-    uf: BandUf,
+    uf: RemSP,
     root_of: Vec<u32>,
     acc: Vec<Accum>,
 }
 
 impl StreamIds {
-    /// Stream id of provisional label `label` (0 for background).
+    /// Stream id of row label `label` (0 for background).
     #[inline]
     fn gid(&mut self, label: u32) -> ComponentId {
         if label == 0 {
             return 0;
         }
-        let root = self.uf.find_cached(&mut self.root_of, label);
+        let root = find_cached(&mut self.uf, &mut self.root_of, label);
         self.acc[root as usize].gid
     }
+}
+
+/// Memoized root of `x`: `cache` holds one slot per label (`u32::MAX` =
+/// unresolved). Callers that resolve *before* a late seam must not reuse
+/// the same cache after it.
+#[inline]
+fn find_cached(uf: &mut RemSP, cache: &mut [u32], x: u32) -> u32 {
+    if cache[x as usize] == u32::MAX {
+        cache[x as usize] = uf.find(x);
+    }
+    cache[x as usize]
 }
 
 impl MergedBand {
@@ -100,22 +113,21 @@ impl MergedBand {
 
     /// Stream ids of tile `t`'s pixels, row-major within the tile.
     pub fn tile_gids(&mut self, t: usize) -> Vec<ComponentId> {
-        let ids = &mut self.ids;
-        self.labels[t].iter().map(|&l| ids.gid(l)).collect()
+        let (ids, shift) = (&mut self.ids, self.shifts[t]);
+        self.labels[t]
+            .iter()
+            .map(|&l| ids.gid(shifted(l, shift)))
+            .collect()
     }
 
     /// Stream ids of the whole band, row-major across every tile.
     pub fn gids(&mut self) -> Vec<ComponentId> {
-        let (labels, widths, ids) = (&self.labels, &self.widths, &mut self.ids);
-        (0..self.rows)
-            .flat_map(|r| {
-                labels
-                    .iter()
-                    .zip(widths)
-                    .flat_map(move |(buf, &tw)| &buf[r * tw..(r + 1) * tw])
-            })
-            .map(|&l| ids.gid(l))
-            .collect()
+        let mut out = Vec::with_capacity(self.rows * self.widths.iter().sum::<usize>());
+        for r in 0..self.rows {
+            let row = line(&self.labels, &self.widths, &self.shifts, r);
+            out.extend(row.iter().map(|&l| self.ids.gid(l)));
+        }
+        out
     }
 }
 
@@ -128,6 +140,7 @@ impl CarryState {
             active: vec![Accum::EMPTY],
             next_gid: 1,
             finalized: 0,
+            provisional_labels: 0,
             peak_resident_rows: 0,
         }
     }
@@ -147,6 +160,12 @@ impl CarryState {
         self.finalized
     }
 
+    /// Provisional labels the scans allocated so far, carried-id slots
+    /// excluded: the size of the label space the bands used.
+    pub fn provisional_labels(&self) -> u64 {
+        self.provisional_labels
+    }
+
     /// Maximum pixel rows resident so far: the tallest band plus the
     /// carry row (the pipelined executor counts its own two-band
     /// residency instead).
@@ -156,26 +175,21 @@ impl CarryState {
 
     /// Merges one scanned, non-degenerate band against the carry row,
     /// emits every component that closed and rebuilds the carry (steps
-    /// 1–6 of the module docs). A parallel band's carry seam splits into
-    /// `threads` column spans.
-    pub fn merge(
-        &mut self,
-        band: ScannedRow,
-        threads: usize,
-        components: &mut dyn ComponentSink,
-    ) -> MergedBand {
+    /// 1–6 of the module docs).
+    pub fn merge(&mut self, band: ScannedRow, components: &mut dyn ComponentSink) -> MergedBand {
         let ScannedRow {
             r0,
             rows,
             widths,
             labels,
+            shifts,
             mut uf,
             partials: mut acc,
             used,
         } = band;
         debug_assert!(!labels.is_empty(), "degenerate bands are the engines' job");
-        let first = line(&labels, &widths, 0);
-        let last = line(&labels, &widths, rows - 1);
+        let first = line(&labels, &widths, &shifts, 0);
+        let last = line(&labels, &widths, &shifts, rows - 1);
         let (first, last) = (&*first, &*last);
         debug_assert_eq!(first.len(), self.width);
         debug_assert_eq!(last.len(), self.width);
@@ -183,10 +197,11 @@ impl CarryState {
             .peak_resident_rows
             .max(rows + usize::from(!self.carry.is_empty()));
         let n_carry = self.open_components() as u32;
+        self.provisional_labels += u64::from(used.end - used.start);
 
         self.fold_first_line(r0, first, &widths, &mut acc);
         if !self.carry.is_empty() {
-            carry_seam(&self.carry, first, &mut uf, threads);
+            merge_seam(&self.carry, first, &mut uf);
         }
 
         // After this block `acc[root]` holds the complete accumulator of
@@ -203,20 +218,18 @@ impl CarryState {
             &mut touched,
             &mut merges,
         );
-        let mut root_of: Vec<u32> = vec![u32::MAX; uf.slots()];
-        for range in used {
-            for l in range {
-                if acc[l as usize].is_empty() {
-                    continue;
-                }
-                let root = uf.find(l);
-                root_of[l as usize] = root;
-                if root == l {
-                    touched.push(l);
-                } else {
-                    let p = std::mem::replace(&mut acc[l as usize], Accum::EMPTY);
-                    acc[root as usize].fold(&p);
-                }
+        let mut root_of: Vec<u32> = vec![u32::MAX; uf.len()];
+        for l in used {
+            // every label is created at a tile-local run start, so the
+            // scan (lines 1..) and the first-line fold gave it a partial
+            debug_assert!(!acc[l as usize].is_empty(), "label {l} has no pixel");
+            let root = uf.find(l);
+            root_of[l as usize] = root;
+            if root == l {
+                touched.push(l);
+            } else {
+                let p = std::mem::replace(&mut acc[l as usize], Accum::EMPTY);
+                acc[root as usize].fold(&p);
             }
         }
 
@@ -248,7 +261,7 @@ impl CarryState {
             if l == 0 {
                 continue;
             }
-            let root = uf.find_cached(&mut root_of, l) as usize;
+            let root = find_cached(&mut uf, &mut root_of, l) as usize;
             if survivor_id[root] == 0 {
                 self.active.push(acc[root]);
                 survivor_id[root] = (self.active.len() - 1) as u32;
@@ -267,6 +280,7 @@ impl CarryState {
             rows,
             widths,
             labels,
+            shifts,
             ids: StreamIds { uf, root_of, acc },
             merges,
         }
@@ -319,48 +333,25 @@ impl CarryState {
     }
 }
 
-/// Labels of local line `r` across every tile buffer, left to right:
-/// borrowed from a one-tile row, assembled in O(width) otherwise.
-fn line<'a>(labels: &'a [Vec<u32>], widths: &[usize], r: usize) -> Cow<'a, [u32]> {
+/// Row labels of local line `r` across every tile buffer, left to right:
+/// borrowed from a one-tile row (whose shift is 0), assembled in O(width)
+/// with each tile's shift applied otherwise.
+fn line<'a>(labels: &'a [Vec<u32>], widths: &[usize], shifts: &[u32], r: usize) -> Cow<'a, [u32]> {
     match (labels, widths) {
         ([one], &[w]) => Cow::Borrowed(&one[r * w..(r + 1) * w]),
         _ => Cow::Owned(
             labels
                 .iter()
                 .zip(widths)
-                .flat_map(|(buf, &tw)| &buf[r * tw..(r + 1) * tw])
-                .copied()
+                .zip(shifts)
+                .flat_map(|((buf, &tw), &shift)| {
+                    buf[r * tw..(r + 1) * tw]
+                        .iter()
+                        .map(move |&l| shifted(l, shift))
+                })
                 .collect(),
         ),
     }
-}
-
-/// Merges the carry row with the band's first line (the paper's phase 3,
-/// run by the merge stage because it needs the carry row). Concurrent
-/// stores split the row into column spans across `threads` workers
-/// sharing one lock-based MERGER; a span's diagonal probes read the full
-/// carry row ([`merge_seam_span`]), so the partition merges exactly the
-/// same pairs as one whole-row call.
-fn carry_seam(carry: &[u32], first: &[u32], uf: &mut BandUf, threads: usize) {
-    let parents = match uf {
-        BandUf::Seq(store) => return merge_seam(carry, first, store),
-        BandUf::Par(parents) => &*parents,
-    };
-    let merger = &LockedMerger::new();
-    let spans = split_spans(carry.len(), threads);
-    if spans.len() <= 1 {
-        let mut store = MergerStore::new(parents, merger);
-        merge_seam(carry, first, &mut store);
-        return;
-    }
-    rayon::scope(|s| {
-        for span in spans {
-            s.spawn(move |_| {
-                let mut store = MergerStore::new(parents, merger);
-                merge_seam_span(carry, first, span, &mut store);
-            });
-        }
-    });
 }
 
 /// Folds the carried accumulators onto their (possibly merged) roots,
@@ -369,7 +360,7 @@ fn carry_seam(carry: &[u32], first: &[u32], uf: &mut BandUf, threads: usize) {
 /// carried id (Rem roots are set minima and carried ids occupy the low
 /// slots), so every carried root's slot is empty until this fold.
 fn fold_carried(
-    uf: &mut BandUf,
+    uf: &mut RemSP,
     active: &[Accum],
     n_carry: u32,
     acc: &mut [Accum],

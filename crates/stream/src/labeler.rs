@@ -22,8 +22,9 @@
 //! * **scan stage** (`scan_band`) — a band is a row of column tiles: one
 //!   tile scanned with the two-line scan + RemSP when
 //!   [`StripConfig::threads`]` == 1`, `threads` column tiles scanned by
-//!   as many workers otherwise, vertical seams between them merged with
-//!   the paper's MERGER ([`crate::scan`]). Carried ids are reserved by
+//!   as many workers otherwise, each into a label space of its own that
+//!   the stage then stitches into one numbering and merges along the
+//!   vertical seams ([`crate::scan`]). Carried ids are reserved by
 //!   capacity (the synchronous path passes the exact open-component
 //!   count, the pipelined executor the width bound `⌈w/2⌉`), so the stage
 //!   never looks at the carry row. Each scan worker also builds its
@@ -283,7 +284,7 @@ impl StripLabeler {
             return Ok(());
         }
         let r0 = self.rows_done;
-        let mut merged = self.carry.merge(band, self.cfg.threads, components);
+        let mut merged = self.carry.merge(band, components);
         if let Some(sink) = strips {
             for &(kept, absorbed) in merged.merges() {
                 sink.merge(kept, absorbed);

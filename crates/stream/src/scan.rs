@@ -1,27 +1,32 @@
 //! The scan stage — the one scan both out-of-core engines share.
 //!
-//! PAREMSP scans disjoint chunks with disjoint provisional-label ranges
-//! and merges only their boundaries; Komura's generalized label
-//! equivalence shows the boundary merge works over any block
-//! decomposition. The unit scanned here is a **tile row**: `rows` pixel
-//! rows cut into column tiles, left to right. The `ccl-tiles` grid
-//! labeler hands over its tile rows as they arrive; the strip labeler
-//! ([`crate::StripLabeler`]) hands over each band as one tile
-//! (sequential) or as `threads` column tiles (parallel). [`scan_tile_row`]
+//! The unit scanned here is a **tile row**: `rows` pixel rows cut into
+//! column tiles, left to right. The `ccl-tiles` grid labeler hands over
+//! its tile rows as they arrive; the strip labeler ([`crate::StripLabeler`])
+//! hands over each band as one tile (sequential) or as `threads` column
+//! tiles (parallel). [`scan_tile_row`] labels locally first and stitches
+//! globally after — the split of Chen et al.'s coarse-to-fine labeling
+//! and Komura's block decomposition — and builds exactly the label space
+//! a sequential scan of the tiles, left to right, would build:
 //!
-//! * scans every tile with the two-line scan into its own label buffer —
-//!   sequentially into one RemSP store (`threads <= 1`), or in parallel
-//!   by at most `threads` workers, each taking a contiguous group of
-//!   tiles, into a shared parent array with one label range per tile;
-//! * merges the **vertical seams** between adjacent tiles as strided
-//!   columns ([`merge_seam_strided`]) over the tile buffers, concurrently
-//!   with the paper's lock-based MERGER (Algorithm 8) in parallel mode;
-//! * builds each tile's **partial accumulator table** in the worker that
-//!   scanned it, while the pixels are hot: one closed-form fold
-//!   ([`Accum::run`]) per tile-local run, into the label at the run's
-//!   first pixel ([`crate::analysis`] has the invariants). Neighbour
-//!   probes read raw pixels — the adjacent tiles' edge columns included
-//!   — never another tile's labels.
+//! * **per-group scan** — the tiles split into at most `threads`
+//!   contiguous groups ([`split_spans`]), one worker each (one group runs
+//!   inline). A worker scans its tiles with the two-line scan into a RemSP
+//!   store of its own, grows the group's **partial accumulator table** as
+//!   labels appear — one closed-form fold ([`Accum::run`]) per tile-local
+//!   run, into the label at the run's first pixel ([`crate::analysis`]
+//!   has the invariants) — and merges the group's own **vertical seams**
+//!   as strided columns ([`merge_seam_strided`]). Neighbour probes read
+//!   raw pixels — the adjacent tiles' edge columns included — never
+//!   another tile's labels.
+//! * **stitch** — each later group's labels are shifted by the count of
+//!   labels before it: its parents and partials are appended to the
+//!   first group's tables in O(labels), and the shift is recorded per tile
+//!   and applied wherever labels are read (`shifted`), so no label
+//!   buffer is rewritten. The few seams between groups are then merged on
+//!   the stitched store. Labels, partials, roots and the used range equal
+//!   the one-group scan's, and every table is sized by the labels the
+//!   scan allocated, not by a worst case.
 //!
 //! The horizontal seam against the previous unit's carried row is not
 //! scanned here: it belongs to the carry merge ([`crate::carry`]), the
@@ -33,70 +38,11 @@
 
 use std::ops::Range;
 
-use ccl_core::par::MergerStore;
-use ccl_core::scan::{
-    max_labels_two_line, merge_seam_strided, scan_two_line, split_spans, Foldable as _,
-};
+use ccl_core::scan::{merge_seam, merge_seam_strided, scan_two_line, split_spans, Foldable as _};
 use ccl_image::BinaryImage;
-use ccl_unionfind::par::{ConcurrentParents, LockedMerger};
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::analysis::Accum;
-
-/// Post-scan view of one tile row's equivalences: sequential RemSP or
-/// the parallel shared parent array. Both are Rem-family (parents ≤
-/// children), so [`BandUf::find`] returns the set's minimum label in
-/// either case — the property the carry merge relies on for
-/// mode-independent output.
-pub(crate) enum BandUf {
-    /// Sequential mode: one RemSP store owns the whole label space.
-    Seq(RemSP),
-    /// Parallel mode: the shared parent array the tile scans and seam
-    /// merges operated on (all workers joined).
-    Par(ConcurrentParents),
-}
-
-impl BandUf {
-    /// Root (set minimum) of `x`'s equivalence class.
-    #[inline]
-    pub(crate) fn find(&mut self, x: u32) -> u32 {
-        match self {
-            BandUf::Seq(uf) => uf.find(x),
-            BandUf::Par(p) => {
-                let mut r = x;
-                loop {
-                    let q = p.load(r);
-                    if q == r {
-                        return r;
-                    }
-                    r = q;
-                }
-            }
-        }
-    }
-
-    /// Memoized [`BandUf::find`]: `cache` holds one slot per label
-    /// (`u32::MAX` = unresolved). Callers that resolve *before* a late
-    /// seam must not reuse the same cache after it.
-    #[inline]
-    pub(crate) fn find_cached(&mut self, cache: &mut [u32], x: u32) -> u32 {
-        if cache[x as usize] != u32::MAX {
-            cache[x as usize]
-        } else {
-            let r = self.find(x);
-            cache[x as usize] = r;
-            r
-        }
-    }
-
-    /// Size of the underlying label slot space (registered or not).
-    pub(crate) fn slots(&self) -> usize {
-        match self {
-            BandUf::Seq(uf) => uf.len(),
-            BandUf::Par(p) => p.capacity(),
-        }
-    }
-}
 
 /// One scanned tile row: per-tile label buffers with the vertical seams
 /// merged, the equivalences, and the partial accumulator tables.
@@ -109,18 +55,22 @@ pub struct ScannedRow {
     pub(crate) rows: usize,
     /// Tile widths, left to right (empty for a degenerate row).
     pub(crate) widths: Vec<usize>,
-    /// Per-tile label buffers, row-major within each tile. Carried-id
-    /// slots `1..=carry_cap` are reserved; tile labels start above them.
+    /// Per-tile label buffers, row-major within each tile, in their
+    /// group's numbering: label `l` of tile `t` is row label
+    /// [`shifted`]`(l, shifts[t])`.
     pub(crate) labels: Vec<Vec<u32>>,
-    /// The row's equivalences (vertical seams merged, carry seam pending).
-    pub(crate) uf: BandUf,
-    /// Partial accumulators indexed by provisional label, covering every
-    /// pixel except the first line (whose upper neighbours are the carry
-    /// row the scan must not read).
+    /// Per-tile label shift (0 in the first group).
+    pub(crate) shifts: Vec<u32>,
+    /// The row's equivalences over row labels (vertical seams merged,
+    /// carry seam pending). Carried-id slots `1..=carry_cap` are
+    /// reserved; tile labels start above them. Rem roots are set minima.
+    pub(crate) uf: RemSP,
+    /// Partial accumulators indexed by row label, one per `uf` slot,
+    /// covering every pixel except the first line (whose upper neighbours
+    /// are the carry row the scan must not read).
     pub(crate) partials: Vec<Accum>,
-    /// Provisional-label ranges the scan actually allocated — the carry
-    /// merge's fold sweeps these instead of the full slot space.
-    pub(crate) used: Vec<Range<u32>>,
+    /// Row labels the scan allocated: `carry_cap + 1..uf.len()`.
+    pub(crate) used: Range<u32>,
 }
 
 impl ScannedRow {
@@ -145,6 +95,17 @@ impl ScannedRow {
     }
 }
 
+/// Row label of a tile's label `label` under the tile's `shift`
+/// (background stays 0).
+#[inline]
+pub(crate) fn shifted(label: u32, shift: u32) -> u32 {
+    if label == 0 {
+        0
+    } else {
+        label + shift
+    }
+}
+
 /// Scans one tile row (see the module docs). `tiles` are left to right
 /// and share one height; carried ids occupy slots `1..=carry_cap`, tile
 /// labels start at `carry_cap + 1`. `r0` is the global row of the first
@@ -165,9 +126,10 @@ pub fn scan_tile_row(
             rows,
             widths: Vec::new(),
             labels: Vec::new(),
-            uf: BandUf::Seq(RemSP::new()),
+            shifts: Vec::new(),
+            uf: RemSP::new(),
             partials: Vec::new(),
-            used: Vec::new(),
+            used: 0..0,
         };
     }
     let mut labels: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * rows]).collect();
@@ -178,130 +140,95 @@ pub fn scan_tile_row(
             Some(*x0 - tw)
         })
         .collect();
-    let caps: Vec<usize> = widths
-        .iter()
-        .map(|&tw| max_labels_two_line(rows, tw))
-        .collect();
-    let slots = 1 + carry_cap as usize + caps.iter().sum::<usize>();
-
-    if threads <= 1 {
-        let mut store = RemSP::with_capacity(slots);
-        for id in 0..=carry_cap {
-            store.new_label(id);
-        }
-        let mut partials = Vec::new();
-        let mut next = carry_cap + 1;
-        for (t, buf) in labels.iter_mut().enumerate() {
-            next = scan_two_line(&tiles[t], 0..rows, buf, &mut store, next);
-            partials.resize(next as usize, Accum::EMPTY);
-            accumulate_tile(tiles, t, buf, r0, x0s[t], 0, &mut partials);
-        }
-        merge_vertical_seams(&labels, &widths, rows, 1..tiles.len(), &mut store);
-        return ScannedRow {
-            r0,
-            rows,
-            widths,
-            labels,
-            uf: BandUf::Seq(store),
-            partials,
-            used: std::iter::once(carry_cap + 1..next).collect(),
-        };
-    }
-
-    // Parallel: one disjoint label range per tile.
-    let offsets: Vec<u32> = caps
-        .iter()
-        .scan(carry_cap + 1, |next, &cap| {
-            *next += cap as u32;
-            Some(*next - cap as u32)
-        })
-        .collect();
-    let parents = ConcurrentParents::new(slots);
-    {
-        let mut store = parents.chunk_store();
-        for id in 1..=carry_cap {
-            store.new_label(id);
-        }
-    }
-    let mut partials = vec![Accum::EMPTY; slots];
-    let mut nexts = offsets.clone();
-
-    // Phase 1: per-tile scans, grouped into contiguous runs of tiles
-    // (contention-free: disjoint ranges, one ChunkStore per group); each
-    // tile's partial table accumulates in the same worker, right after
-    // its scan, while the pixels are hot.
-    rayon::scope(|s| {
-        let mut rest: &mut [Vec<u32>] = &mut labels;
-        let mut rest_next: &mut [u32] = &mut nexts;
-        let mut rest_parts: &mut [Accum] = &mut partials[carry_cap as usize + 1..];
-        for group in split_spans(tiles.len(), threads) {
-            let (mine, tail) = rest.split_at_mut(group.len());
-            rest = tail;
-            let (my_nexts, tail) = rest_next.split_at_mut(group.len());
-            rest_next = tail;
-            let (my_parts, tail) = rest_parts.split_at_mut(caps[group.clone()].iter().sum());
-            rest_parts = tail;
-            let (parents, offsets, caps, x0s) = (&parents, &offsets, &caps, &x0s);
-            s.spawn(move |_| {
-                let mut store = parents.chunk_store();
-                let mut parts_rest = my_parts;
-                for ((t, buf), next_out) in group.zip(mine).zip(my_nexts) {
-                    *next_out = scan_two_line(&tiles[t], 0..rows, buf, &mut store, offsets[t]);
-                    let (tile_parts, tail) = parts_rest.split_at_mut(caps[t]);
-                    parts_rest = tail;
-                    accumulate_tile(tiles, t, buf, r0, x0s[t], offsets[t], tile_parts);
-                }
-            });
-        }
-    });
-
-    // Phase 2: vertical seams, concurrently with one shared merger (each
-    // boundary reads two finished tile buffers).
-    if tiles.len() > 1 {
-        let merger = &LockedMerger::new();
-        let (labels, widths, parents) = (&labels, &widths, &parents);
+    // the first group numbers its labels above the carried ids, the
+    // others from 1 (the stitch shifts them into place)
+    let scan = |group: &Range<usize>, labels: &mut [Vec<u32>]| {
+        let first = if group.start == 0 { carry_cap + 1 } else { 1 };
+        scan_group(tiles, group.clone(), labels, &x0s, first, r0)
+    };
+    let groups = split_spans(tiles.len(), threads);
+    let mut scanned: Vec<Option<(RemSP, Vec<Accum>)>> = groups.iter().map(|_| None).collect();
+    if let [group] = &groups[..] {
+        scanned[0] = Some(scan(group, &mut labels));
+    } else {
         rayon::scope(|s| {
-            for group in split_spans(tiles.len() - 1, threads) {
-                s.spawn(move |_| {
-                    // boundary i sits between tiles i and i + 1
-                    let boundaries = group.start + 1..group.end + 1;
-                    let mut store = MergerStore::new(parents, merger);
-                    merge_vertical_seams(labels, widths, rows, boundaries, &mut store);
-                });
+            let mut rest: &mut [Vec<u32>] = &mut labels;
+            for (group, slot) in groups.iter().zip(&mut scanned) {
+                let (mine, tail) = rest.split_at_mut(group.len());
+                rest = tail;
+                let scan = &scan;
+                s.spawn(move |_| *slot = Some(scan(group, mine)));
             }
         });
     }
 
-    let used = offsets.iter().zip(&nexts).map(|(&o, &n)| o..n).collect();
+    // Stitch: append every later group's labels 1.. after the labels
+    // before it, then merge the seams between groups on the stitched store.
+    let mut scanned = scanned.into_iter().map(|g| g.expect("every group scanned"));
+    let (mut uf, mut partials) = scanned.next().expect("a non-degenerate row has a group");
+    let mut shifts = vec![0u32; tiles.len()];
+    for (group, (store, parts)) in groups.iter().skip(1).zip(scanned) {
+        shifts[group.clone()].fill(uf.append_from(&store, 1));
+        partials.extend_from_slice(&parts[1..]);
+    }
+    for t in groups.iter().skip(1).map(|g| g.start) {
+        let column = |t: usize, c: usize| -> Vec<u32> {
+            let tw = widths[t];
+            (0..rows)
+                .map(|r| shifted(labels[t][r * tw + c], shifts[t]))
+                .collect()
+        };
+        merge_seam(&column(t - 1, widths[t - 1] - 1), &column(t, 0), &mut uf);
+    }
+    debug_assert_eq!(partials.len(), uf.len());
+    let used = carry_cap + 1..uf.len() as u32;
     ScannedRow {
         r0,
         rows,
         widths,
         labels,
-        uf: BandUf::Par(parents),
+        shifts,
+        uf,
         partials,
         used,
     }
 }
 
-/// Merges the vertical seam on the left of every tile in `boundaries`
-/// (tile `t`'s first column against tile `t - 1`'s last).
-fn merge_vertical_seams<S: EquivalenceStore>(
-    labels: &[Vec<u32>],
-    widths: &[usize],
-    rows: usize,
-    boundaries: Range<usize>,
-    store: &mut S,
-) {
-    for t in boundaries {
-        let (lw, tw) = (widths[t - 1], widths[t]);
-        merge_seam_strided(&labels[t - 1][lw - 1..], lw, &labels[t], tw, rows, store);
+/// One group's scan: the tiles `group` (whose label buffers are
+/// `labels`) scanned left to right into one RemSP store whose labels
+/// start at `first` (slots below it are registered singletons), the
+/// partial table grown as labels appear, and the group's own vertical
+/// seams merged.
+fn scan_group(
+    tiles: &[BinaryImage],
+    group: Range<usize>,
+    labels: &mut [Vec<u32>],
+    x0s: &[usize],
+    first: u32,
+    r0: usize,
+) -> (RemSP, Vec<Accum>) {
+    let mut store = RemSP::new();
+    for id in 0..first {
+        store.new_label(id);
     }
+    let mut partials = Vec::new();
+    let mut next = first;
+    for (t, buf) in group.clone().zip(labels.iter_mut()) {
+        next = scan_two_line(&tiles[t], 0..tiles[t].height(), buf, &mut store, next);
+        partials.resize(next as usize, Accum::EMPTY);
+        accumulate_tile(tiles, t, buf, r0, x0s[t], &mut partials);
+    }
+    for (t, pair) in group.skip(1).zip(labels.windows(2)) {
+        let (lw, tw) = (tiles[t - 1].width(), tiles[t].width());
+        let rows = tiles[t].height();
+        merge_seam_strided(&pair[0][lw - 1..], lw, &pair[1], tw, rows, &mut store);
+    }
+    (store, partials)
 }
 
 /// Accumulates one tile's partial table: every tile-local run of the
 /// tile's lines `1..` folds its closed-form accumulator ([`Accum::run`])
-/// into `parts[label - base]`, the label at the run's first pixel —
+/// into `parts[label]`, the label at the run's first pixel —
 /// where every provisional label is created, so each used label gets a
 /// non-empty partial. Neighbour probes read the raw tile pixels — the
 /// adjacent tiles' edge columns included — so the result never depends
@@ -314,7 +241,6 @@ fn accumulate_tile(
     buf: &[u32],
     r0: usize,
     x0: usize,
-    base: u32,
     parts: &mut [Accum],
 ) {
     let tile = &tiles[t];
@@ -344,7 +270,7 @@ fn accumulate_tile(
             };
             let ne = if b < tw { up[b] == 1 } else { right_ne };
             let acc = Accum::run(r0 + r, x0 + a..x0 + b, west, nw, &up[a..b], ne);
-            parts[(labels[a] - base) as usize].fold(&acc);
+            parts[labels[a] as usize].fold(&acc);
         });
     }
 }
@@ -411,6 +337,67 @@ mod tests {
             out.push((a, c));
         }
         out
+    }
+
+    #[test]
+    fn parallel_scan_equals_the_sequential_scan() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..200 {
+            let ntiles = 1 + (next() % 9) as usize;
+            let rows = 1 + (next() % 9) as usize;
+            let density = next() % 9; // of 8: 0 empty .. 8 full
+            let carry_cap = [0, 1, (next() % 40) as u32][case % 3];
+            let tiles: Vec<BinaryImage> = (0..ntiles)
+                .map(|_| {
+                    let tw = 1 + (next() % 7) as usize;
+                    let px: Vec<bool> = (0..tw * rows).map(|_| next() % 8 < density).collect();
+                    BinaryImage::from_fn(tw, rows, |r, c| px[r * tw + c])
+                })
+                .collect();
+            let r0 = (next() % 100) as usize;
+            let mut seq = scan_tile_row(&tiles, 1, carry_cap, r0);
+            assert!(seq.shifts.iter().all(|&s| s == 0));
+            for threads in 2..=8 {
+                let mut par = scan_tile_row(&tiles, threads, carry_cap, r0);
+                let ctx = format!("case {case}, {threads} threads");
+                for t in 0..ntiles {
+                    let labels: Vec<u32> = par.labels[t]
+                        .iter()
+                        .map(|&l| shifted(l, par.shifts[t]))
+                        .collect();
+                    assert_eq!(labels, seq.labels[t], "{ctx}, tile {t}");
+                }
+                assert_eq!(par.used, seq.used, "{ctx}");
+                assert_eq!(
+                    format!("{:?}", par.partials),
+                    format!("{:?}", seq.partials),
+                    "{ctx}"
+                );
+                // every table is sized by the labels the scan used
+                let allocated = par
+                    .labels
+                    .iter()
+                    .zip(&par.shifts)
+                    .flat_map(|(buf, &s)| buf.iter().map(move |&l| shifted(l, s)));
+                let top = allocated.max().unwrap_or(0).max(carry_cap);
+                assert_eq!(par.used, carry_cap + 1..top + 1, "{ctx}");
+                assert_eq!(
+                    par.uf.len(),
+                    1 + carry_cap as usize + par.used.len(),
+                    "{ctx}"
+                );
+                assert_eq!(par.partials.len(), par.uf.len(), "{ctx}");
+                for l in 0..par.uf.len() as u32 {
+                    assert_eq!(par.uf.find(l), seq.uf.find(l), "{ctx}, label {l}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! PAREMSP's chunk-scan + boundary-merge structure generalizes from row
 //! bands to a full tile grid: every tile of a **tile row** is scanned
-//! independently (RemSP inside the tile, with disjoint provisional-label
-//! ranges), then connectivity is restored along both seam orientations —
+//! on its own (two-line scan + RemSP), then connectivity is restored
+//! along both seam orientations —
 //!
 //! * **vertical seams** between horizontally adjacent tiles, walked as
 //!   strided columns directly over the per-tile label buffers, no
@@ -15,14 +15,14 @@
 //! Both stages are `ccl-stream`'s, shared with the strip labeler — whose
 //! bands are tile rows of one tile (sequential) or one column tile per
 //! thread: the scan stage ([`ccl_stream::scan`]) scans the tiles of the
-//! resident row, in parallel mode by `threads` workers with the vertical
-//! seams merged concurrently by the paper's lock-based MERGER
-//! (Algorithm 8) — PAREMSP across the tile row — and the carry merge
-//! settles the horizontal seam. This engine adds only the tile-row
-//! validation, its tile counters and the [`TileMeta`] of every labeled
-//! tile. After each row the label space is compacted to the components
-//! still *open* on the carry boundary and every retired slot is
-//! recycled, so resident state is
+//! resident row — in parallel mode as `threads` contiguous groups, each
+//! worker labeling its group in a label space of its own, stitched after
+//! into the sequential numbering in O(labels) with the few seams between
+//! groups merged last — and the carry merge settles the horizontal seam.
+//! This engine adds only the tile-row validation, its tile counters and
+//! the [`TileMeta`] of every labeled tile. After each row the label
+//! space is compacted to the components still *open* on the carry
+//! boundary and every retired slot is recycled, so resident state is
 //!
 //! * one tile row of pixels and labels,
 //! * one carry row (`width` labels),
@@ -59,6 +59,10 @@ pub struct TileGridStats {
     pub tiles: usize,
     /// Total components emitted.
     pub components: u64,
+    /// Provisional labels the tile-row scans allocated, carried-id slots
+    /// excluded. Fixed by the tiling alone: every thread count and the
+    /// pipelined executor report the same count.
+    pub provisional_labels: u64,
     /// Maximum pixel rows resident at any point: the tallest tile row
     /// plus the one carried boundary row — the ≤ 2-tile-row bound.
     /// Pipelined runs hold two tile rows at once and report the tallest
@@ -175,6 +179,7 @@ impl TileGridLabeler {
             tile_rows: self.tile_rows_done,
             tiles: self.tiles_done,
             components: self.carry.finalized_components(),
+            provisional_labels: self.carry.provisional_labels(),
             peak_resident_rows: self.carry.peak_resident_rows(),
         }
     }
@@ -216,7 +221,7 @@ impl TileGridLabeler {
             return Ok(());
         }
         let r0 = self.rows_done;
-        let mut merged = self.carry.merge(row, self.cfg.threads, components);
+        let mut merged = self.carry.merge(row, components);
         let ntiles = merged.tile_widths().len();
         if let Some(sink) = sink {
             for &(kept, absorbed) in merged.merges() {

@@ -178,7 +178,7 @@ proptest! {
     }
 
     /// The one driver in every mode — pipelined or not, tile sink present
-    /// or absent, 1–3 threads — emits exactly the records and stats of
+    /// or absent, 1–8 threads — emits exactly the records and stats of
     /// the plain synchronous sequential run. Only a pipelined run's
     /// residency differs: two tile rows + the carry row instead of one.
     /// Labeled tiles reconcile into the exact whole-image partition.
@@ -189,7 +189,7 @@ proptest! {
         h in 1usize..=16,
         tw in 1usize..=9,
         th in 1usize..=9,
-        threads in 1usize..=3,
+        threads in 1usize..=8,
         pipelined in proptest::bool::ANY,
         with_tiles in proptest::bool::ANY,
         seed in 0u64..1000,

@@ -41,6 +41,21 @@ impl RemSP {
         &self.p
     }
 
+    /// Appends `other`'s elements `from..` after this store's: element
+    /// `x` becomes `x + shift`, where `shift = self.len() - from` is
+    /// returned. No parent of those elements may lie below `from`. The
+    /// shift keeps parents ≤ children, so every appended set keeps its
+    /// minimum as root. This is how stores scanned apart are stitched
+    /// into one, in O(appended elements).
+    pub fn append_from(&mut self, other: &RemSP, from: u32) -> u32 {
+        let shift = self.p.len() as u32 - from;
+        self.p.extend(other.p[from as usize..].iter().map(|&q| {
+            debug_assert!(q >= from, "parent below the appended range");
+            q + shift
+        }));
+        shift
+    }
+
     /// The paper's Algorithm 2, operating on a raw parent slice. Exposed
     /// so the scan phases and the parallel chunk views can share one
     /// implementation.
@@ -172,6 +187,27 @@ mod tests {
         // root of a set is always its minimum member
         assert!(uf.same(1, 2) && uf.same(2, 3));
         assert!(!uf.same(0, 1));
+    }
+
+    #[test]
+    fn append_from_shifts_sets_past_the_end() {
+        let mut a = RemSP::new();
+        for _ in 0..3 {
+            a.make_set();
+        }
+        a.union(1, 2);
+        let mut b = RemSP::new();
+        for _ in 0..4 {
+            b.make_set();
+        }
+        b.union(2, 3);
+        // b's element 0 is left behind; 1..4 become 3..6
+        assert_eq!(a.append_from(&b, 1), 2);
+        assert_eq!(a.len(), 6);
+        assert_eq!(a.find(2), 1);
+        assert_eq!((a.find(3), a.find(4), a.find(5)), (3, 4, 4));
+        a.union(2, 5);
+        assert_eq!(a.find(5), 1);
     }
 
     #[test]

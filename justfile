@@ -4,13 +4,15 @@
 # Full CI gate: everything the workflow runs, in the same order.
 ci: fmt-check clippy build test rayon-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke perfbench-smoke bench-smoke
 
-# Format the whole workspace in place.
+# Format the whole workspace in place (perfbench is its own workspace).
 fmt:
     cargo fmt --all
+    cargo fmt --manifest-path perfbench/Cargo.toml
 
 # CI's format gate (check only).
 fmt-check:
     cargo fmt --all --check
+    cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 # CI's lint gate.
 clippy:
