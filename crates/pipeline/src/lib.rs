@@ -18,12 +18,12 @@
 //!   tile row is a windowed band, so
 //!   [`GridSource`](ccl_tiles::GridSource)`::new(PrefetchRows::with_depth(src, th, depth), tw, th)`
 //!   decodes tile rows one thread ahead.
-//! * the **pipelined executor** in `ccl-stream`
-//!   ([`ccl_stream::pipeline`], selected by `pipelined: true` in the
-//!   config of [`label_stream`](ccl_stream::label_stream) or
-//!   [`label_tiles`](ccl_tiles::label_tiles)) — unit *k + 1*'s scan
-//!   overlaps unit *k*'s seam merge / accumulation / spill, the carry row
-//!   being the only dependency handed across a rendezvous.
+//! * the **driver loop** in `ccl-stream` ([`ccl_stream::pipeline`]),
+//!   which both [`label_stream`](ccl_stream::label_stream) and
+//!   [`label_tiles`](ccl_tiles::label_tiles) run; `pipelined: true` in
+//!   their config makes unit *k + 1*'s scan overlap unit *k*'s seam
+//!   merge / accumulation / spill, the carry row being the only
+//!   dependency handed across a rendezvous.
 //!
 //! Stacked, they form a three-stage pipeline — decode ∥ scan ∥
 //! merge/spill — with bit-identical output to the synchronous paths.
@@ -34,10 +34,12 @@
 //! machine — hiding *latency* needs no spare core).
 //!
 //! Failures are typed, never hangs: a source error behind a prefetcher
-//! surfaces as itself; a *panicking* source surfaces as
-//! [`PipelineError::WorkerPanicked`] (mapped to
-//! [`StreamError::Worker`](ccl_stream::StreamError::Worker), which a
-//! `GridSource` forwards as `TilesError::Stream`).
+//! surfaces as itself; a *panicking* stage — a source behind a
+//! prefetcher, or the pipelined driver's scan stage — surfaces as
+//! [`StreamError::Worker`](ccl_stream::StreamError::Worker) with the
+//! panic message, which the tile engine wraps as
+//! `TilesError::Stream(StreamError::Worker(_))`. The same error comes
+//! back from [`PrefetchRows::into_inner`] after a panic.
 //!
 //! ## Example
 //!
@@ -61,11 +63,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod paced;
 pub mod prefetch_rows;
-mod worker;
 
-pub use error::PipelineError;
 pub use paced::PacedRows;
 pub use prefetch_rows::PrefetchRows;

@@ -1,10 +1,10 @@
 //! [`PrefetchRows`] — decode row bands one thread ahead of the consumer.
 
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+
 use ccl_image::BinaryImage;
 use ccl_stream::{RowSource, StreamError};
-
-use crate::error::PipelineError;
-use crate::worker::PrefetchWorker;
 
 /// Moves a [`RowSource`] onto a worker thread and hands its bands to the
 /// consumer through a bounded channel, so band *generation/decode*
@@ -20,16 +20,23 @@ use crate::worker::PrefetchWorker;
 ///   a partially consumed stream never leaks a thread.
 /// * **Errors**: a band the source fails to produce surfaces to the
 ///   consumer as the source's own [`StreamError`]; a *panicking* source
-///   is caught at the join and surfaces as [`StreamError::Worker`]
-///   (typed via [`PipelineError`]) — never a hang, never a lost error.
+///   is caught at the join and surfaces as [`StreamError::Worker`] —
+///   never a hang, never a lost error.
 pub struct PrefetchRows<S> {
     width: usize,
     rows_remaining: Option<usize>,
-    worker: PrefetchWorker<Result<BinaryImage, StreamError>, S>,
+    /// Prefetched bands; `None` once disconnected (`into_inner`, drop).
+    rx: Option<mpsc::Receiver<Result<BinaryImage, StreamError>>>,
+    /// The worker thread, until joined.
+    handle: Option<JoinHandle<S>>,
+    /// The join's outcome: the source back, or the panic as a
+    /// [`StreamError::Worker`] (kept so `into_inner` still reports a
+    /// panic already surfaced).
+    joined: Option<Result<S, StreamError>>,
     /// Remainder of a delivered band when the consumer asked for fewer
     /// rows than the prefetch band height.
     pending: Option<BinaryImage>,
-    /// Set once an error was delivered: the stream then reads as ended.
+    /// Set once the stream ended or failed: it then reads as ended.
     poisoned: bool,
 }
 
@@ -50,9 +57,11 @@ impl<S: RowSource + Send + 'static> PrefetchRows<S> {
     /// Panics when `band_rows` or `depth` is 0.
     pub fn with_depth(mut source: S, band_rows: usize, depth: usize) -> Self {
         assert!(band_rows > 0, "band height must be positive");
+        assert!(depth > 0, "prefetch depth must be positive");
         let width = source.width();
         let rows_remaining = source.rows_remaining();
-        let worker = PrefetchWorker::spawn("ccl-prefetch-rows", depth, move |tx| {
+        let (tx, rx) = mpsc::sync_channel(depth);
+        let worker = move || {
             loop {
                 match source.next_band(band_rows) {
                     Ok(Some(band)) => {
@@ -68,11 +77,17 @@ impl<S: RowSource + Send + 'static> PrefetchRows<S> {
                 }
             }
             source
-        });
+        };
+        let handle = std::thread::Builder::new()
+            .name("ccl-prefetch-rows".to_string())
+            .spawn(worker)
+            .expect("spawn prefetch worker");
         PrefetchRows {
             width,
             rows_remaining,
-            worker,
+            rx: Some(rx),
+            handle: Some(handle),
+            joined: None,
             pending: None,
             poisoned: false,
         }
@@ -80,10 +95,13 @@ impl<S: RowSource + Send + 'static> PrefetchRows<S> {
 
     /// Stops the worker and returns the wrapped source (its position is
     /// wherever the *worker* got to, up to `depth` bands ahead of what
-    /// was consumed). Errors if the worker panicked — even one already
-    /// reported through [`RowSource::next_band`].
-    pub fn into_inner(self) -> Result<S, PipelineError> {
-        self.worker.into_inner()
+    /// was consumed). Errors with [`StreamError::Worker`] if the worker
+    /// panicked — even one already reported through
+    /// [`RowSource::next_band`].
+    pub fn into_inner(mut self) -> Result<S, StreamError> {
+        self.rx = None; // disconnect: the worker's next send fails
+        self.join();
+        self.joined.take().expect("the worker was joined")
     }
 }
 
@@ -103,7 +121,7 @@ impl<S: RowSource + Send + 'static> RowSource for PrefetchRows<S> {
         }
         let band = match self.pending.take() {
             Some(band) => band,
-            None => match self.worker.recv() {
+            None => match self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
                 Some(Ok(band)) => band,
                 Some(Err(e)) => {
                     self.poisoned = true;
@@ -112,7 +130,11 @@ impl<S: RowSource + Send + 'static> RowSource for PrefetchRows<S> {
                 // Disconnected: the worker finished (cleanly or by
                 // panicking) — the join tells which.
                 None => {
-                    self.worker.join()?;
+                    self.poisoned = true;
+                    self.join();
+                    if let Some(Err(StreamError::Worker(msg))) = &self.joined {
+                        return Err(StreamError::Worker(msg.clone()));
+                    }
                     return Ok(None);
                 }
             },
@@ -128,6 +150,26 @@ impl<S: RowSource + Send + 'static> RowSource for PrefetchRows<S> {
             *r = r.saturating_sub(band.height());
         }
         Ok(Some(band))
+    }
+}
+
+impl<S> PrefetchRows<S> {
+    /// Joins the worker once it hung up (cleanly or by panicking),
+    /// keeping the outcome.
+    fn join(&mut self) {
+        if let Some(h) = self.handle.take() {
+            self.joined = Some(h.join().map_err(|p| StreamError::worker_panic(p.as_ref())));
+        }
+    }
+}
+
+impl<S> Drop for PrefetchRows<S> {
+    fn drop(&mut self) {
+        // Disconnect first so the worker cannot block. A panic not yet
+        // surfaced through `next_band` is kept, not raised — propagating
+        // from Drop would abort the process.
+        self.rx = None;
+        self.join();
     }
 }
 
@@ -259,11 +301,9 @@ mod tests {
         // into_inner after a surfaced panic reports the panic as an
         // error instead of panicking the caller
         match pf.into_inner() {
-            Err(PipelineError::WorkerPanicked(msg)) => {
-                assert!(msg.contains("blew up"), "{msg}")
-            }
-            Err(other) => panic!("expected WorkerPanicked, got {other}"),
-            Ok(_) => panic!("expected WorkerPanicked, got a source"),
+            Err(StreamError::Worker(msg)) => assert!(msg.contains("blew up"), "{msg}"),
+            Err(other) => panic!("expected Worker error, got {other}"),
+            Ok(_) => panic!("expected Worker error, got a source"),
         }
     }
 }

@@ -17,7 +17,7 @@ use ccl_stream::{
     analyze_stream, label_stream, CollectLabelImage, CountComponents, OwnedMemorySource, RowSource,
     StreamError, StreamStats, StripConfig,
 };
-use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TilesError};
+use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TileSource, TilesError};
 
 /// The grid config that runs the pipelined executor.
 fn pipelined_tiles() -> TileGridConfig {
@@ -215,8 +215,9 @@ fn midstream_tile_failure_surfaces_through_pipelined_driver() {
     }
 }
 
-/// Regression: a *panicking* source behind a prefetcher becomes a typed
-/// `Worker` error, not a deadlock and not a silent end-of-stream.
+/// Regression: a *panicking* source becomes a typed `Worker` error, not
+/// a deadlock and not a silent end-of-stream — whether it panics behind
+/// a prefetcher or in the pipelined driver's own scan stage.
 #[test]
 fn panicking_tile_source_surfaces_through_pipelined_driver() {
     struct PanicsMidStream {
@@ -235,11 +236,22 @@ fn panicking_tile_source_surfaces_through_pipelined_driver() {
             Ok(Some(BinaryImage::ones(4, max_rows.min(2))))
         }
     }
-    let mut staged = GridSource::new(PrefetchRows::new(PanicsMidStream { good: 2 }, 2), 4, 2);
-    let err = analyze_tiles(&mut staged, pipelined_tiles()).unwrap_err();
-    match err {
-        TilesError::Stream(StreamError::Worker(msg)) => assert!(msg.contains("corrupted"), "{msg}"),
-        other => panic!("expected Worker error, got {other:?}"),
+    let stacks: [Box<dyn TileSource + Send>; 2] = [
+        Box::new(GridSource::new(
+            PrefetchRows::new(PanicsMidStream { good: 2 }, 2),
+            4,
+            2,
+        )),
+        Box::new(GridSource::new(PanicsMidStream { good: 2 }, 4, 2)),
+    ];
+    for mut staged in stacks {
+        let err = analyze_tiles(&mut *staged, pipelined_tiles()).unwrap_err();
+        match err {
+            TilesError::Stream(StreamError::Worker(msg)) => {
+                assert!(msg.contains("corrupted"), "{msg}")
+            }
+            other => panic!("expected Worker error, got {other:?}"),
+        }
     }
 }
 

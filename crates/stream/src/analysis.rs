@@ -381,39 +381,56 @@ impl CollectLabelImage {
     /// label image comparable to the whole-image labelers via
     /// [`LabelImage::canonicalized`].
     pub fn into_label_image(self) -> LabelImage {
-        use std::collections::HashMap;
-        // Union-find over the sparse id space; merges always keep the
-        // smaller id, so pointing absorbed -> kept terminates.
-        let mut parent: HashMap<ComponentId, ComponentId> = HashMap::new();
-        for &(kept, absorbed) in &self.merges {
-            parent.insert(absorbed, kept);
-        }
-        let resolve = |mut id: ComponentId, parent: &HashMap<ComponentId, ComponentId>| {
-            while let Some(&p) = parent.get(&id) {
-                id = p;
-            }
-            id
-        };
-        let mut remap: HashMap<ComponentId, u32> = HashMap::new();
-        let mut next = 0u32;
-        let labels: Vec<u32> = self
-            .gids
-            .iter()
-            .map(|&g| {
-                if g == 0 {
-                    0
-                } else {
-                    let root = resolve(g, &parent);
-                    *remap.entry(root).or_insert_with(|| {
-                        next += 1;
-                        next
-                    })
-                }
-            })
-            .collect();
-        let height = labels.len().checked_div(self.width).unwrap_or(0);
-        LabelImage::from_raw(self.width, height, labels, next)
+        let height = self.gids.len().checked_div(self.width).unwrap_or(0);
+        reconcile(self.width, height, &self.gids, &self.merges)
     }
+}
+
+/// Resolves a raster of emission-time ids through the merge table and
+/// renumbers it canonically (consecutive `1..=k` by raster order of
+/// first pixel): the one id resolution of [`CollectLabelImage`] and the
+/// `ccl-tiles` sinks and spill reader. Merges keep the smaller id, so the
+/// `absorbed → kept` chains terminate; walked chains are path-compressed,
+/// so hostile ones stay linear overall.
+pub fn reconcile(
+    width: usize,
+    height: usize,
+    gids: &[ComponentId],
+    merges: &[(ComponentId, ComponentId)],
+) -> LabelImage {
+    use std::collections::HashMap;
+    let mut parent: HashMap<ComponentId, ComponentId> = HashMap::new();
+    for &(kept, absorbed) in merges {
+        parent.insert(absorbed, kept);
+    }
+    let mut resolve = |id: ComponentId| {
+        let mut root = id;
+        while let Some(&p) = parent.get(&root) {
+            root = p;
+        }
+        let mut cur = id;
+        while cur != root {
+            cur = parent.insert(cur, root).expect("cur lies on the chain");
+        }
+        root
+    };
+    let mut remap: HashMap<ComponentId, u32> = HashMap::new();
+    let mut next = 0u32;
+    let labels: Vec<u32> = gids
+        .iter()
+        .map(|&g| {
+            if g == 0 {
+                0
+            } else {
+                let root = resolve(g);
+                *remap.entry(root).or_insert_with(|| {
+                    next += 1;
+                    next
+                })
+            }
+        })
+        .collect();
+    LabelImage::from_raw(width, height, labels, next)
 }
 
 #[cfg(test)]
@@ -541,6 +558,23 @@ mod tests {
         sink.strip(1, 5, &[0, 1, 0, 0, 0]);
         let li = sink.into_label_image();
         assert_eq!(li.num_components(), 1);
+    }
+
+    #[test]
+    fn long_merge_chains_resolve() {
+        // every id absorbed by its predecessor: one component
+        let n = 10_000u64;
+        let ids: Vec<u64> = (1..=n).collect();
+        let merges: Vec<_> = (2..=n).rev().map(|id| (id - 1, id)).collect();
+        let li = reconcile(n as usize, 1, &ids, &merges);
+        assert_eq!(li.num_components(), 1);
+        assert!(li.as_slice().iter().all(|&l| l == 1));
+        let mut sink = CollectLabelImage::default();
+        sink.strip(0, n as usize, &ids);
+        for &(kept, absorbed) in &merges {
+            sink.merge(kept, absorbed);
+        }
+        assert_eq!(sink.into_label_image(), li);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! (or tile row) contributes after its own scan is settled here, against
 //! the open-component state carried from the previous one. [`CarryState`]
 //! owns that state (the carry row, one [`Accum`] per open component, the
-//! next stream id, the finalized count and the peak residency) and runs,
-//! per band:
+//! next stream id, the row, unit and finalized counts and the peak
+//! residency) and runs, per band:
 //!
 //! 1. the **first-line fold** — the band's first line is the only part
 //!    of its partial accumulators the scan could not build (its upper
@@ -24,6 +24,7 @@
 //!    to active ids `1..=k`, which rebuilds the carry row;
 //! 6. **emission** of every closed component, ascending id.
 //!
+//! A degenerate unit (zero height or zero width) is only counted.
 //! [`CarryState::finish`] drains the components still open at the end of
 //! the stream. The input is the [`ScannedRow`] of the shared scan stage
 //! ([`crate::scan`]) — one tile for a sequential strip band, several
@@ -53,6 +54,10 @@ pub struct CarryState {
     /// unused).
     active: Vec<Accum>,
     next_gid: u64,
+    /// Pixel rows merged so far, degenerate units included.
+    rows: usize,
+    /// Units with at least one row merged so far.
+    units: usize,
     finalized: u64,
     provisional_labels: u64,
     peak_resident_rows: usize,
@@ -139,6 +144,8 @@ impl CarryState {
             carry: Vec::new(),
             active: vec![Accum::EMPTY],
             next_gid: 1,
+            rows: 0,
+            units: 0,
             finalized: 0,
             provisional_labels: 0,
             peak_resident_rows: 0,
@@ -148,6 +155,16 @@ impl CarryState {
     /// Stream width in pixels.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// Pixel rows merged so far: the next unit's first global row.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Units with at least one row merged so far.
+    pub fn units(&self) -> usize {
+        self.units
     }
 
     /// Components currently open (touching the carry row).
@@ -167,16 +184,25 @@ impl CarryState {
     }
 
     /// Maximum pixel rows resident so far: the tallest band plus the
-    /// carry row (the pipelined executor counts its own two-band
+    /// carry row (the pipelined driver loop counts its own two-band
     /// residency instead).
     pub fn peak_resident_rows(&self) -> usize {
         self.peak_resident_rows
     }
 
-    /// Merges one scanned, non-degenerate band against the carry row,
-    /// emits every component that closed and rebuilds the carry (steps
-    /// 1–6 of the module docs).
-    pub fn merge(&mut self, band: ScannedRow, components: &mut dyn ComponentSink) -> MergedBand {
+    /// Merges one scanned band against the carry row, emits every
+    /// component that closed and rebuilds the carry (steps 1–6 of the
+    /// module docs). A degenerate band is only counted: `None`.
+    pub fn merge(
+        &mut self,
+        band: ScannedRow,
+        components: &mut dyn ComponentSink,
+    ) -> Option<MergedBand> {
+        self.rows += band.rows;
+        self.units += usize::from(band.rows > 0);
+        if band.labels.is_empty() {
+            return None;
+        }
         let ScannedRow {
             r0,
             rows,
@@ -187,7 +213,6 @@ impl CarryState {
             partials: mut acc,
             used,
         } = band;
-        debug_assert!(!labels.is_empty(), "degenerate bands are the engines' job");
         let first = line(&labels, &widths, &shifts, 0);
         let last = line(&labels, &widths, &shifts, rows - 1);
         let (first, last) = (&*first, &*last);
@@ -276,14 +301,14 @@ impl CarryState {
         self.emit(closed, components);
 
         merges.sort_unstable();
-        MergedBand {
+        Some(MergedBand {
             rows,
             widths,
             labels,
             shifts,
             ids: StreamIds { uf, root_of, acc },
             merges,
-        }
+        })
     }
 
     /// Closes the stream: every still-open component is finalized and

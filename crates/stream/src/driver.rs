@@ -1,5 +1,6 @@
 //! The strip engine's driver — pull a whole [`RowSource`] through a
-//! [`StripLabeler`], synchronously or pipelined.
+//! [`StripLabeler`] with the shared driver loop, synchronously or
+//! pipelined.
 
 use crate::analysis::{ComponentRecord, ComponentSink, LabelSink};
 use crate::error::StreamError;
@@ -15,10 +16,10 @@ use crate::source::RowSource;
 ///
 /// Synchronously the labeler never holds more than one band plus the
 /// carry row of pixels. With [`StripConfig::pipelined`] band *k + 1*'s
-/// scan overlaps band *k*'s merge on a worker thread
-/// ([`crate::pipeline`]): output is identical, and
-/// [`StreamStats::peak_resident_rows`] reports the two-band + carry
-/// residency.
+/// scan overlaps band *k*'s merge on a worker thread. Both modes run the
+/// one driver loop ([`crate::pipeline::run`]): output is identical, and
+/// [`StreamStats::peak_resident_rows`] reports the pipelined run's
+/// two-band + carry residency.
 pub fn label_stream<S>(
     source: &mut S,
     band_rows: usize,
@@ -31,26 +32,18 @@ where
 {
     let width = source.width();
     let mut labeler = StripLabeler::with_config(width, cfg);
-    if !cfg.pipelined {
-        while let Some(band) = source.next_band(band_rows)? {
-            labeler.process(&band, components, labels.as_deref_mut())?;
-        }
-        return Ok(labeler.finish(components));
-    }
-    let mut r0 = 0;
     let peak = crate::pipeline::run(
         width,
-        |carry_cap| {
-            let Some(band) = source.next_band(band_rows)? else {
-                return Ok(None);
-            };
-            let scanned = scan_band(&band, width, cfg.threads, carry_cap, r0)?;
-            r0 += band.height();
-            Ok(Some(scanned))
+        cfg.pipelined,
+        |carry_cap, r0| match source.next_band(band_rows)? {
+            Some(band) => scan_band(&band, width, cfg.threads, carry_cap, r0).map(Some),
+            None => Ok(None),
         },
-        |band| labeler.merge_scanned_band(band, components, labels.as_deref_mut()),
-        ScannedRow::resident_rows,
-        StreamError::worker_panic,
+        |band| {
+            labeler.merge_scanned_band(band, components, labels.as_deref_mut());
+            Ok(labeler.open_components() as u32)
+        },
+        ScannedRow::rows,
     )?;
     let mut stats = labeler.finish(components);
     stats.peak_resident_rows = peak;

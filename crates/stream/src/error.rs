@@ -16,30 +16,27 @@ pub enum StreamError {
         /// Width of the offending band.
         got: usize,
     },
-    /// A background pipeline worker (e.g. a `ccl-pipeline` prefetcher)
-    /// died without producing a band — typically a panic in the wrapped
-    /// source; the payload is the panic message.
+    /// A pipeline stage died without producing its unit: the pipelined
+    /// executor's scan stage ([`crate::pipeline`]) or a `ccl-pipeline`
+    /// prefetcher, typically through a panic in the wrapped source; the
+    /// payload is the panic message. Every engine reports a panicking
+    /// stage as this error (`ccl-tiles` wraps it in `TilesError::Stream`).
     Worker(String),
 }
 
-/// The message of a caught panic payload: `&str`/`String` payloads pass
-/// through, anything else becomes a generic one. Shared by every error
-/// type whose pipeline stage joins a worker thread.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
 impl StreamError {
-    /// Builds [`StreamError::Worker`] from a caught panic payload
-    /// ([`panic_message`]).
+    /// Builds [`StreamError::Worker`] from a caught panic payload:
+    /// `&str`/`String` payloads pass through, anything else becomes a
+    /// generic message.
     pub fn worker_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        StreamError::Worker(panic_message(payload))
+        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "worker panicked".to_string()
+        };
+        StreamError::Worker(msg)
     }
 }
 

@@ -25,15 +25,17 @@
 //!   as many workers otherwise, each into a label space of its own that
 //!   the stage then stitches into one numbering and merges along the
 //!   vertical seams ([`crate::scan`]). Carried ids are reserved by
-//!   capacity (the synchronous path passes the exact open-component
-//!   count, the pipelined executor the width bound `⌈w/2⌉`), so the stage
-//!   never looks at the carry row. Each scan worker also builds its
+//!   capacity (the exact open-component count synchronously, the width
+//!   bound `⌈w/2⌉` in the pipelined driver loop), so the stage never
+//!   looks at the carry row. Each scan worker also builds its
 //!   tiles' **partial accumulator tables** while it scans (see
 //!   [`crate::analysis`] for the invariants).
 //! * **merge stage** (`StripLabeler::merge_scanned_band`) — the carry
 //!   seam, the per-label fold, compaction and component emission
 //!   ([`crate::carry`]), then the band's labeled strip: inherently
-//!   sequential, because each band's carry feeds the next.
+//!   sequential, because each band's carry feeds the next. The carry
+//!   state also counts the rows and bands, degenerate ones included, so
+//!   this engine keeps only its band validation and its strip emission.
 //!
 //! Every thread count produces identical output — the carry merge only
 //! ever sees set-minimum roots, which every path agrees on, numbers new
@@ -57,10 +59,10 @@ pub struct StripConfig {
     /// or tile row (1 = sequential AREMSP). A parallel strip band is cut
     /// into this many column tiles.
     pub threads: usize,
-    /// Whether the drivers ([`label_stream`](crate::label_stream),
-    /// `ccl_tiles::label_tiles`) run the pipelined executor
-    /// ([`crate::pipeline`]): band *k + 1*'s scan overlaps band *k*'s
-    /// merge. Output is identical; residency grows to two bands + carry.
+    /// Whether the driver loop ([`crate::pipeline`], run by
+    /// [`label_stream`](crate::label_stream) and
+    /// `ccl_tiles::label_tiles`) pipelines: band *k + 1*'s scan overlaps
+    /// band *k*'s merge. Output is identical; residency grows to two bands + carry.
     /// The labelers themselves ignore it.
     pub pipelined: bool,
 }
@@ -112,9 +114,9 @@ pub struct StreamStats {
 /// copy) when sequential, as [`split_spans`]`(width, threads)` column
 /// tiles when parallel, so each worker scans one column of the band.
 ///
-/// Carried ids occupy slots `1..=carry_cap`: the synchronous path passes
-/// the exact open-component count, the pipelined executor the width
-/// bound `⌈w/2⌉`. `r0` is the global row of the band's first row.
+/// Carried ids occupy slots `1..=carry_cap` and `r0` is the global row
+/// of the band's first row, both supplied by the driver loop
+/// ([`crate::pipeline::run`]) or the labeler.
 pub(crate) fn scan_band(
     band: &BinaryImage,
     width: usize,
@@ -164,8 +166,6 @@ pub(crate) fn scan_band(
 /// ```
 pub struct StripLabeler {
     cfg: StripConfig,
-    rows_done: usize,
-    bands_done: usize,
     carry: CarryState,
 }
 
@@ -179,8 +179,6 @@ impl StripLabeler {
     pub fn with_config(width: usize, cfg: StripConfig) -> Self {
         StripLabeler {
             cfg,
-            rows_done: 0,
-            bands_done: 0,
             carry: CarryState::new(width),
         }
     }
@@ -192,12 +190,12 @@ impl StripLabeler {
 
     /// Rows labeled so far.
     pub fn rows_pushed(&self) -> usize {
-        self.rows_done
+        self.carry.rows()
     }
 
     /// Bands pushed so far.
     pub fn bands_pushed(&self) -> usize {
-        self.bands_done
+        self.carry.units()
     }
 
     /// Components currently open (touching the carry row).
@@ -243,8 +241,8 @@ impl StripLabeler {
         self.carry.finish(components);
         StreamStats {
             width: self.width(),
-            rows: self.rows_done,
-            bands: self.bands_done,
+            rows: self.carry.rows(),
+            bands: self.carry.units(),
             components: self.carry.finalized_components(),
             peak_resident_rows: self.carry.peak_resident_rows(),
         }
@@ -257,15 +255,15 @@ impl StripLabeler {
         components: &mut dyn ComponentSink,
         strips: Option<&mut (dyn LabelSink + '_)>,
     ) -> Result<(), StreamError> {
-        let n_carry = self.carry.open_components() as u32;
         let scanned = scan_band(
             band,
             self.width(),
             self.cfg.threads,
-            n_carry,
-            self.rows_done,
+            self.carry.open_components() as u32,
+            self.carry.rows(),
         )?;
-        self.merge_scanned_band(scanned, components, strips)
+        self.merge_scanned_band(scanned, components, strips);
+        Ok(())
     }
 
     /// The merge stage: the shared carry merge ([`CarryState::merge`]),
@@ -276,24 +274,17 @@ impl StripLabeler {
         band: ScannedRow,
         components: &mut dyn ComponentSink,
         strips: Option<&mut (dyn LabelSink + '_)>,
-    ) -> Result<(), StreamError> {
-        let h = band.rows();
-        if band.is_degenerate() {
-            self.rows_done += h;
-            self.bands_done += usize::from(h > 0);
-            return Ok(());
-        }
-        let r0 = self.rows_done;
-        let mut merged = self.carry.merge(band, components);
+    ) {
+        let r0 = self.carry.rows();
+        let Some(mut merged) = self.carry.merge(band, components) else {
+            return;
+        };
         if let Some(sink) = strips {
             for &(kept, absorbed) in merged.merges() {
                 sink.merge(kept, absorbed);
             }
             sink.strip(r0, self.width(), &merged.gids());
         }
-        self.rows_done += h;
-        self.bands_done += 1;
-        Ok(())
     }
 }
 

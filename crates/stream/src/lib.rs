@@ -33,8 +33,9 @@
 //! * [`label_stream`] — the driver: pulls a whole source through the
 //!   labeler, emitting components and, optionally, labeled strips through
 //!   a [`LabelSink`] ([`CollectLabelImage`] reconciles them into a label
-//!   image); [`StripConfig::pipelined`] overlaps band *k + 1*'s scan with
-//!   band *k*'s merge ([`pipeline`], the executor `ccl-tiles` shares).
+//!   image), run by the driver loop `ccl-tiles` shares ([`pipeline`]);
+//!   [`StripConfig::pipelined`] overlaps band *k + 1*'s scan with band
+//!   *k*'s merge.
 //!   [`analyze_stream`] is the collect-the-records shorthand.
 //!
 //! ## Example

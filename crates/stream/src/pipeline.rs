@@ -1,5 +1,5 @@
-//! The pipelined executor — overlap unit *k*'s merge with unit *k + 1*'s
-//! scan, for both out-of-core engines.
+//! The one driver loop of both out-of-core engines — synchronous, or
+//! pipelined to overlap unit *k*'s merge with unit *k + 1*'s scan.
 //!
 //! The strip labeler's bands and the `ccl-tiles` grid labeler's tile rows
 //! split their per-unit work the same way, with one dependency between
@@ -8,64 +8,93 @@
 //! * **scan stage** — pull the next unit from the source and scan it as
 //!   a row of column tiles ([`crate::scan`]: vertical seams between the
 //!   tiles and the partial accumulator tables included): independent of
-//!   everything before it, because carried ids are reserved by the width
-//!   bound `⌈w/2⌉` rather than the actual open-component count;
+//!   everything before it once its carried ids are reserved;
 //! * **merge stage** — the carry seam, the per-label fold, compaction,
 //!   component emission and label output ([`crate::carry`]): inherently
 //!   sequential, because each unit's carry feeds the next.
 //!
-//! [`run`] takes the two stages as closures. It runs the scan stage on a
-//! worker thread and the merge stage on the caller's, handing scanned
-//! units across a **rendezvous channel** (capacity 0): the scanner cannot
-//! run more than one unit ahead, so at any instant at most *two* units
-//! are alive — unit *k* (labels, under merge) and unit *k + 1* (pixels +
-//! labels, under scan) — plus the carried boundary row. That is the
-//! pipelined residency bound `2 × unit rows + 1`, which [`run`] returns.
+//! [`run`] takes the two stages as closures and owns the loop around
+//! them: the global row `r0` of each unit's first line, the carried-id
+//! reservation and the residency count. Synchronously it scans and
+//! merges each unit inline, reserving exactly the open components the
+//! previous merge left. Pipelined, it runs the scan stage on a worker
+//! thread and the merge stage on the caller's, handing scanned units
+//! across a **rendezvous channel** (capacity 0): the scanner cannot run
+//! more than one unit ahead, so at any instant at most *two* units are
+//! alive — unit *k* (labels, under merge) and unit *k + 1* (pixels +
+//! labels, under scan) — plus the carried boundary row, the residency
+//! bound `2 × unit rows + 1`. The scanner cannot know the open-component
+//! count of a merge still running, so it reserves the width bound
+//! `⌈w/2⌉` instead: no carry row can hold more open components, adjacent
+//! foreground pixels sharing one.
 //!
 //! Errors never hang the pipeline: a failing source or scan surfaces
 //! through the channel disconnect + join, a failing merge drops the
 //! receiver so the scanner's blocked send aborts, and a panicking scan
-//! stage is converted into the engine's `Worker` error.
+//! stage becomes [`StreamError::Worker`], converted into the engine's
+//! error by `From`.
 
-use std::any::Any;
 use std::sync::mpsc;
 
-/// Runs `scan` on a worker thread and `merge` on the caller's thread,
-/// one unit apart, and returns the peak resident pixel rows.
+use crate::error::StreamError;
+
+/// Drives an engine over its units and returns the peak resident pixel
+/// rows (see the module docs).
 ///
-/// * `scan(carry_cap)` pulls and scans the next unit with carried ids
-///   reserved in slots `1..=carry_cap` (`⌈width/2⌉`: no carry row can
-///   hold more open components, adjacent foreground pixels sharing one),
-///   or returns `Ok(None)` at the end of the stream.
-/// * `merge` consumes the units in order.
-/// * `rows` is a unit's pixel rows, 0 for a unit without pixels.
-/// * `worker_panic` turns a panicking scan stage into an error.
+/// * `scan(carry_cap, r0)` pulls and scans the next unit with carried
+///   ids reserved in slots `1..=carry_cap` and its first line at global
+///   row `r0`, or returns `Ok(None)` at the end of the stream.
+/// * `merge` consumes the units in order and returns the components it
+///   left open — the synchronous reservation for the next unit.
+/// * `rows` is a unit's pixel rows.
+/// * `pipelined` runs the scan stage one unit ahead on a worker thread.
 pub fn run<T, E>(
     width: usize,
-    mut scan: impl FnMut(u32) -> Result<Option<T>, E> + Send,
-    mut merge: impl FnMut(T) -> Result<(), E>,
+    pipelined: bool,
+    mut scan: impl FnMut(u32, usize) -> Result<Option<T>, E> + Send,
+    mut merge: impl FnMut(T) -> Result<u32, E>,
     rows: fn(&T) -> usize,
-    worker_panic: fn(&(dyn Any + Send)) -> E,
 ) -> Result<usize, E>
 where
     T: Send,
-    E: Send,
+    E: Send + From<StreamError>,
 {
+    let mut r0 = 0;
+    let mut next = move |carry_cap: u32| -> Result<Option<T>, E> {
+        let unit = scan(carry_cap, r0)?;
+        r0 += unit.as_ref().map_or(0, rows);
+        Ok(unit)
+    };
+
+    // Residency, counted deterministically: a unit's pixel rows (none
+    // without width), the previous unit's while pipelined (the
+    // rendezvous lets the scanner hold unit k + 1 while unit k merges),
+    // and the carry row once a unit with pixels has been merged.
+    let (mut peak, mut prev_h, mut units) = (0, 0, 0);
+    let mut hold = |unit: &T| {
+        let h = if width == 0 { 0 } else { rows(unit) };
+        if h > 0 {
+            let alive = h + if pipelined { prev_h } else { 0 };
+            peak = peak.max(alive + usize::from(units > 0));
+            prev_h = h;
+            units += 1;
+        }
+    };
+
+    if !pipelined {
+        let mut carry_cap = 0;
+        while let Some(unit) = next(carry_cap)? {
+            hold(&unit);
+            carry_cap = merge(unit)?;
+        }
+        return Ok(peak);
+    }
+
     let carry_cap = width.div_ceil(2) as u32;
-
-    // Residency: while the merge stage holds unit k, the scan stage holds
-    // at most unit k + 1 (rendezvous channel — the send blocks until the
-    // merge stage takes the unit). Deterministic accounting: the max over
-    // consecutive unit-height pairs, plus the carry row once two or more
-    // units hold pixels.
-    let mut prev_h = 0usize;
-    let mut max_pair = 0usize;
-    let mut units = 0usize;
-
     let (tx, rx) = mpsc::sync_channel(0);
     std::thread::scope(|s| {
         let scanner = s.spawn(move || -> Result<(), E> {
-            while let Some(unit) = scan(carry_cap)? {
+            while let Some(unit) = next(carry_cap)? {
                 if tx.send(unit).is_err() {
                     break; // merge stage stopped early (error): unblock and exit
                 }
@@ -75,12 +104,7 @@ where
 
         let mut merged: Result<(), E> = Ok(());
         while let Ok(unit) = rx.recv() {
-            let h = rows(&unit);
-            if h > 0 {
-                units += 1;
-                max_pair = max_pair.max(prev_h + h);
-                prev_h = h;
-            }
+            hold(&unit);
             if let Err(e) = merge(unit) {
                 merged = Err(e);
                 break;
@@ -89,34 +113,32 @@ where
         // A merge error leaves units queued: drop the receiver so the
         // scanner's blocked send fails and the thread exits.
         drop(rx);
-        let scanned = match scanner.join() {
-            Ok(r) => r,
-            Err(payload) => Err(worker_panic(payload.as_ref())),
-        };
+        let scanned = scanner
+            .join()
+            .unwrap_or_else(|payload| Err(StreamError::worker_panic(payload.as_ref()).into()));
         merged.and(scanned)
     })?;
-    Ok(max_pair + usize::from(units >= 2))
+    Ok(peak)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::StreamError;
 
-    /// Drives [`run`] over units of the given heights, merging them into
-    /// a list.
+    /// Drives [`run`] pipelined over units of the given heights, merging
+    /// them into a list.
     fn run_units(width: usize, heights: &[usize]) -> (Result<usize, StreamError>, Vec<usize>) {
         let mut next = heights.iter().copied();
         let mut merged = Vec::new();
         let peak = run(
             width,
-            |_| Ok(next.next()),
+            true,
+            |_, _| Ok(next.next()),
             |h| {
                 merged.push(h);
-                Ok(())
+                Ok(0)
             },
             |&h| h,
-            StreamError::worker_panic,
         );
         (peak, merged)
     }
@@ -139,17 +161,49 @@ mod tests {
             let mut left = 2;
             run(
                 width,
-                |carry_cap| {
+                true,
+                |carry_cap, _| {
                     seen.push(carry_cap);
                     left -= 1;
                     Ok::<_, StreamError>((left >= 0).then_some(1))
                 },
-                |_| Ok(()),
+                |_| Ok(0),
                 |&h| h,
-                StreamError::worker_panic,
             )
             .unwrap();
             assert!(seen.iter().all(|&c| c == cap), "width {width}: {seen:?}");
+        }
+    }
+
+    /// Synchronously each unit reserves what the previous merge left
+    /// open, both modes number rows from 0 in unit order, and only the
+    /// pipelined run holds two units at once.
+    #[test]
+    fn both_modes_count_rows_and_sync_reserves_the_open_count() {
+        for pipelined in [false, true] {
+            let mut next = [3, 2, 4].into_iter();
+            let mut scanned = Vec::new();
+            let peak = run(
+                8,
+                pipelined,
+                |carry_cap, r0| {
+                    scanned.push((carry_cap, r0));
+                    Ok::<_, StreamError>(next.next())
+                },
+                |h| Ok(h as u32 + 10),
+                |&h| h,
+            )
+            .unwrap();
+            let r0s: Vec<usize> = scanned.iter().map(|&(_, r0)| r0).collect();
+            assert_eq!(r0s, [0, 3, 5, 9]);
+            let caps: Vec<u32> = scanned.iter().map(|&(cap, _)| cap).collect();
+            if pipelined {
+                assert_eq!(caps, [4; 4]);
+                assert_eq!(peak, 4 + 2 + 1);
+            } else {
+                assert_eq!(caps, [0, 13, 12, 14]);
+                assert_eq!(peak, 4 + 1);
+            }
         }
     }
 
@@ -158,16 +212,16 @@ mod tests {
         let mut left = 3;
         let err = run(
             4,
-            |_| {
+            true,
+            |_, _| {
                 if left == 0 {
                     panic!("generator exploded mid-stream");
                 }
                 left -= 1;
                 Ok(Some(2))
             },
-            |_| Ok(()),
+            |_| Ok(0),
             |&h| h,
-            StreamError::worker_panic,
         )
         .unwrap_err();
         match err {
@@ -183,17 +237,17 @@ mod tests {
         let mut merged = 0;
         let err = run(
             4,
-            |_| Ok(Some(2)),
+            true,
+            |_, _| Ok(Some(2)),
             |_| {
                 merged += 1;
                 if merged == 3 {
                     Err(StreamError::Worker("sink refused".into()))
                 } else {
-                    Ok(())
+                    Ok(0)
                 }
             },
             |&h| h,
-            StreamError::worker_panic,
         )
         .unwrap_err();
         assert!(matches!(err, StreamError::Worker(msg) if msg == "sink refused"));

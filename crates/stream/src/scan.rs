@@ -78,21 +78,6 @@ impl ScannedRow {
     pub fn rows(&self) -> usize {
         self.rows
     }
-
-    /// True for rows with no pixels (zero height or zero width): the
-    /// engines only count them.
-    pub fn is_degenerate(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Pixel rows the tile row keeps resident (none for a degenerate row).
-    pub fn resident_rows(&self) -> usize {
-        if self.is_degenerate() {
-            0
-        } else {
-            self.rows
-        }
-    }
 }
 
 /// Row label of a tile's label `label` under the tile's `shift`

@@ -1,5 +1,6 @@
 //! The grid engine's driver — pull a whole [`TileSource`] through a
-//! [`TileGridLabeler`], synchronously or pipelined.
+//! [`TileGridLabeler`] with `ccl-stream`'s driver loop, synchronously or
+//! pipelined.
 
 use ccl_stream::scan::ScannedRow;
 use ccl_stream::{ComponentRecord, ComponentSink};
@@ -19,9 +20,11 @@ use crate::source::TileSource;
 /// Synchronously the labeler never holds more than one tile row plus the
 /// carry row of pixels. With [`TileGridConfig::pipelined`] row *k + 1*'s
 /// tile scans overlap row *k*'s seam merge, accumulation and spill on a
-/// worker thread ([`ccl_stream::pipeline`]): output is identical, and
-/// [`TileGridStats::peak_resident_rows`] reports the two-tile-row + carry
-/// residency.
+/// worker thread. Both modes run `ccl-stream`'s driver loop
+/// ([`ccl_stream::pipeline::run`]): output is identical, and
+/// [`TileGridStats::peak_resident_rows`] reports the pipelined run's
+/// two-tile-row + carry residency. A panicking stage surfaces as
+/// [`TilesError::Stream`]`(`[`StreamError::Worker`](ccl_stream::StreamError::Worker)`)`.
 pub fn label_tiles<S>(
     source: &mut S,
     cfg: TileGridConfig,
@@ -33,26 +36,18 @@ where
 {
     let width = source.width();
     let mut labeler = TileGridLabeler::with_config(width, cfg);
-    if !cfg.pipelined {
-        while let Some(row) = source.next_tile_row()? {
-            labeler.process(&row, components, tiles.as_deref_mut())?;
-        }
-        return Ok(labeler.finish(components));
-    }
-    let mut r0 = 0;
     let peak = ccl_stream::pipeline::run(
         width,
-        |carry_cap| {
-            let Some(row) = source.next_tile_row()? else {
-                return Ok(None);
-            };
-            let scanned = scan_row(&row, width, cfg.threads, carry_cap, r0)?;
-            r0 += scanned.rows();
-            Ok(Some(scanned))
+        cfg.pipelined,
+        |carry_cap, r0| match source.next_tile_row()? {
+            Some(row) => scan_row(&row, width, cfg.threads, carry_cap, r0).map(Some),
+            None => Ok(None),
         },
-        |row| labeler.merge_scanned(row, components, tiles.as_deref_mut()),
-        ScannedRow::resident_rows,
-        TilesError::worker_panic,
+        |row| {
+            labeler.merge_scanned(row, components, tiles.as_deref_mut())?;
+            Ok(labeler.open_components() as u32)
+        },
+        ScannedRow::rows,
     )?;
     let mut stats = labeler.finish(components);
     stats.peak_resident_rows = peak;

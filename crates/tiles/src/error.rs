@@ -8,7 +8,10 @@ use ccl_stream::StreamError;
 /// Errors produced while pulling, labeling or spilling tiles.
 #[derive(Debug)]
 pub enum TilesError {
-    /// The underlying row/tile source failed (I/O or malformed stream).
+    /// The underlying row/tile source failed (I/O or malformed stream),
+    /// or a pipeline stage died: a panicking source, behind a
+    /// `ccl-pipeline` prefetcher or in the pipelined driver's scan stage,
+    /// arrives as [`StreamError::Worker`] with the panic message.
     Stream(StreamError),
     /// An image decode or encode failed.
     Image(ImageError),
@@ -20,6 +23,11 @@ pub enum TilesError {
         expected: usize,
         /// Total width of the offending tile row.
         got: usize,
+    },
+    /// A tile of zero width in a tile row of non-zero width.
+    EmptyTile {
+        /// Column index of the offending tile.
+        tile_col: usize,
     },
     /// Tiles within one tile row disagree on height.
     RaggedTileRow {
@@ -37,19 +45,6 @@ pub enum TilesError {
     },
     /// The spill sidecar manifest is missing or malformed.
     Manifest(String),
-    /// The pipelined executor's tile-scan stage died without producing a
-    /// tile row — typically a panic in the wrapped source; the payload is
-    /// the panic message. (A `ccl-pipeline` prefetcher under a
-    /// `GridSource` reports its panic as [`TilesError::Stream`].)
-    Worker(String),
-}
-
-impl TilesError {
-    /// Builds [`TilesError::Worker`] from a caught panic payload
-    /// ([`panic_message`](ccl_stream::error::panic_message)).
-    pub fn worker_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        TilesError::Worker(ccl_stream::error::panic_message(payload))
-    }
 }
 
 impl fmt::Display for TilesError {
@@ -64,6 +59,9 @@ impl fmt::Display for TilesError {
                     "tile row width {got} does not match grid width {expected}"
                 )
             }
+            TilesError::EmptyTile { tile_col } => {
+                write!(f, "tile {tile_col} of the tile row has zero width")
+            }
             TilesError::RaggedTileRow { expected, got } => {
                 write!(
                     f,
@@ -74,7 +72,6 @@ impl fmt::Display for TilesError {
                 write!(f, "component id {gid} exceeds spill format limit {limit}")
             }
             TilesError::Manifest(msg) => write!(f, "spill manifest error: {msg}"),
-            TilesError::Worker(msg) => write!(f, "pipeline worker failed: {msg}"),
         }
     }
 }
@@ -130,8 +127,8 @@ mod tests {
         assert!(e.source().is_some());
         let e: TilesError = std::io::Error::other("disk full").into();
         assert!(e.to_string().contains("disk full"));
-        let e = TilesError::Worker("boom".into());
+        let e: TilesError = StreamError::Worker("boom".into()).into();
         assert!(e.to_string().contains("boom"));
-        assert!(e.source().is_none());
+        assert!(e.source().is_some());
     }
 }

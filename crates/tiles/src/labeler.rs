@@ -19,8 +19,9 @@
 //! worker labeling its group in a label space of its own, stitched after
 //! into the sequential numbering in O(labels) with the few seams between
 //! groups merged last — and the carry merge settles the horizontal seam.
-//! This engine adds only the tile-row validation, its tile counters and
-//! the [`TileMeta`] of every labeled tile. After each row the label
+//! The carry state also counts the rows and tile rows, degenerate ones
+//! included, so this engine adds only the tile-row validation, its tile
+//! count and the [`TileMeta`] of every labeled tile. After each row the label
 //! space is compacted to the components still *open* on the carry
 //! boundary and every retired slot is recycled, so resident state is
 //!
@@ -93,8 +94,6 @@ pub struct TileGridStats {
 /// ```
 pub struct TileGridLabeler {
     cfg: TileGridConfig,
-    rows_done: usize,
-    tile_rows_done: usize,
     tiles_done: usize,
     carry: CarryState,
 }
@@ -109,8 +108,6 @@ impl TileGridLabeler {
     pub fn with_config(width: usize, cfg: TileGridConfig) -> Self {
         TileGridLabeler {
             cfg,
-            rows_done: 0,
-            tile_rows_done: 0,
             tiles_done: 0,
             carry: CarryState::new(width),
         }
@@ -123,12 +120,12 @@ impl TileGridLabeler {
 
     /// Pixel rows labeled so far.
     pub fn rows_pushed(&self) -> usize {
-        self.rows_done
+        self.carry.rows()
     }
 
     /// Tile rows pushed so far.
     pub fn tile_rows_pushed(&self) -> usize {
-        self.tile_rows_done
+        self.carry.units()
     }
 
     /// Components currently open (touching the carry row).
@@ -149,7 +146,8 @@ impl TileGridLabeler {
 
     /// Labels the next tile row, emitting every component that closes.
     /// `tiles` are left-to-right; their widths must sum to the grid width
-    /// and their heights must agree.
+    /// and their heights must agree; in a grid of non-zero width no tile
+    /// may have zero width.
     pub fn push_tile_row<C: ComponentSink>(
         &mut self,
         tiles: &[BinaryImage],
@@ -175,8 +173,8 @@ impl TileGridLabeler {
         self.carry.finish(components);
         TileGridStats {
             width: self.width(),
-            rows: self.rows_done,
-            tile_rows: self.tile_rows_done,
+            rows: self.carry.rows(),
+            tile_rows: self.carry.units(),
             tiles: self.tiles_done,
             components: self.carry.finalized_components(),
             provisional_labels: self.carry.provisional_labels(),
@@ -191,13 +189,12 @@ impl TileGridLabeler {
         components: &mut dyn ComponentSink,
         sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), TilesError> {
-        let n_carry = self.carry.open_components() as u32;
         let row = scan_row(
             tiles,
             self.width(),
             self.cfg.threads,
-            n_carry,
-            self.rows_done,
+            self.carry.open_components() as u32,
+            self.carry.rows(),
         )?;
         self.merge_scanned(row, components, sink)
     }
@@ -205,7 +202,7 @@ impl TileGridLabeler {
     /// The merge stage: the shared carry merge ([`CarryState::merge`]),
     /// then every labeled tile (and any id merges) through `sink`.
     /// Counterpart of [`scan_row`]; the two called back-to-back are
-    /// exactly [`Self::push_tile_row`], while the pipelined executor
+    /// exactly [`Self::push_tile_row`], while the pipelined driver loop
     /// ([`ccl_stream::pipeline`]) runs them on different threads, one
     /// tile row apart.
     pub(crate) fn merge_scanned(
@@ -214,15 +211,12 @@ impl TileGridLabeler {
         components: &mut dyn ComponentSink,
         sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), TilesError> {
-        let th = row.rows();
-        if row.is_degenerate() {
-            self.rows_done += th;
-            self.tile_rows_done += usize::from(th > 0);
+        let (r0, th, tile_row) = (self.carry.rows(), row.rows(), self.carry.units());
+        let Some(mut merged) = self.carry.merge(row, components) else {
             return Ok(());
-        }
-        let r0 = self.rows_done;
-        let mut merged = self.carry.merge(row, components);
+        };
         let ntiles = merged.tile_widths().len();
+        self.tiles_done += ntiles;
         if let Some(sink) = sink {
             for &(kept, absorbed) in merged.merges() {
                 sink.merge(kept, absorbed);
@@ -231,7 +225,7 @@ impl TileGridLabeler {
             for t in 0..ntiles {
                 let width = merged.tile_widths()[t];
                 let meta = TileMeta {
-                    tile_row: self.tile_rows_done,
+                    tile_row,
                     tile_col: t,
                     row0: r0,
                     col0,
@@ -242,19 +236,16 @@ impl TileGridLabeler {
                 col0 += width;
             }
         }
-        self.rows_done += th;
-        self.tile_rows_done += 1;
-        self.tiles_done += ntiles;
         Ok(())
     }
 }
 
 /// The grid engine's scan stage: validates a tile row's shape (widths
-/// summing to the grid width, one shared height) and hands it to the
-/// shared tile-row scan ([`scan_tile_row`]). Carried ids occupy slots
-/// `1..=carry_cap` (the exact open-component count synchronously, the
-/// width bound `⌈w/2⌉` in the pipelined executor); `r0` is the global
-/// row of the tile row's first line.
+/// summing to the grid width, none of them zero unless the grid width
+/// is, one shared height) and hands it to the shared tile-row scan
+/// ([`scan_tile_row`]). Carried ids occupy slots `1..=carry_cap` and `r0`
+/// is the global row of the tile row's first line, both supplied by the
+/// driver loop ([`ccl_stream::pipeline::run`]) or the labeler.
 pub(crate) fn scan_row(
     tiles: &[BinaryImage],
     width: usize,
@@ -268,6 +259,9 @@ pub(crate) fn scan_row(
             expected: width,
             got: total,
         });
+    }
+    if let Some(tile_col) = tiles.iter().position(|t| t.width() == 0 && total > 0) {
+        return Err(TilesError::EmptyTile { tile_col });
     }
     let th = tiles.first().map_or(0, BinaryImage::height);
     if let Some(bad) = tiles.iter().find(|t| t.height() != th) {
@@ -469,6 +463,20 @@ mod tests {
                 got: 3
             }
         ));
+        for threads in [1, 2] {
+            let mut labeler = TileGridLabeler::with_config(4, TileGridConfig::parallel(threads));
+            let err = labeler
+                .push_tile_row(
+                    &[
+                        BinaryImage::ones(2, 2),
+                        BinaryImage::zeros(0, 2),
+                        BinaryImage::ones(2, 2),
+                    ],
+                    &mut sink,
+                )
+                .unwrap_err();
+            assert!(matches!(err, TilesError::EmptyTile { tile_col: 1 }));
+        }
     }
 
     #[test]

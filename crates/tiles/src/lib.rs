@@ -35,12 +35,14 @@
 //!   output, in memory or spilled ([`sink`]);
 //! * [`label_tiles`] — the driver: pulls a whole source through the
 //!   labeler, emitting components and, optionally, labeled tiles through
-//!   a [`TileSink`] (collected in memory or spilled); with
+//!   a [`TileSink`] (collected in memory or spilled), run by the strip
+//!   engine's driver loop ([`ccl_stream::pipeline`]); with
 //!   [`TileGridConfig::pipelined`] row *k + 1*'s tile scans overlap row
-//!   *k*'s seam merge / accumulation / spill on a worker thread (the
-//!   executor in [`ccl_stream::pipeline`]): identical output, at most two
-//!   tile rows + the carry row resident. [`analyze_tiles`] is the
-//!   collect-the-records shorthand.
+//!   *k*'s seam merge / accumulation / spill on a worker thread:
+//!   identical output, at most two tile rows + the carry row resident.
+//!   A panicking stage surfaces as [`TilesError::Stream`] holding
+//!   `StreamError::Worker`. [`analyze_tiles`] is the collect-the-records
+//!   shorthand.
 //!
 //! ## Example
 //!

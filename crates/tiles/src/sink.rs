@@ -28,13 +28,13 @@
 //! by [`SpillSink::create`]), so reading it fails with a typed
 //! [`TilesError`].
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use ccl_core::label::LabelImage;
 use ccl_image::io::pgm;
+use ccl_stream::analysis::reconcile;
 use ccl_stream::ComponentId;
 
 use crate::error::TilesError;
@@ -100,7 +100,7 @@ impl CollectTiles {
         for (meta, tile) in &self.tiles {
             blit(&mut gids, width, meta, tile);
         }
-        reconcile(width, height, gids, &self.merges)
+        reconcile(width, height, &gids, &self.merges)
     }
 }
 
@@ -121,50 +121,6 @@ fn blit(gids: &mut [u64], width: usize, meta: &TileMeta, tile: &[ComponentId]) {
         let dst = (meta.row0 + r) * width + meta.col0;
         gids[dst..dst + meta.width].copy_from_slice(&tile[r * meta.width..(r + 1) * meta.width]);
     }
-}
-
-/// Resolves merge chains and canonically renumbers a gid raster into a
-/// [`LabelImage`] (consecutive labels by raster order of first pixel).
-fn reconcile(
-    width: usize,
-    height: usize,
-    gids: Vec<u64>,
-    merges: &[(ComponentId, ComponentId)],
-) -> LabelImage {
-    // merges always keep the smaller id, so absorbed -> kept terminates
-    let mut parent: HashMap<ComponentId, ComponentId> = HashMap::new();
-    for &(kept, absorbed) in merges {
-        parent.insert(absorbed, kept);
-    }
-    let mut resolve = |id: ComponentId| {
-        let mut root = id;
-        while let Some(&p) = parent.get(&root) {
-            root = p;
-        }
-        // path compression: hostile chains stay linear overall
-        let mut cur = id;
-        while cur != root {
-            cur = parent.insert(cur, root).expect("cur lies on the chain");
-        }
-        root
-    };
-    let mut remap: HashMap<ComponentId, u32> = HashMap::new();
-    let mut next = 0u32;
-    let labels: Vec<u32> = gids
-        .iter()
-        .map(|&g| {
-            if g == 0 {
-                0
-            } else {
-                let root = resolve(g);
-                *remap.entry(root).or_insert_with(|| {
-                    next += 1;
-                    next
-                })
-            }
-        })
-        .collect();
-    LabelImage::from_raw(width, height, labels, next)
 }
 
 /// On-disk encoding of a spilled tile.
@@ -571,7 +527,7 @@ pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, Til
     Ok(reconcile(
         manifest.width,
         manifest.rows,
-        gids,
+        &gids,
         &manifest.merges,
     ))
 }
@@ -836,20 +792,5 @@ mod tests {
             assert!(matches!(err, TilesError::Manifest(_)), "{err}");
             fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn long_merge_chains_resolve() {
-        // every id absorbed by its predecessor: one component
-        let n = 10_000u64;
-        let mut sink = CollectTiles::default();
-        let ids: Vec<u64> = (1..=n).collect();
-        sink.tile(&meta(0, 0, 0, 0, n as usize, 1), &ids).unwrap();
-        for id in (2..=n).rev() {
-            sink.merge(id - 1, id);
-        }
-        let li = sink.into_label_image();
-        assert_eq!(li.num_components(), 1);
-        assert!(li.as_slice().iter().all(|&l| l == 1));
     }
 }

@@ -75,6 +75,18 @@ perfbench-smoke:
 bench-smoke:
     cargo bench --locked --no-run --workspace
 
+# Non-test lines of each crates/*/src tree: the lines of every .rs file
+# before its first `#[cfg(test)]`, summed per crate.
+loc:
+    #!/usr/bin/env sh
+    total=0
+    for d in crates/*/src; do
+        n=$(find "$d" -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' {} \; | awk '{ s += $1 } END { print s + 0 }')
+        printf '%6d %s\n' "$n" "$d"
+        total=$((total + n))
+    done
+    printf '%6d total\n' "$total"
+
 # Run the criterion benches (shim harness; CCL_BENCH_MS bounds per-bench time).
 bench:
     cargo bench --workspace

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use ccl_core::Algorithm;
     pub use ccl_image::threshold::im2bw;
     pub use ccl_image::{BinaryImage, Connectivity, GrayImage, RgbImage};
-    pub use ccl_pipeline::{PacedRows, PipelineError, PrefetchRows};
+    pub use ccl_pipeline::{PacedRows, PrefetchRows};
     pub use ccl_stream::{
         analyze_stream, label_stream, CollectLabelImage, ComponentRecord, ComponentSink,
         CountComponents, MemorySource, OwnedMemorySource, RowSource, StreamStats, StripConfig,
