@@ -37,7 +37,6 @@ fn bench_merge(c: &mut Criterion) {
                 threads,
                 merger,
                 lock_stripes: stripes,
-                parallel_flatten: false,
             };
             group.bench_with_input(BenchmarkId::new(label, name), img, |b, img| {
                 b.iter(|| black_box(paremsp_with(img, &cfg)))

@@ -11,8 +11,8 @@
 //!   `results/` (`BENCH_paremsp.json`, `BENCH_stream.json`) so perf is
 //!   tracked commit to commit.
 //! * **Criterion benches** (`benches/`): statistical micro-benchmarks per
-//!   experiment, the three design-choice ablations of DESIGN.md
-//!   (union-find variant, scan strategy, merger implementation), and the
+//!   experiment, three design-choice ablations (union-find variant, scan
+//!   strategy, merger implementation), the prior-art baseline, and the
 //!   `ccl-stream` scaling bench — `cargo bench -p ccl-bench`.
 //!
 //! This library crate holds the shared experiment configuration.

@@ -17,20 +17,21 @@
 //! | [`seq::aremsp`]   | two-line scan | **RemSP** — the paper's best |
 //!
 //! The scan phases are generic over the structure (see [`scan`]), so every
-//! combination can be benchmarked (ablation A2 in DESIGN.md). Reference
-//! labelers — BFS flood fill ([`seq::flood_fill_label`]), the run-based
-//! two-scan of He et al. ([`seq::run_based()`]) and the repeated-pass
-//! baseline ([`seq::multipass()`]) — provide oracles and additional
-//! baselines.
+//! combination can be benchmarked (the `ablation_unionfind` and
+//! `ablation_scan` benches of `ccl-bench`). Reference labelers — BFS
+//! flood fill ([`seq::flood_fill_label`]), the run-based two-scan of He
+//! et al. ([`seq::run_based()`]) and the repeated-pass baseline
+//! ([`seq::multipass()`]) — provide oracles and additional baselines.
 //!
 //! ## PAREMSP (§IV)
 //!
 //! [`par::paremsp()`] parallelizes AREMSP: the image rows are split into
-//! even-height chunks, each thread scans its chunk with a disjoint
-//! provisional-label range (Alg. 7), chunk-boundary rows are merged with
-//! the parallel Rem's MERGER (Alg. 8, or its CAS variant), and a sparse
-//! FLATTEN plus a parallel relabeling pass produce the final labels. All
-//! phases are timed individually so Figures 5a/5b can be reproduced.
+//! even-height chunks, each thread scans its chunk into its own RemSP
+//! (Alg. 7), the chunk stores are stitched into one dense label space,
+//! chunk-boundary rows are merged with the parallel Rem's MERGER (Alg. 8,
+//! or its CAS variant), and FLATTEN plus a parallel relabeling pass
+//! produce the final labels. All phases are timed individually so
+//! Figures 5a/5b can be reproduced.
 //!
 //! Outputs are [`label::LabelImage`]s with consecutive final labels
 //! `1..=k`. Algorithms sharing a scan order produce bit-identical

@@ -13,31 +13,40 @@
 //! ("local + merge") can be reproduced:
 //!
 //! 1. **Local scan** — every thread runs the AREMSP scan (Algorithm 6 +
-//!    Rem's algorithm) on its own row chunk with a disjoint provisional
-//!    label range. Labels live in per-chunk `&mut` slices split out of one
-//!    buffer; equivalences live in the shared [`ConcurrentParents`] array,
-//!    which is contention-free in this phase because ranges are disjoint.
-//! 2. **Boundary merge** — for every chunk boundary row `r`, the labels of
-//!    row `r` are merged with their neighbours in row `r-1` (Algorithm 7
-//!    lines 10–20) using a parallel merger: the lock-guarded MERGER of
-//!    Algorithm 8 or its CAS variant.
-//! 3. **Flatten** — sparse FLATTEN over the shared label space
-//!    (sequential per the paper — it is O(label slots) and, as Figure 5
-//!    shows, negligible next to the scan; a parallel extension is
-//!    available via [`ParemspConfig::parallel_flatten`]).
-//! 4. **Relabel** — every pixel's provisional label is replaced by its
-//!    final label, in parallel over the same chunks.
+//!    Rem's algorithm) on its own row chunk into a private [`RemSP`]
+//!    whose labels start at 1. Labels live in per-chunk `&mut` slices
+//!    split out of one buffer; no shared state is touched.
+//! 2. **Boundary merge** — the chunk stores are first stitched into one
+//!    dense [`ConcurrentParents`] array in O(labels): chunk `i` gets a
+//!    base `b_i`, its background sits at slot `b_i` with parent 0, and
+//!    its local label `l` at `b_i + l` with parents shifted by `b_i`, so
+//!    the table has `1 + labels + (chunks − 1)` slots and Rem's
+//!    `p[x] ≤ x` holds. Then, for every chunk boundary row `r`, the labels
+//!    of row `r` are merged with their neighbours in row `r-1` (Algorithm
+//!    7 lines 10–20), read through shifted copies of the two rows, using
+//!    a parallel merger: the lock-guarded MERGER of Algorithm 8 or its CAS
+//!    variant. The stitch is timed here, so phase 1 times only the local
+//!    scans.
+//! 3. **Flatten** — the dense FLATTEN (Algorithm 3) over the stitched
+//!    array, sequential per the paper (Algorithm 7 line 22).
+//! 4. **Relabel** — every pixel's local label `l` in chunk `i` becomes
+//!    `finals[b_i + l]`, in parallel over the same chunks. Background
+//!    reads its chunk's background slot, so the pass has no branch.
+//!
+//! Numbering follows AREMSP's exactly: the bases ascend with the chunks,
+//! so FLATTEN meets each component's root (its smallest label) in the
+//! same pair-scan order as the sequential scan.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use ccl_image::BinaryImage;
+use ccl_unionfind::flatten::flatten_monotone;
 use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
-use ccl_unionfind::EquivalenceStore;
+use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
 use crate::label::LabelImage;
-use crate::scan::{merge_seam, scan_two_line};
-
-use super::partition::{partition_rows, total_label_slots};
+use crate::scan::{max_labels_two_line, merge_seam, scan_two_line, split_spans};
 
 /// Which boundary-merge implementation PAREMSP uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,10 +103,6 @@ pub struct ParemspConfig {
     pub merger: MergerKind,
     /// Lock stripes for [`MergerKind::Locked`]; `None` = default (2^16).
     pub lock_stripes: Option<usize>,
-    /// Run the FLATTEN phase in parallel too (extension beyond the paper,
-    /// which flattens sequentially; see the `ablation_flatten` bench for
-    /// when it pays off). Final labels are unchanged either way.
-    pub parallel_flatten: bool,
 }
 
 impl ParemspConfig {
@@ -107,7 +112,6 @@ impl ParemspConfig {
             threads,
             merger: MergerKind::default(),
             lock_stripes: None,
-            parallel_flatten: false,
         }
     }
 
@@ -129,9 +133,10 @@ impl Default for ParemspConfig {
 pub struct PhaseTimings {
     /// Phase 1: per-chunk AREMSP scans (the paper's "local" time, Fig. 5a).
     pub scan: Duration,
-    /// Phase 2: boundary merging (Fig. 5b measures scan + merge).
+    /// Phase 2: stitching the chunk stores into one label space, then
+    /// boundary merging (Fig. 5b measures scan + merge).
     pub merge: Duration,
-    /// Phase 3: sparse FLATTEN.
+    /// Phase 3: dense FLATTEN of the stitched label space.
     pub flatten: Duration,
     /// Phase 4: final labeling pass.
     pub relabel: Duration,
@@ -172,100 +177,104 @@ pub fn paremsp_with(image: &BinaryImage, cfg: &ParemspConfig) -> (LabelImage, Ph
                 Some(s) => LockedMerger::with_stripes(s),
                 None => LockedMerger::new(),
             };
-            run(image, cfg.threads, &merger, cfg.parallel_flatten)
+            run(image, cfg.threads, &merger)
         }
-        MergerKind::Cas => run(image, cfg.threads, &CasMerger::new(), cfg.parallel_flatten),
+        MergerKind::Cas => run(image, cfg.threads, &CasMerger::new()),
     }
+}
+
+/// Row chunks of Algorithm 7 lines 2–7: at most `threads` near-equal
+/// spans of row *pairs*, so every boundary falls on an even row (the
+/// two-line scan works in pairs); the last chunk may end on an odd row.
+fn row_chunks(h: usize, threads: usize) -> Vec<Range<usize>> {
+    split_spans(h.div_ceil(2), threads)
+        .into_iter()
+        .map(|pairs| 2 * pairs.start..(2 * pairs.end).min(h))
+        .collect()
 }
 
 fn run<M: ConcurrentMerger>(
     image: &BinaryImage,
     threads: usize,
     merger: &M,
-    parallel_flatten: bool,
 ) -> (LabelImage, PhaseTimings) {
     let (w, h) = (image.width(), image.height());
     let mut timings = PhaseTimings::default();
-    let chunks = partition_rows(h, w, threads.max(1));
+    let chunks = row_chunks(h, threads);
     let mut labels = vec![0u32; w * h];
     if chunks.is_empty() || w == 0 {
         return (LabelImage::from_raw(w, h, labels, 0), timings);
     }
-    let mut parents = ConcurrentParents::new(total_label_slots(&chunks));
 
-    // Phase 1: local scans over disjoint row chunks and label ranges.
-    // Each task reports its used label range end so the flatten phase can
-    // skip the unused gaps.
+    // Phase 1: local scans, each chunk into its own RemSP (labels from 1).
+    // Each store reserves the chunk's worst case, as `two_pass_with` does;
+    // untouched capacity is never faulted in.
     let t0 = Instant::now();
-    let mut used_ends: Vec<u32> = chunks.iter().map(|c| c.label_offset).collect();
+    let mut stores: Vec<RemSP> = chunks
+        .iter()
+        .map(|rows| RemSP::with_capacity(1 + max_labels_two_line(rows.len(), w)))
+        .collect();
     rayon::scope(|s| {
         let mut rest: &mut [u32] = &mut labels;
-        for (chunk, used_end) in chunks.iter().zip(used_ends.iter_mut()) {
-            let (mine, tail) = rest.split_at_mut(chunk.num_rows() * w);
+        for (rows, store) in chunks.iter().zip(stores.iter_mut()) {
+            let (mine, tail) = rest.split_at_mut(rows.len() * w);
             rest = tail;
-            let parents = &parents;
             s.spawn(move |_| {
-                let mut store = parents.chunk_store();
-                let next = scan_two_line(
-                    image,
-                    chunk.rows.clone(),
-                    mine,
-                    &mut store,
-                    chunk.label_offset,
-                );
-                debug_assert!(
-                    next <= chunk.label_offset + chunk.label_capacity,
-                    "chunk exceeded its label range"
-                );
-                *used_end = next;
+                store.new_label(0);
+                scan_two_line(image, rows.clone(), mine, store, 1);
             });
         }
     });
     timings.scan = t0.elapsed();
-    let used_ranges: Vec<(u32, u32)> = chunks
-        .iter()
-        .zip(&used_ends)
-        .map(|(c, &end)| (c.label_offset, end))
-        .collect();
 
-    // Phase 2: merge chunk-boundary rows (Algorithm 7 lines 10–20).
+    // Phase 2: stitch the chunk stores into one dense label space, then
+    // merge the chunk-boundary rows (Algorithm 7 lines 10–20).
     let t0 = Instant::now();
+    let mut bases = Vec::with_capacity(chunks.len());
+    let mut stitched = Vec::with_capacity(stores.iter().map(RemSP::len).sum());
+    for store in &stores {
+        let base = u32::try_from(stitched.len()).expect("stitched label space fits in u32");
+        bases.push(base);
+        stitched.push(0); // this chunk's background slot
+        stitched.extend(store.parents()[1..].iter().map(|&q| q + base));
+    }
+    drop(stores);
+    let parents = ConcurrentParents::from_parents(stitched);
     if chunks.len() > 1 {
-        let labels_ref = &labels;
+        let labels = &labels;
+        let parents = &parents;
         rayon::scope(|s| {
-            for chunk in &chunks[1..] {
-                let parents = &parents;
-                let r = chunk.rows.start;
+            for (i, rows) in chunks.iter().enumerate().skip(1) {
+                let (up_base, cur_base) = (bases[i - 1], bases[i]);
+                let cur = rows.start * w;
                 s.spawn(move |_| {
-                    merge_boundary_row(labels_ref, w, r, parents, merger);
+                    let up = shifted_row(&labels[cur - w..cur], up_base);
+                    let cur = shifted_row(&labels[cur..cur + w], cur_base);
+                    merge_seam(&up, &cur, &mut MergerStore { parents, merger });
                 });
             }
         });
     }
     timings.merge = t0.elapsed();
 
-    // Phase 3: FLATTEN over the used label ranges (sequential per the
-    // paper, or the parallel extension when configured).
+    // Phase 3: FLATTEN (sequential per the paper).
     let t0 = Instant::now();
-    let num_components = if parallel_flatten {
-        parents.flatten_ranges_parallel(&used_ranges)
-    } else {
-        parents.flatten_ranges(&used_ranges)
-    };
+    let mut finals = parents.into_parents();
+    let num_components = flatten_monotone(&mut finals);
     timings.flatten = t0.elapsed();
 
     // Phase 4: final labeling, parallel over the same chunks.
     let t0 = Instant::now();
     rayon::scope(|s| {
         let mut rest: &mut [u32] = &mut labels;
-        for chunk in &chunks {
-            let (mine, tail) = rest.split_at_mut(chunk.num_rows() * w);
+        for (rows, &base) in chunks.iter().zip(&bases) {
+            let (mine, tail) = rest.split_at_mut(rows.len() * w);
             rest = tail;
-            let parents = &parents;
+            let finals = &finals[base as usize..];
             s.spawn(move |_| {
                 for l in mine {
-                    // background slot 0 resolves to 0, no branch needed
-                    *l = parents.resolve(*l);
+                    // local background 0 reads the chunk's background slot
+                    *l = finals[*l as usize];
                 }
             });
         }
@@ -275,27 +284,28 @@ fn run<M: ConcurrentMerger>(
     (LabelImage::from_raw(w, h, labels, num_components), timings)
 }
 
+/// A boundary row's local labels moved into the stitched label space:
+/// foreground `l` becomes `base + l`, background stays 0.
+fn shifted_row(row: &[u32], base: u32) -> Vec<u32> {
+    row.iter()
+        .map(|&l| if l == 0 { 0 } else { base + l })
+        .collect()
+}
+
 /// Adapts a [`ConcurrentMerger`] over a [`ConcurrentParents`] array to the
 /// [`EquivalenceStore`] interface, so the shared seam logic
 /// ([`merge_seam`]) drives PAREMSP's parallel boundary phase.
 ///
-/// Only `merge` is supported; labels must already be registered by the
-/// scan phase.
+/// Only `merge` is supported; every label is already in the stitched
+/// array.
 struct MergerStore<'a, M: ConcurrentMerger> {
     parents: &'a ConcurrentParents,
     merger: &'a M,
 }
 
-impl<'a, M: ConcurrentMerger> MergerStore<'a, M> {
-    /// Wraps the shared parent array and a merger implementation.
-    fn new(parents: &'a ConcurrentParents, merger: &'a M) -> Self {
-        MergerStore { parents, merger }
-    }
-}
-
 impl<M: ConcurrentMerger> EquivalenceStore for MergerStore<'_, M> {
     fn new_label(&mut self, _label: u32) {
-        unreachable!("MergerStore only merges; labels are registered by the scan phase");
+        unreachable!("MergerStore only merges; labels come from the stitch");
     }
 
     #[inline]
@@ -305,23 +315,6 @@ impl<M: ConcurrentMerger> EquivalenceStore for MergerStore<'_, M> {
         // contains y. Callers of the merge phase ignore the return value.
         x
     }
-}
-
-/// Merges the labels of boundary row `r` with row `r-1` (the last row of
-/// the previous chunk) — Algorithm 7 lines 13–20, shared with the
-/// sequential consumers through [`merge_seam`].
-fn merge_boundary_row<M: ConcurrentMerger>(
-    labels: &[u32],
-    w: usize,
-    r: usize,
-    parents: &ConcurrentParents,
-    merger: &M,
-) {
-    debug_assert!(r > 0);
-    let cur = r * w;
-    let up = (r - 1) * w;
-    let mut store = MergerStore::new(parents, merger);
-    merge_seam(&labels[up..up + w], &labels[cur..cur + w], &mut store);
 }
 
 #[cfg(test)]
@@ -337,6 +330,55 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) % 100 < density_pct
         })
+    }
+
+    /// Both mergers at 1–8 threads, each compared with AREMSP.
+    fn assert_matches_aremsp(img: &BinaryImage, what: &str) {
+        let seq = aremsp(img);
+        for merger in MergerKind::ALL {
+            for threads in 1..=8 {
+                let cfg = ParemspConfig::with_threads(threads).with_merger(merger);
+                let (out, _) = paremsp_with(img, &cfg);
+                assert_eq!(out, seq, "{what}: {merger}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn row_chunks_cover_exactly_on_even_boundaries() {
+        for h in 0..40 {
+            for threads in 1..10 {
+                let chunks = row_chunks(h, threads);
+                assert_eq!(chunks.is_empty(), h == 0);
+                assert!(chunks.len() <= threads);
+                assert_eq!(chunks.first().map_or(0, |c| c.start), 0);
+                assert_eq!(chunks.last().map_or(0, |c| c.end), h);
+                for pair in chunks.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                    assert_eq!(pair[1].start % 2, 0, "h={h} threads={threads}");
+                }
+                assert!(chunks.iter().all(|c| !c.is_empty()));
+            }
+        }
+        // 50 pairs over 3 chunks: 17/17/16 pairs
+        assert_eq!(row_chunks(100, 3), vec![0..34, 34..68, 68..100]);
+        assert_eq!(row_chunks(9, 2), vec![0..6, 6..9]);
+    }
+
+    #[test]
+    fn blank_middle_chunks_contribute_only_background() {
+        // Foreground only in the first and last row pairs, so at 8 threads
+        // (8-row chunks) the six middle chunks hold no label at all.
+        let img = BinaryImage::from_fn(37, 64, |r, c| !(2..62).contains(&r) && (r + c) % 3 != 0);
+        assert_matches_aremsp(&img, "blank middle");
+        assert_matches_aremsp(&BinaryImage::zeros(37, 64), "all background");
+    }
+
+    #[test]
+    fn all_foreground_is_one_component() {
+        let img = BinaryImage::from_fn(23, 17, |_, _| true);
+        assert_eq!(aremsp(&img).num_components(), 1);
+        assert_matches_aremsp(&img, "all foreground");
     }
 
     #[test]
@@ -384,7 +426,6 @@ mod tests {
                 threads: 6,
                 merger,
                 lock_stripes: Some(8), // tiny stripe count: force contention
-                parallel_flatten: false,
             };
             let (li, timings) = paremsp_with(&img, &cfg);
             assert_eq!(li, seq, "{merger:?}");
@@ -436,20 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flatten_extension_matches() {
-        let img = pseudo_random_image(120, 90, 55, 17);
-        let seq = aremsp(&img);
-        for threads in [2, 6, 24] {
-            let cfg = ParemspConfig {
-                parallel_flatten: true,
-                ..ParemspConfig::with_threads(threads)
-            };
-            let (out, _) = paremsp_with(&img, &cfg);
-            assert_eq!(out, seq, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn timings_are_populated() {
         let img = pseudo_random_image(128, 128, 50, 3);
         let (_, t) = paremsp_with(&img, &ParemspConfig::with_threads(4));
@@ -480,7 +507,6 @@ mod tests {
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.merger, MergerKind::Cas);
         assert!(cfg.lock_stripes.is_none());
-        assert!(!cfg.parallel_flatten);
     }
 
     #[test]

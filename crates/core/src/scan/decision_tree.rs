@@ -139,9 +139,11 @@ mod tests {
     fn first_label_offset_respected() {
         let img = BinaryImage::parse("#.#");
         let mut labels = vec![0u32; 3];
-        // Sparse store: the parallel chunk view accepts arbitrary offsets.
-        let parents = ccl_unionfind::par::ConcurrentParents::new(16);
-        let mut store = parents.chunk_store();
+        // labels 0..10 pre-registered, so the scan's first label is 10
+        let mut store = RemSP::new();
+        for _ in 0..10 {
+            store.make_set();
+        }
         let next = scan_decision_tree(&img, 0..1, &mut labels, &mut store, 10);
         assert_eq!(next, 12);
         assert_eq!(labels, vec![10, 0, 11]);

@@ -29,8 +29,8 @@
 //! (the earlier column's pixel would be a live mask neighbour of the
 //! later one), so a single row creates at most ⌈w/2⌉ labels and a
 //! two-row pair at most ⌈w/2⌉ as well — the bounds behind
-//! [`max_labels_decision_tree`] and [`max_labels_two_line`], which
-//! PAREMSP uses to give each thread a disjoint label range.
+//! [`max_labels_decision_tree`] and [`max_labels_two_line`], which size
+//! the label store reserved for a whole image or one PAREMSP chunk.
 
 pub mod decision_tree;
 pub mod seam;

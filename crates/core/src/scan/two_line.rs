@@ -8,8 +8,8 @@
 //! sweep halves the number of line traversals — the source of ARUN's (and
 //! AREMSP's) advantage over the one-line decision tree in Table II.
 //!
-//! Two corrections to the printed pseudocode (see DESIGN.md §6, verified
-//! by the exhaustive oracle tests):
+//! Two corrections to the printed pseudocode (verified by the exhaustive
+//! oracle tests in `tests/exhaustive_small.rs`):
 //!
 //! 1. Algorithm 6 line 14 drops an argument; the intended call is
 //!    `merge(p, label(e), label(a))`.
@@ -340,10 +340,12 @@ mod tests {
              ###
              ###",
         );
-        // scan only rows 2..4 with label offset 5
+        // scan only rows 2..4 with label offset 5 (labels 0..5 pre-registered)
         let mut labels = vec![0u32; 6];
-        let parents = ccl_unionfind::par::ConcurrentParents::new(32);
-        let mut store = parents.chunk_store();
+        let mut store = RemSP::new();
+        for _ in 0..5 {
+            store.make_set();
+        }
         let next = scan_two_line(&img, 2..4, &mut labels, &mut store, 5);
         assert_eq!(next, 6);
         assert!(labels.iter().all(|&l| l == 5));

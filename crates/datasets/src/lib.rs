@@ -7,7 +7,7 @@
 //! and **Miscellaneous** from the USC-SIPI database (≤ 1 Mpixel) and
 //! **NLCD** land-cover rasters from 12 MB up to 465.20 MB — all binarized
 //! with MATLAB's `im2bw(level = 0.5)`. Those exact images are proprietary
-//! /external data; per DESIGN.md §3 this crate generates synthetic
+//! /external data, so this crate generates synthetic
 //! stand-ins that match the *structural* properties CCL cost depends on
 //! (density, component count and shape, run statistics):
 //!

@@ -1,4 +1,4 @@
-//! The paper's four dataset families, as synthetic stand-ins (DESIGN.md §3).
+//! The paper's four dataset families, as synthetic stand-ins.
 //!
 //! * [`aerial`], [`texture`], [`miscellaneous`] — the three USC-SIPI
 //!   families; every image ≤ 1 Mpixel ("1 MB or less" of binary raster),

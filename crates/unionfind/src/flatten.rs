@@ -11,15 +11,13 @@
 //! He's equivalence table maintain that invariant; rank- and size-linked
 //! structures do not, and use [`flatten_generic`] instead.
 //!
-//! [`flatten_sparse_monotone`] extends Algorithm 3 to the gap-containing
-//! label spaces PAREMSP produces (each thread owns a disjoint range of the
-//! provisional label space and may not use all of it).
-
-/// Sentinel marking a never-allocated slot in sparse label spaces.
-pub const UNUSED: u32 = u32::MAX;
+//! PAREMSP needs no other form: it stitches its per-chunk stores into
+//! one dense, monotone parent array before the boundary merge, so the
+//! same [`flatten_monotone`] serves the sequential and parallel labelers.
 
 /// Dense FLATTEN (Algorithm 3). `p[0]` is the reserved background and must
-/// be its own root. Returns the number of sets among elements `1..p.len()`.
+/// be its own root; elements in its set (e.g. PAREMSP's per-chunk
+/// background slots) get final label 0. Returns the number of other sets.
 ///
 /// # Panics
 /// Panics (debug only) when the monotone invariant `p[i] ≤ i` is violated.
@@ -38,34 +36,6 @@ pub fn flatten_monotone(p: &mut [u32]) -> u32 {
         if (pi as usize) < i {
             // Non-root: the parent was already rewritten to its final
             // label, so one hop suffices.
-            p[i] = p[pi as usize];
-        } else {
-            p[i] = k;
-            k += 1;
-        }
-    }
-    k - 1
-}
-
-/// Sparse FLATTEN: like [`flatten_monotone`] but slots equal to [`UNUSED`]
-/// are skipped (left as `UNUSED`). Used after PAREMSP's boundary merge,
-/// where each thread's label range may be partially used.
-pub fn flatten_sparse_monotone(p: &mut [u32]) -> u32 {
-    if p.is_empty() {
-        return 0;
-    }
-    debug_assert_eq!(p[0], 0, "background element must be a root");
-    let mut k = 1u32;
-    for i in 1..p.len() {
-        let pi = p[i];
-        if pi == UNUSED {
-            continue;
-        }
-        debug_assert!(
-            (pi as usize) <= i,
-            "monotone invariant violated: p[{i}] = {pi}"
-        );
-        if (pi as usize) < i {
             p[i] = p[pi as usize];
         } else {
             p[i] = k;
@@ -102,12 +72,13 @@ pub fn flatten_generic(p: &mut [u32]) -> u32 {
     // Pass 2: assign consecutive labels in order of smallest member.
     // Visiting i ascending, the first time we see a root it is via its
     // smallest member (or itself), so numbering follows minima.
-    let mut final_label = vec![UNUSED; p.len()];
+    const UNSET: u32 = u32::MAX;
+    let mut final_label = vec![UNSET; p.len()];
     final_label[0] = 0;
     let mut k = 1u32;
     for pi in p.iter_mut().skip(1) {
         let r = *pi as usize;
-        if final_label[r] == UNUSED {
+        if final_label[r] == UNSET {
             final_label[r] = k;
             k += 1;
         }
@@ -149,23 +120,7 @@ mod tests {
     #[test]
     fn flatten_empty() {
         assert_eq!(flatten_monotone(&mut []), 0);
-        assert_eq!(flatten_sparse_monotone(&mut []), 0);
         assert_eq!(flatten_generic(&mut []), 0);
-    }
-
-    #[test]
-    fn flatten_sparse_skips_unused() {
-        // slots 2 and 5 never allocated
-        let mut p = vec![0, 1, UNUSED, 3, 3, UNUSED, 6];
-        let k = flatten_sparse_monotone(&mut p);
-        assert_eq!(k, 3);
-        assert_eq!(p, vec![0, 1, UNUSED, 2, 2, UNUSED, 3]);
-    }
-
-    #[test]
-    fn flatten_sparse_all_unused() {
-        let mut p = vec![0, UNUSED, UNUSED];
-        assert_eq!(flatten_sparse_monotone(&mut p), 0);
     }
 
     #[test]

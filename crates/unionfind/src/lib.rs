@@ -24,8 +24,8 @@
 //!   MERGER faithful to the paper's Algorithm 8 and a CAS-only variant.
 //!
 //! The analysis phase (the paper's FLATTEN, Algorithm 3) lives in
-//! [`flatten`], with dense and sparse forms; the sparse form supports the
-//! gap-containing provisional label spaces PAREMSP produces.
+//! [`flatten`]: one pass for monotone forests, which PAREMSP's stitched
+//! label space also is, and a generic form for rank- and size-linked ones.
 //!
 //! ## Element model
 //!
@@ -53,9 +53,8 @@ pub use seq::size::SizeUF;
 /// `p[count] ← count` ([`EquivalenceStore::new_label`]) and
 /// `merge(p, x, y)` ([`EquivalenceStore::merge`]).
 pub trait EquivalenceStore {
-    /// Registers a fresh provisional label. Dense backends require labels
-    /// to be registered consecutively (`label == len`); sparse backends
-    /// (the parallel chunk views) accept any unused slot.
+    /// Registers a fresh provisional label. Labels are registered
+    /// consecutively (`label == len`).
     fn new_label(&mut self, label: u32);
 
     /// Merges the equivalence classes of `x` and `y`, returning a common

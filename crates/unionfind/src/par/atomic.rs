@@ -65,23 +65,7 @@ impl ConcurrentMerger for CasMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EquivalenceStore;
-
-    fn fresh(n: u32) -> ConcurrentParents {
-        let p = ConcurrentParents::new(n as usize + 1);
-        let mut store = p.chunk_store();
-        for l in 1..=n {
-            store.new_label(l);
-        }
-        p
-    }
-
-    fn chase(p: &ConcurrentParents, mut x: u32) -> u32 {
-        while p.load(x) != x {
-            x = p.load(x);
-        }
-        x
-    }
+    use crate::par::tests::{assert_monotone, chase, fresh};
 
     #[test]
     fn sequential_semantics_match_rem() {
@@ -90,7 +74,7 @@ mod tests {
         m.merge(&p, 4, 9);
         m.merge(&p, 9, 2);
         m.merge(&p, 7, 8);
-        p.assert_monotone();
+        assert_monotone(&p);
         assert_eq!(chase(&p, 4), 2);
         assert_eq!(chase(&p, 9), 2);
         assert_eq!(chase(&p, 8), 7);
@@ -116,7 +100,7 @@ mod tests {
                 });
             }
         });
-        p.assert_monotone();
+        assert_monotone(&p);
         for l in 1..=n {
             assert_eq!(chase(&p, l), 1, "label {l}");
         }

@@ -9,13 +9,13 @@
 //! parent values, exactly like lines 12–14 / 23–25 of Algorithm 8.
 //! Interior splice writes stay unlocked, as in the original.
 //!
-//! One deliberate divergence from the pseudocode, documented here and in
-//! DESIGN.md: Algorithm 8 line 9 re-reads `p[rooty]` inside the critical
-//! section; we instead store the value `py` that the walk already
-//! validated (`py < px = rootx`). Both choices produce a link inside the
-//! merged set, but storing the validated value keeps the proof of the
-//! monotone invariant (`p[x] ≤ x`) local: a fresh read of `p[rooty]`
-//! could — after an unlocked-splice lost update — exceed `rootx`.
+//! One deliberate divergence from the pseudocode: Algorithm 8 line 9
+//! re-reads `p[rooty]` inside the critical section; we instead store
+//! the value `py` that the walk already validated (`py < px = rootx`).
+//! Both choices produce a link inside the merged set, but storing the
+//! validated value keeps the proof of the monotone invariant
+//! (`p[x] ≤ x`) local: a fresh read of `p[rooty]` could — after an
+//! unlocked-splice lost update — exceed `rootx`.
 //!
 //! Locks are striped: node *n* maps to lock `n & (stripes-1)`. The merger
 //! holds at most one lock at a time, so striping cannot deadlock; it only
@@ -125,7 +125,7 @@ impl ConcurrentMerger for LockedMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EquivalenceStore;
+    use crate::par::tests::{assert_monotone, chase, fresh};
 
     #[test]
     fn stripes_round_to_power_of_two() {
@@ -136,41 +136,23 @@ mod tests {
 
     #[test]
     fn single_threaded_merges_match_rem() {
-        let p = ConcurrentParents::new(16);
-        {
-            let mut store = p.chunk_store();
-            for l in 1..16 {
-                store.new_label(l);
-            }
-        }
+        let p = fresh(15);
         let m = LockedMerger::with_stripes(4);
         m.merge(&p, 3, 7);
         m.merge(&p, 7, 11);
         m.merge(&p, 2, 11);
-        p.assert_monotone();
-        let chase = |mut x: u32| {
-            while p.load(x) != x {
-                x = p.load(x);
-            }
-            x
-        };
-        assert_eq!(chase(3), 2);
-        assert_eq!(chase(7), 2);
-        assert_eq!(chase(11), 2);
-        assert_eq!(chase(5), 5);
+        assert_monotone(&p);
+        assert_eq!(chase(&p, 3), 2);
+        assert_eq!(chase(&p, 7), 2);
+        assert_eq!(chase(&p, 11), 2);
+        assert_eq!(chase(&p, 5), 5);
     }
 
     #[test]
     fn concurrent_chain_merges_connect_everything() {
         // Many threads merge overlapping chains; the result must be one set.
         let n = 4096u32;
-        let p = ConcurrentParents::new(n as usize + 1);
-        {
-            let mut store = p.chunk_store();
-            for l in 1..=n {
-                store.new_label(l);
-            }
-        }
+        let p = fresh(n);
         let m = LockedMerger::new();
         let threads = 8;
         std::thread::scope(|s| {
@@ -188,15 +170,9 @@ mod tests {
                 });
             }
         });
-        p.assert_monotone();
-        let chase = |mut x: u32| {
-            while p.load(x) != x {
-                x = p.load(x);
-            }
-            x
-        };
+        assert_monotone(&p);
         for l in 1..=n {
-            assert_eq!(chase(l), 1, "label {l} not merged to 1");
+            assert_eq!(chase(&p, l), 1, "label {l} not merged to 1");
         }
     }
 
@@ -205,13 +181,7 @@ mod tests {
         // Threads merge within disjoint residue classes mod 4; classes
         // must remain separate sets.
         let n = 4000u32;
-        let p = ConcurrentParents::new(n as usize + 1);
-        {
-            let mut store = p.chunk_store();
-            for l in 1..=n {
-                store.new_label(l);
-            }
-        }
+        let p = fresh(n);
         let m = LockedMerger::new();
         std::thread::scope(|s| {
             for class in 0..4u32 {
@@ -226,15 +196,9 @@ mod tests {
                 });
             }
         });
-        let chase = |mut x: u32| {
-            while p.load(x) != x {
-                x = p.load(x);
-            }
-            x
-        };
-        let roots: Vec<u32> = (1..=4).map(chase).collect();
+        let roots: Vec<u32> = (1..=4).map(|l| chase(&p, l)).collect();
         for l in 1..=n {
-            assert_eq!(chase(l), roots[((l - 1) % 4) as usize], "label {l}");
+            assert_eq!(chase(&p, l), roots[((l - 1) % 4) as usize], "label {l}");
         }
         // four distinct classes
         let mut sorted = roots.clone();

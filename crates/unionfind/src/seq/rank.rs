@@ -3,7 +3,7 @@
 //! compression. Gupta et al. cite the Patwary–Blair–Manne finding that
 //! this is *not* the best choice, which motivates RemSP; we implement it
 //! faithfully as the baseline, plus the path-halving / path-splitting
-//! compression alternatives for the ablation bench (A1 in DESIGN.md).
+//! compression alternatives for the `ablation_unionfind` bench.
 //!
 //! Rank trees may be rooted at a non-minimal element, so the analysis
 //! phase uses [`crate::flatten::flatten_generic`] (the paper's Algorithm 3

@@ -55,12 +55,20 @@ impl RemSP {
         }));
         shift
     }
+}
 
-    /// The paper's Algorithm 2, operating on a raw parent slice. Exposed
-    /// so the scan phases and the parallel chunk views can share one
-    /// implementation.
+impl EquivalenceStore for RemSP {
     #[inline]
-    pub fn merge_in(p: &mut [u32], x: u32, y: u32) -> u32 {
+    fn new_label(&mut self, label: u32) {
+        debug_assert_eq!(label as usize, self.p.len(), "dense registration");
+        self.p.push(label);
+    }
+
+    /// The paper's Algorithm 2.
+    #[inline]
+    fn merge(&mut self, x: u32, y: u32) -> u32 {
+        debug_assert!(!self.flattened, "merge after flatten");
+        let p = self.p.as_mut_slice();
         let mut rootx = x as usize;
         let mut rooty = y as usize;
         while p[rootx] != p[rooty] {
@@ -86,20 +94,6 @@ impl RemSP {
             }
         }
         p[rootx]
-    }
-}
-
-impl EquivalenceStore for RemSP {
-    #[inline]
-    fn new_label(&mut self, label: u32) {
-        debug_assert_eq!(label as usize, self.p.len(), "dense registration");
-        self.p.push(label);
-    }
-
-    #[inline]
-    fn merge(&mut self, x: u32, y: u32) -> u32 {
-        debug_assert!(!self.flattened, "merge after flatten");
-        Self::merge_in(&mut self.p, x, y)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Link-by-size union-find with full path compression — the third classic
 //! linking rule in the Patwary–Blair–Manne comparison; included for the
-//! union-find ablation bench (A1 in DESIGN.md).
+//! union-find ablation bench (`ablation_unionfind` in `ccl-bench`).
 
 use crate::flatten::flatten_generic;
 use crate::{EquivalenceStore, UnionFind};

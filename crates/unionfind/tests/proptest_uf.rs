@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use ccl_unionfind::flatten::{flatten_generic, flatten_monotone};
 use ccl_unionfind::par::{CasMerger, ConcurrentMerger, ConcurrentParents, LockedMerger};
 use ccl_unionfind::testing::{canonical_partition, partition_of};
-use ccl_unionfind::{EquivalenceStore, HeEquivalence, MinUF, RankUF, RemSP, SizeUF, UnionFind};
+use ccl_unionfind::{HeEquivalence, MinUF, RankUF, RemSP, SizeUF, UnionFind};
 
 fn arb_script() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     (2u32..64).prop_flat_map(|n| {
@@ -86,13 +86,7 @@ proptest! {
         threads in 2usize..=6,
     ) {
         // labels 1..=n in the shared array (slot 0 = background)
-        let parents = ConcurrentParents::new(n as usize + 1);
-        {
-            let mut store = parents.chunk_store();
-            for l in 1..=n {
-                store.new_label(l);
-            }
-        }
+        let parents = ConcurrentParents::from_parents((0..=n).collect());
         let shifted: Vec<(u32, u32)> =
             unions.iter().map(|&(x, y)| (x + 1, y + 1)).collect();
         let locked = LockedMerger::with_stripes(8);
@@ -117,11 +111,14 @@ proptest! {
                 });
             }
         });
-        parents.assert_monotone();
+        let parents = parents.into_parents();
+        for (i, &p) in parents.iter().enumerate() {
+            prop_assert!(p as usize <= i, "p[{}] = {} violates monotonicity", i, p);
+        }
         // chase to roots and compare with the sequential partition
         let chase = |mut x: u32| {
-            while parents.load(x) != x {
-                x = parents.load(x);
+            while parents[x as usize] != x {
+                x = parents[x as usize];
             }
             x
         };
@@ -135,42 +132,6 @@ proptest! {
                     "pair ({}, {}) diverged (cas={})", x, y, use_cas
                 );
             }
-        }
-    }
-
-    #[test]
-    fn flatten_ranges_equals_flatten_sparse(
-        (n, unions) in arb_script(),
-    ) {
-        // register a dense prefix 1..=n, merge, then compare both flattens
-        let parents = ConcurrentParents::new(n as usize + 8); // extra gap slots
-        {
-            let mut store = parents.chunk_store();
-            for l in 1..=n {
-                store.new_label(l);
-            }
-            for &(x, y) in &unions {
-                if x != 0 && y != 0 {
-                    store.merge(x, y);
-                }
-            }
-        }
-        let snap = parents.snapshot();
-        let mut a = ConcurrentParents::from_snapshot(&snap);
-        let mut b = ConcurrentParents::from_snapshot(&snap);
-        let ka = a.flatten_sparse();
-        let kb = b.flatten_ranges(&[(1, n + 1)]);
-        prop_assert_eq!(ka, kb);
-        for l in 0..=n {
-            prop_assert_eq!(a.resolve(l), b.resolve(l), "label {}", l);
-        }
-        // and the parallel ranges variant
-        let mut c = ConcurrentParents::from_snapshot(&snap);
-        let half = n / 2 + 1;
-        let kc = c.flatten_ranges_parallel(&[(1, half), (half, n + 1)]);
-        prop_assert_eq!(kc, ka);
-        for l in 0..=n {
-            prop_assert_eq!(c.resolve(l), a.resolve(l), "label {}", l);
         }
     }
 }

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test rayon-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke perfbench-smoke bench-smoke
+ci: fmt-check clippy build test rayon-release-test unionfind-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke perfbench-smoke bench-smoke
 
 # Format the whole workspace in place (perfbench is its own workspace).
 fmt:
@@ -30,6 +30,12 @@ test:
 # unsafe code, so it is also tested with optimizations on.
 rayon-release-test:
     cargo test --locked --release -p rayon
+
+# The union-find crate's tests in release mode: PAREMSP's lock-free code
+# is the two concurrent boundary mergers, whose stress tests should also
+# run with optimizations on.
+unionfind-release-test:
+    cargo test --locked --release -p ccl-unionfind
 
 # The benchmark's own tests: perfbench is a separate workspace that
 # compiles against the crates' public APIs, so this catches API breaks.
@@ -71,7 +77,7 @@ perfbench-smoke:
         cargo run --locked --release --quiet --manifest-path perfbench/Cargo.toml -- --workload $w --seed 1 --seconds 1 --trace 0 || exit 1; \
     done
 
-# Compile all ten criterion benches without running them.
+# Compile all nine criterion benches without running them.
 bench-smoke:
     cargo bench --locked --no-run --workspace
 

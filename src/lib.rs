@@ -65,9 +65,7 @@ pub mod prelude {
         region_properties, remove_small_components,
     };
     pub use ccl_core::label::LabelImage;
-    pub use ccl_core::par::{
-        multipass_parallel, paremsp, paremsp_rayon, paremsp_with, MergerKind, ParemspConfig,
-    };
+    pub use ccl_core::par::{multipass_parallel, paremsp, paremsp_with, MergerKind, ParemspConfig};
     pub use ccl_core::seq::{
         aremsp, arun, ccllrpc, cclremsp, contour_label, flood_fill_label, label_four_connectivity,
         label_grayscale, multipass, run_based,

@@ -106,14 +106,6 @@ fn paremsp_agrees_on_gallery_across_thread_counts() {
 }
 
 #[test]
-fn rayon_backend_agrees_on_gallery() {
-    use paremsp::core::par::paremsp_rayon;
-    for (name, img) in gallery() {
-        assert_eq!(paremsp_rayon(&img), Algorithm::Aremsp.run(&img), "{name}");
-    }
-}
-
-#[test]
 fn verify_labeling_accepts_every_algorithm_output() {
     use paremsp::core::verify::verify_labeling;
     use paremsp::image::Connectivity;

@@ -1,7 +1,8 @@
 //! Exhaustive oracle: every algorithm against BFS flood fill on *all*
 //! binary images of small sizes. This is the test that pins down the
-//! scan-phase case analyses (including the paper's two pseudocode
-//! fixes, DESIGN.md §6) — any missed merge case must show up here.
+//! scan-phase case analyses (including the two fixes to the paper's
+//! Algorithm 6 pseudocode listed in `ccl_core::scan::two_line`) — any
+//! missed merge case must show up here.
 //!
 //! All algorithms are checked in a single pass per image so the 2^16
 //! 4×4 space stays fast; `[profile.test]` enables light optimization.

@@ -29,7 +29,6 @@ fn mergers_agree_under_heavy_boundary_contention() {
                     threads: 15,
                     merger,
                     lock_stripes: Some(stripes),
-                    parallel_flatten: false,
                 };
                 let (out, _) = paremsp_with(&img, &cfg);
                 assert_eq!(out, seq, "bar={bar_row} {merger:?} stripes={stripes}");

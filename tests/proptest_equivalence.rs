@@ -49,14 +49,12 @@ proptest! {
         threads in 1usize..=9,
         cas in proptest::bool::ANY,
         stripes in 1usize..=64,
-        parallel_flatten in proptest::bool::ANY,
     ) {
         use paremsp::core::par::{paremsp_with, MergerKind, ParemspConfig};
         let cfg = ParemspConfig {
             threads,
             merger: if cas { MergerKind::Cas } else { MergerKind::Locked },
             lock_stripes: Some(stripes),
-            parallel_flatten,
         };
         let (out, _) = paremsp_with(&img, &cfg);
         prop_assert_eq!(out, aremsp(&img));
