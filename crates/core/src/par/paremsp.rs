@@ -221,7 +221,7 @@ fn run<M: ConcurrentMerger>(
             rest = tail;
             s.spawn(move |_| {
                 store.new_label(0);
-                scan_two_line(image, rows.clone(), mine, store, 1);
+                scan_two_line(image, rows.clone(), 0..w, mine, store, 1);
             });
         }
     });

@@ -14,6 +14,10 @@
 //! phase 1 needs; the sequential algorithms simply pass the whole image
 //! as one chunk. Rows above the chunk are treated as background — the
 //! paper's phase 2 (boundary merge) restores cross-chunk connectivity.
+//! The two-line scan also takes a column window, so the out-of-core
+//! engines scan each tile of a band in place: columns outside the
+//! window read as background, and the seams between windows are merged
+//! the same way.
 //!
 //! ## Neighbour tests via labels
 //!

@@ -24,35 +24,37 @@ use ccl_unionfind::EquivalenceStore;
 
 use super::scan_row;
 
-/// Runs the two-line scan over `rows` of `image`. Same contract as
-/// [`super::scan_decision_tree`]: chunk-local `labels` buffer, label
-/// numbering starts at `first_label`, rows above the chunk read as
-/// background, returns the next unused label.
+/// Runs the two-line scan over the window `rows × cols` of `image`.
+/// Same contract as [`super::scan_decision_tree`]: window-local `labels`
+/// buffer, label numbering starts at `first_label`, pixels outside the
+/// window read as background, returns the next unused label. Whole-image
+/// callers pass `0..image.width()` as `cols`.
 ///
 /// A trailing odd row (chunk of odd height) is scanned with the one-line
 /// decision tree, which shares the same mask for the top row of a pair.
 ///
 /// # Panics
-/// Panics when the buffer size does not match the chunk.
+/// Panics when the buffer size does not match the window.
 pub fn scan_two_line<S: EquivalenceStore>(
     image: &BinaryImage,
     rows: Range<usize>,
+    cols: Range<usize>,
     labels: &mut [u32],
     store: &mut S,
     first_label: u32,
 ) -> u32 {
-    let w = image.width();
+    let w = cols.len();
     assert_eq!(labels.len(), rows.len() * w, "label buffer size mismatch");
+    let line = |r: usize| &image.row(rows.start + r)[cols.clone()];
     let nrows = rows.len();
     let mut next = first_label;
     let mut lr = 0usize;
     while lr + 1 < nrows {
-        let r = rows.start + lr;
-        next = scan_pair(image.row(r), image.row(r + 1), labels, w, lr, store, next);
+        next = scan_pair(line(lr), line(lr + 1), labels, w, lr, store, next);
         lr += 2;
     }
     if lr < nrows {
-        next = scan_row(image.row(rows.start + lr), labels, w, lr, store, next);
+        next = scan_row(line(lr), labels, w, lr, store, next);
     }
     next
 }
@@ -196,7 +198,14 @@ mod tests {
         let mut labels = vec![0u32; img.len()];
         let mut store = RemSP::new();
         store.new_label(0);
-        let next = scan_two_line(img, 0..img.height(), &mut labels, &mut store, 1);
+        let next = scan_two_line(
+            img,
+            0..img.height(),
+            0..img.width(),
+            &mut labels,
+            &mut store,
+            1,
+        );
         (labels, next - 1, store)
     }
 
@@ -346,9 +355,44 @@ mod tests {
         for _ in 0..5 {
             store.make_set();
         }
-        let next = scan_two_line(&img, 2..4, &mut labels, &mut store, 5);
+        let next = scan_two_line(&img, 2..4, 0..3, &mut labels, &mut store, 5);
         assert_eq!(next, 6);
         assert!(labels.iter().all(|&l| l == 5));
+    }
+
+    #[test]
+    fn column_window_equals_scanning_the_crop() {
+        let mut state = 7u64;
+        let mut rnd = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for trial in 0..400 {
+            let (w, h) = (1 + rnd(12), 1 + rnd(9));
+            let density = rnd(5);
+            let img = BinaryImage::from_fn(w, h, |_, _| rnd(4) < density);
+            // windows at the left edge, at the right edge, one column
+            // wide, and anywhere
+            let c0 = [0, w - 1, rnd(w), rnd(w)][trial % 4];
+            let c1 = [1 + rnd(w), w, c0 + 1, c0 + 1 + rnd(w - c0)][trial % 4];
+            let r0 = rnd(h);
+            let rows = r0..r0 + 1 + rnd(h - r0);
+            let crop = img.crop(rows.start, c0, c1 - c0, rows.len());
+            let ctx = format!("trial {trial}: {w}x{h}, rows {rows:?}, cols {c0}..{c1}");
+
+            let (want, want_next, mut want_store) = scan(&crop);
+            let mut labels = vec![0u32; crop.len()];
+            let mut store = RemSP::new();
+            store.new_label(0);
+            let next = scan_two_line(&img, rows, c0..c1, &mut labels, &mut store, 1);
+            assert_eq!(labels, want, "{ctx}");
+            assert_eq!(next - 1, want_next, "{ctx}");
+            for l in 0..next {
+                assert_eq!(store.find(l), want_store.find(l), "{ctx}, label {l}");
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn two_pass_with<U: UnionFind>(image: &BinaryImage, scan: ScanStrategy) -> L
             scan_decision_tree(image, 0..h, &mut labels, &mut store, 1);
         }
         ScanStrategy::TwoLine => {
-            scan_two_line(image, 0..h, &mut labels, &mut store, 1);
+            scan_two_line(image, 0..h, 0..w, &mut labels, &mut store, 1);
         }
     }
     let num_components = store.flatten();

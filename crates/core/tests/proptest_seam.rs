@@ -21,9 +21,16 @@ fn label_halves(img: &BinaryImage, split: usize) -> (Vec<u32>, Vec<u32>, RemSP, 
     let mut store = RemSP::with_capacity(1 + max_labels_two_line(h, w));
     store.new_label(0);
     let mut left_labels = vec![0u32; left.len()];
-    let next = scan_two_line(&left, 0..h, &mut left_labels, &mut store, 1);
+    let next = scan_two_line(&left, 0..h, 0..split, &mut left_labels, &mut store, 1);
     let mut right_labels = vec![0u32; right.len()];
-    let next = scan_two_line(&right, 0..h, &mut right_labels, &mut store, next);
+    let next = scan_two_line(
+        &right,
+        0..h,
+        0..w - split,
+        &mut right_labels,
+        &mut store,
+        next,
+    );
     (left_labels, right_labels, store, next)
 }
 

@@ -35,12 +35,13 @@
 //! [`MergedBand`] this stage returns.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use ccl_core::scan::{merge_seam, Foldable as _};
 use ccl_unionfind::{RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentId, ComponentSink};
-use crate::scan::{for_each_run, shifted, ScannedRow};
+use crate::scan::{fold_runs, shifted, ScannedRow};
 
 /// Open-component state carried between bands: the carry row, the open
 /// accumulators and the id counters. See the module docs.
@@ -67,7 +68,7 @@ pub struct CarryState {
 /// for engines that emit labels (strips or tiles) after the merge.
 pub struct MergedBand {
     rows: usize,
-    widths: Vec<usize>,
+    spans: Vec<Range<usize>>,
     labels: Vec<Vec<u32>>,
     shifts: Vec<u32>,
     ids: StreamIds,
@@ -111,9 +112,9 @@ impl MergedBand {
         &self.merges
     }
 
-    /// Widths of the band's tiles, left to right.
-    pub fn tile_widths(&self) -> &[usize] {
-        &self.widths
+    /// Column spans of the band's tiles, left to right.
+    pub fn tile_spans(&self) -> &[Range<usize>] {
+        &self.spans
     }
 
     /// Stream ids of tile `t`'s pixels, row-major within the tile.
@@ -127,9 +128,10 @@ impl MergedBand {
 
     /// Stream ids of the whole band, row-major across every tile.
     pub fn gids(&mut self) -> Vec<ComponentId> {
-        let mut out = Vec::with_capacity(self.rows * self.widths.iter().sum::<usize>());
+        let width = self.spans.last().map_or(0, |s| s.end);
+        let mut out = Vec::with_capacity(self.rows * width);
         for r in 0..self.rows {
-            let row = line(&self.labels, &self.widths, &self.shifts, r);
+            let row = line(&self.labels, &self.spans, &self.shifts, r);
             out.extend(row.iter().map(|&l| self.ids.gid(l)));
         }
         out
@@ -206,15 +208,15 @@ impl CarryState {
         let ScannedRow {
             r0,
             rows,
-            widths,
+            spans,
             labels,
             shifts,
             mut uf,
             partials: mut acc,
             used,
         } = band;
-        let first = line(&labels, &widths, &shifts, 0);
-        let last = line(&labels, &widths, &shifts, rows - 1);
+        let first = line(&labels, &spans, &shifts, 0);
+        let last = line(&labels, &spans, &shifts, rows - 1);
         let (first, last) = (&*first, &*last);
         debug_assert_eq!(first.len(), self.width);
         debug_assert_eq!(last.len(), self.width);
@@ -224,7 +226,15 @@ impl CarryState {
         let n_carry = self.open_components() as u32;
         self.provisional_labels += u64::from(used.end - used.start);
 
-        self.fold_first_line(r0, first, &widths, &mut acc);
+        // The first line's runs (labels double as the foreground mask):
+        // their upper neighbours are the carry row, which the scan stage
+        // never reads. The first band's row above is background.
+        let fg = |row: &[u32]| -> Vec<u8> { row.iter().map(|&l| u8::from(l != 0)).collect() };
+        let (first_fg, mut above) = (fg(first), fg(&self.carry));
+        above.resize(self.width, 0);
+        for span in &spans {
+            fold_runs(r0, &first_fg, &above, span, &first[span.clone()], &mut acc);
+        }
         if !self.carry.is_empty() {
             merge_seam(&self.carry, first, &mut uf);
         }
@@ -303,7 +313,7 @@ impl CarryState {
         merges.sort_unstable();
         Some(MergedBand {
             rows,
-            widths,
+            spans,
             labels,
             shifts,
             ids: StreamIds { uf, root_of, acc },
@@ -327,49 +337,26 @@ impl CarryState {
             components.component(&acc.into_record());
         }
     }
-
-    /// Folds the band's first line into the partial table, one
-    /// [`Accum::run`] per tile-local run (labels double as the
-    /// foreground mask): its upper neighbours are the carry row, which
-    /// the scan stage never reads. Runs stop at tile edges because every
-    /// tile label is created at a tile-local run start, so each used
-    /// label gets a non-empty partial.
-    fn fold_first_line(&self, r0: usize, first: &[u32], widths: &[usize], acc: &mut [Accum]) {
-        let w = first.len();
-        let fg = |row: &[u32]| -> Vec<u8> { row.iter().map(|&l| u8::from(l != 0)).collect() };
-        let line = fg(first);
-        // the first band has no row above
-        let above = if self.carry.is_empty() {
-            vec![0; w]
-        } else {
-            fg(&self.carry)
-        };
-        let mut x0 = 0;
-        for &tw in widths {
-            for_each_run(&line[x0..x0 + tw], |a, b| {
-                let (a, b) = (x0 + a, x0 + b);
-                let west = a > 0 && line[a - 1] == 1;
-                let nw = a > 0 && above[a - 1] == 1;
-                let ne = b < w && above[b] == 1;
-                acc[first[a] as usize].fold(&Accum::run(r0, a..b, west, nw, &above[a..b], ne));
-            });
-            x0 += tw;
-        }
-    }
 }
 
 /// Row labels of local line `r` across every tile buffer, left to right:
 /// borrowed from a one-tile row (whose shift is 0), assembled in O(width)
 /// with each tile's shift applied otherwise.
-fn line<'a>(labels: &'a [Vec<u32>], widths: &[usize], shifts: &[u32], r: usize) -> Cow<'a, [u32]> {
-    match (labels, widths) {
-        ([one], &[w]) => Cow::Borrowed(&one[r * w..(r + 1) * w]),
+fn line<'a>(
+    labels: &'a [Vec<u32>],
+    spans: &[Range<usize>],
+    shifts: &[u32],
+    r: usize,
+) -> Cow<'a, [u32]> {
+    match (labels, spans) {
+        ([one], [span]) => Cow::Borrowed(&one[r * span.len()..(r + 1) * span.len()]),
         _ => Cow::Owned(
             labels
                 .iter()
-                .zip(widths)
+                .zip(spans)
                 .zip(shifts)
-                .flat_map(|((buf, &tw), &shift)| {
+                .flat_map(|((buf, span), &shift)| {
+                    let tw = span.len();
                     buf[r * tw..(r + 1) * tw]
                         .iter()
                         .map(move |&l| shifted(l, shift))

@@ -19,12 +19,13 @@
 //! The per-band work splits into two stages with one dependency between
 //! consecutive bands, both shared with the `ccl-tiles` grid labeler:
 //!
-//! * **scan stage** (`scan_band`) — a band is a row of column tiles: one
-//!   tile scanned with the two-line scan + RemSP when
-//!   [`StripConfig::threads`]` == 1`, `threads` column tiles scanned by
-//!   as many workers otherwise, each into a label space of its own that
-//!   the stage then stitches into one numbering and merges along the
-//!   vertical seams ([`crate::scan`]). Carried ids are reserved by
+//! * **scan stage** (`scan_band`) — a band is a row of column tiles,
+//!   each a span of the band scanned in place: one tile scanned with
+//!   the two-line scan + RemSP when [`StripConfig::threads`]` == 1`,
+//!   `threads` column tiles scanned by as many workers otherwise, each
+//!   into a label space of its own that the stage then stitches into one
+//!   numbering and merges along the vertical seams ([`crate::scan`]).
+//!   Carried ids are reserved by
 //!   capacity (the exact open-component count synchronously, the width
 //!   bound `⌈w/2⌉` in the pipelined driver loop), so the stage never
 //!   looks at the carry row. Each scan worker also builds its
@@ -110,9 +111,9 @@ pub struct StreamStats {
 }
 
 /// The strip engine's scan stage: validates the band's width and hands
-/// it to the shared tile-row scan ([`scan_tile_row`]) — as one tile (no
-/// copy) when sequential, as [`split_spans`]`(width, threads)` column
-/// tiles when parallel, so each worker scans one column of the band.
+/// it to the shared tile-row scan ([`scan_tile_row`]) as
+/// [`split_spans`]`(width, threads)` column tiles — one tile when
+/// sequential — so each worker scans one column of the band in place.
 ///
 /// Carried ids occupy slots `1..=carry_cap` and `r0` is the global row
 /// of the band's first row, both supplied by the driver loop
@@ -131,20 +132,7 @@ pub(crate) fn scan_band(
         });
     }
     let spans = split_spans(width, threads);
-    if spans.len() <= 1 {
-        return Ok(scan_tile_row(
-            std::slice::from_ref(band),
-            threads,
-            carry_cap,
-            r0,
-        ));
-    }
-    let h = band.height();
-    let tiles: Vec<BinaryImage> = spans
-        .into_iter()
-        .map(|cols| band.crop(0, cols.start, cols.len(), h))
-        .collect();
-    Ok(scan_tile_row(&tiles, threads, carry_cap, r0))
+    Ok(scan_tile_row(band, spans, threads, carry_cap, r0))
 }
 
 /// The streaming two-pass labeling engine. See the module docs.
@@ -188,24 +176,9 @@ impl StripLabeler {
         self.carry.width()
     }
 
-    /// Rows labeled so far.
-    pub fn rows_pushed(&self) -> usize {
-        self.carry.rows()
-    }
-
-    /// Bands pushed so far.
-    pub fn bands_pushed(&self) -> usize {
-        self.carry.units()
-    }
-
     /// Components currently open (touching the carry row).
     pub fn open_components(&self) -> usize {
         self.carry.open_components()
-    }
-
-    /// Components emitted so far.
-    pub fn finalized_components(&self) -> u64 {
-        self.carry.finalized_components()
     }
 
     /// Maximum pixel rows resident at any point so far (tallest band + 1

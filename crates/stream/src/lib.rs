@@ -19,8 +19,8 @@
 //!   paper's `im2bw`) and the streamed `ccl-datasets` generators
 //!   ([`generators`]);
 //! * [`StripLabeler`] — the engine: two-line scan + RemSP per band
-//!   (sequential) or, with [`StripConfig::parallel`], the band cut into
-//!   one column tile per thread, scanned concurrently and stitched along
+//!   (sequential) or, with [`StripConfig::parallel`], one column span of
+//!   the band per thread, scanned in place concurrently and stitched along
 //!   the vertical seams — the scan stage ([`scan`]) the `ccl-tiles` grid
 //!   labeler runs on its tile rows too — plus one carried boundary row
 //!   per band seam and label-slot recycling so closed components cost

@@ -1,24 +1,26 @@
 //! The scan stage — the one scan both out-of-core engines share.
 //!
-//! The unit scanned here is a **tile row**: `rows` pixel rows cut into
-//! column tiles, left to right. The `ccl-tiles` grid labeler hands over
-//! its tile rows as they arrive; the strip labeler ([`crate::StripLabeler`])
-//! hands over each band as one tile (sequential) or as `threads` column
-//! tiles (parallel). [`scan_tile_row`] labels locally first and stitches
-//! globally after — the split of Chen et al.'s coarse-to-fine labeling
-//! and Komura's block decomposition — and builds exactly the label space
-//! a sequential scan of the tiles, left to right, would build:
+//! The unit scanned here is a **tile row**: one borrowed band of pixel
+//! rows plus the column spans of its tiles, left to right. The
+//! `ccl-tiles` grid labeler hands over each tile row as its band and
+//! `tile_width`-wide spans; the strip labeler ([`crate::StripLabeler`])
+//! hands over each band as one span (sequential) or as `threads` column
+//! spans (parallel). Tiles are windows of the band, never copies.
+//! [`scan_tile_row`] labels locally first and stitches globally after —
+//! the split of Chen et al.'s coarse-to-fine labeling and Komura's block
+//! decomposition — and builds exactly the label space a sequential scan
+//! of the tiles, left to right, would build:
 //!
 //! * **per-group scan** — the tiles split into at most `threads`
 //!   contiguous groups ([`split_spans`]), one worker each (one group runs
-//!   inline). A worker scans its tiles with the two-line scan into a RemSP
-//!   store of its own, grows the group's **partial accumulator table** as
-//!   labels appear — one closed-form fold ([`Accum::run`]) per tile-local
-//!   run, into the label at the run's first pixel ([`crate::analysis`]
-//!   has the invariants) — and merges the group's own **vertical seams**
-//!   as strided columns ([`merge_seam_strided`]). Neighbour probes read
-//!   raw pixels — the adjacent tiles' edge columns included — never
-//!   another tile's labels.
+//!   inline). A worker scans its tiles' column windows of the band with
+//!   the two-line scan into a RemSP store of its own, grows the group's
+//!   **partial accumulator table** as labels appear — one closed-form
+//!   fold ([`Accum::run`]) per tile-local run, into the label at the
+//!   run's first pixel ([`crate::analysis`] has the invariants) — and
+//!   merges the group's own **vertical seams** as strided columns
+//!   ([`merge_seam_strided`]). Neighbour probes read the band's raw
+//!   pixels — across tile edges too — never another tile's labels.
 //! * **stitch** — each later group's labels are shifted by the count of
 //!   labels before it: its parents and partials are appended to the
 //!   first group's tables in O(labels), and the shift is recorded per tile
@@ -53,8 +55,8 @@ pub struct ScannedRow {
     pub(crate) r0: usize,
     /// Pixel rows (kept for degenerate rows too).
     pub(crate) rows: usize,
-    /// Tile widths, left to right (empty for a degenerate row).
-    pub(crate) widths: Vec<usize>,
+    /// Tile column spans, left to right (empty for a degenerate row).
+    pub(crate) spans: Vec<Range<usize>>,
     /// Per-tile label buffers, row-major within each tile, in their
     /// group's numbering: label `l` of tile `t` is row label
     /// [`shifted`]`(l, shifts[t])`.
@@ -91,25 +93,29 @@ pub(crate) fn shifted(label: u32, shift: u32) -> u32 {
     }
 }
 
-/// Scans one tile row (see the module docs). `tiles` are left to right
-/// and share one height; carried ids occupy slots `1..=carry_cap`, tile
-/// labels start at `carry_cap + 1`. `r0` is the global row of the first
-/// line (partial accumulators hold global coordinates, columns counted
-/// from the first tile's left edge).
+/// Scans one tile row (see the module docs): `band` cut into the column
+/// tiles `spans`, left to right, which cover its width. Carried ids
+/// occupy slots `1..=carry_cap`, tile labels start at `carry_cap + 1`.
+/// `r0` is the global row of the first line (partial accumulators hold
+/// global coordinates, columns counted from the band's left edge).
 pub fn scan_tile_row(
-    tiles: &[BinaryImage],
+    band: &BinaryImage,
+    spans: Vec<Range<usize>>,
     threads: usize,
     carry_cap: u32,
     r0: usize,
 ) -> ScannedRow {
-    let rows = tiles.first().map_or(0, BinaryImage::height);
-    debug_assert!(tiles.iter().all(|t| t.height() == rows), "ragged tile row");
-    let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
-    if rows == 0 || widths.iter().sum::<usize>() == 0 {
+    let rows = band.height();
+    debug_assert_eq!(
+        spans.last().map_or(0, |s| s.end),
+        band.width(),
+        "spans must cover the band"
+    );
+    if rows == 0 || spans.is_empty() {
         return ScannedRow {
             r0,
             rows,
-            widths: Vec::new(),
+            spans: Vec::new(),
             labels: Vec::new(),
             shifts: Vec::new(),
             uf: RemSP::new(),
@@ -117,21 +123,14 @@ pub fn scan_tile_row(
             used: 0..0,
         };
     }
-    let mut labels: Vec<Vec<u32>> = widths.iter().map(|&tw| vec![0u32; tw * rows]).collect();
-    let x0s: Vec<usize> = widths
-        .iter()
-        .scan(0, |x0, &tw| {
-            *x0 += tw;
-            Some(*x0 - tw)
-        })
-        .collect();
+    let mut labels: Vec<Vec<u32>> = spans.iter().map(|s| vec![0u32; s.len() * rows]).collect();
     // the first group numbers its labels above the carried ids, the
     // others from 1 (the stitch shifts them into place)
     let scan = |group: &Range<usize>, labels: &mut [Vec<u32>]| {
         let first = if group.start == 0 { carry_cap + 1 } else { 1 };
-        scan_group(tiles, group.clone(), labels, &x0s, first, r0)
+        scan_group(band, &spans[group.clone()], labels, first, r0)
     };
-    let groups = split_spans(tiles.len(), threads);
+    let groups = split_spans(spans.len(), threads);
     let mut scanned: Vec<Option<(RemSP, Vec<Accum>)>> = groups.iter().map(|_| None).collect();
     if let [group] = &groups[..] {
         scanned[0] = Some(scan(group, &mut labels));
@@ -151,26 +150,28 @@ pub fn scan_tile_row(
     // before it, then merge the seams between groups on the stitched store.
     let mut scanned = scanned.into_iter().map(|g| g.expect("every group scanned"));
     let (mut uf, mut partials) = scanned.next().expect("a non-degenerate row has a group");
-    let mut shifts = vec![0u32; tiles.len()];
+    let mut shifts = vec![0u32; spans.len()];
     for (group, (store, parts)) in groups.iter().skip(1).zip(scanned) {
         shifts[group.clone()].fill(uf.append_from(&store, 1));
         partials.extend_from_slice(&parts[1..]);
     }
     for t in groups.iter().skip(1).map(|g| g.start) {
+        // column `c` of tile `t`, shifted
         let column = |t: usize, c: usize| -> Vec<u32> {
-            let tw = widths[t];
+            let tw = spans[t].len();
             (0..rows)
                 .map(|r| shifted(labels[t][r * tw + c], shifts[t]))
                 .collect()
         };
-        merge_seam(&column(t - 1, widths[t - 1] - 1), &column(t, 0), &mut uf);
+        let last = spans[t - 1].len() - 1;
+        merge_seam(&column(t - 1, last), &column(t, 0), &mut uf);
     }
     debug_assert_eq!(partials.len(), uf.len());
     let used = carry_cap + 1..uf.len() as u32;
     ScannedRow {
         r0,
         rows,
-        widths,
+        spans,
         labels,
         shifts,
         uf,
@@ -179,85 +180,68 @@ pub fn scan_tile_row(
     }
 }
 
-/// One group's scan: the tiles `group` (whose label buffers are
-/// `labels`) scanned left to right into one RemSP store whose labels
+/// One group's scan: the tiles `spans` of `band` (whose label buffers
+/// are `labels`) scanned left to right into one RemSP store whose labels
 /// start at `first` (slots below it are registered singletons), the
-/// partial table grown as labels appear, and the group's own vertical
-/// seams merged.
+/// partial table grown as labels appear — each tile's lines `1..` folded
+/// right after the tile's scan ([`fold_runs`]) — and the group's own
+/// vertical seams merged.
 fn scan_group(
-    tiles: &[BinaryImage],
-    group: Range<usize>,
+    band: &BinaryImage,
+    spans: &[Range<usize>],
     labels: &mut [Vec<u32>],
-    x0s: &[usize],
     first: u32,
     r0: usize,
 ) -> (RemSP, Vec<Accum>) {
+    let rows = band.height();
     let mut store = RemSP::new();
     for id in 0..first {
         store.new_label(id);
     }
     let mut partials = Vec::new();
     let mut next = first;
-    for (t, buf) in group.clone().zip(labels.iter_mut()) {
-        next = scan_two_line(&tiles[t], 0..tiles[t].height(), buf, &mut store, next);
+    for (span, buf) in spans.iter().zip(labels.iter_mut()) {
+        next = scan_two_line(band, 0..rows, span.clone(), buf, &mut store, next);
         partials.resize(next as usize, Accum::EMPTY);
-        accumulate_tile(tiles, t, buf, r0, x0s[t], &mut partials);
+        for (r, line_labels) in buf.chunks_exact(span.len()).enumerate().skip(1) {
+            let (line, above) = (band.row(r), band.row(r - 1));
+            fold_runs(r0 + r, line, above, span, line_labels, &mut partials);
+        }
     }
-    for (t, pair) in group.skip(1).zip(labels.windows(2)) {
-        let (lw, tw) = (tiles[t - 1].width(), tiles[t].width());
-        let rows = tiles[t].height();
+    for (pair, s) in labels.windows(2).zip(spans.windows(2)) {
+        let (lw, tw) = (s[0].len(), s[1].len());
         merge_seam_strided(&pair[0][lw - 1..], lw, &pair[1], tw, rows, &mut store);
     }
     (store, partials)
 }
 
-/// Accumulates one tile's partial table: every tile-local run of the
-/// tile's lines `1..` folds its closed-form accumulator ([`Accum::run`])
-/// into `parts[label]`, the label at the run's first pixel —
-/// where every provisional label is created, so each used label gets a
-/// non-empty partial. Neighbour probes read the raw tile pixels — the
-/// adjacent tiles' edge columns included — so the result never depends
-/// on another tile's label buffer, which may not exist yet. The row's
-/// first line is skipped: its upper neighbours are the carry row, which
-/// the carry merge folds in O(width).
-fn accumulate_tile(
-    tiles: &[BinaryImage],
-    t: usize,
-    buf: &[u32],
-    r0: usize,
-    x0: usize,
+/// Folds line `r` of a unit into the partial table `parts`: one
+/// closed-form accumulator ([`Accum::run`]) per run of `line` within the
+/// tile `span`, into the label of the run's first pixel (`labels` is the
+/// tile's label line) — where every provisional label is created, so
+/// each used label gets a non-empty partial. `line` and `above` are the
+/// unit's full-width 0/1 lines, so runs at a tile edge read their
+/// west, nw and ne neighbours from the adjacent tile's pixels, never
+/// from its labels. The scan folds lines `1..` of each tile; the carry
+/// merge folds line 0 with the carry row as `above`.
+#[inline]
+pub(crate) fn fold_runs(
+    r: usize,
+    line: &[u8],
+    above: &[u8],
+    span: &Range<usize>,
+    labels: &[u32],
     parts: &mut [Accum],
 ) {
-    let tile = &tiles[t];
-    let tw = tile.width();
-    let left = t
-        .checked_sub(1)
-        .map(|l| &tiles[l])
-        .filter(|l| l.width() > 0);
-    let right = tiles.get(t + 1).filter(|r| r.width() > 0);
-    for r in 1..tile.height() {
-        let cur = tile.row(r);
-        let up = tile.row(r - 1);
-        // the neighbour tiles' edge pixels next to this row pair
-        let (left_w, left_nw) = left.map_or((false, false), |lt| {
-            let e = lt.width() - 1;
-            (lt.row(r)[e] == 1, lt.row(r - 1)[e] == 1)
-        });
-        let right_ne = right.is_some_and(|rt| rt.row(r - 1)[0] == 1);
-        let labels = &buf[r * tw..(r + 1) * tw];
-        for_each_run(cur, |a, b| {
-            // a run is maximal, so only a run at the tile's left edge
-            // can have a west neighbour
-            let (west, nw) = if a > 0 {
-                (false, up[a - 1] == 1)
-            } else {
-                (left_w, left_nw)
-            };
-            let ne = if b < tw { up[b] == 1 } else { right_ne };
-            let acc = Accum::run(r0 + r, x0 + a..x0 + b, west, nw, &up[a..b], ne);
-            parts[labels[a] as usize].fold(&acc);
-        });
-    }
+    let w = line.len();
+    for_each_run(&line[span.clone()], |a, b| {
+        let label = labels[a] as usize;
+        let (a, b) = (span.start + a, span.start + b);
+        let west = a > 0 && line[a - 1] == 1;
+        let nw = a > 0 && above[a - 1] == 1;
+        let ne = b < w && above[b] == 1;
+        parts[label].fold(&Accum::run(r, a..b, west, nw, &above[a..b], ne));
+    });
 }
 
 /// Calls `f(a, b)` for every run `[a, b)` of `line` — a maximal
@@ -338,18 +322,22 @@ mod tests {
             let rows = 1 + (next() % 9) as usize;
             let density = next() % 9; // of 8: 0 empty .. 8 full
             let carry_cap = [0, 1, (next() % 40) as u32][case % 3];
-            let tiles: Vec<BinaryImage> = (0..ntiles)
-                .map(|_| {
-                    let tw = 1 + (next() % 7) as usize;
-                    let px: Vec<bool> = (0..tw * rows).map(|_| next() % 8 < density).collect();
-                    BinaryImage::from_fn(tw, rows, |r, c| px[r * tw + c])
+            let widths: Vec<usize> = (0..ntiles).map(|_| 1 + (next() % 7) as usize).collect();
+            let w: usize = widths.iter().sum();
+            let px: Vec<bool> = (0..w * rows).map(|_| next() % 8 < density).collect();
+            let band = BinaryImage::from_fn(w, rows, |r, c| px[r * w + c]);
+            let spans: Vec<Range<usize>> = widths
+                .iter()
+                .scan(0, |x0, &tw| {
+                    *x0 += tw;
+                    Some(*x0 - tw..*x0)
                 })
                 .collect();
             let r0 = (next() % 100) as usize;
-            let mut seq = scan_tile_row(&tiles, 1, carry_cap, r0);
+            let mut seq = scan_tile_row(&band, spans.clone(), 1, carry_cap, r0);
             assert!(seq.shifts.iter().all(|&s| s == 0));
             for threads in 2..=8 {
-                let mut par = scan_tile_row(&tiles, threads, carry_cap, r0);
+                let mut par = scan_tile_row(&band, spans.clone(), threads, carry_cap, r0);
                 let ctx = format!("case {case}, {threads} threads");
                 for t in 0..ntiles {
                     let labels: Vec<u32> = par.labels[t]

@@ -17,23 +17,11 @@ pub enum TilesError {
     Image(ImageError),
     /// A filesystem operation of the spill sink failed.
     Io(std::io::Error),
-    /// A tile row arrived whose total width differs from the labeler's.
+    /// A tile row arrived whose width differs from the labeler's.
     WidthMismatch {
         /// Width the labeler was constructed with.
         expected: usize,
-        /// Total width of the offending tile row.
-        got: usize,
-    },
-    /// A tile of zero width in a tile row of non-zero width.
-    EmptyTile {
-        /// Column index of the offending tile.
-        tile_col: usize,
-    },
-    /// Tiles within one tile row disagree on height.
-    RaggedTileRow {
-        /// Height of the row's first tile.
-        expected: usize,
-        /// Height of the offending tile.
+        /// Width of the offending tile row.
         got: usize,
     },
     /// A component id exceeds what the spill format can represent.
@@ -57,15 +45,6 @@ impl fmt::Display for TilesError {
                 write!(
                     f,
                     "tile row width {got} does not match grid width {expected}"
-                )
-            }
-            TilesError::EmptyTile { tile_col } => {
-                write!(f, "tile {tile_col} of the tile row has zero width")
-            }
-            TilesError::RaggedTileRow { expected, got } => {
-                write!(
-                    f,
-                    "ragged tile row: tile height {got}, row height {expected}"
                 )
             }
             TilesError::LabelOverflow { gid, limit } => {

@@ -1,9 +1,9 @@
 //! [`TileGridLabeler`] — the bounded-memory 2-D tile-grid engine.
 //!
 //! PAREMSP's chunk-scan + boundary-merge structure generalizes from row
-//! bands to a full tile grid: every tile of a **tile row** is scanned
-//! on its own (two-line scan + RemSP), then connectivity is restored
-//! along both seam orientations —
+//! bands to a full tile grid: every tile of a **tile row** (a column
+//! span of one band) is scanned in place on its own (two-line scan +
+//! RemSP), then connectivity is restored along both seam orientations —
 //!
 //! * **vertical seams** between horizontally adjacent tiles, walked as
 //!   strided columns directly over the per-tile label buffers, no
@@ -20,7 +20,7 @@
 //! into the sequential numbering in O(labels) with the few seams between
 //! groups merged last — and the carry merge settles the horizontal seam.
 //! The carry state also counts the rows and tile rows, degenerate ones
-//! included, so this engine adds only the tile-row validation, its tile
+//! included, so this engine adds only the tile row's width check, its tile
 //! count and the [`TileMeta`] of every labeled tile. After each row the label
 //! space is compacted to the components still *open* on the carry
 //! boundary and every retired slot is recycled, so resident state is
@@ -33,13 +33,13 @@
 //! of image height — and independent of image *width* mattering only
 //! linearly (the carry row), never quadratically.
 
-use ccl_image::BinaryImage;
 use ccl_stream::carry::CarryState;
 use ccl_stream::scan::{scan_tile_row, ScannedRow};
 use ccl_stream::ComponentSink;
 
 use crate::error::TilesError;
 use crate::sink::{TileMeta, TileSink};
+use crate::source::TileRow;
 
 /// Configuration for [`TileGridLabeler`] and the grid driver: the strip
 /// engine's config, shared by both out-of-core engines.
@@ -77,17 +77,16 @@ pub struct TileGridStats {
 /// ```
 /// use ccl_image::BinaryImage;
 /// use ccl_stream::ComponentRecord;
-/// use ccl_tiles::TileGridLabeler;
+/// use ccl_tiles::{TileGridLabeler, TileRow};
 ///
 /// // one component crossing both the vertical and horizontal seams
-/// let tl = BinaryImage::parse(".. .#");
-/// let tr = BinaryImage::parse(".. #.");
-/// let bl = BinaryImage::parse(".# ..");
-/// let br = BinaryImage::parse("#. ..");
+/// // of a grid of 2×2 tiles
+/// let top = TileRow::new(BinaryImage::parse(".... .##."), 2);
+/// let bottom = TileRow::new(BinaryImage::parse(".##. ...."), 2);
 /// let mut sink: Vec<ComponentRecord> = Vec::new();
 /// let mut labeler = TileGridLabeler::new(4);
-/// labeler.push_tile_row(&[tl, tr], &mut sink).unwrap();
-/// labeler.push_tile_row(&[bl, br], &mut sink).unwrap();
+/// labeler.push_tile_row(&top, &mut sink).unwrap();
+/// labeler.push_tile_row(&bottom, &mut sink).unwrap();
 /// let stats = labeler.finish(&mut sink);
 /// assert_eq!(stats.components, 1);
 /// assert_eq!(sink[0].area, 4);
@@ -118,24 +117,9 @@ impl TileGridLabeler {
         self.carry.width()
     }
 
-    /// Pixel rows labeled so far.
-    pub fn rows_pushed(&self) -> usize {
-        self.carry.rows()
-    }
-
-    /// Tile rows pushed so far.
-    pub fn tile_rows_pushed(&self) -> usize {
-        self.carry.units()
-    }
-
     /// Components currently open (touching the carry row).
     pub fn open_components(&self) -> usize {
         self.carry.open_components()
-    }
-
-    /// Components emitted so far.
-    pub fn finalized_components(&self) -> u64 {
-        self.carry.finalized_components()
     }
 
     /// Maximum pixel rows resident at any point so far (tallest tile row
@@ -145,26 +129,24 @@ impl TileGridLabeler {
     }
 
     /// Labels the next tile row, emitting every component that closes.
-    /// `tiles` are left-to-right; their widths must sum to the grid width
-    /// and their heights must agree; in a grid of non-zero width no tile
-    /// may have zero width.
+    /// The row's band must be as wide as the grid.
     pub fn push_tile_row<C: ComponentSink>(
         &mut self,
-        tiles: &[BinaryImage],
+        row: &TileRow,
         components: &mut C,
     ) -> Result<(), TilesError> {
-        self.process(tiles, components, None)
+        self.process(row, components, None)
     }
 
     /// Like [`Self::push_tile_row`], additionally emitting every labeled
     /// tile (and any id merges) through `sink`.
     pub fn push_tile_row_with_labels<C: ComponentSink, T: TileSink>(
         &mut self,
-        tiles: &[BinaryImage],
+        row: &TileRow,
         components: &mut C,
         sink: &mut T,
     ) -> Result<(), TilesError> {
-        self.process(tiles, components, Some(sink))
+        self.process(row, components, Some(sink))
     }
 
     /// Closes the grid: every still-open component is finalized and
@@ -185,12 +167,12 @@ impl TileGridLabeler {
     /// [`Self::push_tile_row`] with the tile sink optional.
     pub(crate) fn process(
         &mut self,
-        tiles: &[BinaryImage],
+        row: &TileRow,
         components: &mut dyn ComponentSink,
         sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), TilesError> {
         let row = scan_row(
-            tiles,
+            row,
             self.width(),
             self.cfg.threads,
             self.carry.open_components() as u32,
@@ -215,67 +197,60 @@ impl TileGridLabeler {
         let Some(mut merged) = self.carry.merge(row, components) else {
             return Ok(());
         };
-        let ntiles = merged.tile_widths().len();
-        self.tiles_done += ntiles;
+        let spans = merged.tile_spans().to_vec();
+        self.tiles_done += spans.len();
         if let Some(sink) = sink {
             for &(kept, absorbed) in merged.merges() {
                 sink.merge(kept, absorbed);
             }
-            let mut col0 = 0;
-            for t in 0..ntiles {
-                let width = merged.tile_widths()[t];
+            for (t, span) in spans.into_iter().enumerate() {
                 let meta = TileMeta {
                     tile_row,
                     tile_col: t,
                     row0: r0,
-                    col0,
-                    width,
+                    col0: span.start,
+                    width: span.len(),
                     height: th,
                 };
                 sink.tile(&meta, &merged.tile_gids(t))?;
-                col0 += width;
             }
         }
         Ok(())
     }
 }
 
-/// The grid engine's scan stage: validates a tile row's shape (widths
-/// summing to the grid width, none of them zero unless the grid width
-/// is, one shared height) and hands it to the shared tile-row scan
+/// The grid engine's scan stage: checks the tile row's width and hands
+/// its band and tile spans to the shared tile-row scan
 /// ([`scan_tile_row`]). Carried ids occupy slots `1..=carry_cap` and `r0`
 /// is the global row of the tile row's first line, both supplied by the
 /// driver loop ([`ccl_stream::pipeline::run`]) or the labeler.
 pub(crate) fn scan_row(
-    tiles: &[BinaryImage],
+    row: &TileRow,
     width: usize,
     threads: usize,
     carry_cap: u32,
     r0: usize,
 ) -> Result<ScannedRow, TilesError> {
-    let total: usize = tiles.iter().map(BinaryImage::width).sum();
-    if total != width {
+    let got = row.band().width();
+    if got != width {
         return Err(TilesError::WidthMismatch {
             expected: width,
-            got: total,
+            got,
         });
     }
-    if let Some(tile_col) = tiles.iter().position(|t| t.width() == 0 && total > 0) {
-        return Err(TilesError::EmptyTile { tile_col });
-    }
-    let th = tiles.first().map_or(0, BinaryImage::height);
-    if let Some(bad) = tiles.iter().find(|t| t.height() != th) {
-        return Err(TilesError::RaggedTileRow {
-            expected: th,
-            got: bad.height(),
-        });
-    }
-    Ok(scan_tile_row(tiles, threads, carry_cap, r0))
+    Ok(scan_tile_row(
+        row.band(),
+        row.spans(),
+        threads,
+        carry_cap,
+        r0,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccl_image::BinaryImage;
     use ccl_stream::{ComponentRecord, CountComponents};
 
     /// Tiles `img` into `tile_w × tile_h` tiles and runs the grid labeler.
@@ -437,11 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn width_and_height_validation() {
+    fn width_validation() {
         let mut labeler = TileGridLabeler::new(4);
         let mut sink = CountComponents::default();
         let err = labeler
-            .push_tile_row(&[BinaryImage::zeros(3, 2)], &mut sink)
+            .push_tile_row(&TileRow::new(BinaryImage::zeros(3, 2), 2), &mut sink)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -450,33 +425,6 @@ mod tests {
                 got: 3
             }
         ));
-        let err = labeler
-            .push_tile_row(
-                &[BinaryImage::zeros(2, 2), BinaryImage::zeros(2, 3)],
-                &mut sink,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            TilesError::RaggedTileRow {
-                expected: 2,
-                got: 3
-            }
-        ));
-        for threads in [1, 2] {
-            let mut labeler = TileGridLabeler::with_config(4, TileGridConfig::parallel(threads));
-            let err = labeler
-                .push_tile_row(
-                    &[
-                        BinaryImage::ones(2, 2),
-                        BinaryImage::zeros(0, 2),
-                        BinaryImage::ones(2, 2),
-                    ],
-                    &mut sink,
-                )
-                .unwrap_err();
-            assert!(matches!(err, TilesError::EmptyTile { tile_col: 1 }));
-        }
     }
 
     #[test]
@@ -487,7 +435,7 @@ mod tests {
 
         let mut labeler = TileGridLabeler::new(0);
         labeler
-            .push_tile_row(&[BinaryImage::zeros(0, 5)], &mut sink)
+            .push_tile_row(&TileRow::new(BinaryImage::zeros(0, 5), 1), &mut sink)
             .unwrap();
         let stats = labeler.finish(&mut sink);
         assert_eq!(stats.components, 0);

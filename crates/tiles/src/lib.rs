@@ -27,9 +27,9 @@
 //! merge table — so a gigapixel labeling run never holds more than a
 //! tile row of pixels or labels.
 //!
-//! * [`TileSource`] / [`GridSource`] — pull-based tile rows windowed from
-//!   any `ccl-stream` [`RowSource`](ccl_stream::RowSource): in-memory
-//!   images, incremental Netpbm files, streamed generators;
+//! * [`TileSource`] / [`GridSource`] — pull-based [`TileRow`]s (a band
+//!   plus its tile width; tiles are column spans of the band) windowed from
+//!   any `ccl-stream` [`RowSource`](ccl_stream::RowSource);
 //! * [`TileGridLabeler`] — the engine (see [`labeler`]);
 //! * [`TileSink`] / [`CollectTiles`] / [`SpillSink`] — labeled-tile
 //!   output, in memory or spilled ([`sink`]);
@@ -75,4 +75,4 @@ pub use sink::{
     read_manifest, read_spilled_label_image, temp_spill_dir, CollectTiles, SpillFormat,
     SpillManifest, SpillSink, TileMeta, TileSink,
 };
-pub use source::{GridSource, TileSource};
+pub use source::{GridSource, TileRow, TileSource};

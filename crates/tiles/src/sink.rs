@@ -28,6 +28,7 @@
 //! by [`SpillSink::create`]), so reading it fails with a typed
 //! [`TilesError`].
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -228,16 +229,6 @@ impl SpillSink {
             tiles: Vec::new(),
             merges: Vec::new(),
         })
-    }
-
-    /// Directory the tiles spill into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Tiles spilled so far.
-    pub fn tiles_spilled(&self) -> usize {
-        self.tiles.len()
     }
 
     fn tile_path(dir: &Path, format: SpillFormat, meta: &TileMeta) -> PathBuf {
@@ -476,6 +467,39 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
             )));
         }
     }
+    // The placements must also be disjoint — with the areas summing to
+    // the extent, that makes them cover it exactly — and the file names
+    // unique. A sweep down the rows keeps the column spans of the tiles
+    // crossing the current row, keyed by left edge; a tile entering the
+    // sweep overlaps one of them iff it overlaps the span starting last
+    // before its right edge.
+    let mut events: Vec<(usize, bool, usize)> = (tiles.iter().enumerate())
+        .filter(|(_, m)| m.width > 0 && m.height > 0)
+        .flat_map(|(i, m)| [(m.row0, true, i), (m.row0 + m.height, false, i)])
+        .collect();
+    events.sort_unstable(); // a row's exits before its entries
+    let mut open: BTreeMap<usize, usize> = BTreeMap::new();
+    for (_, enters, i) in events {
+        let m = &tiles[i];
+        let (start, end) = (m.col0, m.col0 + m.width);
+        let last_before_end = open.range(..end).next_back();
+        if !enters {
+            open.remove(&start);
+        } else if last_before_end.is_some_and(|(_, &e)| e > start) {
+            return Err(TilesError::Manifest(format!(
+                "tile {}x{} at ({}, {}) overlaps another tile",
+                m.width, m.height, m.row0, m.col0
+            )));
+        } else {
+            open.insert(start, end);
+        }
+    }
+    let mut names: Vec<_> = tiles.iter().map(|m| (m.tile_row, m.tile_col)).collect();
+    names.sort_unstable();
+    if let Some(p) = names.windows(2).find(|p| p[0] == p[1]) {
+        let msg = format!("tile ({}, {}) is listed twice", p[0].0, p[0].1);
+        return Err(TilesError::Manifest(msg));
+    }
     Ok(SpillManifest {
         format,
         width,
@@ -573,8 +597,8 @@ mod tests {
         sink.merge(2, 3);
         sink.tile(&meta(1, 0, 2, 0, 2, 1), &[0, 2]).unwrap();
         sink.tile(&meta(1, 1, 2, 2, 2, 1), &[2, 0]).unwrap();
-        assert_eq!(sink.tiles_spilled(), 4);
         let manifest = sink.close().unwrap();
+        assert_eq!(manifest.tiles.len(), 4);
         assert_eq!(manifest.width, 4);
         assert_eq!(manifest.rows, 3);
         assert_eq!(manifest.merges, vec![(2, 3)]);
@@ -700,6 +724,42 @@ mod tests {
         .unwrap();
         let err = read_manifest(&dir).unwrap_err();
         assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+        assert!(read_spilled_label_image(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Spills `#..# #..#` in 2×2 tiles, then rewrites the manifest's
+    /// line for the second tile to `edited`: its placement and name.
+    fn spill_with_second_tile(tag: &str, edited: &str) -> PathBuf {
+        let dir = temp_dir(tag);
+        let img = ccl_image::BinaryImage::parse("#..# #..#");
+        let mut spill = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+        let mut grid = crate::GridSource::from_image(&img, 2, 2);
+        let mut comps = ccl_stream::CountComponents::default();
+        let cfg = crate::TileGridConfig::default();
+        crate::label_tiles(&mut grid, cfg, &mut comps, Some(&mut spill)).unwrap();
+        spill.close().unwrap();
+        assert_eq!(read_spilled_label_image(&dir).unwrap().num_components(), 2);
+        let path = dir.join(MANIFEST_NAME);
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.contains("tile 0 1 0 2 2 2\n"), "{text}");
+        fs::write(&path, text.replace("tile 0 1 0 2 2 2\n", edited)).unwrap();
+        dir
+    }
+
+    #[test]
+    fn manifest_rejects_overlapping_tiles_and_repeated_names() {
+        // the second tile moved onto the first: areas still sum to the
+        // extent and both fit it
+        let dir = spill_with_second_tile("overlap", "tile 0 1 0 0 2 2\n");
+        let err = read_manifest(&dir).unwrap_err();
+        assert!(err.to_string().contains("overlaps"), "{err}");
+        assert!(read_spilled_label_image(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+        // the second placement named after the first tile's file
+        let dir = spill_with_second_tile("renamed", "tile 0 0 0 2 2 2\n");
+        let err = read_manifest(&dir).unwrap_err();
+        assert!(err.to_string().contains("listed twice"), "{err}");
         assert!(read_spilled_label_image(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,10 +1,12 @@
 //! [`TileSource`] — the pull-based supplier of tile rows.
 //!
-//! The grid labeler consumes one **tile row** at a time: the horizontal
-//! run of `⌈width / tile_width⌉` tiles covering the next `tile_height`
-//! image rows (clipped at the right and bottom edges). One generic
-//! adapter, [`GridSource`], windows any `ccl-stream` [`RowSource`] into
-//! tiles, which covers all three source families out of the box:
+//! The grid labeler consumes one **tile row** at a time: a [`TileRow`],
+//! the band of the next `tile_height` image rows (clipped at the bottom
+//! edge) cut into `⌈width / tile_width⌉` column tiles (clipped at the
+//! right edge). A tile is a column span of the band, never a copy. One
+//! generic adapter, [`GridSource`], windows any `ccl-stream`
+//! [`RowSource`] into tile rows, which covers all three source families
+//! out of the box:
 //!
 //! * **in-memory** — [`GridSource::from_image`] over [`MemorySource`];
 //! * **Netpbm window reader** — [`GridSource::pbm`] / [`GridSource::pgm`]
@@ -16,34 +18,60 @@
 //!   ever existing in memory.
 
 use std::io::Read;
+use std::ops::Range;
 
 use ccl_image::BinaryImage;
 use ccl_stream::{MemorySource, PbmSource, PgmSource, RowSource};
 
 use crate::error::TilesError;
 
-/// A pull-based iterator of tile rows, top-to-bottom. Every returned row
-/// holds the tiles left-to-right; all tiles in a row share one height
-/// (`≤ tile_height`), and their widths sum to the grid width.
+/// One tile row: a band of image rows cut into `tile_width`-wide column
+/// tiles, left to right (the rightmost may be narrower). Every tile
+/// shares the band's height and the tiles cover its width, so a tile row
+/// cannot be ragged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileRow {
+    band: BinaryImage,
+    tile_width: usize,
+}
+
+impl TileRow {
+    /// Cuts `band` into `tile_width`-wide tiles.
+    ///
+    /// # Panics
+    /// Panics when `tile_width` is 0.
+    pub fn new(band: BinaryImage, tile_width: usize) -> Self {
+        assert!(tile_width > 0, "tile width must be positive");
+        TileRow { band, tile_width }
+    }
+
+    /// The band of pixel rows the tiles cut.
+    pub(crate) fn band(&self) -> &BinaryImage {
+        &self.band
+    }
+
+    /// Column spans of the tiles, left to right (none for a zero-width
+    /// band).
+    pub(crate) fn spans(&self) -> Vec<Range<usize>> {
+        let w = self.band.width();
+        (0..w)
+            .step_by(self.tile_width)
+            .map(|x0| x0..w.min(x0 + self.tile_width))
+            .collect()
+    }
+}
+
+/// A pull-based iterator of tile rows, top-to-bottom.
 pub trait TileSource {
     /// Total width (columns) of the tiled image.
     fn width(&self) -> usize;
 
-    /// Nominal tile width (the rightmost tile may be narrower).
-    fn tile_width(&self) -> usize;
-
-    /// Nominal tile height (the bottom tile row may be shorter).
-    fn tile_height(&self) -> usize;
-
-    /// Image rows not yet delivered, when the source knows.
-    fn rows_remaining(&self) -> Option<usize>;
-
     /// Pulls the next tile row; `Ok(None)` once the stream is exhausted.
-    fn next_tile_row(&mut self) -> Result<Option<Vec<BinaryImage>>, TilesError>;
+    fn next_tile_row(&mut self) -> Result<Option<TileRow>, TilesError>;
 }
 
 /// Windows any [`RowSource`] into a tile grid: each pulled band of
-/// `tile_height` rows is chopped into `tile_width`-wide tiles.
+/// `tile_height` rows becomes a [`TileRow`] of `tile_width`-wide tiles.
 pub struct GridSource<S> {
     inner: S,
     tile_width: usize,
@@ -65,16 +93,6 @@ impl<S: RowSource> GridSource<S> {
             tile_width,
             tile_height,
         }
-    }
-
-    /// Number of tile columns in the grid.
-    pub fn tile_cols(&self) -> usize {
-        self.inner.width().div_ceil(self.tile_width).max(1)
-    }
-
-    /// Consumes the adapter, returning the wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 }
 
@@ -119,37 +137,9 @@ impl<S: RowSource> TileSource for GridSource<S> {
         self.inner.width()
     }
 
-    fn tile_width(&self) -> usize {
-        self.tile_width
-    }
-
-    fn tile_height(&self) -> usize {
-        self.tile_height
-    }
-
-    fn rows_remaining(&self) -> Option<usize> {
-        self.inner.rows_remaining()
-    }
-
-    fn next_tile_row(&mut self) -> Result<Option<Vec<BinaryImage>>, TilesError> {
-        let band = match self.inner.next_band(self.tile_height)? {
-            Some(band) => band,
-            None => return Ok(None),
-        };
-        let w = band.width();
-        if w == 0 {
-            // degenerate zero-width stream: one empty "tile" keeps the row
-            // accounting alive without special-casing every consumer
-            return Ok(Some(vec![band]));
-        }
-        let mut tiles = Vec::with_capacity(w.div_ceil(self.tile_width));
-        let mut x0 = 0;
-        while x0 < w {
-            let tw = self.tile_width.min(w - x0);
-            tiles.push(band.crop(0, x0, tw, band.height()));
-            x0 += tw;
-        }
-        Ok(Some(tiles))
+    fn next_tile_row(&mut self) -> Result<Option<TileRow>, TilesError> {
+        let band = self.inner.next_band(self.tile_height)?;
+        Ok(band.map(|band| TileRow::new(band, self.tile_width)))
     }
 }
 
@@ -162,25 +152,14 @@ mod tests {
         let img = BinaryImage::from_fn(7, 5, |r, c| (r * 7 + c) % 3 == 0);
         let mut src = GridSource::from_image(&img, 3, 2);
         assert_eq!(src.width(), 7);
-        assert_eq!(src.tile_cols(), 3);
-        assert_eq!(src.rows_remaining(), Some(5));
         let mut r0 = 0;
-        while let Some(tiles) = src.next_tile_row().unwrap() {
-            let widths: Vec<usize> = tiles.iter().map(BinaryImage::width).collect();
-            assert_eq!(widths, vec![3, 3, 1]);
-            let th = tiles[0].height();
-            assert!(tiles.iter().all(|t| t.height() == th));
-            for r in 0..th {
-                for (t, x0) in tiles.iter().zip([0usize, 3, 6]) {
-                    for c in 0..t.width() {
-                        assert_eq!(t.get(r, c), img.get(r0 + r, x0 + c));
-                    }
-                }
-            }
+        while let Some(row) = src.next_tile_row().unwrap() {
+            assert_eq!(row.spans(), vec![0..3, 3..6, 6..7]);
+            let th = row.band().height();
+            assert_eq!(*row.band(), img.crop(r0, 0, 7, th));
             r0 += th;
         }
         assert_eq!(r0, 5);
-        assert_eq!(src.rows_remaining(), Some(0));
     }
 
     #[test]
@@ -188,8 +167,8 @@ mod tests {
         let img = BinaryImage::ones(4, 5);
         let mut src = GridSource::from_image(&img, 2, 2);
         let mut heights = Vec::new();
-        while let Some(tiles) = src.next_tile_row().unwrap() {
-            heights.push(tiles[0].height());
+        while let Some(row) = src.next_tile_row().unwrap() {
+            heights.push(row.band().height());
         }
         assert_eq!(heights, vec![2, 2, 1]);
     }
@@ -200,21 +179,20 @@ mod tests {
         let bytes = ccl_image::io::pbm::write_binary(&img);
         let mut src = GridSource::pbm(bytes.as_slice(), 3, 3).unwrap();
         let first = src.next_tile_row().unwrap().unwrap();
-        assert_eq!(first.len(), 2);
-        assert_eq!((first[0].width(), first[1].width()), (3, 1));
-        assert_eq!(first[0].height(), 3);
+        assert_eq!(first.spans(), vec![0..3, 3..4]);
+        assert_eq!(first.band().height(), 3);
         let second = src.next_tile_row().unwrap().unwrap();
-        assert_eq!(second[0].height(), 1);
+        assert_eq!(second.band().height(), 1);
         assert!(src.next_tile_row().unwrap().is_none());
     }
 
     #[test]
-    fn zero_width_stream_yields_empty_tiles() {
+    fn zero_width_stream_yields_rows_without_tiles() {
         let img = BinaryImage::zeros(0, 3);
         let mut src = GridSource::from_image(&img, 4, 2);
         let row = src.next_tile_row().unwrap().unwrap();
-        assert_eq!(row.len(), 1);
-        assert_eq!(row[0].width(), 0);
+        assert!(row.spans().is_empty());
+        assert_eq!(row.band().height(), 2);
     }
 
     #[test]
@@ -222,5 +200,11 @@ mod tests {
     fn zero_tile_width_rejected() {
         let img = BinaryImage::zeros(4, 4);
         GridSource::from_image(&img, 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_width_tile_row_rejected() {
+        TileRow::new(BinaryImage::ones(4, 2), 0);
     }
 }

@@ -20,7 +20,11 @@
 //! Locks are striped: node *n* maps to lock `n & (stripes-1)`. The merger
 //! holds at most one lock at a time, so striping cannot deadlock; it only
 //! trades memory for (rare) false contention. With the default 2^16
-//! stripes the lock table costs 64 KiB.
+//! stripes the lock table costs 2^16 × `size_of::<Mutex<()>>()` bytes:
+//! 64 KiB with the real `parking_lot` (a 1-byte mutex), 512 KiB with the
+//! `std`-backed shim this workspace builds (8 bytes per stripe). Each
+//! `paremsp_with` call builds a fresh table; on a 2-vCPU x86-64 VM that
+//! took 14–19 µs of a 1.2 ms two-thread call on a 512×512 text page.
 
 use parking_lot::Mutex;
 

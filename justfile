@@ -93,6 +93,14 @@ loc:
     done
     printf '%6d total\n' "$total"
 
+# Order-alternated perfbench pairs of the committed tree at REV against
+# the working tree: PAIRS pairs of SECONDS-long `--seed 3 --trace 0`
+# runs of WORKLOAD, one process at a time, each tree built into its own
+# target dir under target/perf-pairs. Prints every run, then each
+# end-to-end metric's median, quartiles and range per side.
+perf-pairs REV WORKLOAD PAIRS SECONDS:
+    sh scripts/perf_pairs.sh {{REV}} {{WORKLOAD}} {{PAIRS}} {{SECONDS}}
+
 # Run the criterion benches (shim harness; CCL_BENCH_MS bounds per-bench time).
 bench:
     cargo bench --workspace

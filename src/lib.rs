@@ -82,6 +82,7 @@ pub mod prelude {
     };
     pub use ccl_tiles::{
         analyze_tiles, label_tiles, read_spilled_label_image, CollectTiles, GridSource,
-        SpillFormat, SpillSink, TileGridConfig, TileGridLabeler, TileGridStats, TileSource,
+        SpillFormat, SpillSink, TileGridConfig, TileGridLabeler, TileGridStats, TileRow,
+        TileSource,
     };
 }
