@@ -4,7 +4,7 @@
 //! that any consumer holding the labels of two adjacent lines can restore
 //! 8-connectivity across them: the parallel chunk-boundary MERGER phase
 //! (every boundary row in parallel), and the out-of-core scan and carry
-//! merge of `ccl-stream` and `ccl-tiles` (one seam per band against the
+//! merge of `ccl-stream`'s out-of-core labeler (one seam per unit against the
 //! carried row; vertical seams between horizontally adjacent tiles,
 //! walked as strided columns).
 //!

@@ -52,26 +52,60 @@ impl Run {
     }
 }
 
-/// Extracts the maximal foreground runs of a single row buffer.
+/// Extracts the maximal foreground runs of a single row buffer of 0/1
+/// pixels ([`for_each_run`]).
 pub fn runs_of_row(row_index: usize, row: &[u8]) -> Vec<Run> {
     let mut out = Vec::new();
-    let mut c = 0usize;
-    while c < row.len() {
-        if row[c] == 1 {
-            let start = c;
-            while c < row.len() && row[c] == 1 {
-                c += 1;
-            }
-            out.push(Run {
-                row: row_index,
-                start,
-                end: c,
-            });
-        } else {
-            c += 1;
-        }
-    }
+    for_each_run(row, |start, end| {
+        out.push(Run {
+            row: row_index,
+            start,
+            end,
+        })
+    });
     out
+}
+
+/// Calls `f(a, b)` for every run `[a, b)` of `line` — a maximal
+/// stretch of foreground in a line of 0/1 pixels — left to right.
+/// Word-wide: each 64-pixel block is packed to one bit per pixel (eight
+/// pixels per `u64` load), and the run edges are the set bits of
+/// `mask ^ (mask << 1)`, so the work per block is one step per run edge
+/// rather than one branch per pixel.
+pub fn for_each_run(line: &[u8], mut f: impl FnMut(usize, usize)) {
+    // bit i of the product's top byte is byte i of `x`, for 0/1 bytes
+    let pack = |x: u64| x.wrapping_mul(0x0102_0408_1020_4080) >> 56;
+    let n = line.len();
+    // `prev`: the pixel left of the block; `start`: the open run's start
+    let (mut prev, mut start) = (0u64, 0);
+    for (base, block) in (0..n).step_by(64).zip(line.chunks(64)) {
+        let mut m = 0;
+        let mut words = block.chunks_exact(8);
+        for (k, word) in words.by_ref().enumerate() {
+            m |= pack(u64::from_le_bytes(word.try_into().expect("8-byte chunk"))) << (8 * k);
+        }
+        let len = block.len();
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            m |= pack(u64::from_le_bytes(word)) << (len - tail.len());
+        }
+        let mut edges = (m ^ ((m << 1) | prev)) & (u64::MAX >> (64 - len));
+        while edges != 0 {
+            let p = edges.trailing_zeros() as usize;
+            edges &= edges - 1;
+            if (m >> p) & 1 == 1 {
+                start = base + p;
+            } else {
+                f(start, base + p);
+            }
+        }
+        prev = (m >> (len - 1)) & 1;
+    }
+    if prev == 1 {
+        f(start, n);
+    }
 }
 
 /// A run-length representation of a whole binary image: per-row run lists
@@ -160,6 +194,50 @@ impl RunImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The runs of `line`, one byte at a time.
+    fn naive_runs(line: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut c = 0;
+        while c < line.len() {
+            if line[c] == 0 {
+                c += 1;
+                continue;
+            }
+            let a = c;
+            while c < line.len() && line[c] == 1 {
+                c += 1;
+            }
+            out.push((a, c));
+        }
+        out
+    }
+
+    #[test]
+    fn word_wide_runs_match_a_byte_loop() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // every 8-pixel pattern, then random lines of every length
+        // around the word and block sizes at several densities
+        let mut lines: Vec<Vec<u8>> = (0..256u32)
+            .map(|bits| (0..8).map(|i| ((bits >> i) & 1) as u8).collect())
+            .collect();
+        for len in 0..=200 {
+            for density in [1, 2, 4, 7] {
+                lines.push((0..len).map(|_| u8::from(next() % 8 < density)).collect());
+            }
+        }
+        for line in &lines {
+            let mut runs = Vec::new();
+            for_each_run(line, |a, b| runs.push((a, b)));
+            assert_eq!(runs, naive_runs(line), "{line:?}");
+        }
+    }
 
     #[test]
     fn runs_of_simple_row() {

@@ -16,11 +16,11 @@
 //!   backpressure, clean shutdown on drop). It implements `RowSource`
 //!   itself, so every driver composes unchanged — tile grids included: a
 //!   tile row is a windowed band, so
-//!   [`GridSource`](ccl_tiles::GridSource)`::new(PrefetchRows::with_depth(src, th, depth), tw, th)`
+//!   [`GridSource`](ccl_stream::GridSource)`::new(PrefetchRows::with_depth(src, th, depth), tw, th)`
 //!   decodes tile rows one thread ahead.
 //! * the **driver loop** in `ccl-stream` ([`ccl_stream::pipeline`]),
 //!   which both [`label_stream`](ccl_stream::label_stream) and
-//!   [`label_tiles`](ccl_tiles::label_tiles) run; `pipelined: true` in
+//!   [`label_tiles`](ccl_stream::label_tiles) run; `pipelined: true` in
 //!   their config makes unit *k + 1*'s scan overlap unit *k*'s seam
 //!   merge / accumulation / spill, the carry row being the only
 //!   dependency handed across a rendezvous.
@@ -37,8 +37,7 @@
 //! surfaces as itself; a *panicking* stage — a source behind a
 //! prefetcher, or the pipelined driver's scan stage — surfaces as
 //! [`StreamError::Worker`](ccl_stream::StreamError::Worker) with the
-//! panic message, which the tile engine wraps as
-//! `TilesError::Stream(StreamError::Worker(_))`. The same error comes
+//! panic message, strips and tile grids alike. The same error comes
 //! back from [`PrefetchRows::into_inner`] after a panic.
 //!
 //! ## Example

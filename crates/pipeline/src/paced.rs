@@ -5,7 +5,7 @@
 //! time lost there is *latency*, not compute. These wrappers impose that
 //! latency explicitly — each pull blocks the configured duration before
 //! delivering — which makes two things possible (for tile rows too: a
-//! [`GridSource`](ccl_tiles::GridSource) over a `PacedRows` stalls once
+//! [`GridSource`](ccl_stream::GridSource) over a `PacedRows` stalls once
 //! per tile row):
 //!
 //! * **honest demos/benches** of the prefetch win: hiding device latency

@@ -14,10 +14,10 @@ use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
 use ccl_pipeline::PrefetchRows;
 use ccl_stream::{
-    analyze_stream, label_stream, CollectLabelImage, CountComponents, OwnedMemorySource, RowSource,
+    analyze_stream, label_stream, CollectTiles, CountComponents, OwnedMemorySource, RowSource,
     StreamError, StreamStats, StripConfig,
 };
-use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TileSource, TilesError};
+use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TileSource};
 
 /// The grid config that runs the pipelined executor.
 fn pipelined_tiles() -> TileGridConfig {
@@ -150,7 +150,7 @@ proptest! {
     ) {
         let img = family_image(gen, w, h, seed);
         let mut pf = PrefetchRows::new(OwnedMemorySource::new(img.clone()), band);
-        let mut strips = CollectLabelImage::default();
+        let mut strips = CollectTiles::default();
         let mut comps = CountComponents::default();
         let stats =
             label_stream(&mut pf, band, StripConfig::default(), &mut comps, Some(&mut strips))
@@ -208,7 +208,7 @@ fn midstream_tile_failure_surfaces_through_pipelined_driver() {
     let mut staged = GridSource::new(PrefetchRows::new(FailingRows { good: 4 }, 2), 3, 2);
     let err = analyze_tiles(&mut staged, pipelined_tiles()).unwrap_err();
     match err {
-        TilesError::Stream(StreamError::Image(e)) => {
+        StreamError::Image(e) => {
             assert!(e.to_string().contains("corrupt band 3"))
         }
         other => panic!("expected the source's Image error, got {other}"),
@@ -247,7 +247,7 @@ fn panicking_tile_source_surfaces_through_pipelined_driver() {
     for mut staged in stacks {
         let err = analyze_tiles(&mut *staged, pipelined_tiles()).unwrap_err();
         match err {
-            TilesError::Stream(StreamError::Worker(msg)) => {
+            StreamError::Worker(msg) => {
                 assert!(msg.contains("corrupted"), "{msg}")
             }
             other => panic!("expected Worker error, got {other:?}"),

@@ -7,8 +7,8 @@
 //! pixels stream past and emitted exactly once, when the component
 //! *closes* (no pixel on the stream's frontier row).
 //!
-//! Consumers implement [`ComponentSink`] (and optionally [`LabelSink`]
-//! for labeled strip output); `Vec<ComponentRecord>` works out of the box
+//! Consumers implement [`ComponentSink`] (and optionally [`TileSink`]
+//! for labeled output, which [`CollectTiles`] gathers in memory); `Vec<ComponentRecord>` works out of the box
 //! for collect-everything callers.
 //!
 //! # Partial accumulators and the seam fold (fused analysis)
@@ -56,6 +56,8 @@ use std::ops::Range;
 use ccl_core::label::LabelImage;
 use ccl_core::scan::Foldable;
 
+use crate::error::StreamError;
+
 /// Identifier of a streamed component: assigned when the component first
 /// appears (raster order of its first pixel), never reused. When two open
 /// components turn out to be connected, the smaller (older) id survives.
@@ -95,8 +97,8 @@ pub struct ComponentRecord {
 /// unused slot.
 ///
 /// Public because it is the reusable building block for any labeler with
-/// the "open components fold on merge" structure — the strip labeler here
-/// and the tile-grid labeler in `ccl-tiles` share it. Ordinary consumers
+/// the "open components fold on merge" structure, as the labeler here
+/// is. Ordinary consumers
 /// only ever see the finished [`ComponentRecord`]s.
 #[derive(Debug, Clone, Copy)]
 pub struct Accum {
@@ -335,61 +337,103 @@ impl ComponentSink for CountComponents {
     }
 }
 
-/// Receives labeled strips for callers who *do* want label output.
+/// Placement of one emitted label tile within the image: a strip band
+/// is one full-width tile, a tile row one tile per column span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileMeta {
+    /// Index of the band or tile row (0-based, top to bottom).
+    pub tile_row: usize,
+    /// Tile-column index (0-based, left to right).
+    pub tile_col: usize,
+    /// Global image row of the tile's first pixel row.
+    pub row0: usize,
+    /// Global image column of the tile's first pixel column.
+    pub col0: usize,
+    /// Tile width in pixels.
+    pub width: usize,
+    /// Tile height in pixels.
+    pub height: usize,
+}
+
+impl TileMeta {
+    /// The extent `(width, rows)` covered by a set of tile placements.
+    pub fn extent<'a>(tiles: impl IntoIterator<Item = &'a TileMeta>) -> (usize, usize) {
+        tiles.into_iter().fold((0, 0), |(w, h), m| {
+            (w.max(m.col0 + m.width), h.max(m.row0 + m.height))
+        })
+    }
+
+    /// Copies this tile's ids (`tile`, row-major) into the row-major
+    /// raster `gids` of `width` columns.
+    pub fn blit(&self, gids: &mut [ComponentId], width: usize, tile: &[ComponentId]) {
+        for r in 0..self.height {
+            let dst = (self.row0 + r) * width + self.col0;
+            gids[dst..dst + self.width]
+                .copy_from_slice(&tile[r * self.width..(r + 1) * self.width]);
+        }
+    }
+}
+
+/// Receives every labeled tile exactly once, in row-major tile order,
+/// for callers who *do* want label output.
 ///
-/// Strip pixels hold [`ComponentId`]s (0 = background) as known at
-/// emission time. A component open across strips may later merge with
-/// another; [`LabelSink::merge`] reports every such event (before the
-/// band's strip), so a consumer that union-finds the merge pairs obtains
-/// the exact final partition. Components that close within the emitted
-/// strip already carry their final id.
-pub trait LabelSink {
+/// Tile pixels hold [`ComponentId`]s (0 = background) as known at
+/// emission time. A component open across bands may later merge with
+/// another; [`TileSink::merge`] reports every such event (always before
+/// the tiles of the band that discovered it), so a consumer that
+/// union-finds the merge pairs obtains the exact final partition.
+/// Components that close within the emitted band already carry their
+/// final id.
+pub trait TileSink {
     /// Two previously emitted ids turned out to be one component; `kept`
     /// (the smaller) survives.
     fn merge(&mut self, kept: ComponentId, absorbed: ComponentId);
 
-    /// One band's labels, row-major, `width` columns, starting at global
-    /// row `first_row`.
-    fn strip(&mut self, first_row: usize, width: usize, gids: &[ComponentId]);
+    /// One labeled tile, row-major within the tile.
+    fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), StreamError>;
 }
 
-/// Reference [`LabelSink`]: buffers every strip and merge event, then
-/// reconciles them into a [`LabelImage`] (for tests, examples and callers
-/// with memory to spare — it holds the whole image, unlike the labeler).
+/// Reference in-memory [`TileSink`]: buffers every tile and merge event,
+/// then reconciles them into a [`LabelImage`] (for tests, examples and
+/// callers with memory to spare — it holds the whole image, unlike the
+/// labeler).
 #[derive(Debug, Default)]
-pub struct CollectLabelImage {
-    width: usize,
-    gids: Vec<ComponentId>,
+pub struct CollectTiles {
+    tiles: Vec<(TileMeta, Vec<ComponentId>)>,
     merges: Vec<(ComponentId, ComponentId)>,
 }
 
-impl LabelSink for CollectLabelImage {
+impl TileSink for CollectTiles {
     fn merge(&mut self, kept: ComponentId, absorbed: ComponentId) {
         self.merges.push((kept, absorbed));
     }
 
-    fn strip(&mut self, first_row: usize, width: usize, gids: &[ComponentId]) {
-        debug_assert_eq!(first_row * width, self.gids.len(), "strips in order");
-        self.width = width;
-        self.gids.extend_from_slice(gids);
+    fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), StreamError> {
+        debug_assert_eq!(gids.len(), meta.width * meta.height);
+        self.tiles.push((*meta, gids.to_vec()));
+        Ok(())
     }
 }
 
-impl CollectLabelImage {
+impl CollectTiles {
     /// Applies the recorded merges and renumbers components canonically
     /// (consecutive `1..=k` by raster order of first pixel), yielding a
     /// label image comparable to the whole-image labelers via
     /// [`LabelImage::canonicalized`].
     pub fn into_label_image(self) -> LabelImage {
-        let height = self.gids.len().checked_div(self.width).unwrap_or(0);
-        reconcile(self.width, height, &self.gids, &self.merges)
+        let (width, height) = TileMeta::extent(self.tiles.iter().map(|(m, _)| m));
+        let mut gids = vec![0; width * height];
+        for (meta, tile) in &self.tiles {
+            meta.blit(&mut gids, width, tile);
+        }
+        reconcile(width, height, &gids, &self.merges)
     }
 }
 
 /// Resolves a raster of emission-time ids through the merge table and
 /// renumbers it canonically (consecutive `1..=k` by raster order of
-/// first pixel): the one id resolution of [`CollectLabelImage`] and the
-/// `ccl-tiles` sinks and spill reader. Merges keep the smaller id, so the
+/// first pixel): the one id resolution of [`CollectTiles`] and the
+/// `ccl-tiles` spill reader. Merges keep the smaller id, so the
 /// `absorbed → kept` chains terminate; walked chains are path-compressed,
 /// so hostile ones stay linear overall.
 pub fn reconcile(
@@ -538,26 +582,60 @@ mod tests {
         assert_eq!(sink[0].id, 7);
     }
 
+    /// A full-width tile of `gids` for band `tile_row` of a `width`-wide
+    /// strip starting at `row0`.
+    fn band(tile_row: usize, row0: usize, width: usize, height: usize) -> TileMeta {
+        TileMeta {
+            tile_row,
+            tile_col: 0,
+            row0,
+            col0: 0,
+            width,
+            height,
+        }
+    }
+
     #[test]
-    fn collect_label_image_applies_merges() {
-        let mut sink = CollectLabelImage::default();
-        sink.strip(0, 3, &[1, 0, 2]);
+    fn collect_tiles_applies_merges() {
+        let mut sink = CollectTiles::default();
+        sink.tile(&band(0, 0, 3, 1), &[1, 0, 2]).unwrap();
         sink.merge(1, 2);
-        sink.strip(1, 3, &[1, 1, 2]);
+        sink.tile(&band(1, 1, 3, 1), &[1, 1, 2]).unwrap();
         let li = sink.into_label_image();
         assert_eq!(li.num_components(), 1);
         assert_eq!(li.as_slice(), &[1, 0, 1, 1, 1, 1]);
     }
 
     #[test]
-    fn collect_label_image_chained_merges() {
-        let mut sink = CollectLabelImage::default();
-        sink.strip(0, 5, &[1, 0, 2, 0, 3]);
+    fn collect_tiles_chained_merges() {
+        let mut sink = CollectTiles::default();
+        sink.tile(&band(0, 0, 5, 1), &[1, 0, 2, 0, 3]).unwrap();
         sink.merge(2, 3);
         sink.merge(1, 2);
-        sink.strip(1, 5, &[0, 1, 0, 0, 0]);
+        sink.tile(&band(1, 1, 5, 1), &[0, 1, 0, 0, 0]).unwrap();
         let li = sink.into_label_image();
         assert_eq!(li.num_components(), 1);
+    }
+
+    #[test]
+    fn collect_tiles_reconciles_merges() {
+        let meta = |tr, tc, row0, col0, width, height| TileMeta {
+            tile_row: tr,
+            tile_col: tc,
+            row0,
+            col0,
+            width,
+            height,
+        };
+        let mut sink = CollectTiles::default();
+        sink.tile(&meta(0, 0, 0, 0, 2, 1), &[1, 0]).unwrap();
+        sink.tile(&meta(0, 1, 0, 2, 1, 1), &[2]).unwrap();
+        sink.merge(1, 2);
+        sink.tile(&meta(1, 0, 1, 0, 2, 1), &[1, 1]).unwrap();
+        sink.tile(&meta(1, 1, 1, 2, 1, 1), &[2]).unwrap();
+        let li = sink.into_label_image();
+        assert_eq!(li.num_components(), 1);
+        assert_eq!(li.as_slice(), &[1, 0, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -569,8 +647,8 @@ mod tests {
         let li = reconcile(n as usize, 1, &ids, &merges);
         assert_eq!(li.num_components(), 1);
         assert!(li.as_slice().iter().all(|&l| l == 1));
-        let mut sink = CollectLabelImage::default();
-        sink.strip(0, n as usize, &ids);
+        let mut sink = CollectTiles::default();
+        sink.tile(&band(0, 0, n as usize, 1), &ids).unwrap();
         for &(kept, absorbed) in &merges {
             sink.merge(kept, absorbed);
         }
@@ -578,8 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_collect_label_image() {
-        let li = CollectLabelImage::default().into_label_image();
+    fn empty_collect_tiles() {
+        let li = CollectTiles::default().into_label_image();
         assert_eq!(li.num_components(), 0);
         assert_eq!((li.width(), li.height()), (0, 0));
     }

@@ -1,9 +1,9 @@
-//! The carry merge — the one merge stage both out-of-core engines share.
+//! The carry merge — the labeler's one merge stage.
 //!
-//! The strip labeler ([`crate::StripLabeler`]) and the `ccl-tiles` grid
-//! labeler apply PAREMSP's structure — disjoint chunk scans plus one
-//! boundary merge — to a single *carried* row: everything a scanned band
-//! (or tile row) contributes after its own scan is settled here, against
+//! The labeler ([`crate::StripLabeler`]) applies PAREMSP's structure —
+//! disjoint chunk scans plus one boundary merge — to a single *carried*
+//! row: everything a scanned band (or tile row) contributes after its own
+//! scan is settled here, against
 //! the open-component state carried from the previous one. [`CarryState`]
 //! owns that state (the carry row, one [`Accum`] per open component, the
 //! next stream id, the row, unit and finalized counts and the peak
@@ -31,7 +31,7 @@
 //! column tiles otherwise; the first and last label lines are borrowed
 //! from a one-tile row and assembled in O(width) from several tiles, each
 //! tile's label shift applied — so
-//! each engine keeps only its own label emission, through the
+//! the labeler keeps only its label emission, through the
 //! [`MergedBand`] this stage returns.
 
 use std::borrow::Cow;

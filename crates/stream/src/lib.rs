@@ -17,26 +17,31 @@
 //!   in-memory images ([`MemorySource`]), incremental Netpbm files
 //!   ([`PbmSource`], [`PgmSource`] — PGM binarized band-wise with the
 //!   paper's `im2bw`) and the streamed `ccl-datasets` generators
-//!   ([`generators`]);
-//! * [`StripLabeler`] — the engine: two-line scan + RemSP per band
-//!   (sequential) or, with [`StripConfig::parallel`], one column span of
-//!   the band per thread, scanned in place concurrently and stitched along
-//!   the vertical seams — the scan stage ([`scan`]) the `ccl-tiles` grid
-//!   labeler runs on its tile rows too — plus one carried boundary row
-//!   per band seam and label-slot recycling so closed components cost
+//!   ([`generators`]); [`TileSource`] / [`GridSource`] window any of
+//!   them into [`TileRow`]s, a band cut into column tiles;
+//! * [`StripLabeler`] — the one engine, for strip bands and tile rows:
+//!   each unit's column tiles (a tile row's tiles, or one span of a strip
+//!   band per thread) are scanned in place with the two-line scan + RemSP,
+//!   concurrently with [`StripConfig::parallel`], and stitched along the
+//!   vertical seams ([`scan`]), plus one carried boundary row per unit
+//!   seam ([`carry`]) and label-slot recycling so closed components cost
 //!   nothing;
 //! * [`ComponentRecord`] / [`ComponentSink`] — per-component area,
 //!   bounding box, centroid, raster anchor, 4-neighbourhood perimeter
 //!   and Euler-characteristic hole count, emitted the moment a
 //!   component closes, **without ever materializing a label image**
 //!   (following Lemaitre & Lacassagne's on-the-fly analysis);
-//! * [`label_stream`] — the driver: pulls a whole source through the
-//!   labeler, emitting components and, optionally, labeled strips through
-//!   a [`LabelSink`] ([`CollectLabelImage`] reconciles them into a label
-//!   image), run by the driver loop `ccl-tiles` shares ([`pipeline`]);
-//!   [`StripConfig::pipelined`] overlaps band *k + 1*'s scan with band
-//!   *k*'s merge.
-//!   [`analyze_stream`] is the collect-the-records shorthand.
+//! * [`TileSink`] — optional label output, one [`TileMeta`]-placed tile
+//!   at a time (a strip band is one full-width tile) plus the id merges;
+//!   [`CollectTiles`] reconciles them into a label image, and the
+//!   `ccl-tiles` spill format writes them to disk;
+//! * [`label_stream`] / [`label_tiles`] — the drivers: pull a whole row
+//!   or tile source through the labeler, emitting components and,
+//!   optionally, labels, run by one driver loop ([`pipeline`]);
+//!   [`StripConfig::pipelined`] overlaps unit *k + 1*'s scan with unit
+//!   *k*'s merge. [`analyze_stream`] / [`analyze_tiles`] are the
+//!   collect-the-records shorthands. Every failure, a panicking stage
+//!   included, is one [`StreamError`].
 //!
 //! ## Example
 //!
@@ -68,11 +73,11 @@ pub mod scan;
 pub mod source;
 
 pub use analysis::{
-    Accum, CollectLabelImage, ComponentId, ComponentRecord, ComponentSink, CountComponents,
-    LabelSink,
+    Accum, CollectTiles, ComponentId, ComponentRecord, ComponentSink, CountComponents, TileMeta,
+    TileSink,
 };
-pub use driver::{analyze_stream, label_stream};
+pub use driver::{analyze_stream, analyze_tiles, label_stream, label_tiles};
 pub use error::StreamError;
 pub use labeler::{StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};
-pub use source::{MemorySource, OwnedMemorySource, RowSource};
+pub use source::{GridSource, MemorySource, OwnedMemorySource, RowSource, TileRow, TileSource};

@@ -1,9 +1,8 @@
-//! The one driver loop of both out-of-core engines — synchronous, or
+//! The one driver loop of the out-of-core labeler — synchronous, or
 //! pipelined to overlap unit *k*'s merge with unit *k + 1*'s scan.
 //!
-//! The strip labeler's bands and the `ccl-tiles` grid labeler's tile rows
-//! split their per-unit work the same way, with one dependency between
-//! consecutive units:
+//! The labeler's units — strip bands and tile rows — split their work
+//! the same way, with one dependency between consecutive units:
 //!
 //! * **scan stage** — pull the next unit from the source and scan it as
 //!   a row of column tiles ([`crate::scan`]: vertical seams between the
@@ -31,14 +30,13 @@
 //! Errors never hang the pipeline: a failing source or scan surfaces
 //! through the channel disconnect + join, a failing merge drops the
 //! receiver so the scanner's blocked send aborts, and a panicking scan
-//! stage becomes [`StreamError::Worker`], converted into the engine's
-//! error by `From`.
+//! stage becomes [`StreamError::Worker`].
 
 use std::sync::mpsc;
 
 use crate::error::StreamError;
 
-/// Drives an engine over its units and returns the peak resident pixel
+/// Drives the labeler over its units and returns the peak resident pixel
 /// rows (see the module docs).
 ///
 /// * `scan(carry_cap, r0)` pulls and scans the next unit with carried
@@ -48,19 +46,15 @@ use crate::error::StreamError;
 ///   left open — the synchronous reservation for the next unit.
 /// * `rows` is a unit's pixel rows.
 /// * `pipelined` runs the scan stage one unit ahead on a worker thread.
-pub fn run<T, E>(
+pub fn run<T: Send>(
     width: usize,
     pipelined: bool,
-    mut scan: impl FnMut(u32, usize) -> Result<Option<T>, E> + Send,
-    mut merge: impl FnMut(T) -> Result<u32, E>,
+    mut scan: impl FnMut(u32, usize) -> Result<Option<T>, StreamError> + Send,
+    mut merge: impl FnMut(T) -> Result<u32, StreamError>,
     rows: fn(&T) -> usize,
-) -> Result<usize, E>
-where
-    T: Send,
-    E: Send + From<StreamError>,
-{
+) -> Result<usize, StreamError> {
     let mut r0 = 0;
-    let mut next = move |carry_cap: u32| -> Result<Option<T>, E> {
+    let mut next = move |carry_cap: u32| -> Result<Option<T>, StreamError> {
         let unit = scan(carry_cap, r0)?;
         r0 += unit.as_ref().map_or(0, rows);
         Ok(unit)
@@ -93,7 +87,7 @@ where
     let carry_cap = width.div_ceil(2) as u32;
     let (tx, rx) = mpsc::sync_channel(0);
     std::thread::scope(|s| {
-        let scanner = s.spawn(move || -> Result<(), E> {
+        let scanner = s.spawn(move || -> Result<(), StreamError> {
             while let Some(unit) = next(carry_cap)? {
                 if tx.send(unit).is_err() {
                     break; // merge stage stopped early (error): unblock and exit
@@ -102,7 +96,7 @@ where
             Ok(())
         });
 
-        let mut merged: Result<(), E> = Ok(());
+        let mut merged = Ok(());
         while let Ok(unit) = rx.recv() {
             hold(&unit);
             if let Err(e) = merge(unit) {
@@ -115,7 +109,7 @@ where
         drop(rx);
         let scanned = scanner
             .join()
-            .unwrap_or_else(|payload| Err(StreamError::worker_panic(payload.as_ref()).into()));
+            .unwrap_or_else(|payload| Err(StreamError::worker_panic(payload.as_ref())));
         merged.and(scanned)
     })?;
     Ok(peak)
@@ -165,7 +159,7 @@ mod tests {
                 |carry_cap, _| {
                     seen.push(carry_cap);
                     left -= 1;
-                    Ok::<_, StreamError>((left >= 0).then_some(1))
+                    Ok((left >= 0).then_some(1))
                 },
                 |_| Ok(0),
                 |&h| h,
@@ -188,7 +182,7 @@ mod tests {
                 pipelined,
                 |carry_cap, r0| {
                     scanned.push((carry_cap, r0));
-                    Ok::<_, StreamError>(next.next())
+                    Ok(next.next())
                 },
                 |h| Ok(h as u32 + 10),
                 |&h| h,

@@ -1,11 +1,10 @@
-//! The scan stage — the one scan both out-of-core engines share.
+//! The scan stage — the labeler's one scan.
 //!
 //! The unit scanned here is a **tile row**: one borrowed band of pixel
-//! rows plus the column spans of its tiles, left to right. The
-//! `ccl-tiles` grid labeler hands over each tile row as its band and
-//! `tile_width`-wide spans; the strip labeler ([`crate::StripLabeler`])
-//! hands over each band as one span (sequential) or as `threads` column
-//! spans (parallel). Tiles are windows of the band, never copies.
+//! rows plus the column spans of its tiles, left to right. The labeler
+//! ([`crate::StripLabeler`]) hands over a [`TileRow`](crate::TileRow) as
+//! its band and `tile_width`-wide spans, and a strip band as one span
+//! (sequential) or as `threads` column spans (parallel). Tiles are windows of the band, never copies.
 //! [`scan_tile_row`] labels locally first and stitches globally after —
 //! the split of Chen et al.'s coarse-to-fine labeling and Komura's block
 //! decomposition — and builds exactly the label space a sequential scan
@@ -41,6 +40,7 @@
 use std::ops::Range;
 
 use ccl_core::scan::{merge_seam, merge_seam_strided, scan_two_line, split_spans, Foldable as _};
+use ccl_image::runs::for_each_run;
 use ccl_image::BinaryImage;
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
@@ -244,69 +244,9 @@ pub(crate) fn fold_runs(
     });
 }
 
-/// Calls `f(a, b)` for every run `[a, b)` of `line` — a maximal
-/// stretch of foreground in a line of 0/1 pixels — left to right.
-/// Word-wide: each 64-pixel block is packed to one bit per pixel (eight
-/// pixels per `u64` load), and the run edges are the set bits of
-/// `mask ^ (mask << 1)`, so the work per block is one step per run edge
-/// rather than one branch per pixel.
-pub(crate) fn for_each_run(line: &[u8], mut f: impl FnMut(usize, usize)) {
-    // bit i of the product's top byte is byte i of `x`, for 0/1 bytes
-    let pack = |x: u64| x.wrapping_mul(0x0102_0408_1020_4080) >> 56;
-    let n = line.len();
-    // `prev`: the pixel left of the block; `start`: the open run's start
-    let (mut prev, mut start) = (0u64, 0);
-    for (base, block) in (0..n).step_by(64).zip(line.chunks(64)) {
-        let mut m = 0;
-        let mut words = block.chunks_exact(8);
-        for (k, word) in words.by_ref().enumerate() {
-            m |= pack(u64::from_le_bytes(word.try_into().expect("8-byte chunk"))) << (8 * k);
-        }
-        let len = block.len();
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            m |= pack(u64::from_le_bytes(word)) << (len - tail.len());
-        }
-        let mut edges = (m ^ ((m << 1) | prev)) & (u64::MAX >> (64 - len));
-        while edges != 0 {
-            let p = edges.trailing_zeros() as usize;
-            edges &= edges - 1;
-            if (m >> p) & 1 == 1 {
-                start = base + p;
-            } else {
-                f(start, base + p);
-            }
-        }
-        prev = (m >> (len - 1)) & 1;
-    }
-    if prev == 1 {
-        f(start, n);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The runs of `line`, one byte at a time.
-    fn naive_runs(line: &[u8]) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut c = 0;
-        while c < line.len() {
-            if line[c] == 0 {
-                c += 1;
-                continue;
-            }
-            let a = c;
-            while c < line.len() && line[c] == 1 {
-                c += 1;
-            }
-            out.push((a, c));
-        }
-        out
-    }
 
     #[test]
     fn parallel_scan_equals_the_sequential_scan() {
@@ -370,32 +310,6 @@ mod tests {
                     assert_eq!(par.uf.find(l), seq.uf.find(l), "{ctx}, label {l}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn word_wide_runs_match_a_byte_loop() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // every 8-pixel pattern, then random lines of every length
-        // around the word and block sizes at several densities
-        let mut lines: Vec<Vec<u8>> = (0..256u32)
-            .map(|bits| (0..8).map(|i| ((bits >> i) & 1) as u8).collect())
-            .collect();
-        for len in 0..=200 {
-            for density in [1, 2, 4, 7] {
-                lines.push((0..len).map(|_| u8::from(next() % 8 < density)).collect());
-            }
-        }
-        for line in &lines {
-            let mut runs = Vec::new();
-            for_each_run(line, |a, b| runs.push((a, b)));
-            assert_eq!(runs, naive_runs(line), "{line:?}");
         }
     }
 }

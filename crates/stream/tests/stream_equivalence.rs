@@ -14,8 +14,8 @@ use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
 use ccl_stream::{
-    analyze_stream, label_stream, CollectLabelImage, ComponentRecord, LabelSink, MemorySource,
-    RowSource, StreamStats, StripConfig, StripLabeler,
+    analyze_stream, label_stream, CollectTiles, ComponentRecord, MemorySource, RowSource,
+    StreamStats, StripConfig, StripLabeler, TileSink,
 };
 
 /// Per-component features keyed by the raster-first anchor (unique per
@@ -191,8 +191,8 @@ proptest! {
             analyze_stream(&mut MemorySource::new(&img), band, StripConfig::default()).unwrap();
 
         let mut records: Vec<ComponentRecord> = Vec::new();
-        let mut strips = CollectLabelImage::default();
-        let labels = with_labels.then_some(&mut strips as &mut dyn LabelSink);
+        let mut strips = CollectTiles::default();
+        let labels = with_labels.then_some(&mut strips as &mut dyn TileSink);
         let cfg = StripConfig { threads, pipelined };
         let stats =
             label_stream(&mut MemorySource::new(&img), band, cfg, &mut records, labels).unwrap();

@@ -1,48 +1,26 @@
 //! # ccl-tiles
 //!
-//! Out-of-core **2-D tile-grid** connected component labeling with
-//! spill-to-disk label output — the second out-of-core stage of the
-//! PAREMSP reproduction (Gupta et al., IPPS 2014), generalizing
-//! `ccl-stream`'s 1-D row bands to a full tile grid.
+//! The spill format of the out-of-core labeler: labeled tiles written to
+//! disk — the PAREMSP reproduction's (Gupta et al., IPPS 2014)
+//! bounded-memory *output* next to `ccl-stream`'s bounded-memory input.
 //!
-//! The strip labeler bounds memory by O(band) = O(image width × band
-//! height). Tiles bound the *unit of work* by O(tile) instead: every tile
-//! of the resident tile row is scanned independently (RemSP inside the
-//! tile, PAREMSP across worker threads over the row — the scan stage
-//! `ccl-stream` shares with the strip labeler, whose bands are tile rows
-//! of column tiles), then connectivity is restored along **both** seam
-//! orientations with the same `merge_seam` machinery — strided columns
-//! for the vertical seams between adjacent tiles, the carried boundary
-//! row for the horizontal seam (Komura's generalized label-equivalence
-//! merge over an arbitrary block decomposition). Label slots recycle
-//! after every tile row, keyed to the components still open on the carry
-//! boundary, so arbitrarily tall images label in at most **two tile
-//! rows** of resident memory.
-//!
-//! The crate pairs the bounded-memory *input* with bounded-memory
-//! *output*: [`SpillSink`] writes each labeled tile to disk once (raw
+//! `ccl-stream`'s one labeler, [`StripLabeler`](ccl_stream::StripLabeler),
+//! labels strip bands and tile rows alike, and sends its labels through a
+//! [`TileSink`]: a tile row as its tiles, a strip band as one full-width
+//! tile. [`SpillSink`] writes each labeled tile to disk once (raw
 //! little-endian `u32` or 16-bit PGM) with its emission-time ids, and
 //! commits the spill on close by renaming a sidecar manifest into place.
 //! A tile's raw samples resolve to components through the manifest's
-//! merge table — so a gigapixel labeling run never holds more than a
-//! tile row of pixels or labels.
+//! merge table ([`read_manifest`], [`read_spilled_label_image`]) — so a
+//! gigapixel labeling run never holds more than a tile row of pixels or
+//! labels.
 //!
-//! * [`TileSource`] / [`GridSource`] — pull-based [`TileRow`]s (a band
-//!   plus its tile width; tiles are column spans of the band) windowed from
-//!   any `ccl-stream` [`RowSource`](ccl_stream::RowSource);
-//! * [`TileGridLabeler`] — the engine (see [`labeler`]);
-//! * [`TileSink`] / [`CollectTiles`] / [`SpillSink`] — labeled-tile
-//!   output, in memory or spilled ([`sink`]);
-//! * [`label_tiles`] — the driver: pulls a whole source through the
-//!   labeler, emitting components and, optionally, labeled tiles through
-//!   a [`TileSink`] (collected in memory or spilled), run by the strip
-//!   engine's driver loop ([`ccl_stream::pipeline`]); with
-//!   [`TileGridConfig::pipelined`] row *k + 1*'s tile scans overlap row
-//!   *k*'s seam merge / accumulation / spill on a worker thread:
-//!   identical output, at most two tile rows + the carry row resident.
-//!   A panicking stage surfaces as [`TilesError::Stream`] holding
-//!   `StreamError::Worker`. [`analyze_tiles`] is the collect-the-records
-//!   shorthand.
+//! The tile-grid names re-exported here are `ccl-stream`'s:
+//! [`TileGridLabeler`] is its labeler, [`TileGridConfig`] /
+//! [`TileGridStats`] its config and stats, [`TilesError`] its one error
+//! type, and [`TileSource`] / [`GridSource`] / [`TileRow`], [`TileSink`] /
+//! [`TileMeta`] / [`CollectTiles`] and [`label_tiles`] / [`analyze_tiles`]
+//! its tile sources, label output and drivers.
 //!
 //! ## Example
 //!
@@ -62,17 +40,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
-pub mod error;
-pub mod labeler;
 pub mod sink;
-pub mod source;
 
-pub use driver::{analyze_tiles, label_tiles};
-pub use error::TilesError;
-pub use labeler::{TileGridConfig, TileGridLabeler, TileGridStats};
-pub use sink::{
-    read_manifest, read_spilled_label_image, temp_spill_dir, CollectTiles, SpillFormat,
-    SpillManifest, SpillSink, TileMeta, TileSink,
+pub use ccl_stream::{
+    analyze_tiles, label_tiles, CollectTiles, GridSource, StreamError as TilesError,
+    StreamStats as TileGridStats, StripConfig as TileGridConfig, StripLabeler as TileGridLabeler,
+    TileMeta, TileRow, TileSink, TileSource,
 };
-pub use source::{GridSource, TileRow, TileSource};
+pub use sink::{
+    read_manifest, read_spilled_label_image, temp_spill_dir, SpillFormat, SpillManifest, SpillSink,
+};

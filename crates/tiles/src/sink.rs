@@ -1,17 +1,15 @@
-//! [`TileSink`] — labeled-tile output, including the spill-to-disk writer.
+//! [`SpillSink`] — the spill format: labeled tiles on disk.
 //!
-//! The grid labeler emits each tile's labels exactly once, carrying the
-//! [`ComponentId`]s known at emission time; components still open may
-//! later merge, and every such event is reported through
-//! [`TileSink::merge`] *before* the next tile. Two sinks are provided:
-//!
-//! * [`CollectTiles`] — buffers everything and reconciles into a
-//!   [`LabelImage`] (tests and callers with memory to spare);
-//! * [`SpillSink`] — the out-of-core path: tiles are **spilled to disk**
-//!   as raw little-endian `u32` rasters or 16-bit PGM (`P5`, maxval
-//!   65535), each written once with its emission-time ids, and a sidecar
-//!   manifest records the grid geometry and the merge table — output
-//!   memory stays O(tile), matching the labeler's input bound.
+//! The labeler emits each tile's labels exactly once through
+//! `ccl-stream`'s [`TileSink`], carrying the [`ComponentId`]s known at
+//! emission time; components still open may later merge, and every such
+//! event is reported through [`TileSink::merge`] *before* the next tile.
+//! [`SpillSink`] is the out-of-core sink: tiles are **spilled to disk**
+//! as raw little-endian `u32` rasters or 16-bit PGM (`P5`, maxval
+//! 65535), each written once with its emission-time ids, and a sidecar
+//! manifest records the geometry and the merge table — output memory
+//! stays O(tile), matching the labeler's input bound. A strip run spills
+//! the same way, one full-width tile per band.
 //!
 //! A tile's raw samples are provisional ids: they resolve to components
 //! only through the manifest's merge table, which is the one place ids
@@ -26,7 +24,7 @@
 //! syncs it, renames it into place and syncs the directory. A spill that
 //! never reached the commit has no manifest (a leftover one is removed
 //! by [`SpillSink::create`]), so reading it fails with a typed
-//! [`TilesError`].
+//! [`StreamError`].
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -36,93 +34,7 @@ use std::path::{Path, PathBuf};
 use ccl_core::label::LabelImage;
 use ccl_image::io::pgm;
 use ccl_stream::analysis::reconcile;
-use ccl_stream::ComponentId;
-
-use crate::error::TilesError;
-
-/// Placement of one emitted tile within the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileMeta {
-    /// Tile-row index (0-based, top to bottom).
-    pub tile_row: usize,
-    /// Tile-column index (0-based, left to right).
-    pub tile_col: usize,
-    /// Global image row of the tile's first pixel row.
-    pub row0: usize,
-    /// Global image column of the tile's first pixel column.
-    pub col0: usize,
-    /// Tile width in pixels.
-    pub width: usize,
-    /// Tile height in pixels.
-    pub height: usize,
-}
-
-/// Receives every labeled tile exactly once, in row-major tile order.
-/// Tile pixels hold [`ComponentId`]s (0 = background) as known at
-/// emission time; [`TileSink::merge`] reports every later unification
-/// (always before the tiles of the band that discovered it), so a
-/// consumer that union-finds the merge pairs obtains the exact final
-/// partition.
-pub trait TileSink {
-    /// Two previously emitted ids turned out to be one component; `kept`
-    /// (the smaller) survives.
-    fn merge(&mut self, kept: ComponentId, absorbed: ComponentId);
-
-    /// One labeled tile, row-major within the tile.
-    fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), TilesError>;
-}
-
-/// Reference in-memory [`TileSink`]: buffers tiles and merge events, then
-/// reconciles them into a [`LabelImage`].
-#[derive(Debug, Default)]
-pub struct CollectTiles {
-    tiles: Vec<(TileMeta, Vec<ComponentId>)>,
-    merges: Vec<(ComponentId, ComponentId)>,
-}
-
-impl TileSink for CollectTiles {
-    fn merge(&mut self, kept: ComponentId, absorbed: ComponentId) {
-        self.merges.push((kept, absorbed));
-    }
-
-    fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), TilesError> {
-        debug_assert_eq!(gids.len(), meta.width * meta.height);
-        self.tiles.push((*meta, gids.to_vec()));
-        Ok(())
-    }
-}
-
-impl CollectTiles {
-    /// Applies the recorded merges and renumbers components canonically
-    /// (consecutive `1..=k` by raster order of first pixel).
-    pub fn into_label_image(self) -> LabelImage {
-        let (width, height) = extent(self.tiles.iter().map(|(m, _)| m));
-        let mut gids = vec![0u64; width * height];
-        for (meta, tile) in &self.tiles {
-            blit(&mut gids, width, meta, tile);
-        }
-        reconcile(width, height, &gids, &self.merges)
-    }
-}
-
-/// Computes the grid extent covered by a set of tile placements.
-fn extent<'a>(metas: impl Iterator<Item = &'a TileMeta>) -> (usize, usize) {
-    let mut width = 0;
-    let mut height = 0;
-    for m in metas {
-        width = width.max(m.col0 + m.width);
-        height = height.max(m.row0 + m.height);
-    }
-    (width, height)
-}
-
-/// Copies a tile's ids into a full-width gid raster.
-fn blit(gids: &mut [u64], width: usize, meta: &TileMeta, tile: &[ComponentId]) {
-    for r in 0..meta.height {
-        let dst = (meta.row0 + r) * width + meta.col0;
-        gids[dst..dst + meta.width].copy_from_slice(&tile[r * meta.width..(r + 1) * meta.width]);
-    }
-}
+use ccl_stream::{ComponentId, StreamError, TileMeta, TileSink};
 
 /// On-disk encoding of a spilled tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,11 +82,11 @@ impl SpillFormat {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, TilesError> {
+    fn parse(s: &str) -> Result<Self, StreamError> {
         match s {
             "raw-u32" => Ok(SpillFormat::RawU32),
             "pgm16" => Ok(SpillFormat::Pgm16),
-            other => Err(TilesError::Manifest(format!("unknown format {other:?}"))),
+            other => Err(StreamError::Manifest(format!("unknown format {other:?}"))),
         }
     }
 }
@@ -216,7 +128,7 @@ impl SpillSink {
     /// Creates the spill directory (and parents) and an empty sink,
     /// removing the manifest of an earlier spill into the same directory
     /// until this one commits.
-    pub fn create(dir: impl Into<PathBuf>, format: SpillFormat) -> Result<Self, TilesError> {
+    pub fn create(dir: impl Into<PathBuf>, format: SpillFormat) -> Result<Self, StreamError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         match fs::remove_file(dir.join(MANIFEST_NAME)) {
@@ -243,8 +155,8 @@ impl SpillSink {
     /// Commits the spill: syncs every tile file, then writes, syncs and
     /// renames the manifest into place and syncs the directory. Writes
     /// no tile. Returns the manifest.
-    pub fn close(self) -> Result<SpillManifest, TilesError> {
-        let (width, rows) = extent(self.tiles.iter());
+    pub fn close(self) -> Result<SpillManifest, StreamError> {
+        let (width, rows) = TileMeta::extent(&self.tiles);
         let manifest = SpillManifest {
             format: self.format,
             width,
@@ -265,7 +177,7 @@ impl TileSink for SpillSink {
         self.merges.push((kept, absorbed));
     }
 
-    fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), TilesError> {
+    fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), StreamError> {
         let path = Self::tile_path(&self.dir, self.format, meta);
         fs::write(path, encode_tile(self.format, meta, gids)?)?;
         self.tiles.push(*meta);
@@ -274,10 +186,10 @@ impl TileSink for SpillSink {
 }
 
 /// Encodes one tile's ids in the spill format.
-fn encode_tile(format: SpillFormat, meta: &TileMeta, gids: &[u64]) -> Result<Vec<u8>, TilesError> {
+fn encode_tile(format: SpillFormat, meta: &TileMeta, gids: &[u64]) -> Result<Vec<u8>, StreamError> {
     let limit = format.limit();
     if let Some(&bad) = gids.iter().find(|&&g| g > limit) {
-        return Err(TilesError::LabelOverflow { gid: bad, limit });
+        return Err(StreamError::LabelOverflow { gid: bad, limit });
     }
     Ok(match format {
         SpillFormat::RawU32 => {
@@ -301,10 +213,10 @@ fn check_tile_len(
     format: SpillFormat,
     meta: &TileMeta,
     len: u64,
-) -> Result<(), TilesError> {
+) -> Result<(), StreamError> {
     let expected = format.file_len(meta);
     if expected != Some(len) {
-        return Err(TilesError::Manifest(format!(
+        return Err(StreamError::Manifest(format!(
             "tile {} has {len} bytes, expected {expected:?}",
             path.display()
         )));
@@ -313,7 +225,7 @@ fn check_tile_len(
 }
 
 /// Reads one spilled tile back into component ids.
-fn read_tile(path: &Path, format: SpillFormat, meta: &TileMeta) -> Result<Vec<u64>, TilesError> {
+fn read_tile(path: &Path, format: SpillFormat, meta: &TileMeta) -> Result<Vec<u64>, StreamError> {
     let bytes = fs::read(path)?;
     check_tile_len(path, format, meta, bytes.len() as u64)?;
     match format {
@@ -324,7 +236,7 @@ fn read_tile(path: &Path, format: SpillFormat, meta: &TileMeta) -> Result<Vec<u6
         SpillFormat::Pgm16 => {
             let (w, h, samples) = pgm::read_binary16(&bytes)?;
             if (w, h) != (meta.width, meta.height) {
-                return Err(TilesError::Manifest(format!(
+                return Err(StreamError::Manifest(format!(
                     "tile {} is {w}x{h}, expected {}x{}",
                     path.display(),
                     meta.width,
@@ -336,7 +248,7 @@ fn read_tile(path: &Path, format: SpillFormat, meta: &TileMeta) -> Result<Vec<u6
     }
 }
 
-fn write_manifest(dir: &Path, manifest: &SpillManifest) -> Result<(), TilesError> {
+fn write_manifest(dir: &Path, manifest: &SpillManifest) -> Result<(), StreamError> {
     let mut out = String::new();
     out.push_str(MANIFEST_MAGIC);
     out.push('\n');
@@ -364,29 +276,29 @@ fn write_manifest(dir: &Path, manifest: &SpillManifest) -> Result<(), TilesError
 }
 
 /// Parses the sidecar manifest of a spill directory.
-pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError> {
+pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, StreamError> {
     let path = dir.as_ref().join(MANIFEST_NAME);
     let file = fs::File::open(&path)
-        .map_err(|e| TilesError::Manifest(format!("{}: {e}", path.display())))?;
+        .map_err(|e| StreamError::Manifest(format!("{}: {e}", path.display())))?;
     let mut lines = BufReader::new(file).lines();
-    let mut next_line = || -> Result<String, TilesError> {
+    let mut next_line = || -> Result<String, StreamError> {
         lines
             .next()
             .transpose()?
-            .ok_or_else(|| TilesError::Manifest("unexpected end of manifest".into()))
+            .ok_or_else(|| StreamError::Manifest("unexpected end of manifest".into()))
     };
     if next_line()? != MANIFEST_MAGIC {
-        return Err(TilesError::Manifest("bad magic line".into()));
+        return Err(StreamError::Manifest("bad magic line".into()));
     }
-    let field = |line: &str, key: &str| -> Result<String, TilesError> {
+    let field = |line: &str, key: &str| -> Result<String, StreamError> {
         line.strip_prefix(key)
             .and_then(|rest| rest.strip_prefix(' '))
             .map(str::to_string)
-            .ok_or_else(|| TilesError::Manifest(format!("expected {key:?}, got {line:?}")))
+            .ok_or_else(|| StreamError::Manifest(format!("expected {key:?}, got {line:?}")))
     };
-    let parse_usize = |s: &str| -> Result<usize, TilesError> {
+    let parse_usize = |s: &str| -> Result<usize, StreamError> {
         s.parse()
-            .map_err(|_| TilesError::Manifest(format!("invalid number {s:?}")))
+            .map_err(|_| StreamError::Manifest(format!("invalid number {s:?}")))
     };
     let format = SpillFormat::parse(&field(&next_line()?, "format")?)?;
     let width = parse_usize(&field(&next_line()?, "width")?)?;
@@ -403,7 +315,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
             .map(parse_usize)
             .collect::<Result<_, _>>()?;
         if nums.len() != 6 {
-            return Err(TilesError::Manifest(format!(
+            return Err(StreamError::Manifest(format!(
                 "malformed tile line {line:?}"
             )));
         }
@@ -425,13 +337,13 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
             .split_ascii_whitespace()
             .map(|s| {
                 s.parse()
-                    .map_err(|_| TilesError::Manifest(format!("invalid id {s:?}")))
+                    .map_err(|_| StreamError::Manifest(format!("invalid id {s:?}")))
             })
             .collect::<Result<_, _>>()?;
         // the writer always keeps the smaller id, which is what makes
         // resolution terminate
         if nums.len() != 2 || nums[0] == 0 || nums[0] >= nums[1] {
-            return Err(TilesError::Manifest(format!(
+            return Err(StreamError::Manifest(format!(
                 "malformed merge line {line:?}"
             )));
         }
@@ -443,12 +355,12 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
     // surprises.
     let area = width
         .checked_mul(rows)
-        .ok_or_else(|| TilesError::Manifest(format!("extent {width}x{rows} overflows")))?;
+        .ok_or_else(|| StreamError::Manifest(format!("extent {width}x{rows} overflows")))?;
     let covered = tiles.iter().try_fold(0usize, |sum, m| {
         sum.checked_add(m.width.checked_mul(m.height)?)
     });
     if covered != Some(area) {
-        return Err(TilesError::Manifest(format!(
+        return Err(StreamError::Manifest(format!(
             "tile areas sum to {covered:?}, declared extent {width}x{rows} is {area}"
         )));
     }
@@ -461,7 +373,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
                 .checked_add(m.height)
                 .is_some_and(|bottom| bottom <= rows);
         if !fits {
-            return Err(TilesError::Manifest(format!(
+            return Err(StreamError::Manifest(format!(
                 "tile {}x{} at ({}, {}) exceeds declared extent {width}x{rows}",
                 m.width, m.height, m.row0, m.col0
             )));
@@ -486,7 +398,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
         if !enters {
             open.remove(&start);
         } else if last_before_end.is_some_and(|(_, &e)| e > start) {
-            return Err(TilesError::Manifest(format!(
+            return Err(StreamError::Manifest(format!(
                 "tile {}x{} at ({}, {}) overlaps another tile",
                 m.width, m.height, m.row0, m.col0
             )));
@@ -498,7 +410,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, TilesError>
     names.sort_unstable();
     if let Some(p) = names.windows(2).find(|p| p[0] == p[1]) {
         let msg = format!("tile ({}, {}) is listed twice", p[0].0, p[0].1);
-        return Err(TilesError::Manifest(msg));
+        return Err(StreamError::Manifest(msg));
     }
     Ok(SpillManifest {
         format,
@@ -528,7 +440,7 @@ pub fn temp_spill_dir(tag: &str) -> PathBuf {
 /// renumbers into a [`LabelImage`]. The *reader* holds the whole image —
 /// the spill itself was produced in O(tile) memory — and allocates it
 /// only once the files on disk account for every declared pixel.
-pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, TilesError> {
+pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, StreamError> {
     let dir = dir.as_ref();
     let manifest = read_manifest(dir)?;
     let paths: Vec<PathBuf> = manifest
@@ -537,16 +449,16 @@ pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, Til
         .map(|meta| {
             let path = SpillSink::tile_path(dir, manifest.format, meta);
             let len = fs::metadata(&path)
-                .map_err(|e| TilesError::Manifest(format!("{}: {e}", path.display())))?
+                .map_err(|e| StreamError::Manifest(format!("{}: {e}", path.display())))?
                 .len();
             check_tile_len(&path, manifest.format, meta, len)?;
             Ok(path)
         })
-        .collect::<Result<_, TilesError>>()?;
+        .collect::<Result<_, StreamError>>()?;
     let mut gids = vec![0u64; manifest.width * manifest.rows];
     for (meta, path) in manifest.tiles.iter().zip(&paths) {
         let tile = read_tile(path, manifest.format, meta)?;
-        blit(&mut gids, manifest.width, meta, &tile);
+        meta.blit(&mut gids, manifest.width, &tile);
     }
     Ok(reconcile(
         manifest.width,
@@ -559,6 +471,12 @@ pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, Til
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccl_core::seq::aremsp;
+    use ccl_core::verify::labelings_equivalent;
+    use ccl_image::BinaryImage;
+    use ccl_stream::{
+        label_stream, label_tiles, CountComponents, GridSource, MemorySource, StripConfig,
+    };
 
     fn temp_dir(tag: &str) -> PathBuf {
         temp_spill_dir(tag)
@@ -573,19 +491,6 @@ mod tests {
             width: w,
             height: h,
         }
-    }
-
-    #[test]
-    fn collect_tiles_reconciles_merges() {
-        let mut sink = CollectTiles::default();
-        sink.tile(&meta(0, 0, 0, 0, 2, 1), &[1, 0]).unwrap();
-        sink.tile(&meta(0, 1, 0, 2, 1, 1), &[2]).unwrap();
-        sink.merge(1, 2);
-        sink.tile(&meta(1, 0, 1, 0, 2, 1), &[1, 1]).unwrap();
-        sink.tile(&meta(1, 1, 1, 2, 1, 1), &[2]).unwrap();
-        let li = sink.into_label_image();
-        assert_eq!(li.num_components(), 1);
-        assert_eq!(li.as_slice(), &[1, 0, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -655,7 +560,10 @@ mod tests {
         let dir = temp_dir("overflow");
         let mut sink = SpillSink::create(&dir, SpillFormat::Pgm16).unwrap();
         let err = sink.tile(&meta(0, 0, 0, 0, 1, 1), &[70_000]).unwrap_err();
-        assert!(matches!(err, TilesError::LabelOverflow { gid: 70_000, .. }));
+        assert!(matches!(
+            err,
+            StreamError::LabelOverflow { gid: 70_000, .. }
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -687,16 +595,16 @@ mod tests {
         sink.close().unwrap();
         let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
         fs::rename(dir.join(MANIFEST_NAME), &tmp).unwrap();
-        assert!(matches!(read_manifest(&dir), Err(TilesError::Manifest(_))));
+        assert!(matches!(read_manifest(&dir), Err(StreamError::Manifest(_))));
         assert!(matches!(
             read_spilled_label_image(&dir),
-            Err(TilesError::Manifest(_))
+            Err(StreamError::Manifest(_))
         ));
         // a new spill into the directory withdraws the old commit
         fs::rename(&tmp, dir.join(MANIFEST_NAME)).unwrap();
         assert!(read_manifest(&dir).is_ok());
         let sink = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
-        assert!(matches!(read_manifest(&dir), Err(TilesError::Manifest(_))));
+        assert!(matches!(read_manifest(&dir), Err(StreamError::Manifest(_))));
         let manifest = sink.close().unwrap();
         assert_eq!(read_manifest(&dir).unwrap(), manifest);
         let leftovers: Vec<_> = fs::read_dir(&dir)
@@ -723,7 +631,7 @@ mod tests {
         )
         .unwrap();
         let err = read_manifest(&dir).unwrap_err();
-        assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+        assert!(matches!(err, StreamError::Manifest(_)), "{err}");
         assert!(read_spilled_label_image(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -732,12 +640,12 @@ mod tests {
     /// line for the second tile to `edited`: its placement and name.
     fn spill_with_second_tile(tag: &str, edited: &str) -> PathBuf {
         let dir = temp_dir(tag);
-        let img = ccl_image::BinaryImage::parse("#..# #..#");
+        let img = BinaryImage::parse("#..# #..#");
         let mut spill = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
-        let mut grid = crate::GridSource::from_image(&img, 2, 2);
-        let mut comps = ccl_stream::CountComponents::default();
-        let cfg = crate::TileGridConfig::default();
-        crate::label_tiles(&mut grid, cfg, &mut comps, Some(&mut spill)).unwrap();
+        let mut grid = GridSource::from_image(&img, 2, 2);
+        let mut comps = CountComponents::default();
+        let cfg = StripConfig::default();
+        label_tiles(&mut grid, cfg, &mut comps, Some(&mut spill)).unwrap();
         spill.close().unwrap();
         assert_eq!(read_spilled_label_image(&dir).unwrap().num_components(), 2);
         let path = dir.join(MANIFEST_NAME);
@@ -775,17 +683,17 @@ mod tests {
         sink.merge(1, 2);
         drop(sink);
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
-        assert!(matches!(read_manifest(&dir), Err(TilesError::Manifest(_))));
+        assert!(matches!(read_manifest(&dir), Err(StreamError::Manifest(_))));
         assert!(matches!(
             read_spilled_label_image(&dir),
-            Err(TilesError::Manifest(_))
+            Err(StreamError::Manifest(_))
         ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Writes `body` after the magic line as the manifest of a fresh
     /// directory and returns what both readers make of it.
-    fn read_hostile(tag: &str, body: &str) -> (TilesError, TilesError) {
+    fn read_hostile(tag: &str, body: &str) -> (StreamError, StreamError) {
         let dir = temp_dir(tag);
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(MANIFEST_NAME), format!("{MANIFEST_MAGIC}\n{body}")).unwrap();
@@ -822,8 +730,8 @@ mod tests {
             ),
         ] {
             let (a, b) = read_hostile(tag, &body);
-            assert!(matches!(a, TilesError::Manifest(_)), "{tag}: {a}");
-            assert!(matches!(b, TilesError::Manifest(_)), "{tag}: {b}");
+            assert!(matches!(a, StreamError::Manifest(_)), "{tag}: {a}");
+            assert!(matches!(b, StreamError::Manifest(_)), "{tag}: {b}");
         }
     }
 
@@ -834,8 +742,8 @@ mod tests {
             "huge_extent",
             "format raw-u32\nwidth 1000000000\nrows 1000000000\ntiles 0\nmerges 0\n",
         );
-        assert!(matches!(a, TilesError::Manifest(_)), "{a}");
-        assert!(matches!(b, TilesError::Manifest(_)), "{b}");
+        assert!(matches!(a, StreamError::Manifest(_)), "{a}");
+        assert!(matches!(b, StreamError::Manifest(_)), "{b}");
         // a covering tile whose file is missing, or shorter than declared
         for format in [SpillFormat::RawU32, SpillFormat::Pgm16] {
             let dir = temp_dir("short_tile");
@@ -846,11 +754,90 @@ mod tests {
             let bytes = fs::read(&path).unwrap();
             fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
             let err = read_spilled_label_image(&dir).unwrap_err();
-            assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+            assert!(matches!(err, StreamError::Manifest(_)), "{err}");
             fs::remove_file(&path).unwrap();
             let err = read_spilled_label_image(&dir).unwrap_err();
-            assert!(matches!(err, TilesError::Manifest(_)), "{err}");
+            assert!(matches!(err, StreamError::Manifest(_)), "{err}");
             fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn spill_sink_end_to_end() {
+        let dir = temp_spill_dir("driver");
+        let img = BinaryImage::parse(
+            "#.#.#
+             #.#.#
+             #####",
+        );
+        let mut src = GridSource::from_image(&img, 2, 2);
+        let mut spill = SpillSink::create(&dir, SpillFormat::Pgm16).unwrap();
+        let mut comps = CountComponents::default();
+        let stats = label_tiles(
+            &mut src,
+            StripConfig::default(),
+            &mut comps,
+            Some(&mut spill),
+        )
+        .unwrap();
+        let manifest = spill.close().unwrap();
+        assert_eq!(stats.components, 1);
+        assert_eq!(manifest.width, 5);
+        assert_eq!(manifest.rows, 3);
+        let li = read_spilled_label_image(&dir).unwrap();
+        let reference = aremsp(&img);
+        assert!(labelings_equivalent(&li, &reference));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A strip run spills through the same sink: one full-width tile per
+    /// band, the last band short, at every thread count and in both
+    /// driver modes.
+    #[test]
+    fn strip_run_spills_one_full_width_tile_per_band() {
+        let images = [
+            ccl_datasets::synth::noise::bernoulli(23, 19, 0.5, 5),
+            ccl_datasets::synth::shapes::text_page(41, 30, 1, 2),
+        ];
+        for img in &images {
+            let (w, h) = (img.width(), img.height());
+            let reference = aremsp(img);
+            for band in [1, 7, h + 3] {
+                let expected: Vec<TileMeta> = (0..h)
+                    .step_by(band)
+                    .enumerate()
+                    .map(|(tile_row, row0)| TileMeta {
+                        tile_row,
+                        tile_col: 0,
+                        row0,
+                        col0: 0,
+                        width: w,
+                        height: band.min(h - row0),
+                    })
+                    .collect();
+                for threads in 1..=3 {
+                    for pipelined in [false, true] {
+                        let dir = temp_spill_dir("strips");
+                        let mut spill = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+                        let cfg = StripConfig { threads, pipelined };
+                        let stats = label_stream(
+                            &mut MemorySource::new(img),
+                            band,
+                            cfg,
+                            &mut CountComponents::default(),
+                            Some(&mut spill),
+                        )
+                        .unwrap();
+                        let manifest = spill.close().unwrap();
+                        let ctx = format!("{w}x{h}, band {band}, {cfg:?}");
+                        assert_eq!(manifest.tiles, expected, "{ctx}");
+                        assert_eq!((stats.bands, stats.tiles), (expected.len(), expected.len()));
+                        let li = read_spilled_label_image(&dir).unwrap();
+                        assert!(labelings_equivalent(&li, &reference), "{ctx}");
+                        fs::remove_dir_all(&dir).unwrap();
+                    }
+                }
+            }
         }
     }
 }

@@ -76,9 +76,8 @@ pub mod prelude {
     pub use ccl_image::{BinaryImage, Connectivity, GrayImage, RgbImage};
     pub use ccl_pipeline::{PacedRows, PrefetchRows};
     pub use ccl_stream::{
-        analyze_stream, label_stream, CollectLabelImage, ComponentRecord, ComponentSink,
-        CountComponents, MemorySource, OwnedMemorySource, RowSource, StreamStats, StripConfig,
-        StripLabeler,
+        analyze_stream, label_stream, ComponentRecord, ComponentSink, CountComponents,
+        MemorySource, OwnedMemorySource, RowSource, StreamStats, StripConfig, StripLabeler,
     };
     pub use ccl_tiles::{
         analyze_tiles, label_tiles, read_spilled_label_image, CollectTiles, GridSource,
