@@ -18,25 +18,6 @@ use std::ops::Range;
 
 use ccl_unionfind::EquivalenceStore;
 
-/// A per-label payload that can be folded into another when two
-/// provisional labels turn out to name the same component — what lets a
-/// merge stage combine *partial accumulators* (areas, bounding boxes,
-/// centroid sums…) per label after the seams, so no later pass over the
-/// pixels is needed.
-///
-/// Laws the fused-accumulation machinery relies on (property-tested by
-/// the consumers): `fold` must be **commutative** and **associative**
-/// with [`Foldable::EMPTY`] as identity, because seam order — and hence
-/// fold order — is unspecified.
-pub trait Foldable: Copy {
-    /// The identity payload of an unused label slot.
-    const EMPTY: Self;
-
-    /// Folds `other` into `self`. Called with the payloads of two label
-    /// sets that were just discovered to be one component.
-    fn fold(&mut self, other: &Self);
-}
-
 /// The seam body shared by every entry point: merges element `i` of `cur`
 /// with elements `i-1`, `i`, `i+1` of `up` under 8-connectivity, for `i`
 /// in `0..len`. The direct neighbour `up(i)` subsumes both diagonals when

@@ -18,8 +18,8 @@
 //!   tile row is a windowed band, so
 //!   [`GridSource`](ccl_stream::GridSource)`::new(PrefetchRows::with_depth(src, th, depth), tw, th)`
 //!   decodes tile rows one thread ahead.
-//! * the **driver loop** in `ccl-stream` ([`ccl_stream::pipeline`]),
-//!   which both [`label_stream`](ccl_stream::label_stream) and
+//! * the **driver loop** in `ccl-stream`, which both
+//!   [`label_stream`](ccl_stream::label_stream) and
 //!   [`label_tiles`](ccl_stream::label_tiles) run; `pipelined: true` in
 //!   their config makes unit *k + 1*'s scan overlap unit *k*'s seam
 //!   merge / accumulation / spill, the carry row being the only

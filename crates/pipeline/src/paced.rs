@@ -73,18 +73,15 @@ impl<S: RowSource> RowSource for PacedRows<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccl_stream::OwnedMemorySource;
+    use ccl_stream::MemorySource;
     use ccl_tiles::{GridSource, TileSource};
     use std::time::Instant;
 
     #[test]
     fn pacing_is_transparent_to_the_data() {
         let img = BinaryImage::from_fn(6, 9, |r, c| (r + c) % 2 == 0);
-        let mut plain = OwnedMemorySource::new(img.clone());
-        let mut paced = PacedRows::new(
-            OwnedMemorySource::new(img.clone()),
-            Duration::from_micros(100),
-        );
+        let mut plain = MemorySource::new(img.clone());
+        let mut paced = PacedRows::new(MemorySource::new(img.clone()), Duration::from_micros(100));
         loop {
             let a = plain.next_band(4).unwrap();
             let b = paced.next_band(4).unwrap();
@@ -94,10 +91,7 @@ mod tests {
             }
         }
         let mut paced_tiles = GridSource::new(
-            PacedRows::new(
-                OwnedMemorySource::new(img.clone()),
-                Duration::from_micros(100),
-            ),
+            PacedRows::new(MemorySource::new(img.clone()), Duration::from_micros(100)),
             3,
             4,
         );
@@ -115,7 +109,7 @@ mod tests {
     #[test]
     fn pacing_actually_stalls() {
         let img = BinaryImage::ones(4, 8);
-        let mut paced = PacedRows::new(OwnedMemorySource::new(img), Duration::from_millis(2));
+        let mut paced = PacedRows::new(MemorySource::new(img), Duration::from_millis(2));
         let t = Instant::now();
         let mut bands = 0;
         while paced.next_band(2).unwrap().is_some() {

@@ -176,7 +176,7 @@ impl<S> Drop for PrefetchRows<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccl_stream::OwnedMemorySource;
+    use ccl_stream::MemorySource;
 
     fn test_image() -> BinaryImage {
         BinaryImage::from_fn(7, 19, |r, c| (3 * r + c) % 4 == 0)
@@ -185,8 +185,8 @@ mod tests {
     #[test]
     fn delivers_the_same_bands_as_the_wrapped_source() {
         let img = test_image();
-        let mut sync = OwnedMemorySource::new(img.clone());
-        let mut pf = PrefetchRows::new(OwnedMemorySource::new(img), 4);
+        let mut sync = MemorySource::new(img.clone());
+        let mut pf = PrefetchRows::new(MemorySource::new(img), 4);
         assert_eq!(pf.width(), 7);
         assert_eq!(pf.rows_remaining(), Some(19));
         loop {
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn splits_bands_when_the_consumer_asks_for_fewer_rows() {
         let img = test_image();
-        let mut pf = PrefetchRows::new(OwnedMemorySource::new(img.clone()), 8);
+        let mut pf = PrefetchRows::new(MemorySource::new(img.clone()), 8);
         let mut r0 = 0;
         while let Some(band) = pf.next_band(3).unwrap() {
             assert!(band.height() <= 3);
@@ -219,7 +219,7 @@ mod tests {
     fn drop_without_draining_does_not_hang() {
         let img = test_image();
         for depth in [1, 2, 5] {
-            let mut pf = PrefetchRows::with_depth(OwnedMemorySource::new(img.clone()), 2, depth);
+            let mut pf = PrefetchRows::with_depth(MemorySource::new(img.clone()), 2, depth);
             let _ = pf.next_band(2).unwrap();
             drop(pf); // worker may be blocked mid-send; must still exit
         }
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn into_inner_recovers_the_source() {
         let img = test_image();
-        let pf = PrefetchRows::new(OwnedMemorySource::new(img), 32);
+        let pf = PrefetchRows::new(MemorySource::new(img), 32);
         let src = pf.into_inner().unwrap();
         // worker ran ahead; the source is somewhere in [0, 19] rows left
         assert!(src.rows_remaining().unwrap() <= 19);

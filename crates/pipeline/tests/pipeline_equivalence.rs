@@ -14,7 +14,7 @@ use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
 use ccl_pipeline::PrefetchRows;
 use ccl_stream::{
-    analyze_stream, label_stream, CollectTiles, CountComponents, OwnedMemorySource, RowSource,
+    analyze_stream, label_stream, CollectTiles, CountComponents, MemorySource, RowSource,
     StreamError, StreamStats, StripConfig,
 };
 use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TileSource};
@@ -48,10 +48,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let img = family_image(gen, w, h, seed);
-        let mut sync_src = OwnedMemorySource::new(img.clone());
+        let mut sync_src = MemorySource::new(img.clone());
         let (sync_records, sync_stats) =
             analyze_stream(&mut sync_src, band, StripConfig::default()).unwrap();
-        let mut pf = PrefetchRows::with_depth(OwnedMemorySource::new(img), band, depth);
+        let mut pf = PrefetchRows::with_depth(MemorySource::new(img), band, depth);
         let cfg = StripConfig { threads, pipelined };
         let (records, stats) = analyze_stream(&mut pf, band, cfg).unwrap();
         prop_assert_eq!(records, sync_records, "generator {} band {} {:?}", gen, band, cfg);
@@ -77,10 +77,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let img = family_image(gen, w, h, seed);
-        let mut sync_src = OwnedMemorySource::new(img.clone());
+        let mut sync_src = MemorySource::new(img.clone());
         let (sync_records, _) =
             analyze_stream(&mut sync_src, band, StripConfig::default()).unwrap();
-        let mut pf = PrefetchRows::new(OwnedMemorySource::new(img), pf_band);
+        let mut pf = PrefetchRows::new(MemorySource::new(img), pf_band);
         let (records, stats) = analyze_stream(&mut pf, band, StripConfig::default()).unwrap();
         prop_assert_eq!(stats.components as usize, records.len());
         // splitting changes the effective band boundaries: emission order
@@ -125,7 +125,7 @@ proptest! {
         let (sync_records, sync_stats) =
             analyze_tiles(&mut sync_src, TileGridConfig::default()).unwrap();
 
-        let mut staged = GridSource::new(PrefetchRows::new(OwnedMemorySource::new(img), th), tw, th);
+        let mut staged = GridSource::new(PrefetchRows::new(MemorySource::new(img), th), tw, th);
         let cfg = TileGridConfig { threads, pipelined };
         let (records, stats) = analyze_tiles(&mut staged, cfg).unwrap();
         prop_assert_eq!(records, sync_records, "generator {} tiles {}x{} {:?}", gen, tw, th, cfg);
@@ -149,7 +149,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let img = family_image(gen, w, h, seed);
-        let mut pf = PrefetchRows::new(OwnedMemorySource::new(img.clone()), band);
+        let mut pf = PrefetchRows::new(MemorySource::new(img.clone()), band);
         let mut strips = CollectTiles::default();
         let mut comps = CountComponents::default();
         let stats =

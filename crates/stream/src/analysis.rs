@@ -13,10 +13,10 @@
 //!
 //! # Partial accumulators and the seam fold (fused analysis)
 //!
-//! The labelers never walk the pixels in a separate sequential
+//! The labeler never walks the pixels in a separate sequential
 //! accumulation pass. Instead every *scan worker* builds a **partial
 //! accumulator table** keyed by provisional label while it scans its
-//! chunk (or tile), and the merge stage ([`crate::carry`]) combines
+//! chunk (or tile), and the merge stage ([`crate::labeler`]) combines
 //! partials per *label*, not per pixel. Three invariants make this
 //! exact:
 //!
@@ -42,7 +42,7 @@
 //!    indexes its partials by its own group's labels, in a table no
 //!    other worker touches, so workers write without synchronization;
 //!    the stitch appends the tables in label order, as it does the
-//!    union-find parents ([`crate::scan`]). The merge stage folds each
+//!    union-find parents. The merge stage folds each
 //!    used label's partial onto its union-find root right after the
 //!    carry seam — O(labels), not O(pixels), once every union has
 //!    happened.
@@ -54,7 +54,6 @@
 use std::ops::Range;
 
 use ccl_core::label::LabelImage;
-use ccl_core::scan::Foldable;
 
 use crate::error::StreamError;
 
@@ -168,7 +167,7 @@ impl Accum {
     /// The accumulator of exactly one pixel with the given already-seen
     /// neighbour mask — the definition the fused path's runs
     /// ([`Accum::run`]) are checked against: a component's accumulator is
-    /// the [`Foldable`] sum of its pixels' units (plus nothing else), in
+    /// the [`Accum::fold`] sum of its pixels' units (plus nothing else), in
     /// any order. [`Accum::first`] is the special case with no live
     /// neighbours.
     ///
@@ -258,6 +257,30 @@ impl Accum {
         self.euler += other.euler;
     }
 
+    /// The fused path's fold: [`Accum::EMPTY`] is the identity, non-empty
+    /// accumulators combine with [`Accum::merge_with`], and the surviving
+    /// stream id is the smaller non-zero `gid` (fresh partials carry 0
+    /// until the merge stage assigns ids, so a carried component's id
+    /// always wins). Commutative and associative —
+    /// `tests/proptest_accum.rs` checks fold-order independence across
+    /// all 15 synthetic generators.
+    #[inline]
+    pub fn fold(&mut self, other: &Accum) {
+        if other.area == 0 {
+            return;
+        }
+        if self.area == 0 {
+            *self = *other;
+            return;
+        }
+        let gid = match (self.gid, other.gid) {
+            (0, g) | (g, 0) => g,
+            (a, b) => a.min(b),
+        };
+        self.merge_with(other);
+        self.gid = gid;
+    }
+
     /// True for the unused-slot sentinel.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -279,33 +302,6 @@ impl Accum {
             perimeter: self.perimeter,
             holes: (1 - self.euler).max(0) as u64,
         }
-    }
-}
-
-/// The fused path's fold: [`Accum::EMPTY`] is the identity, non-empty
-/// accumulators combine with [`Accum::merge_with`], and the surviving
-/// stream id is the smaller non-zero `gid` (fresh partials carry 0 until
-/// the merge stage assigns ids, so a carried component's id always
-/// wins). Commutative and associative — `tests/proptest_accum.rs` checks
-/// fold-order independence across all 15 synthetic generators.
-impl Foldable for Accum {
-    const EMPTY: Accum = Accum::EMPTY;
-
-    #[inline]
-    fn fold(&mut self, other: &Accum) {
-        if other.area == 0 {
-            return;
-        }
-        if self.area == 0 {
-            *self = *other;
-            return;
-        }
-        let gid = match (self.gid, other.gid) {
-            (0, g) | (g, 0) => g,
-            (a, b) => a.min(b),
-        };
-        self.merge_with(other);
-        self.gid = gid;
     }
 }
 

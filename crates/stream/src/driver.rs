@@ -18,9 +18,9 @@ use crate::source::{RowSource, TileSource};
 /// Synchronously the labeler never holds more than one band plus the
 /// carry row of pixels. With [`StripConfig::pipelined`] band *k + 1*'s
 /// scan overlaps band *k*'s merge on a worker thread. Both modes run the
-/// one driver loop ([`crate::pipeline::run`]): output is identical, and
-/// [`StreamStats::peak_resident_rows`] reports the pipelined run's
-/// two-band + carry residency. A panicking stage surfaces as
+/// one driver loop: output is identical, and the labeler reports the
+/// pipelined run's two-band + carry residency in
+/// [`StreamStats::peak_resident_rows`]. A panicking stage surfaces as
 /// [`StreamError::Worker`].
 pub fn label_stream<S>(
     source: &mut S,
@@ -36,7 +36,6 @@ where
     drive(
         width,
         cfg,
-        true,
         components,
         labels,
         |carry_cap, r0| match source.next_band(band_rows)? {
@@ -86,7 +85,6 @@ where
     drive(
         width,
         cfg,
-        false,
         components,
         tiles,
         |carry_cap, r0| match source.next_tile_row()? {
@@ -114,34 +112,25 @@ where
 
 /// Both drivers' body: a labeler merging what `scan` (the pull of the
 /// next unit plus its [`Unit::scan`]) yields, through the driver loop.
-/// `one_tile` says how the units' labels leave ([`Unit::one_tile`]).
 fn drive(
     width: usize,
     cfg: StripConfig,
-    one_tile: bool,
     components: &mut dyn ComponentSink,
     mut labels: Option<&mut dyn TileSink>,
     scan: impl FnMut(u32, usize) -> Result<Option<ScannedRow>, StreamError> + Send,
 ) -> Result<StreamStats, StreamError> {
     let mut labeler = StripLabeler::with_config(width, cfg);
-    let peak = crate::pipeline::run(
-        width,
-        cfg.pipelined,
-        scan,
-        |unit| {
-            labeler.merge_scanned(unit, one_tile, components, labels.as_deref_mut())?;
-            Ok(labeler.open_components() as u32)
-        },
-        ScannedRow::rows,
-    )?;
-    let mut stats = labeler.finish(components);
-    stats.peak_resident_rows = peak;
-    Ok(stats)
+    crate::pipeline::run(width, cfg.pipelined, scan, |unit| {
+        labeler.merge(unit, components, labels.as_deref_mut())?;
+        Ok(labeler.open_components() as u32)
+    })?;
+    Ok(labeler.finish(components))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{ComponentId, CountComponents, TileMeta};
     use crate::source::{GridSource, MemorySource};
     use ccl_image::BinaryImage;
 
@@ -259,5 +248,76 @@ mod tests {
         assert_eq!(stats.rows, 6);
         assert_eq!(stats.bands, 3);
         assert_eq!(stats.peak_resident_rows, 0);
+    }
+
+    /// One call a run makes on its [`TileSink`].
+    #[derive(Debug, PartialEq)]
+    enum LabelEvent {
+        Merge(ComponentId, ComponentId),
+        Tile(TileMeta, Vec<ComponentId>),
+    }
+
+    impl TileSink for Vec<LabelEvent> {
+        fn merge(&mut self, kept: ComponentId, absorbed: ComponentId) {
+            self.push(LabelEvent::Merge(kept, absorbed));
+        }
+
+        fn tile(&mut self, meta: &TileMeta, gids: &[ComponentId]) -> Result<(), StreamError> {
+            self.push(LabelEvent::Tile(*meta, gids.to_vec()));
+            Ok(())
+        }
+    }
+
+    /// The raw label output — every id merge and every tile, with its
+    /// placement and emission-time ids, in call order — is the
+    /// synchronous sequential run's at 1–8 threads, pipelined or not,
+    /// for strips and tile grids alike.
+    #[test]
+    fn raw_label_output_does_not_depend_on_the_mode() {
+        use ccl_datasets::synth::{noise::bernoulli, shapes::text_page, texture::stripes};
+        let images = [
+            bernoulli(29, 23, 0.5, 7),
+            text_page(37, 31, 1, 7),
+            stripes(31, 27, 5, 2, (1, 1)),
+        ];
+        let modes: Vec<StripConfig> = (1..=8)
+            .flat_map(|threads| [false, true].map(|pipelined| StripConfig { threads, pipelined }))
+            .collect();
+        let strips = |img: &BinaryImage, rows: usize, cfg: StripConfig| {
+            let mut events = Vec::new();
+            let mut components = CountComponents::default();
+            let mut src = MemorySource::new(img);
+            label_stream(&mut src, rows, cfg, &mut components, Some(&mut events)).unwrap();
+            events
+        };
+        let tiles = |img: &BinaryImage, tw: usize, th: usize, cfg: StripConfig| {
+            let mut events = Vec::new();
+            let mut components = CountComponents::default();
+            let mut src = GridSource::from_image(img, tw, th);
+            label_tiles(&mut src, cfg, &mut components, Some(&mut events)).unwrap();
+            events
+        };
+        let mut merges = 0;
+        for (i, img) in images.iter().enumerate() {
+            for rows in [1, 3, 8] {
+                let expected = strips(img, rows, StripConfig::default());
+                merges += expected
+                    .iter()
+                    .filter(|e| matches!(e, LabelEvent::Merge(..)))
+                    .count();
+                for &cfg in &modes {
+                    let got = strips(img, rows, cfg);
+                    assert_eq!(got, expected, "image {i}, bands of {rows}, {cfg:?}");
+                }
+                for tw in [1, 4, 9] {
+                    let expected = tiles(img, tw, rows, StripConfig::default());
+                    for &cfg in &modes {
+                        let got = tiles(img, tw, rows, cfg);
+                        assert_eq!(got, expected, "image {i}, {tw}x{rows} tiles, {cfg:?}");
+                    }
+                }
+            }
+        }
+        assert!(merges > 0, "no id merge exercised");
     }
 }

@@ -31,7 +31,7 @@ pub enum StreamError {
     /// The spill sidecar manifest is missing or malformed.
     Manifest(String),
     /// A pipeline stage died without producing its unit: the pipelined
-    /// executor's scan stage ([`crate::pipeline`]) or a `ccl-pipeline`
+    /// driver loop's scan stage or a `ccl-pipeline`
     /// prefetcher, typically through a panic in the wrapped source; the
     /// payload is the panic message.
     Worker(String),

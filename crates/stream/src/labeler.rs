@@ -29,18 +29,43 @@
 //!   scanned in place with the two-line scan + RemSP, by at most
 //!   [`StripConfig::threads`] workers, each into a label space of its own
 //!   that the stage then stitches into one numbering and merges along
-//!   the vertical seams ([`crate::scan`]). Carried ids are reserved by
-//!   capacity (the exact open-component count synchronously, the width
-//!   bound `⌈w/2⌉` in the pipelined driver loop), so the stage never
-//!   looks at the carry row. Each scan worker also builds its tiles'
-//!   **partial accumulator tables** while it scans (see
-//!   [`crate::analysis`] for the invariants).
-//! * **merge stage** — the carry seam, the per-label fold, compaction and
-//!   component emission ([`crate::carry`]), then the unit's labels
-//!   through a [`TileSink`]: a strip band as one full-width tile, a tile
-//!   row as its tiles. Inherently sequential, because each unit's carry
-//!   feeds the next. The carry state also counts the rows and units,
-//!   degenerate ones included.
+//!   the vertical seams. Carried ids are reserved by capacity (the exact
+//!   open-component count synchronously, the width bound `⌈w/2⌉` in the
+//!   pipelined driver loop), so the stage never looks at the carry row.
+//!   Each scan worker also builds its tiles' **partial accumulator
+//!   tables** while it scans (see [`crate::analysis`] for the
+//!   invariants).
+//! * **merge stage** — everything the scanned unit contributes after its
+//!   own scan, settled against the carried state. Inherently sequential,
+//!   because each unit's carry feeds the next:
+//!   1. the **first-line fold** — the unit's first line is the only part
+//!      of its partial accumulators the scan could not build (its upper
+//!      neighbours are the carry row), so its tile-local runs are folded
+//!      in here ([`Accum::run`], north/nw/ne read from the carry row) in
+//!      O(width);
+//!   2. the **carry seam** between the carry row and the unit's first
+//!      line, one sequential pass over the scan's stitched store;
+//!   3. the **per-label fold** — carried accumulators onto their
+//!      (possibly merged) roots, replaying every carried-id merge, then
+//!      each used label's partial onto its root: O(labels), never
+//!      O(pixels);
+//!   4. **fresh ids** for new components, in raster order of their
+//!      anchors;
+//!   5. **compaction** of the components still open on the unit's last
+//!      line to active ids `1..=k`, which rebuilds the carry row;
+//!   6. **emission** of every closed component, ascending id, then of the
+//!      unit's labels through a [`TileSink`] — every carried-id merge,
+//!      then a strip band as one full-width tile or a tile row as its
+//!      tiles, one cached root lookup per label pixel.
+//!
+//!   A degenerate unit (zero height or zero width) is only counted.
+//!   [`StripLabeler::finish`] drains the components still open at the end
+//!   of the stream.
+//!
+//! The labeler also counts the rows, units and tiles, and the peak
+//! residency: the unit's rows plus the carry row, and, with
+//! [`StripConfig::pipelined`], the previous unit's rows, which the
+//! pipelined driver loop holds at the same time.
 //!
 //! Every thread count produces identical output — the carry merge only
 //! ever sees set-minimum roots, which every path agrees on, numbers new
@@ -51,13 +76,16 @@
 //! [`push_band`]: StripLabeler::push_band
 //! [`push_tile_row`]: StripLabeler::push_tile_row
 
-use ccl_core::scan::split_spans;
-use ccl_image::BinaryImage;
+use std::borrow::Cow;
+use std::ops::Range;
 
-use crate::analysis::{ComponentSink, TileMeta, TileSink};
-use crate::carry::CarryState;
+use ccl_core::scan::{merge_seam, split_spans};
+use ccl_image::BinaryImage;
+use ccl_unionfind::{RemSP, UnionFind};
+
+use crate::analysis::{Accum, ComponentId, ComponentSink, TileMeta, TileSink};
 use crate::error::StreamError;
-use crate::scan::{scan_tile_row, ScannedRow};
+use crate::scan::{fold_runs, scan_tile_row, shifted, ScannedRow};
 use crate::source::TileRow;
 
 /// Configuration of the out-of-core labeler and its drivers (re-exported
@@ -68,11 +96,11 @@ pub struct StripConfig {
     /// or tile row (1 = sequential AREMSP). A parallel strip band is cut
     /// into this many column tiles.
     pub threads: usize,
-    /// Whether the driver loop ([`crate::pipeline`], run by
-    /// [`label_stream`](crate::label_stream) and
-    /// [`label_tiles`](crate::label_tiles)) pipelines: unit *k + 1*'s
+    /// Whether the driver loop (run by [`label_stream`](crate::label_stream)
+    /// and [`label_tiles`](crate::label_tiles)) pipelines: unit *k + 1*'s
     /// scan overlaps unit *k*'s merge. Output is identical; residency
-    /// grows to two units + carry. The labeler itself ignores it.
+    /// grows to two units + carry, which the labeler counts in
+    /// [`StreamStats::peak_resident_rows`].
     pub pipelined: bool,
 }
 
@@ -138,10 +166,10 @@ impl Unit<'_> {
     /// The scan stage: checks the unit's width and hands its band to the
     /// shared tile-row scan ([`scan_tile_row`]) as column tiles — a strip
     /// band's [`split_spans`]`(width, threads)`, one tile when
-    /// sequential, or a tile row's tiles. Carried ids occupy slots
-    /// `1..=carry_cap` and `r0` is the global row of the unit's first
-    /// line, both supplied by the driver loop ([`crate::pipeline::run`])
-    /// or the labeler.
+    /// sequential, or a tile row's tiles — recording how its labels
+    /// leave. Carried ids occupy slots `1..=carry_cap` and `r0` is the
+    /// global row of the unit's first line, both supplied by the driver
+    /// loop or the labeler.
     pub(crate) fn scan(
         self,
         width: usize,
@@ -159,12 +187,10 @@ impl Unit<'_> {
                 got: band.width(),
             });
         }
-        Ok(scan_tile_row(band, spans, threads, carry_cap, r0))
-    }
-
-    /// Whether the unit's labels leave as one full-width tile.
-    pub(crate) fn one_tile(self) -> bool {
-        matches!(self, Unit::Band(_))
+        Ok(ScannedRow {
+            one_tile: matches!(self, Unit::Band(_)),
+            ..scan_tile_row(band, spans, threads, carry_cap, r0)
+        })
     }
 }
 
@@ -201,8 +227,25 @@ impl Unit<'_> {
 /// ```
 pub struct StripLabeler {
     cfg: StripConfig,
+    width: usize,
+    /// Labels (active ids `1..=k`, 0 = background) of the last line of
+    /// the previous unit; empty before the first unit with pixels.
+    carry: Vec<u32>,
+    /// Accumulators of the open components, indexed by active id (slot 0
+    /// unused).
+    active: Vec<Accum>,
+    next_gid: u64,
+    /// Pixel rows merged so far, degenerate units included: the next
+    /// unit's first global row.
+    rows: usize,
+    /// Units with at least one row merged so far.
+    units: usize,
     tiles: usize,
-    carry: CarryState,
+    finalized: u64,
+    provisional_labels: u64,
+    /// Pixel rows of the last unit with pixels.
+    last_rows: usize,
+    peak_resident_rows: usize,
 }
 
 impl StripLabeler {
@@ -215,19 +258,28 @@ impl StripLabeler {
     pub fn with_config(width: usize, cfg: StripConfig) -> Self {
         StripLabeler {
             cfg,
+            width,
+            carry: Vec::new(),
+            active: vec![Accum::EMPTY],
+            next_gid: 1,
+            rows: 0,
+            units: 0,
             tiles: 0,
-            carry: CarryState::new(width),
+            finalized: 0,
+            provisional_labels: 0,
+            last_rows: 0,
+            peak_resident_rows: 0,
         }
     }
 
     /// Stream width in pixels.
     pub fn width(&self) -> usize {
-        self.carry.width()
+        self.width
     }
 
     /// Components currently open (touching the carry row).
     pub fn open_components(&self) -> usize {
-        self.carry.open_components()
+        self.active.len() - 1
     }
 
     /// Provisional labels the scans allocated so far, carried-id slots
@@ -235,14 +287,16 @@ impl StripLabeler {
     /// tiles are its thread split, so for strips it varies with
     /// [`StripConfig::threads`].
     pub fn provisional_labels(&self) -> u64 {
-        self.carry.provisional_labels()
+        self.provisional_labels
     }
 
     /// Maximum pixel rows resident at any point so far (tallest unit + 1
-    /// carry row). This is the bounded-memory invariant: it never exceeds
-    /// twice the unit height, however tall the streamed image grows.
+    /// carry row, or tallest consecutive pair + 1 with
+    /// [`StripConfig::pipelined`]). This is the bounded-memory invariant:
+    /// it never exceeds twice the unit height (plus one when pipelined),
+    /// however tall the streamed image grows.
     pub fn peak_resident_rows(&self) -> usize {
-        self.carry.peak_resident_rows()
+        self.peak_resident_rows
     }
 
     /// Labels the next band of rows, emitting every component that closes.
@@ -289,14 +343,15 @@ impl StripLabeler {
     /// Closes the stream: every still-open component is finalized and
     /// emitted (ascending id), and the run's summary returned.
     pub fn finish<C: ComponentSink + ?Sized>(mut self, components: &mut C) -> StreamStats {
-        self.carry.finish(components);
+        let remaining: Vec<Accum> = self.active.drain(1..).collect();
+        self.emit(remaining, components);
         StreamStats {
-            width: self.width(),
-            rows: self.carry.rows(),
-            bands: self.carry.units(),
+            width: self.width,
+            rows: self.rows,
+            bands: self.units,
             tiles: self.tiles,
-            components: self.carry.finalized_components(),
-            peak_resident_rows: self.carry.peak_resident_rows(),
+            components: self.finalized,
+            peak_resident_rows: self.peak_resident_rows,
         }
     }
 
@@ -308,61 +363,267 @@ impl StripLabeler {
         labels: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), StreamError> {
         let scanned = unit.scan(
-            self.width(),
+            self.width,
             self.cfg.threads,
-            self.carry.open_components() as u32,
-            self.carry.rows(),
+            self.open_components() as u32,
+            self.rows,
         )?;
-        self.merge_scanned(scanned, unit.one_tile(), components, labels)
+        self.merge(scanned, components, labels)
     }
 
-    /// The merge stage: the shared carry merge ([`CarryState::merge`]),
-    /// then the unit's labels (after any id merges) through `labels` —
-    /// one full-width tile when `one_tile`, else one tile per scanned
-    /// span. Counterpart of [`Unit::scan`]; the two called back-to-back
-    /// are exactly a push, while the pipelined driver loop
-    /// ([`crate::pipeline`]) runs them on different threads, one unit
-    /// apart.
-    pub(crate) fn merge_scanned(
+    /// The merge stage (steps 1–6 of the module docs), label output
+    /// through `sink` when given. Counterpart of [`Unit::scan`]; the two
+    /// called back-to-back are exactly a push, while the pipelined driver
+    /// loop runs them on different threads, one unit apart.
+    pub(crate) fn merge(
         &mut self,
         unit: ScannedRow,
-        one_tile: bool,
         components: &mut dyn ComponentSink,
-        labels: Option<&mut (dyn TileSink + '_)>,
+        sink: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), StreamError> {
-        let (row0, height, tile_row) = (self.carry.rows(), unit.rows(), self.carry.units());
-        let Some(mut merged) = self.carry.merge(unit, components) else {
+        let tile_row = self.units;
+        self.rows += unit.rows;
+        self.units += usize::from(unit.rows > 0);
+        if unit.labels.is_empty() {
             return Ok(());
-        };
-        let spans: Vec<_> = if one_tile {
-            std::iter::once(0..self.width()).collect()
+        }
+        let ScannedRow {
+            r0,
+            rows,
+            spans,
+            labels,
+            shifts,
+            mut uf,
+            partials: mut acc,
+            used,
+            one_tile,
+        } = unit;
+        let first = line(&labels, &spans, &shifts, 0);
+        let last = line(&labels, &spans, &shifts, rows - 1);
+        let (first, last) = (&*first, &*last);
+        debug_assert_eq!(first.len(), self.width);
+        debug_assert_eq!(last.len(), self.width);
+        // Residency: this unit, the previous one while the pipelined
+        // driver loop holds both (its scanner holds unit k + 1 while unit
+        // k merges), and the carry row once a unit has been merged.
+        let previous = if self.cfg.pipelined {
+            self.last_rows
         } else {
-            merged.tile_spans().to_vec()
+            0
         };
-        self.tiles += spans.len();
-        let Some(sink) = labels else {
+        let resident = rows + previous + usize::from(!self.carry.is_empty());
+        self.peak_resident_rows = self.peak_resident_rows.max(resident);
+        self.last_rows = rows;
+        let n_carry = self.open_components() as u32;
+        self.provisional_labels += u64::from(used.end - used.start);
+
+        // The first line's runs (labels double as the foreground mask):
+        // their upper neighbours are the carry row, which the scan stage
+        // never reads. The first unit's row above is background.
+        let fg = |row: &[u32]| -> Vec<u8> { row.iter().map(|&l| u8::from(l != 0)).collect() };
+        let (first_fg, mut above) = (fg(first), fg(&self.carry));
+        above.resize(self.width, 0);
+        for span in &spans {
+            fold_runs(r0, &first_fg, &above, span, &first[span.clone()], &mut acc);
+        }
+        if !self.carry.is_empty() {
+            merge_seam(&self.carry, first, &mut uf);
+        }
+
+        // After this block `acc[root]` holds the complete accumulator of
+        // every component with a pixel in the unit (fresh ones still gid
+        // 0), `touched` lists the occupied roots, and `merges` the
+        // carried-id pairs that turned out to be one component.
+        let mut touched: Vec<u32> = Vec::new();
+        let mut merges: Vec<(ComponentId, ComponentId)> = Vec::new();
+        fold_carried(
+            &mut uf,
+            &self.active,
+            n_carry,
+            &mut acc,
+            &mut touched,
+            &mut merges,
+        );
+        let mut root_of: Vec<u32> = vec![u32::MAX; uf.len()];
+        for l in used {
+            // every label is created at a tile-local run start, so the
+            // scan (lines 1..) and the first-line fold gave it a partial
+            debug_assert!(!acc[l as usize].is_empty(), "label {l} has no pixel");
+            let root = uf.find(l);
+            root_of[l as usize] = root;
+            if root == l {
+                touched.push(l);
+            } else {
+                let p = std::mem::replace(&mut acc[l as usize], Accum::EMPTY);
+                acc[root as usize].fold(&p);
+            }
+        }
+
+        // Fresh ids in raster order of each new component's first pixel
+        // — its anchor, unique per component.
+        let mut fresh: Vec<((usize, usize), u32)> = touched
+            .iter()
+            .filter(|&&root| acc[root as usize].gid == 0)
+            .map(|&root| (acc[root as usize].anchor, root))
+            .collect();
+        fresh.sort_unstable();
+        for &(_, root) in &fresh {
+            acc[root as usize].gid = self.next_gid;
+            self.next_gid += 1;
+        }
+
+        // Components with a pixel on the unit's last line stay open:
+        // compact them to active ids 1..=k (order of first occurrence on
+        // the line) and rebuild the carry row. Everything else has closed
+        // — no later row can reach it. The old carry row and accumulators
+        // are dead after the fold, so both are rebuilt in place: a fresh
+        // allocation that outlives the unit would sit above the unit's
+        // large partial table in the heap and keep its pages resident.
+        self.active.truncate(1);
+        self.carry.clear();
+        self.carry.resize(self.width, 0);
+        let mut survivor_id: Vec<u32> = vec![0; root_of.len()];
+        for (slot, &l) in self.carry.iter_mut().zip(last) {
+            if l == 0 {
+                continue;
+            }
+            let root = find_cached(&mut uf, &mut root_of, l) as usize;
+            if survivor_id[root] == 0 {
+                self.active.push(acc[root]);
+                survivor_id[root] = (self.active.len() - 1) as u32;
+            }
+            *slot = survivor_id[root];
+        }
+        let closed: Vec<Accum> = touched
+            .iter()
+            .filter(|&&root| survivor_id[root as usize] == 0)
+            .map(|&root| acc[root as usize])
+            .collect();
+        self.emit(closed, components);
+
+        // Label output: each emitted tile is a run of scanned tiles,
+        // row-major across them — a strip band all of them as one
+        // full-width tile, a tile row each of its tiles.
+        let emitted: Vec<Range<usize>> = if one_tile {
+            std::iter::once(0..spans.len()).collect()
+        } else {
+            (0..spans.len()).map(|t| t..t + 1).collect()
+        };
+        self.tiles += emitted.len();
+        let Some(sink) = sink else {
             return Ok(());
         };
-        for &(kept, absorbed) in merged.merges() {
+        merges.sort_unstable();
+        for (kept, absorbed) in merges {
             sink.merge(kept, absorbed);
         }
-        for (tile_col, span) in spans.into_iter().enumerate() {
+        let mut gid = |l: u32| -> ComponentId {
+            if l == 0 {
+                return 0;
+            }
+            acc[find_cached(&mut uf, &mut root_of, l) as usize].gid
+        };
+        for (tile_col, tiles) in emitted.into_iter().enumerate() {
+            let cols = spans[tiles.start].start..spans[tiles.end - 1].end;
+            let mut gids = Vec::with_capacity(rows * cols.len());
+            for r in 0..rows {
+                for t in tiles.clone() {
+                    let (tw, shift) = (spans[t].len(), shifts[t]);
+                    let row = &labels[t][r * tw..(r + 1) * tw];
+                    gids.extend(row.iter().map(|&l| gid(shifted(l, shift))));
+                }
+            }
             let meta = TileMeta {
                 tile_row,
                 tile_col,
-                row0,
-                col0: span.start,
-                width: span.len(),
-                height,
-            };
-            let gids = if one_tile {
-                merged.gids()
-            } else {
-                merged.tile_gids(tile_col)
+                row0: r0,
+                col0: cols.start,
+                width: cols.len(),
+                height: rows,
             };
             sink.tile(&meta, &gids)?;
         }
         Ok(())
+    }
+
+    /// Emits finalized components in ascending id order.
+    fn emit<C: ComponentSink + ?Sized>(&mut self, mut accs: Vec<Accum>, components: &mut C) {
+        accs.sort_by_key(|a| a.gid);
+        for acc in accs {
+            self.finalized += 1;
+            components.component(&acc.into_record());
+        }
+    }
+}
+
+/// Memoized root of `x`: `cache` holds one slot per label (`u32::MAX` =
+/// unresolved). Callers that resolve *before* a late seam must not reuse
+/// the same cache after it.
+#[inline]
+fn find_cached(uf: &mut RemSP, cache: &mut [u32], x: u32) -> u32 {
+    if cache[x as usize] == u32::MAX {
+        cache[x as usize] = uf.find(x);
+    }
+    cache[x as usize]
+}
+
+/// Row labels of local line `r` across every tile buffer, left to right:
+/// borrowed from a one-tile row (whose shift is 0), assembled in O(width)
+/// with each tile's shift applied otherwise.
+fn line<'a>(
+    labels: &'a [Vec<u32>],
+    spans: &[Range<usize>],
+    shifts: &[u32],
+    r: usize,
+) -> Cow<'a, [u32]> {
+    match (labels, spans) {
+        ([one], [span]) => Cow::Borrowed(&one[r * span.len()..(r + 1) * span.len()]),
+        _ => Cow::Owned(
+            labels
+                .iter()
+                .zip(spans)
+                .zip(shifts)
+                .flat_map(|((buf, span), &shift)| {
+                    let tw = span.len();
+                    buf[r * tw..(r + 1) * tw]
+                        .iter()
+                        .map(move |&l| shifted(l, shift))
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// Folds the carried accumulators onto their (possibly merged) roots,
+/// recording first-occupancy roots in `touched` and carried-id merge
+/// pairs in `merges`. Any set containing a carried id is rooted at a
+/// carried id (Rem roots are set minima and carried ids occupy the low
+/// slots), so every carried root's slot is empty until this fold.
+fn fold_carried(
+    uf: &mut RemSP,
+    active: &[Accum],
+    n_carry: u32,
+    acc: &mut [Accum],
+    touched: &mut Vec<u32>,
+    merges: &mut Vec<(ComponentId, ComponentId)>,
+) {
+    for id in 1..=n_carry {
+        let root = uf.find(id);
+        let src = active[id as usize];
+        let dst = &mut acc[root as usize];
+        if dst.area == 0 {
+            *dst = src;
+            touched.push(root);
+        } else {
+            let (kept, absorbed) = if dst.gid <= src.gid {
+                (dst.gid, src.gid)
+            } else {
+                (src.gid, dst.gid)
+            };
+            dst.merge_with(&src);
+            dst.gid = kept;
+            merges.push((kept, absorbed));
+        }
     }
 }
 
@@ -482,6 +743,35 @@ mod tests {
         assert_eq!(stats.peak_resident_rows, 9); // 8-row band + carry row
         assert_eq!(stats.rows, 256);
         assert_eq!(stats.bands, 32);
+    }
+
+    /// Residency: the tallest unit plus the carry row synchronously, the
+    /// tallest consecutive pair plus the carry row pipelined (the driver
+    /// loop then holds two units), a lone unit alone, nothing without
+    /// width.
+    #[test]
+    fn residency_counts_the_carry_row_and_the_pipelined_pair() {
+        let peak = |width: usize, heights: &[usize], pipelined: bool| {
+            let cfg = StripConfig {
+                pipelined,
+                ..StripConfig::default()
+            };
+            let mut labeler = StripLabeler::with_config(width, cfg);
+            for &h in heights {
+                let band = BinaryImage::ones(width, h);
+                labeler
+                    .push_band(&band, &mut CountComponents::default())
+                    .unwrap();
+            }
+            labeler.peak_resident_rows()
+        };
+        assert_eq!(peak(8, &[3, 2, 4], false), 4 + 1);
+        assert_eq!(peak(8, &[3, 2, 4], true), 4 + 2 + 1);
+        assert_eq!(peak(8, &[4, 4, 4, 1], true), 2 * 4 + 1);
+        for pipelined in [false, true] {
+            assert_eq!(peak(8, &[3], pipelined), 3);
+            assert_eq!(peak(0, &[2, 2, 2], pipelined), 0);
+        }
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   each unit's column tiles (a tile row's tiles, or one span of a strip
 //!   band per thread) are scanned in place with the two-line scan + RemSP,
 //!   concurrently with [`StripConfig::parallel`], and stitched along the
-//!   vertical seams ([`scan`]), plus one carried boundary row per unit
-//!   seam ([`carry`]) and label-slot recycling so closed components cost
-//!   nothing;
+//!   vertical seams, then merged against one carried boundary row per
+//!   unit seam ([`labeler`]) with label-slot recycling so closed
+//!   components cost nothing;
 //! * [`ComponentRecord`] / [`ComponentSink`] — per-component area,
 //!   bounding box, centroid, raster anchor, 4-neighbourhood perimeter
 //!   and Euler-characteristic hole count, emitted the moment a
@@ -37,7 +37,7 @@
 //!   `ccl-tiles` spill format writes them to disk;
 //! * [`label_stream`] / [`label_tiles`] — the drivers: pull a whole row
 //!   or tile source through the labeler, emitting components and,
-//!   optionally, labels, run by one driver loop ([`pipeline`]);
+//!   optionally, labels, run by one driver loop;
 //!   [`StripConfig::pipelined`] overlaps unit *k + 1*'s scan with unit
 //!   *k*'s merge. [`analyze_stream`] / [`analyze_tiles`] are the
 //!   collect-the-records shorthands. Every failure, a panicking stage
@@ -62,14 +62,13 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod carry;
 pub mod driver;
 pub mod error;
 pub mod generators;
 pub mod labeler;
 pub mod netpbm;
-pub mod pipeline;
-pub mod scan;
+mod pipeline;
+mod scan;
 pub mod source;
 
 pub use analysis::{
@@ -80,4 +79,4 @@ pub use driver::{analyze_stream, analyze_tiles, label_stream, label_tiles};
 pub use error::StreamError;
 pub use labeler::{StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};
-pub use source::{GridSource, MemorySource, OwnedMemorySource, RowSource, TileRow, TileSource};
+pub use source::{GridSource, MemorySource, RowSource, TileRow, TileSource};

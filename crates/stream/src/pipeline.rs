@@ -9,23 +9,23 @@
 //!   tiles and the partial accumulator tables included): independent of
 //!   everything before it once its carried ids are reserved;
 //! * **merge stage** — the carry seam, the per-label fold, compaction,
-//!   component emission and label output ([`crate::carry`]): inherently
-//!   sequential, because each unit's carry feeds the next.
+//!   component emission and label output ([`crate::labeler`]):
+//!   inherently sequential, because each unit's carry feeds the next.
 //!
 //! [`run`] takes the two stages as closures and owns the loop around
-//! them: the global row `r0` of each unit's first line, the carried-id
-//! reservation and the residency count. Synchronously it scans and
-//! merges each unit inline, reserving exactly the open components the
-//! previous merge left. Pipelined, it runs the scan stage on a worker
-//! thread and the merge stage on the caller's, handing scanned units
-//! across a **rendezvous channel** (capacity 0): the scanner cannot run
-//! more than one unit ahead, so at any instant at most *two* units are
-//! alive — unit *k* (labels, under merge) and unit *k + 1* (pixels +
-//! labels, under scan) — plus the carried boundary row, the residency
-//! bound `2 × unit rows + 1`. The scanner cannot know the open-component
-//! count of a merge still running, so it reserves the width bound
-//! `⌈w/2⌉` instead: no carry row can hold more open components, adjacent
-//! foreground pixels sharing one.
+//! them: the global row `r0` of each unit's first line and the
+//! carried-id reservation. Synchronously it scans and merges each unit
+//! inline, reserving exactly the open components the previous merge
+//! left. Pipelined, it runs the scan stage on a worker thread and the
+//! merge stage on the caller's, handing scanned units across a
+//! **rendezvous channel** (capacity 0): the scanner cannot run more than
+//! one unit ahead, so at any instant at most *two* units are alive —
+//! unit *k* (labels, under merge) and unit *k + 1* (pixels + labels,
+//! under scan) — plus the carried boundary row, the residency bound
+//! `2 × unit rows + 1` the labeler counts. The scanner cannot know the
+//! open-component count of a merge still running, so it reserves the
+//! width bound `⌈w/2⌉` instead: no carry row can hold more open
+//! components, adjacent foreground pixels sharing one.
 //!
 //! Errors never hang the pipeline: a failing source or scan surfaces
 //! through the channel disconnect + join, a failing merge drops the
@@ -35,53 +35,47 @@
 use std::sync::mpsc;
 
 use crate::error::StreamError;
+use crate::scan::ScannedRow;
 
-/// Drives the labeler over its units and returns the peak resident pixel
-/// rows (see the module docs).
+/// A unit handed from the scan stage to the merge stage.
+pub(crate) trait Rows {
+    /// The unit's pixel rows: how far it advances `r0`.
+    fn rows(&self) -> usize;
+}
+
+impl Rows for ScannedRow {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+}
+
+/// Drives the labeler over its units (see the module docs).
 ///
 /// * `scan(carry_cap, r0)` pulls and scans the next unit with carried
 ///   ids reserved in slots `1..=carry_cap` and its first line at global
 ///   row `r0`, or returns `Ok(None)` at the end of the stream.
 /// * `merge` consumes the units in order and returns the components it
 ///   left open — the synchronous reservation for the next unit.
-/// * `rows` is a unit's pixel rows.
 /// * `pipelined` runs the scan stage one unit ahead on a worker thread.
-pub fn run<T: Send>(
+pub(crate) fn run<T: Rows + Send>(
     width: usize,
     pipelined: bool,
     mut scan: impl FnMut(u32, usize) -> Result<Option<T>, StreamError> + Send,
     mut merge: impl FnMut(T) -> Result<u32, StreamError>,
-    rows: fn(&T) -> usize,
-) -> Result<usize, StreamError> {
+) -> Result<(), StreamError> {
     let mut r0 = 0;
     let mut next = move |carry_cap: u32| -> Result<Option<T>, StreamError> {
         let unit = scan(carry_cap, r0)?;
-        r0 += unit.as_ref().map_or(0, rows);
+        r0 += unit.as_ref().map_or(0, T::rows);
         Ok(unit)
-    };
-
-    // Residency, counted deterministically: a unit's pixel rows (none
-    // without width), the previous unit's while pipelined (the
-    // rendezvous lets the scanner hold unit k + 1 while unit k merges),
-    // and the carry row once a unit with pixels has been merged.
-    let (mut peak, mut prev_h, mut units) = (0, 0, 0);
-    let mut hold = |unit: &T| {
-        let h = if width == 0 { 0 } else { rows(unit) };
-        if h > 0 {
-            let alive = h + if pipelined { prev_h } else { 0 };
-            peak = peak.max(alive + usize::from(units > 0));
-            prev_h = h;
-            units += 1;
-        }
     };
 
     if !pipelined {
         let mut carry_cap = 0;
         while let Some(unit) = next(carry_cap)? {
-            hold(&unit);
             carry_cap = merge(unit)?;
         }
-        return Ok(peak);
+        return Ok(());
     }
 
     let carry_cap = width.div_ceil(2) as u32;
@@ -98,7 +92,6 @@ pub fn run<T: Send>(
 
         let mut merged = Ok(());
         while let Ok(unit) = rx.recv() {
-            hold(&unit);
             if let Err(e) = merge(unit) {
                 merged = Err(e);
                 break;
@@ -111,20 +104,26 @@ pub fn run<T: Send>(
             .join()
             .unwrap_or_else(|payload| Err(StreamError::worker_panic(payload.as_ref())));
         merged.and(scanned)
-    })?;
-    Ok(peak)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A unit of the given height.
+    impl Rows for usize {
+        fn rows(&self) -> usize {
+            *self
+        }
+    }
+
     /// Drives [`run`] pipelined over units of the given heights, merging
     /// them into a list.
-    fn run_units(width: usize, heights: &[usize]) -> (Result<usize, StreamError>, Vec<usize>) {
+    fn run_units(width: usize, heights: &[usize]) -> (Result<(), StreamError>, Vec<usize>) {
         let mut next = heights.iter().copied();
         let mut merged = Vec::new();
-        let peak = run(
+        let done = run(
             width,
             true,
             |_, _| Ok(next.next()),
@@ -132,20 +131,17 @@ mod tests {
                 merged.push(h);
                 Ok(0)
             },
-            |&h| h,
         );
-        (peak, merged)
+        (done, merged)
     }
 
     #[test]
-    fn residency_is_the_tallest_consecutive_pair_plus_carry() {
-        let (peak, merged) = run_units(8, &[4, 4, 4, 1]);
-        assert_eq!(merged, [4, 4, 4, 1]);
-        assert_eq!(peak.unwrap(), 2 * 4 + 1);
-        // one unit: no second unit alive, no carry row
-        assert_eq!(run_units(8, &[3]).0.unwrap(), 3);
-        // units without pixels (a zero-width stream) hold nothing
-        assert_eq!(run_units(0, &[0, 0, 0]).0.unwrap(), 0);
+    fn pipelined_units_merge_in_stream_order() {
+        for (width, heights) in [(8, &[4, 4, 4, 1][..]), (8, &[3]), (0, &[0, 0, 0])] {
+            let (done, merged) = run_units(width, heights);
+            done.unwrap();
+            assert_eq!(merged, heights);
+        }
     }
 
     #[test]
@@ -162,7 +158,6 @@ mod tests {
                     Ok((left >= 0).then_some(1))
                 },
                 |_| Ok(0),
-                |&h| h,
             )
             .unwrap();
             assert!(seen.iter().all(|&c| c == cap), "width {width}: {seen:?}");
@@ -170,14 +165,13 @@ mod tests {
     }
 
     /// Synchronously each unit reserves what the previous merge left
-    /// open, both modes number rows from 0 in unit order, and only the
-    /// pipelined run holds two units at once.
+    /// open, and both modes number rows from 0 in unit order.
     #[test]
     fn both_modes_count_rows_and_sync_reserves_the_open_count() {
         for pipelined in [false, true] {
             let mut next = [3, 2, 4].into_iter();
             let mut scanned = Vec::new();
-            let peak = run(
+            run(
                 8,
                 pipelined,
                 |carry_cap, r0| {
@@ -185,7 +179,6 @@ mod tests {
                     Ok(next.next())
                 },
                 |h| Ok(h as u32 + 10),
-                |&h| h,
             )
             .unwrap();
             let r0s: Vec<usize> = scanned.iter().map(|&(_, r0)| r0).collect();
@@ -193,10 +186,8 @@ mod tests {
             let caps: Vec<u32> = scanned.iter().map(|&(cap, _)| cap).collect();
             if pipelined {
                 assert_eq!(caps, [4; 4]);
-                assert_eq!(peak, 4 + 2 + 1);
             } else {
                 assert_eq!(caps, [0, 13, 12, 14]);
-                assert_eq!(peak, 4 + 1);
             }
         }
     }
@@ -215,7 +206,6 @@ mod tests {
                 Ok(Some(2))
             },
             |_| Ok(0),
-            |&h| h,
         )
         .unwrap_err();
         match err {
@@ -241,7 +231,6 @@ mod tests {
                     Ok(0)
                 }
             },
-            |&h| h,
         )
         .unwrap_err();
         assert!(matches!(err, StreamError::Worker(msg) if msg == "sink refused"));

@@ -30,16 +30,16 @@
 //!   scan allocated, not by a worst case.
 //!
 //! The horizontal seam against the previous unit's carried row is not
-//! scanned here: it belongs to the carry merge ([`crate::carry`]), the
-//! only per-unit work that depends on the previous unit — the split that
-//! lets the pipelined executor ([`crate::pipeline`]) run this stage one
+//! scanned here: it belongs to the labeler's merge stage, the only
+//! per-unit work that depends on the previous unit — the split that lets
+//! the pipelined driver loop ([`crate::pipeline`]) run this stage one
 //! unit ahead. Carried ids are reserved by capacity instead: slots
 //! `1..=carry_cap` stay singleton sets no tile label resolves to, so a
 //! larger reservation (the pipelined width bound) changes nothing.
 
 use std::ops::Range;
 
-use ccl_core::scan::{merge_seam, merge_seam_strided, scan_two_line, split_spans, Foldable as _};
+use ccl_core::scan::{merge_seam, merge_seam_strided, scan_two_line, split_spans};
 use ccl_image::runs::for_each_run;
 use ccl_image::BinaryImage;
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
@@ -48,9 +48,8 @@ use crate::analysis::Accum;
 
 /// One scanned tile row: per-tile label buffers with the vertical seams
 /// merged, the equivalences, and the partial accumulator tables.
-/// Produced by [`scan_tile_row`], consumed by
-/// [`CarryState::merge`](crate::carry::CarryState::merge).
-pub struct ScannedRow {
+/// Produced by [`scan_tile_row`], consumed by the labeler's merge stage.
+pub(crate) struct ScannedRow {
     /// Global row of the first line.
     pub(crate) r0: usize,
     /// Pixel rows (kept for degenerate rows too).
@@ -73,13 +72,9 @@ pub struct ScannedRow {
     pub(crate) partials: Vec<Accum>,
     /// Row labels the scan allocated: `carry_cap + 1..uf.len()`.
     pub(crate) used: Range<u32>,
-}
-
-impl ScannedRow {
-    /// Pixel rows in the tile row.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
+    /// Whether the labels leave as one full-width tile (a strip band)
+    /// rather than as the scanned tiles (a tile row).
+    pub(crate) one_tile: bool,
 }
 
 /// Row label of a tile's label `label` under the tile's `shift`
@@ -98,7 +93,7 @@ pub(crate) fn shifted(label: u32, shift: u32) -> u32 {
 /// occupy slots `1..=carry_cap`, tile labels start at `carry_cap + 1`.
 /// `r0` is the global row of the first line (partial accumulators hold
 /// global coordinates, columns counted from the band's left edge).
-pub fn scan_tile_row(
+pub(crate) fn scan_tile_row(
     band: &BinaryImage,
     spans: Vec<Range<usize>>,
     threads: usize,
@@ -121,6 +116,7 @@ pub fn scan_tile_row(
             uf: RemSP::new(),
             partials: Vec::new(),
             used: 0..0,
+            one_tile: false,
         };
     }
     let mut labels: Vec<Vec<u32>> = spans.iter().map(|s| vec![0u32; s.len() * rows]).collect();
@@ -177,6 +173,7 @@ pub fn scan_tile_row(
         uf,
         partials,
         used,
+        one_tile: false,
     }
 }
 

@@ -17,6 +17,7 @@
 //! included, so synthetic rasters of unbounded size tile without ever
 //! existing in memory.
 
+use std::borrow::Borrow;
 use std::io::Read;
 use std::ops::Range;
 
@@ -40,73 +41,41 @@ pub trait RowSource {
     fn next_band(&mut self, max_rows: usize) -> Result<Option<BinaryImage>, StreamError>;
 }
 
-/// Adapts an in-memory [`BinaryImage`]: bands are copied out row ranges.
-/// Useful for testing band-size invariance and for feeding resident
-/// images through the streaming API.
-pub struct MemorySource<'a> {
-    image: &'a BinaryImage,
+/// Adapts an in-memory [`BinaryImage`], borrowed (`MemorySource::new(&img)`)
+/// or owned (`MemorySource::new(img)`, the `'static` form a source needs
+/// to move onto another thread, e.g. behind a `ccl-pipeline`
+/// prefetcher): bands are copied out row ranges. Useful for testing
+/// band-size invariance and for feeding resident images through the
+/// streaming API.
+pub struct MemorySource<I> {
+    image: I,
     next_row: usize,
 }
 
-impl<'a> MemorySource<'a> {
+impl<I: Borrow<BinaryImage>> MemorySource<I> {
     /// Streams `image` from its first row.
-    pub fn new(image: &'a BinaryImage) -> Self {
+    pub fn new(image: I) -> Self {
         MemorySource { image, next_row: 0 }
     }
 }
 
-impl RowSource for MemorySource<'_> {
+impl<I: Borrow<BinaryImage>> RowSource for MemorySource<I> {
     fn width(&self) -> usize {
-        self.image.width()
+        self.image.borrow().width()
     }
 
     fn rows_remaining(&self) -> Option<usize> {
-        Some(self.image.height() - self.next_row)
+        Some(self.image.borrow().height() - self.next_row)
     }
 
     fn next_band(&mut self, max_rows: usize) -> Result<Option<BinaryImage>, StreamError> {
         assert!(max_rows > 0, "band height must be positive");
-        let rows = max_rows.min(self.image.height() - self.next_row);
+        let image = self.image.borrow();
+        let rows = max_rows.min(image.height() - self.next_row);
         if rows == 0 {
             return Ok(None);
         }
-        let band = self.image.crop(self.next_row, 0, self.image.width(), rows);
-        self.next_row += rows;
-        Ok(Some(band))
-    }
-}
-
-/// Like [`MemorySource`], but owning its image — the `'static` variant
-/// required when a source is moved onto another thread (e.g. behind a
-/// `ccl-pipeline` prefetcher).
-pub struct OwnedMemorySource {
-    image: BinaryImage,
-    next_row: usize,
-}
-
-impl OwnedMemorySource {
-    /// Streams `image` from its first row, taking ownership.
-    pub fn new(image: BinaryImage) -> Self {
-        OwnedMemorySource { image, next_row: 0 }
-    }
-}
-
-impl RowSource for OwnedMemorySource {
-    fn width(&self) -> usize {
-        self.image.width()
-    }
-
-    fn rows_remaining(&self) -> Option<usize> {
-        Some(self.image.height() - self.next_row)
-    }
-
-    fn next_band(&mut self, max_rows: usize) -> Result<Option<BinaryImage>, StreamError> {
-        assert!(max_rows > 0, "band height must be positive");
-        let rows = max_rows.min(self.image.height() - self.next_row);
-        if rows == 0 {
-            return Ok(None);
-        }
-        let band = self.image.crop(self.next_row, 0, self.image.width(), rows);
+        let band = image.crop(self.next_row, 0, image.width(), rows);
         self.next_row += rows;
         Ok(Some(band))
     }
@@ -183,7 +152,7 @@ impl<S: RowSource> GridSource<S> {
     }
 }
 
-impl<'a> GridSource<MemorySource<'a>> {
+impl<'a> GridSource<MemorySource<&'a BinaryImage>> {
     /// Tiles a resident [`BinaryImage`] (testing and small inputs).
     pub fn from_image(image: &'a BinaryImage, tile_width: usize, tile_height: usize) -> Self {
         GridSource::new(MemorySource::new(image), tile_width, tile_height)
@@ -243,19 +212,21 @@ mod tests {
              ###
              ...",
         );
-        let mut src = MemorySource::new(&img);
-        assert_eq!(src.width(), 3);
-        assert_eq!(src.rows_remaining(), Some(5));
-        let b1 = src.next_band(2).unwrap().unwrap();
-        assert_eq!(b1.row(0), img.row(0));
-        assert_eq!(b1.row(1), img.row(1));
-        let b2 = src.next_band(2).unwrap().unwrap();
-        assert_eq!(b2.row(1), img.row(3));
-        let b3 = src.next_band(2).unwrap().unwrap();
-        assert_eq!(b3.height(), 1);
-        assert_eq!(b3.row(0), img.row(4));
-        assert!(src.next_band(2).unwrap().is_none());
-        assert_eq!(src.rows_remaining(), Some(0));
+        let (mut borrowed, mut owned) = (MemorySource::new(&img), MemorySource::new(img.clone()));
+        for src in [&mut borrowed as &mut dyn RowSource, &mut owned] {
+            assert_eq!(src.width(), 3);
+            assert_eq!(src.rows_remaining(), Some(5));
+            let b1 = src.next_band(2).unwrap().unwrap();
+            assert_eq!(b1.row(0), img.row(0));
+            assert_eq!(b1.row(1), img.row(1));
+            let b2 = src.next_band(2).unwrap().unwrap();
+            assert_eq!(b2.row(1), img.row(3));
+            let b3 = src.next_band(2).unwrap().unwrap();
+            assert_eq!(b3.height(), 1);
+            assert_eq!(b3.row(0), img.row(4));
+            assert!(src.next_band(2).unwrap().is_none());
+            assert_eq!(src.rows_remaining(), Some(0));
+        }
     }
 
     #[test]
@@ -263,22 +234,6 @@ mod tests {
         let img = BinaryImage::zeros(4, 0);
         let mut src = MemorySource::new(&img);
         assert!(src.next_band(8).unwrap().is_none());
-    }
-
-    #[test]
-    fn owned_source_matches_borrowed_source() {
-        let img = BinaryImage::from_fn(5, 7, |r, c| (r + 2 * c) % 3 == 0);
-        let mut borrowed = MemorySource::new(&img);
-        let mut owned = OwnedMemorySource::new(img.clone());
-        assert_eq!(owned.width(), 5);
-        loop {
-            let a = borrowed.next_band(3).unwrap();
-            let b = owned.next_band(3).unwrap();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!    edge included, whose neighbour flags come from the adjacent tile;
 //! 2. folding [`Accum`]s with [`Accum::merge_with`] is **commutative**
 //!    and **associative** (with [`Accum::EMPTY`] as the identity of the
-//!    full [`Foldable::fold`]).
+//!    full [`Accum::fold`]).
 //!
 //! The fused path merges per-tile partials in whatever order the seam
 //! phase happens to union labels — nondeterministic under concurrent
@@ -22,7 +22,6 @@
 
 use proptest::prelude::*;
 
-use ccl_core::scan::Foldable as _;
 use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
 use ccl_stream::Accum;
