@@ -3,10 +3,10 @@
 //! Out-of-core inputs are generation-bound in practice: the next band
 //! waits on a disk seek, an object-store GET or a sensor readout before
 //! any pixel can be scanned. This demo models that decode latency
-//! explicitly with `ccl-pipeline`'s device-paced wrappers (a fixed stall
-//! per delivered band/tile row — hiding *latency* needs no spare core,
-//! so the win is measurable on any machine, single-core CI included) and
-//! runs the same raster through every execution mode:
+//! explicitly with `ccl_stream::PacedRows`, a device-paced wrapper (a
+//! fixed stall per delivered band/tile row — hiding *latency* needs no
+//! spare core, so the win is measurable on any machine, single-core CI
+//! included) and runs the same raster through every execution mode:
 //!
 //! * rows and tiles alike: synchronous, prefetched (`PrefetchRows`,
 //!   under the `GridSource` for tiles: decode ∥ label), the pipelined executor
@@ -31,9 +31,9 @@ use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::Table;
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_pipeline::{PacedRows, PrefetchRows};
-use ccl_stream::{label_stream, CountComponents, StripConfig};
-use ccl_tiles::{label_tiles, GridSource, TileGridConfig};
+use ccl_stream::{
+    label_stream, label_tiles, CountComponents, GridSource, PacedRows, PrefetchRows, StripConfig,
+};
 use serde::Serialize;
 
 const USAGE: &str = "pipeline_demo: decode/scan/merge overlap on a generation-bound workload
@@ -136,9 +136,9 @@ fn main() {
     }
     let mut tiles_modes: Vec<Mode> = Vec::new();
     for (name, prefetch, pipelined) in MODES {
-        let cfg = TileGridConfig {
+        let cfg = StripConfig {
             pipelined,
-            ..TileGridConfig::default()
+            ..StripConfig::default()
         };
         let sync_ms = tiles_modes.first().map(|m| m.ms);
         tiles_modes.push(measure(&format!("tiles {name}"), sync_ms, &mut || {

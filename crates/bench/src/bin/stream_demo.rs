@@ -22,14 +22,13 @@ use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::Table;
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_pipeline::PrefetchRows;
-use ccl_stream::{label_stream, CountComponents, StripConfig};
+use ccl_stream::{label_stream, CountComponents, PrefetchRows, StripConfig};
 use serde::Serialize;
 
 const USAGE: &str = "stream_demo: bounded-memory streaming throughput vs image height
   --reps N         repetitions per cell (default 3)
   --threads CSV    scan thread counts, one column tile per thread (default 1,4)
-  --prefetch       generate bands on a worker thread (ccl-pipeline adapter)
+  --prefetch       generate bands on a worker thread (PrefetchRows adapter)
   --pipeline       overlap band k's carry seam/fold with band k+1's scan
   --depth N        prefetch queue depth (default 2)
   --json PATH      snapshot path (default results/BENCH_stream.json; only a
@@ -62,7 +61,7 @@ struct StreamBench {
     band_rows: usize,
     density: f64,
     threads: Vec<usize>,
-    /// Whether band generation ran on a `ccl-pipeline` prefetch worker
+    /// Whether band generation ran on a `PrefetchRows` worker
     /// (`--prefetch`), overlapping generation with labeling.
     prefetch: bool,
     /// Whether the pipelined scan ∥ merge strip executor ran

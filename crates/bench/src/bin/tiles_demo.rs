@@ -1,13 +1,14 @@
 //! Tile-grid demo — 2-D out-of-core labeling throughput and memory.
 //!
-//! Streams Bernoulli-noise rasters of growing height through the
-//! `ccl-tiles` grid labeler (generator → tile windows → per-tile RemSP →
-//! dual-orientation seam merges → on-the-fly analysis) and reports wall
-//! time, throughput, component count, the provisional labels the scans
-//! allocated and the labeler's peak resident rows — at most one tile row
-//! plus the carry row, however tall the image grows. A final column times the fully out-of-core pipeline
-//! (labels *spilled to disk* as raw `u32` tiles with a sidecar merge
-//! table, committed on close) at the smallest height.
+//! Streams Bernoulli-noise rasters of growing height tile row by tile row
+//! through the one labeler, `ccl_stream::StripLabeler` (generator → tile
+//! windows → per-tile RemSP stitched along the vertical seams → carry
+//! seam merge → on-the-fly analysis) and reports wall time, throughput,
+//! component count, the provisional labels the scans allocated and the
+//! labeler's peak resident rows — at most one tile row plus the carry
+//! row, however tall the image grows. A final column times the fully
+//! out-of-core pipeline (labels *spilled to disk* as raw `u32` tiles with
+//! a sidecar merge table, committed on close) at the smallest height.
 //!
 //! Timings include row generation, so the metric is end-to-end pipeline
 //! throughput, comparable across commits via the JSON snapshot
@@ -24,18 +25,16 @@ use ccl_bench::BinArgs;
 use ccl_datasets::harness::time_best_of;
 use ccl_datasets::report::Table;
 use ccl_datasets::synth::stream::bernoulli_stream;
-use ccl_pipeline::PrefetchRows;
-use ccl_stream::CountComponents;
-use ccl_tiles::{
-    label_tiles, GridSource, SpillFormat, SpillSink, TileGridConfig, TileGridLabeler,
-    TileGridStats, TileSource, TilesError,
+use ccl_stream::{
+    label_tiles, temp_spill_dir, CountComponents, GridSource, PrefetchRows, SpillFormat, SpillSink,
+    StreamError, StreamStats, StripConfig, StripLabeler, TileSource,
 };
 use serde::Serialize;
 
 const USAGE: &str = "tiles_demo: 2-D tile-grid out-of-core labeling throughput vs image height
   --reps N         repetitions per cell (default 3)
   --threads CSV    tile-row scan thread counts (default 1,4)
-  --prefetch       generate tile rows on a worker thread (ccl-pipeline adapter)
+  --prefetch       generate tile rows on a worker thread (PrefetchRows adapter)
   --pipeline       overlap row k's merge/spill with row k+1's scans
   --depth N        prefetch queue depth (default 2)
   --json PATH      snapshot path (default results/BENCH_tiles.json; only a
@@ -71,8 +70,8 @@ struct TilesBench {
     tile: usize,
     density: f64,
     threads: Vec<usize>,
-    /// Whether tile-row generation ran on a `ccl-pipeline` prefetch
-    /// worker (`--prefetch`).
+    /// Whether tile-row generation ran on a `PrefetchRows` worker
+    /// (`--prefetch`).
     prefetch: bool,
     /// Whether the pipelined scan ∥ merge executor ran (`--pipeline`).
     pipeline: bool,
@@ -87,9 +86,9 @@ struct TilesBench {
 /// Labels one generated grid, prefetched when the flags ask for it.
 fn run_labeling(
     args: &BinArgs,
-    cfg: TileGridConfig,
+    cfg: StripConfig,
     height: usize,
-) -> Result<TileGridStats, TilesError> {
+) -> Result<StreamStats, StreamError> {
     let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
     let mut sink = CountComponents::default();
     if args.prefetch {
@@ -106,7 +105,7 @@ fn run_labeling(
 fn provisional_labels(height: usize) -> u64 {
     let source = bernoulli_stream(WIDTH, height, DENSITY, height as u64);
     let mut grid = GridSource::new(source, TILE, TILE);
-    let mut labeler = TileGridLabeler::new(WIDTH);
+    let mut labeler = StripLabeler::new(WIDTH);
     let mut sink = CountComponents::default();
     while let Some(row) = grid
         .next_tile_row()
@@ -160,9 +159,9 @@ fn main() {
         let mut components = 0u64;
         let mut peak = 0usize;
         for &t in &threads {
-            let cfg = TileGridConfig {
+            let cfg = StripConfig {
                 pipelined: args.pipeline,
-                ..TileGridConfig::parallel(t)
+                ..StripConfig::parallel(t)
             };
             let best = time_best_of(args.reps, || {
                 let stats =
@@ -219,14 +218,14 @@ fn main() {
     // commit the manifest on close (pipelined overlaps the spill writes with
     // the next row's scans when --pipeline is set).
     let spill_height = HEIGHTS[0];
-    let spill_dir = ccl_tiles::temp_spill_dir("demo");
+    let spill_dir = temp_spill_dir("demo");
     let spill_ms = time_best_of(args.reps, || {
         let _ = std::fs::remove_dir_all(&spill_dir);
         let source = bernoulli_stream(WIDTH, spill_height, DENSITY, spill_height as u64);
         let mut grid = GridSource::new(source, TILE, TILE);
-        let cfg = TileGridConfig {
+        let cfg = StripConfig {
             pipelined: args.pipeline,
-            ..TileGridConfig::default()
+            ..StripConfig::default()
         };
         let mut spill = SpillSink::create(&spill_dir, SpillFormat::RawU32).expect("spill dir");
         let mut sink = CountComponents::default();

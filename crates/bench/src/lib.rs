@@ -101,7 +101,7 @@ pub struct BinArgs {
     /// Optional boundary-merger override (parsed via
     /// [`MergerKind::from_str`](std::str::FromStr)).
     pub merger: Option<ccl_core::par::MergerKind>,
-    /// `--prefetch`: wrap the source in a `ccl-pipeline` prefetcher
+    /// `--prefetch`: wrap the source in a `PrefetchRows` prefetcher
     /// (decode on a worker thread).
     pub prefetch: bool,
     /// `--pipeline`: run the drivers' pipelined executor (scan ∥ merge)

@@ -1,6 +1,6 @@
 //! PGM (portable graymap) read/write, formats `P2` (ASCII) and `P5`
 //! (binary), maxval ≤ 255 — plus the 16-bit `P5` form (maxval 65535,
-//! two big-endian bytes per sample) used by the `ccl-tiles` label spill
+//! two big-endian bytes per sample) used by the `ccl-stream` label spill
 //! writer as a portable alternative to raw `u32` tiles.
 
 use crate::error::ImageError;
@@ -62,7 +62,7 @@ pub fn binary16_header(width: usize, height: usize) -> String {
 
 /// Parses a 16-bit binary PGM (`P5`, maxval in `256..=65535`) into its
 /// dimensions and row-major samples. Samples are returned as stored —
-/// *not* rescaled to the maxval — because the consumer here (`ccl-tiles`)
+/// *not* rescaled to the maxval — because the consumer here (the spill)
 /// stores discrete labels, not luminance.
 pub fn read_binary16(data: &[u8]) -> Result<(usize, usize, Vec<u16>), ImageError> {
     let mut pgm = Decoder::open(data, Format::Pgm, 256..=65535)?;

@@ -428,10 +428,10 @@ impl CollectTiles {
 
 /// Resolves a raster of emission-time ids through the merge table and
 /// renumbers it canonically (consecutive `1..=k` by raster order of
-/// first pixel): the one id resolution of [`CollectTiles`] and the
-/// `ccl-tiles` spill reader. Merges keep the smaller id, so the
-/// `absorbed → kept` chains terminate; walked chains are path-compressed,
-/// so hostile ones stay linear overall.
+/// first pixel): the one id resolution of [`CollectTiles`] and the spill
+/// reader. Merges keep the smaller id, so the `absorbed → kept` chains
+/// terminate; walked chains are path-compressed, so hostile ones stay
+/// linear overall.
 pub fn reconcile(
     width: usize,
     height: usize,

@@ -12,8 +12,8 @@ use crate::source::{RowSource, TileSource};
 /// emitting every component through `components` and, when given, every
 /// band's labels as one full-width tile (and every id merge) through
 /// `labels` — pass a [`CollectTiles`](crate::CollectTiles) to reconcile
-/// them into a whole label image, or a `ccl-tiles` `SpillSink` to spill
-/// them to disk.
+/// them into a whole label image, or a [`SpillSink`](crate::SpillSink) to
+/// spill them to disk.
 ///
 /// Synchronously the labeler never holds more than one band plus the
 /// carry row of pixels. With [`StripConfig::pipelined`] band *k + 1*'s
@@ -66,7 +66,8 @@ where
 /// every component through `components` and, when given, every labeled
 /// tile (and id merge) through `tiles` — pass a
 /// [`CollectTiles`](crate::CollectTiles) for a whole label image, or a
-/// `ccl-tiles` `SpillSink` (then `close` it) to spill the labels to disk.
+/// [`SpillSink`](crate::SpillSink) (then `close` it) to spill the labels
+/// to disk.
 ///
 /// Synchronously the labeler never holds more than one tile row plus the
 /// carry row of pixels. With [`StripConfig::pipelined`] row *k + 1*'s

@@ -1,5 +1,5 @@
-//! The one error type of the out-of-core labeler, its drivers and the
-//! `ccl-tiles` spill format.
+//! The one error type of the out-of-core labeler, its drivers, the
+//! prefetcher and the spill format.
 
 use std::fmt;
 
@@ -31,8 +31,8 @@ pub enum StreamError {
     /// The spill sidecar manifest is missing or malformed.
     Manifest(String),
     /// A pipeline stage died without producing its unit: the pipelined
-    /// driver loop's scan stage or a `ccl-pipeline`
-    /// prefetcher, typically through a panic in the wrapped source; the
+    /// driver loop's scan stage or a [`PrefetchRows`](crate::PrefetchRows)
+    /// worker, typically through a panic in the wrapped source; the
     /// payload is the panic message.
     Worker(String),
 }

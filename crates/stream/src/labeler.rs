@@ -88,8 +88,7 @@ use crate::error::StreamError;
 use crate::scan::{fold_runs, scan_tile_row, shifted, ScannedRow};
 use crate::source::TileRow;
 
-/// Configuration of the out-of-core labeler and its drivers (re-exported
-/// by `ccl-tiles` as `TileGridConfig`).
+/// Configuration of the out-of-core labeler and its drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripConfig {
     /// Worker threads for the scan and the seam merges within one band
@@ -128,8 +127,7 @@ impl StripConfig {
     }
 }
 
-/// Summary returned by [`StripLabeler::finish`] and the drivers
-/// (re-exported by `ccl-tiles` as `TileGridStats`).
+/// Summary returned by [`StripLabeler::finish`] and the drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamStats {
     /// Stream width in pixels.
@@ -194,9 +192,8 @@ impl Unit<'_> {
     }
 }
 
-/// The out-of-core labeling engine, for strip bands and tile rows alike
-/// (re-exported by `ccl-tiles` as `TileGridLabeler`). See the module
-/// docs.
+/// The out-of-core labeling engine, for strip bands and tile rows alike.
+/// See the module docs.
 ///
 /// ```
 /// use ccl_image::BinaryImage;
@@ -306,17 +303,6 @@ impl StripLabeler {
         components: &mut C,
     ) -> Result<(), StreamError> {
         self.push(Unit::Band(band), components, None)
-    }
-
-    /// Like [`Self::push_band`], additionally emitting the band's labels
-    /// as one full-width tile (after any id merges) through `labels`.
-    pub fn push_band_with_labels<C: ComponentSink, T: TileSink>(
-        &mut self,
-        band: &BinaryImage,
-        components: &mut C,
-        labels: &mut T,
-    ) -> Result<(), StreamError> {
-        self.push(Unit::Band(band), components, Some(labels))
     }
 
     /// Labels the next tile row, emitting every component that closes.
@@ -631,6 +617,8 @@ fn fold_carried(
 mod tests {
     use super::*;
     use crate::analysis::{CollectTiles, ComponentRecord, CountComponents};
+    use crate::driver::label_stream;
+    use crate::source::MemorySource;
 
     fn run_banded(
         img: &BinaryImage,
@@ -831,13 +819,14 @@ mod tests {
         );
         let mut comps = CountComponents::default();
         let mut strips = CollectTiles::default();
-        let mut labeler = StripLabeler::new(5);
-        for r in 0..img.height() {
-            labeler
-                .push_band_with_labels(&img.crop(r, 0, 5, 1), &mut comps, &mut strips)
-                .unwrap();
-        }
-        let stats = labeler.finish(&mut comps);
+        let stats = label_stream(
+            &mut MemorySource::new(&img),
+            1,
+            StripConfig::default(),
+            &mut comps,
+            Some(&mut strips),
+        )
+        .unwrap();
         let li = strips.into_label_image();
         assert_eq!(li.num_components() as u64, stats.components);
         let reference = ccl_core::seq::aremsp(&img);

@@ -33,8 +33,12 @@
 //!   (following Lemaitre & Lacassagne's on-the-fly analysis);
 //! * [`TileSink`] — optional label output, one [`TileMeta`]-placed tile
 //!   at a time (a strip band is one full-width tile) plus the id merges;
-//!   [`CollectTiles`] reconciles them into a label image, and the
-//!   `ccl-tiles` spill format writes them to disk;
+//!   [`CollectTiles`] reconciles them into a label image, and
+//!   [`SpillSink`] writes them to disk in the [`spill`] format, with its
+//!   readers;
+//! * [`PrefetchRows`] / [`PacedRows`] — [`prefetch`]ing row-source
+//!   adapters: decode on a worker thread ahead of the labeler, or stall a
+//!   fixed latency per pull the way a device does;
 //! * [`label_stream`] / [`label_tiles`] — the drivers: pull a whole row
 //!   or tile source through the labeler, emitting components and,
 //!   optionally, labels, run by one driver loop;
@@ -68,8 +72,10 @@ pub mod generators;
 pub mod labeler;
 pub mod netpbm;
 mod pipeline;
+pub mod prefetch;
 mod scan;
 pub mod source;
+pub mod spill;
 
 pub use analysis::{
     Accum, CollectTiles, ComponentId, ComponentRecord, ComponentSink, CountComponents, TileMeta,
@@ -79,4 +85,8 @@ pub use driver::{analyze_stream, analyze_tiles, label_stream, label_tiles};
 pub use error::StreamError;
 pub use labeler::{StreamStats, StripConfig, StripLabeler};
 pub use netpbm::{PbmSource, PgmSource};
+pub use prefetch::{PacedRows, PrefetchRows};
 pub use source::{GridSource, MemorySource, RowSource, TileRow, TileSource};
+pub use spill::{
+    read_manifest, read_spilled_label_image, temp_spill_dir, SpillFormat, SpillManifest, SpillSink,
+};

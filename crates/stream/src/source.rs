@@ -43,10 +43,10 @@ pub trait RowSource {
 
 /// Adapts an in-memory [`BinaryImage`], borrowed (`MemorySource::new(&img)`)
 /// or owned (`MemorySource::new(img)`, the `'static` form a source needs
-/// to move onto another thread, e.g. behind a `ccl-pipeline`
-/// prefetcher): bands are copied out row ranges. Useful for testing
-/// band-size invariance and for feeding resident images through the
-/// streaming API.
+/// to move onto another thread, e.g. behind a
+/// [`PrefetchRows`](crate::PrefetchRows)): bands are copied out row
+/// ranges. Useful for testing band-size invariance and for feeding
+/// resident images through the streaming API.
 pub struct MemorySource<I> {
     image: I,
     next_row: usize,

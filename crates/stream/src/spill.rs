@@ -1,9 +1,9 @@
 //! [`SpillSink`] — the spill format: labeled tiles on disk.
 //!
 //! The labeler emits each tile's labels exactly once through
-//! `ccl-stream`'s [`TileSink`], carrying the [`ComponentId`]s known at
-//! emission time; components still open may later merge, and every such
-//! event is reported through [`TileSink::merge`] *before* the next tile.
+//! [`TileSink`], carrying the [`ComponentId`]s known at emission time;
+//! components still open may later merge, and every such event is
+//! reported through [`TileSink::merge`] *before* the next tile.
 //! [`SpillSink`] is the out-of-core sink: tiles are **spilled to disk**
 //! as raw little-endian `u32` rasters or 16-bit PGM (`P5`, maxval
 //! 65535), each written once with its emission-time ids, and a sidecar
@@ -25,6 +25,32 @@
 //! never reached the commit has no manifest (a leftover one is removed
 //! by [`SpillSink::create`]), so reading it fails with a typed
 //! [`StreamError`].
+//!
+//! ## Example
+//!
+//! ```
+//! use ccl_datasets::synth::stream::bernoulli_stream;
+//! use ccl_stream::{
+//!     label_tiles, read_spilled_label_image, temp_spill_dir, GridSource, SpillFormat,
+//!     SpillSink, StripConfig,
+//! };
+//!
+//! // A 96 × 4096 noise raster in 32×32 tiles: the labeler never holds
+//! // more than 33 pixel rows (one tile row + the carry row), and the
+//! // labels go to disk tile by tile.
+//! let mut grid = GridSource::new(bernoulli_stream(96, 4096, 0.4, 7), 32, 32);
+//! let dir = temp_spill_dir("doc");
+//! let mut spill = SpillSink::create(&dir, SpillFormat::RawU32).unwrap();
+//! let mut components = Vec::new();
+//! let stats =
+//!     label_tiles(&mut grid, StripConfig::default(), &mut components, Some(&mut spill)).unwrap();
+//! spill.close().unwrap();
+//! assert_eq!(stats.components as usize, components.len());
+//! assert!(stats.peak_resident_rows <= 33);
+//! let labels = read_spilled_label_image(&dir).unwrap();
+//! assert_eq!(labels.num_components() as u64, stats.components);
+//! std::fs::remove_dir_all(&dir).unwrap();
+//! ```
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -33,8 +59,9 @@ use std::path::{Path, PathBuf};
 
 use ccl_core::label::LabelImage;
 use ccl_image::io::pgm;
-use ccl_stream::analysis::reconcile;
-use ccl_stream::{ComponentId, StreamError, TileMeta, TileSink};
+
+use crate::analysis::{reconcile, ComponentId, TileMeta, TileSink};
+use crate::error::StreamError;
 
 /// On-disk encoding of a spilled tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +138,8 @@ pub struct SpillManifest {
 }
 
 const MANIFEST_NAME: &str = "manifest.txt";
+/// The manifest's first line: the format's name and version since its
+/// first release, kept so every spill written under it reads back.
 const MANIFEST_MAGIC: &str = "ccl-tiles spill v1";
 
 /// The out-of-core [`TileSink`]: spills each labeled tile to `dir` as it
@@ -426,7 +455,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<SpillManifest, StreamError
 /// thread, and removed first if a previous run left it behind.
 pub fn temp_spill_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "ccl_tiles_{tag}_{}_{:?}",
+        "ccl_spill_{tag}_{}_{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
@@ -471,12 +500,12 @@ pub fn read_spilled_label_image(dir: impl AsRef<Path>) -> Result<LabelImage, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        label_stream, label_tiles, CountComponents, GridSource, MemorySource, StripConfig,
+    };
     use ccl_core::seq::aremsp;
     use ccl_core::verify::labelings_equivalent;
     use ccl_image::BinaryImage;
-    use ccl_stream::{
-        label_stream, label_tiles, CountComponents, GridSource, MemorySource, StripConfig,
-    };
 
     fn temp_dir(tag: &str) -> PathBuf {
         temp_spill_dir(tag)

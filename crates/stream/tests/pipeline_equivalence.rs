@@ -12,18 +12,16 @@ use ccl_datasets::synth::noise::bernoulli;
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
-use ccl_pipeline::PrefetchRows;
 use ccl_stream::{
-    analyze_stream, label_stream, CollectTiles, CountComponents, MemorySource, RowSource,
-    StreamError, StreamStats, StripConfig,
+    analyze_stream, analyze_tiles, label_stream, CollectTiles, CountComponents, GridSource,
+    MemorySource, PrefetchRows, RowSource, StreamError, StreamStats, StripConfig, TileSource,
 };
-use ccl_tiles::{analyze_tiles, GridSource, TileGridConfig, TileGridStats, TileSource};
 
 /// The grid config that runs the pipelined executor.
-fn pipelined_tiles() -> TileGridConfig {
-    TileGridConfig {
+fn pipelined_tiles() -> StripConfig {
+    StripConfig {
         pipelined: true,
-        ..TileGridConfig::default()
+        ..StripConfig::default()
     }
 }
 
@@ -123,10 +121,10 @@ proptest! {
         let img = family_image(gen, w, h, seed);
         let mut sync_src = GridSource::from_image(&img, tw, th);
         let (sync_records, sync_stats) =
-            analyze_tiles(&mut sync_src, TileGridConfig::default()).unwrap();
+            analyze_tiles(&mut sync_src, StripConfig::default()).unwrap();
 
         let mut staged = GridSource::new(PrefetchRows::new(MemorySource::new(img), th), tw, th);
-        let cfg = TileGridConfig { threads, pipelined };
+        let cfg = StripConfig { threads, pipelined };
         let (records, stats) = analyze_tiles(&mut staged, cfg).unwrap();
         prop_assert_eq!(records, sync_records, "generator {} tiles {}x{} {:?}", gen, tw, th, cfg);
         prop_assert!(stats.peak_resident_rows <= 2 * th + 1);
@@ -135,7 +133,7 @@ proptest! {
         } else {
             stats.peak_resident_rows
         };
-        prop_assert_eq!(TileGridStats { peak_resident_rows, ..stats }, sync_stats);
+        prop_assert_eq!(StreamStats { peak_resident_rows, ..stats }, sync_stats);
     }
 
     /// Prefetched strips reconcile into the exact whole-image partition

@@ -11,10 +11,9 @@ use proptest::prelude::*;
 
 use ccl_core::label::LabelImage;
 use ccl_datasets::synth::noise::bernoulli;
-use ccl_stream::CountComponents;
-use ccl_tiles::{
-    label_tiles, read_manifest, read_spilled_label_image, temp_spill_dir, GridSource, SpillFormat,
-    SpillSink, TileGridConfig,
+use ccl_stream::{
+    label_tiles, read_manifest, read_spilled_label_image, temp_spill_dir, CountComponents,
+    GridSource, SpillFormat, SpillSink, StripConfig,
 };
 
 /// The sidecar's file name inside a spill directory.
@@ -33,7 +32,7 @@ impl Spill {
         let dir = temp_spill_dir(tag);
         let mut sink = SpillSink::create(&dir, format).unwrap();
         let mut grid = GridSource::from_image(&img, 8, 5);
-        let cfg = TileGridConfig::default();
+        let cfg = StripConfig::default();
         label_tiles(
             &mut grid,
             cfg,

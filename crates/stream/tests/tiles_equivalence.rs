@@ -13,10 +13,10 @@ use ccl_datasets::synth::noise::bernoulli;
 use ccl_datasets::synth::stream::bernoulli_stream;
 use ccl_datasets::synth::{family_image, FAMILIES};
 use ccl_image::BinaryImage;
-use ccl_stream::{ComponentRecord, CountComponents};
-use ccl_tiles::{
-    analyze_tiles, label_tiles, read_spilled_label_image, temp_spill_dir, CollectTiles, GridSource,
-    SpillFormat, SpillManifest, SpillSink, TileGridConfig, TileGridStats, TileSink, TileSource,
+use ccl_stream::{
+    analyze_tiles, label_tiles, read_spilled_label_image, temp_spill_dir, CollectTiles,
+    ComponentRecord, CountComponents, GridSource, SpillFormat, SpillManifest, SpillSink,
+    StreamStats, StripConfig, TileSink, TileSource,
 };
 
 /// Per-component features keyed by the raster-first anchor, including the
@@ -117,7 +117,7 @@ fn assert_id_and_emission_order(records: &[ComponentRecord], th: usize, height: 
     );
 }
 
-fn tiled_features(img: &BinaryImage, tw: usize, th: usize, cfg: TileGridConfig) -> Features {
+fn tiled_features(img: &BinaryImage, tw: usize, th: usize, cfg: StripConfig) -> Features {
     let mut src = GridSource::from_image(img, tw, th);
     let (records, stats) = analyze_tiles(&mut src, cfg).unwrap();
     assert_eq!(stats.components as usize, records.len());
@@ -155,7 +155,7 @@ proptest! {
     ) {
         let img = family_image(gen, w, h, seed);
         let expected = whole_image_features(&img);
-        let got = tiled_features(&img, tw, th, TileGridConfig::default());
+        let got = tiled_features(&img, tw, th, StripConfig::default());
         prop_assert_eq!(got, expected, "generator {} tiles {}x{}", gen, tw, th);
     }
 
@@ -172,8 +172,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let img = family_image(gen, w, h, seed);
-        let seq = tiled_features(&img, tw, th, TileGridConfig::sequential());
-        let par = tiled_features(&img, tw, th, TileGridConfig::parallel(threads));
+        let seq = tiled_features(&img, tw, th, StripConfig::sequential());
+        let par = tiled_features(&img, tw, th, StripConfig::parallel(threads));
         prop_assert_eq!(par, seq, "generator {} threads {}", gen, threads);
     }
 
@@ -196,13 +196,13 @@ proptest! {
     ) {
         let img = family_image(gen, w, h, seed);
         let (expected, expected_stats) =
-            analyze_tiles(&mut GridSource::from_image(&img, tw, th), TileGridConfig::default())
+            analyze_tiles(&mut GridSource::from_image(&img, tw, th), StripConfig::default())
                 .unwrap();
 
         let mut records: Vec<ComponentRecord> = Vec::new();
         let mut collected = CollectTiles::default();
         let tiles = with_tiles.then_some(&mut collected as &mut dyn TileSink);
-        let cfg = TileGridConfig { threads, pipelined };
+        let cfg = StripConfig { threads, pipelined };
         let mut src = GridSource::from_image(&img, tw, th);
         let stats = label_tiles(&mut src, cfg, &mut records, tiles).unwrap();
         prop_assert_eq!(&records, &expected, "generator {} tiles {}x{} {:?}", gen, tw, th, cfg);
@@ -214,7 +214,7 @@ proptest! {
             prop_assert!(stats.peak_resident_rows <= row_rows + 1);
         }
         let peak_resident_rows = expected_stats.peak_resident_rows;
-        prop_assert_eq!(TileGridStats { peak_resident_rows, ..stats }, expected_stats);
+        prop_assert_eq!(StreamStats { peak_resident_rows, ..stats }, expected_stats);
         if with_tiles {
             let li = collected.into_label_image();
             let reference = aremsp(&img);
@@ -228,10 +228,10 @@ proptest! {
 /// then closes the spill.
 fn spill<S: TileSource + Send>(
     src: &mut S,
-    cfg: TileGridConfig,
+    cfg: StripConfig,
     dir: &std::path::Path,
     format: SpillFormat,
-) -> (SpillManifest, TileGridStats) {
+) -> (SpillManifest, StreamStats) {
     let mut sink = SpillSink::create(dir, format).unwrap();
     let stats = label_tiles(src, cfg, &mut CountComponents::default(), Some(&mut sink)).unwrap();
     (sink.close().unwrap(), stats)
@@ -255,7 +255,7 @@ fn spilled_tiles_reconstruct_exact_partition() {
     for (format, tag) in [(SpillFormat::RawU32, "raw"), (SpillFormat::Pgm16, "pgm")] {
         let dir = temp_spill_dir(tag);
         let mut src = GridSource::from_image(&img, 32, 16);
-        let (manifest, stats) = spill(&mut src, TileGridConfig::default(), &dir, format);
+        let (manifest, stats) = spill(&mut src, StripConfig::default(), &dir, format);
         assert_eq!(manifest.width, 120);
         assert_eq!(manifest.rows, 90);
         assert_eq!(stats.components, reference.num_components() as u64);
@@ -274,12 +274,7 @@ fn streamed_grid_spills_and_reconstructs() {
     let dir = temp_spill_dir("it_streamed");
     let source = bernoulli_stream(w, h, 0.5, 99);
     let mut grid = GridSource::new(source, tile, tile);
-    let (manifest, stats) = spill(
-        &mut grid,
-        TileGridConfig::default(),
-        &dir,
-        SpillFormat::RawU32,
-    );
+    let (manifest, stats) = spill(&mut grid, StripConfig::default(), &dir, SpillFormat::RawU32);
     assert_eq!(stats.rows, h);
     assert!(stats.peak_resident_rows <= 2 * tile);
     assert_eq!(manifest.tiles.len(), (w / tile) * (h / tile));
@@ -300,7 +295,8 @@ fn streamed_grid_spills_and_reconstructs() {
 /// executor (row *k + 1*'s scans overlapping row *k*'s merge + spill) and
 /// must produce the identical spill while holding at most two tile rows
 /// plus the carry row. Ignored by default (minutes in debug builds); run
-/// with `cargo test --release -p ccl-tiles -- --ignored`.
+/// with `cargo test --release -p ccl-stream --test tiles_equivalence --
+/// --ignored`.
 #[test]
 #[ignore = "100-Mpixel acceptance run; use cargo test --release -- --ignored"]
 fn hundred_megapixel_grid_bounded_memory_and_spill() {
@@ -310,12 +306,7 @@ fn hundred_megapixel_grid_bounded_memory_and_spill() {
 
     let source = bernoulli_stream(w, h, 0.5, 4242);
     let mut grid = GridSource::new(source, tile, tile);
-    let (manifest, stats) = spill(
-        &mut grid,
-        TileGridConfig::default(),
-        &dir,
-        SpillFormat::RawU32,
-    );
+    let (manifest, stats) = spill(&mut grid, StripConfig::default(), &dir, SpillFormat::RawU32);
     assert_eq!(stats.rows, h);
     assert_eq!(stats.tiles, (w / tile) * (h / tile));
     assert!(
@@ -338,9 +329,9 @@ fn hundred_megapixel_grid_bounded_memory_and_spill() {
     let dir = temp_spill_dir("it_gigascale_pipelined");
     let source = bernoulli_stream(w, h, 0.5, 4242);
     let mut grid = GridSource::new(source, tile, tile);
-    let pipelined = TileGridConfig {
+    let pipelined = StripConfig {
         pipelined: true,
-        ..TileGridConfig::default()
+        ..StripConfig::default()
     };
     let (manifest, stats) = spill(&mut grid, pipelined, &dir, SpillFormat::RawU32);
     assert_eq!(stats.rows, h);
@@ -365,7 +356,7 @@ fn netpbm_window_reader_end_to_end() {
     let img = ccl_image::threshold::im2bw(&gray, 0.5);
 
     let mut src = GridSource::pgm(bytes.as_slice(), 0.5, 24, 16).unwrap();
-    let (records, stats) = analyze_tiles(&mut src, TileGridConfig::default()).unwrap();
+    let (records, stats) = analyze_tiles(&mut src, StripConfig::default()).unwrap();
     assert_eq!(stats.rows, 70);
     assert!(stats.peak_resident_rows <= 17);
     assert_eq!(record_features(&records), whole_image_features(&img));

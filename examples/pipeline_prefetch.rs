@@ -1,4 +1,4 @@
-//! The `ccl-pipeline` execution layer end to end: a raster behind a
+//! The prefetch/pipeline execution layer end to end: a raster behind a
 //! device-paced decoder (a fixed stall per band, like a disk seek or
 //! sensor readout — the common generation-bound case) run three ways:
 //! synchronous, with band prefetch (decode ∥ label), and as the full
@@ -13,9 +13,8 @@
 use std::time::{Duration, Instant};
 
 use paremsp::datasets::synth::stream::bernoulli_stream;
-use paremsp::pipeline::PacedRows;
 use paremsp::prelude::{
-    analyze_stream, analyze_tiles, GridSource, PrefetchRows, StripConfig, TileGridConfig,
+    analyze_stream, analyze_tiles, GridSource, PacedRows, PrefetchRows, StripConfig,
 };
 
 const W: usize = 512;
@@ -70,15 +69,15 @@ fn main() {
     let t = Instant::now();
     let mut grid = GridSource::new(source(), TILE, TILE);
     let (tiles_sync_records, _) =
-        analyze_tiles(&mut grid, TileGridConfig::default()).expect("synchronous tiles");
+        analyze_tiles(&mut grid, StripConfig::default()).expect("synchronous tiles");
     let tiles_sync_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("tiles, synchronous:       {tiles_sync_ms:7.1} ms");
 
     let t = Instant::now();
     let mut staged = GridSource::new(PrefetchRows::new(source(), TILE), TILE, TILE);
-    let pipelined = TileGridConfig {
+    let pipelined = StripConfig {
         pipelined: true,
-        ..TileGridConfig::default()
+        ..StripConfig::default()
     };
     let (tiles_pipe_records, tiles_pipe_stats) =
         analyze_tiles(&mut staged, pipelined).expect("pipelined tiles");

@@ -1,4 +1,4 @@
-//! Fully out-of-core labeling with `ccl-tiles`: a raster streamed from a
+//! Fully out-of-core labeling with the spill format: a raster streamed from a
 //! generator in 64×64 tiles (never resident as a whole), labels spilled
 //! to disk as 16-bit PGM tiles, each written once, with a sidecar merge
 //! table through which the tiles' raw ids resolve — then the spill is
@@ -12,7 +12,7 @@ use paremsp::datasets::synth::noise::bernoulli;
 use paremsp::datasets::synth::stream::bernoulli_stream;
 use paremsp::prelude::{
     aremsp, label_tiles, labelings_equivalent, read_spilled_label_image, CountComponents,
-    GridSource, SpillFormat, SpillSink, TileGridConfig,
+    GridSource, SpillFormat, SpillSink, StripConfig,
 };
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let mut components = CountComponents::default();
     let stats = label_tiles(
         &mut grid,
-        TileGridConfig::default(),
+        StripConfig::default(),
         &mut components,
         Some(&mut spill),
     )

@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check clippy build test rayon-release-test unionfind-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke demo-smoke perfbench-smoke bench-smoke
+ci: fmt-check no-shim-use clippy build test rayon-release-test unionfind-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke demo-smoke perfbench-smoke bench-smoke
 
 # Format the whole workspace in place (perfbench is its own workspace).
 fmt:
@@ -13,6 +13,12 @@ fmt:
 fmt-check:
     cargo fmt --all --check
     cargo fmt --check --manifest-path perfbench/Cargo.toml
+
+# One name per type: fails when a manifest or source outside the
+# perfbench-only re-export shims (crates/tiles, crates/pipeline) and
+# perfbench names a shim crate or one of its second names.
+no-shim-use:
+    sh scripts/no_shim_use.sh
 
 # CI's lint gate.
 clippy:
@@ -59,12 +65,12 @@ netpbm-smoke:
 stream-smoke:
     cargo run --locked --release --example stream_components
 
-# Run the tile-grid spill (ccl-tiles) example end to end.
+# Run the tile-grid spill example (ccl_stream::spill) end to end.
 tiles-smoke:
     cargo run --locked --release --example tiles_outofcore
 
-# Run the prefetch/pipeline (ccl-pipeline) example and a quick
-# pipeline_demo sweep end to end.
+# Run the prefetch/pipeline example (ccl_stream::prefetch under the
+# pipelined driver loop) and a quick pipeline_demo sweep end to end.
 pipeline-smoke:
     cargo run --locked --release --example pipeline_prefetch
     cargo run --locked --release -p ccl-bench --bin pipeline_demo -- --reps 1 --json /tmp/BENCH_pipeline_smoke.json
@@ -127,10 +133,10 @@ stream-stress:
 # reconstruction — synchronous (<= 1 tile row + carry resident) and
 # `pipelined: true` (<= 2 tile rows + carry).
 tiles-stress:
-    cargo test --release -p ccl-tiles --test tiles_equivalence -- --ignored
+    cargo test --release -p ccl-stream --test tiles_equivalence -- --ignored
 
 # Full-scale staged-pipeline run: 67 Mpixel through the composed
 # decode ∥ scan ∥ merge stack, <= 2 tile rows + carry resident, analysis
 # identical to whole-image AREMSP.
 pipeline-stress:
-    cargo test --release -p ccl-pipeline --test pipeline_equivalence -- --ignored
+    cargo test --release -p ccl-stream --test pipeline_equivalence -- --ignored

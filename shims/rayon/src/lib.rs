@@ -43,8 +43,8 @@
 //! the workers and the scope's caller run tasks. So the stages that block
 //! on channels run on dedicated `std::thread` threads, not on the pool:
 //! the pipelined executor's scan thread (`ccl-stream`'s `pipeline`
-//! module) and the `PrefetchRows` decode worker in `ccl-pipeline`. Such
-//! a thread may itself call [`scope`]. The caller of a scope always
+//! module) and its `PrefetchRows` decode worker (the `prefetch` module).
+//! Such a thread may itself call [`scope`]. The caller of a scope always
 //! helps run that scope's tasks, so two threads that open scopes at the
 //! same time both make progress.
 //!

@@ -4,7 +4,7 @@
 //! for Two-Pass Connected Component Labeling"* (Gupta, Palsetia, Patwary,
 //! Agrawal, Choudhary; IPPS 2014).
 //!
-//! This crate re-exports the six component crates under stable module
+//! This crate re-exports the five component crates under stable module
 //! names so applications need a single dependency:
 //!
 //! * [`image`] — binary/gray/RGB rasters, thresholding (`im2bw`), Netpbm
@@ -17,17 +17,15 @@
 //! * [`datasets`] — synthetic stand-ins for the paper's Aerial / Texture /
 //!   Miscellaneous / NLCD datasets (whole-image and streamed), and the
 //!   measurement harness
-//! * [`stream`] — bounded-memory streaming labeling: row-band sources,
-//!   the strip labeler with on-the-fly component analysis, and labeled
-//!   strip output — gigapixel rasters in O(band) memory
-//! * [`tiles`] — the 2-D generalization: tile-grid sources, the grid
-//!   labeler (vertical *and* horizontal seam merges over a tile row),
-//!   and spill-to-disk label output with a sidecar merge table — both
-//!   input and output bounded by O(tile row)
-//! * [`pipeline`] — prefetching source adapters (decode on a worker
-//!   thread, bounded double buffer) and, stacked under a driver run with
-//!   `pipelined: true`, a decode ∥ scan ∥ merge execution pipeline with
-//!   bit-identical output
+//! * [`stream`] — bounded-memory out-of-core labeling: row-band and
+//!   tile-grid sources, the one labeler for strip bands and tile rows
+//!   with on-the-fly component analysis, label output through a tile
+//!   sink, spill-to-disk labels with a sidecar merge table
+//!   ([`stream::spill`]) and prefetching source adapters
+//!   ([`stream::prefetch`]) — gigapixel rasters with input and output
+//!   bounded by O(band) or O(tile row); a driver run with
+//!   `pipelined: true` over a prefetched source is a decode ∥ scan ∥
+//!   merge pipeline with bit-identical output
 //!
 //! ## Quickstart
 //!
@@ -53,9 +51,7 @@
 pub use ccl_core as core;
 pub use ccl_datasets as datasets;
 pub use ccl_image as image;
-pub use ccl_pipeline as pipeline;
 pub use ccl_stream as stream;
-pub use ccl_tiles as tiles;
 pub use ccl_unionfind as unionfind;
 
 /// The most commonly used items, re-exported flat.
@@ -74,14 +70,10 @@ pub mod prelude {
     pub use ccl_core::Algorithm;
     pub use ccl_image::threshold::im2bw;
     pub use ccl_image::{BinaryImage, Connectivity, GrayImage, RgbImage};
-    pub use ccl_pipeline::{PacedRows, PrefetchRows};
     pub use ccl_stream::{
-        analyze_stream, label_stream, ComponentRecord, ComponentSink, CountComponents,
-        MemorySource, RowSource, StreamStats, StripConfig, StripLabeler,
-    };
-    pub use ccl_tiles::{
-        analyze_tiles, label_tiles, read_spilled_label_image, CollectTiles, GridSource,
-        SpillFormat, SpillSink, TileGridConfig, TileGridLabeler, TileGridStats, TileRow,
-        TileSource,
+        analyze_stream, analyze_tiles, label_stream, label_tiles, read_spilled_label_image,
+        CollectTiles, ComponentRecord, ComponentSink, CountComponents, GridSource, MemorySource,
+        PacedRows, PrefetchRows, RowSource, SpillFormat, SpillSink, StreamStats, StripConfig,
+        StripLabeler, TileRow, TileSource,
     };
 }
