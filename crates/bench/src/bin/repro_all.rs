@@ -1,10 +1,10 @@
 //! Runs the full reproduction sweep (Tables II–IV, Figures 4–5) plus the
-//! streaming and tile-grid demos in one process, and writes JSON results
-//! under `results/` — including the trajectory snapshots the repo tracks
-//! across commits: `BENCH_paremsp.json` (PAREMSP phase-timed thread
-//! sweep), `BENCH_stream.json` / `BENCH_tiles.json` (bounded-memory
-//! out-of-core throughput, written by the demo children) and the
-//! append-only `BENCH_HISTORY.jsonl` line log behind all of them.
+//! out-of-core demo in one process, and writes JSON results under
+//! `results/` — including the trajectory snapshots the repo tracks across
+//! commits: `BENCH_paremsp.json` (PAREMSP phase-timed thread sweep),
+//! `BENCH_stream.json` (strip and tile-row out-of-core throughput, modes
+//! and spill, written by the `stream_demo` child) and the append-only
+//! `BENCH_HISTORY.jsonl` line log behind both.
 //!
 //! ```text
 //! cargo run --release -p ccl-bench --bin repro_all [--scale F] [--reps N]
@@ -18,7 +18,8 @@ use ccl_datasets::report::write_json;
 use ccl_datasets::suite::nlcd_image;
 use serde::Serialize;
 
-const USAGE: &str = "repro_all: run table2, table4, fig4, fig5 and stream_demo with shared settings
+const USAGE: &str =
+    "repro_all: run table2, table4, fig4, fig5 and the out-of-core stream_demo with shared settings
   --scale F    NLCD size factor vs Table III (default 0.05)
   --reps N     repetitions per timing cell (default 3)";
 
@@ -89,7 +90,6 @@ fn main() {
             false,
             "results/BENCH_stream.json".to_string(),
         ),
-        ("tiles_demo", false, "results/BENCH_tiles.json".to_string()),
     ] {
         let mut cmd = Command::new(bindir.join(bin));
         cmd.arg("--reps").arg(&reps);

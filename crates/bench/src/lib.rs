@@ -3,13 +3,14 @@
 //! Benchmark harness reproducing **every table and figure** of Gupta et
 //! al. (IPPS 2014). Two layers:
 //!
-//! * **Table binaries** (`src/bin/`): print paper-formatted tables and
-//!   ASCII figures from full measurement sweeps —
+//! * **Binaries** (`src/bin/`): print paper-formatted tables and ASCII
+//!   figures from full measurement sweeps —
 //!   `cargo run --release -p ccl-bench --bin table2` (and `table4`,
-//!   `fig4`, `fig5`, `stream_demo`, `repro_all`). See each binary's
-//!   `--help`. `repro_all` also leaves two trajectory snapshots under
-//!   `results/` (`BENCH_paremsp.json`, `BENCH_stream.json`) so perf is
-//!   tracked commit to commit.
+//!   `fig4`, `fig5`, `repro_all`) — plus `stream_demo`, the out-of-core
+//!   demo (strip bands and tile rows: height sweep, execution modes,
+//!   spill). See each binary's `--help`. `repro_all` also leaves two
+//!   trajectory snapshots under `results/` (`BENCH_paremsp.json`,
+//!   `BENCH_stream.json`) so perf is tracked commit to commit.
 //! * **Criterion benches** (`benches/`): statistical micro-benchmarks per
 //!   experiment, three design-choice ablations (union-find variant, scan
 //!   strategy, merger implementation), the prior-art baseline, and the
@@ -84,10 +85,10 @@ pub fn paremsp_phase_ms_best_of(
     best
 }
 
-/// Tiny CLI-argument helper shared by the table binaries: supports
-/// `--scale <f64>`, `--reps <usize>`, `--threads <csv>`, `--json <path>`,
-/// `--merger <locked|cas>`, `--prefetch`,
-/// `--pipeline`, `--depth <n>`, `--print-sizes` and `--help`.
+/// Tiny CLI-argument helper shared by the binaries: supports `--scale
+/// <f64>`, `--reps <usize>`, `--threads <csv>`, `--json <path>`,
+/// `--merger <locked|cas>`, `--print-sizes` and `--help`, each only where
+/// the binary's usage lists it.
 #[derive(Debug, Clone)]
 pub struct BinArgs {
     /// NLCD scale factor (fraction of the Table III sizes).
@@ -101,14 +102,6 @@ pub struct BinArgs {
     /// Optional boundary-merger override (parsed via
     /// [`MergerKind::from_str`](std::str::FromStr)).
     pub merger: Option<ccl_core::par::MergerKind>,
-    /// `--prefetch`: wrap the source in a `PrefetchRows` prefetcher
-    /// (decode on a worker thread).
-    pub prefetch: bool,
-    /// `--pipeline`: run the drivers' pipelined executor (scan ∥ merge)
-    /// where the binary supports it.
-    pub pipeline: bool,
-    /// `--depth <n>`: prefetch queue depth (default 2).
-    pub depth: usize,
     /// `--print-sizes` flag (fig5: print Table III).
     pub print_sizes: bool,
 }
@@ -121,9 +114,6 @@ impl Default for BinArgs {
             json: None,
             threads: None,
             merger: None,
-            prefetch: false,
-            pipeline: false,
-            depth: 2,
             print_sizes: false,
         }
     }
@@ -137,82 +127,65 @@ impl BinArgs {
         self.merger.unwrap_or_default()
     }
 
-    /// Parses `std::env::args`, printing `usage` and exiting on `--help`
-    /// or a malformed argument.
+    /// Parses `std::env::args`: prints `usage` and exits 0 when any
+    /// argument is `--help` or `-h`, and prints the error and `usage` and
+    /// exits 2 when [`try_parse`](Self::try_parse) fails.
     pub fn parse(usage: &str) -> BinArgs {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Self::try_parse(usage, args).unwrap_or_else(|e| {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (the program name excluded). A flag is accepted only
+    /// when a line of `usage` starts with it; an unlisted flag, a missing
+    /// value or a malformed one is an error message.
+    pub fn try_parse(
+        usage: &str,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<BinArgs, String> {
         let mut out = BinArgs::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            let mut value = |name: &str| {
-                args.next().unwrap_or_else(|| {
-                    eprintln!("missing value for {name}\n{usage}");
-                    std::process::exit(2);
-                })
-            };
+            let listed = usage
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(arg.as_str()));
+            if !listed {
+                return Err(format!("unknown argument {arg}"));
+            }
+            let mut value = || args.next().ok_or(format!("missing value for {arg}"));
             match arg.as_str() {
-                "--scale" => {
-                    out.scale = value("--scale").parse().unwrap_or_else(|_| {
-                        eprintln!("invalid --scale\n{usage}");
-                        std::process::exit(2);
-                    })
-                }
-                "--reps" => {
-                    out.reps = value("--reps").parse().unwrap_or_else(|_| {
-                        eprintln!("invalid --reps\n{usage}");
-                        std::process::exit(2);
-                    })
-                }
-                "--json" => out.json = Some(value("--json")),
+                "--scale" => out.scale = value()?.parse().map_err(|_| "invalid --scale")?,
+                "--reps" => out.reps = value()?.parse().map_err(|_| "invalid --reps")?,
+                "--json" => out.json = Some(value()?),
                 "--threads" => {
-                    let csv = value("--threads");
-                    let parsed: Result<Vec<usize>, _> =
-                        csv.split(',').map(str::trim).map(str::parse).collect();
-                    match parsed {
-                        Ok(t) if !t.is_empty() && t.iter().all(|&x| x >= 1) => {
-                            out.threads = Some(t)
-                        }
-                        _ => {
-                            eprintln!("invalid --threads\n{usage}");
-                            std::process::exit(2);
-                        }
-                    }
+                    let t: Vec<usize> = value()?
+                        .split(',')
+                        .map(|t| t.trim().parse().ok().filter(|&t| t >= 1))
+                        .collect::<Option<_>>()
+                        .ok_or("invalid --threads")?;
+                    out.threads = Some(t);
                 }
                 "--merger" => {
-                    out.merger = Some(value("--merger").parse().unwrap_or_else(|e| {
-                        eprintln!("invalid --merger: {e}\n{usage}");
-                        std::process::exit(2);
-                    }))
-                }
-                "--prefetch" => out.prefetch = true,
-                "--pipeline" => out.pipeline = true,
-                "--depth" => {
-                    out.depth = value("--depth")
-                        .parse()
-                        .ok()
-                        .filter(|&d| d >= 1)
-                        .unwrap_or_else(|| {
-                            eprintln!("invalid --depth\n{usage}");
-                            std::process::exit(2);
-                        })
+                    let kind = value()?.parse();
+                    out.merger = Some(kind.map_err(|e| format!("invalid --merger: {e}"))?);
                 }
                 "--print-sizes" => out.print_sizes = true,
-                "--help" | "-h" => {
-                    println!("{usage}");
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument {other}\n{usage}");
-                    std::process::exit(2);
-                }
+                _ => return Err(format!("unknown argument {arg}")),
             }
         }
-        out
+        Ok(out)
     }
 }
 
 /// Path of the committed perf-trajectory log appended by `repro_all`
-/// and by `stream_demo`, `tiles_demo` and `pipeline_demo` when they write
-/// their default snapshot ([`write_snapshot`]): one JSON object per line, so
+/// and by `stream_demo` when it writes its default snapshot
+/// ([`write_snapshot`]): one JSON object per line, so
 /// regressions are visible across commits (`git log -p results/…`) and
 /// CI uploads the whole `results/` directory as an artifact.
 pub const HISTORY_PATH: &str = "results/BENCH_HISTORY.jsonl";
@@ -306,10 +279,50 @@ mod tests {
         assert!(a.reps >= 1);
         assert!(a.json.is_none());
         assert!(a.merger.is_none());
-        assert!(!a.prefetch);
-        assert!(!a.pipeline);
-        assert_eq!(a.depth, 2);
         assert!(!a.print_sizes);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    const USAGE: &str = "demo: test usage
+  --reps N         repetitions
+  --threads CSV    thread counts
+  --merger KIND    boundary merger";
+
+    #[test]
+    fn flags_outside_the_usage_are_rejected() {
+        for flag in ["--scale", "--json", "--print-sizes", "--prefetch", "demo:"] {
+            let err = BinArgs::try_parse(USAGE, args(&[flag, "1"])).unwrap_err();
+            assert_eq!(err, format!("unknown argument {flag}"));
+        }
+    }
+
+    #[test]
+    fn listed_flags_are_accepted() {
+        use ccl_core::par::MergerKind;
+        let a = BinArgs::try_parse(
+            USAGE,
+            args(&["--reps", "5", "--threads", "1, 2", "--merger", "cas"]),
+        )
+        .unwrap();
+        assert_eq!(a.reps, 5);
+        assert_eq!(a.threads, Some(vec![1, 2]));
+        assert_eq!(a.merger, Some(MergerKind::Cas));
+        assert_eq!(BinArgs::try_parse(USAGE, args(&[])).unwrap().reps, 3);
+    }
+
+    #[test]
+    fn malformed_values_are_rejected() {
+        for (bad, err) in [
+            (&["--threads", "0"][..], "invalid --threads"),
+            (&["--threads", "1,,2"], "invalid --threads"),
+            (&["--reps", "x"], "invalid --reps"),
+            (&["--reps"], "missing value for --reps"),
+        ] {
+            assert_eq!(BinArgs::try_parse(USAGE, args(bad)).unwrap_err(), err);
+        }
     }
 
     #[test]

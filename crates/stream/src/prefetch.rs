@@ -1,7 +1,7 @@
 //! Prefetching row sources: overlap band **decode** with labeling.
 //!
-//! `stream_demo`/`tiles_demo` show that band and tile-row *generation*
-//! can dominate end-to-end throughput: the labeler sits idle while the
+//! Band and tile-row *generation* can dominate end-to-end throughput
+//! (`stream_demo`'s mode table shows it): the labeler sits idle while the
 //! next band decodes, then the source sits idle while the band labels.
 //! Two [`RowSource`] adapters close that gap; both compose with every
 //! driver unchanged, tile grids included (a tile row is a windowed band):
@@ -77,9 +77,9 @@ pub struct PrefetchRows {
     rx: Option<mpsc::Receiver<Result<BinaryImage, StreamError>>>,
     /// The worker thread, until joined.
     handle: Option<JoinHandle<()>>,
-    /// Remainder of a delivered band when the consumer asked for fewer
-    /// rows than the prefetch band height.
-    pending: Option<BinaryImage>,
+    /// A delivered band the consumer asked for fewer rows of, and the
+    /// first row not yet handed out: each pull crops only its own rows.
+    pending: Option<(BinaryImage, usize)>,
     /// Set once the stream ended or failed: it then reads as ended.
     poisoned: bool,
 }
@@ -161,10 +161,10 @@ impl RowSource for PrefetchRows {
         if self.poisoned {
             return Ok(None);
         }
-        let band = match self.pending.take() {
-            Some(band) => band,
+        let (band, r0) = match self.pending.take() {
+            Some(pending) => pending,
             None => match self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
-                Some(Ok(band)) => band,
+                Some(Ok(band)) => (band, 0),
                 Some(Err(e)) => {
                     self.poisoned = true;
                     return Err(e);
@@ -177,12 +177,15 @@ impl RowSource for PrefetchRows {
                 }
             },
         };
-        let band = if band.height() > max_rows {
-            let head = band.crop(0, 0, band.width(), max_rows);
-            self.pending = Some(band.crop(max_rows, 0, band.width(), band.height() - max_rows));
-            head
+        let rows = max_rows.min(band.height() - r0);
+        let band = if rows == band.height() {
+            band // the whole band: moved, not copied
         } else {
-            band
+            let head = band.crop(r0, 0, band.width(), rows);
+            if r0 + rows < band.height() {
+                self.pending = Some((band, r0 + rows));
+            }
+            head
         };
         if let Some(r) = self.rows_remaining.as_mut() {
             *r = r.saturating_sub(band.height());
@@ -292,16 +295,19 @@ mod tests {
     #[test]
     fn splits_bands_when_the_consumer_asks_for_fewer_rows() {
         let img = test_image();
-        let mut pf = PrefetchRows::new(MemorySource::new(img.clone()), 8);
-        let mut r0 = 0;
-        while let Some(band) = pf.next_band(3).unwrap() {
-            assert!(band.height() <= 3);
-            for r in 0..band.height() {
-                assert_eq!(band.row(r), img.row(r0 + r), "row {}", r0 + r);
+        for (band_rows, pull) in [(8, 3), (4, 1), (4, 3), (7, 1), (7, 3), (7, 5)] {
+            let mut pf = PrefetchRows::new(MemorySource::new(img.clone()), band_rows);
+            let mut r0 = 0;
+            while let Some(band) = pf.next_band(pull).unwrap() {
+                assert!(band.height() <= pull);
+                for r in 0..band.height() {
+                    assert_eq!(band.row(r), img.row(r0 + r), "row {}", r0 + r);
+                }
+                r0 += band.height();
+                assert_eq!(pf.rows_remaining(), Some(19 - r0));
             }
-            r0 += band.height();
+            assert_eq!(r0, 19, "bands of {band_rows}, pulls of {pull}");
         }
-        assert_eq!(r0, 19);
     }
 
     #[test]

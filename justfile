@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check no-shim-use clippy build test rayon-release-test unionfind-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke pipeline-smoke demo-smoke perfbench-smoke bench-smoke
+ci: fmt-check no-shim-use clippy build test rayon-release-test unionfind-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke demo-smoke perfbench-smoke bench-smoke
 
 # Format the whole workspace in place (perfbench is its own workspace).
 fmt:
@@ -69,18 +69,12 @@ stream-smoke:
 tiles-smoke:
     cargo run --locked --release --example tiles_outofcore
 
-# Run the prefetch/pipeline example (ccl_stream::prefetch under the
-# pipelined driver loop) and a quick pipeline_demo sweep end to end.
-pipeline-smoke:
-    cargo run --locked --release --example pipeline_prefetch
-    cargo run --locked --release -p ccl-bench --bin pipeline_demo -- --reps 1 --json /tmp/BENCH_pipeline_smoke.json
-
-# Run one-rep stream_demo and tiles_demo sweeps at 1 and 2 threads end
-# to end: strip bands, tile rows, provisional-label counts and a spill
-# tail. Snapshots go to /tmp, so the committed history is untouched.
+# Run a one-rep stream_demo at 1 and 2 threads end to end: the height
+# sweep of strip bands and tile rows, the execution-mode table (which
+# asserts that every mode finds the same components) and the spill rows.
+# The snapshot goes to /tmp, so the committed history is untouched.
 demo-smoke:
     cargo run --locked --release -p ccl-bench --bin stream_demo -- --reps 1 --threads 1,2 --json /tmp/BENCH_stream_smoke.json
-    cargo run --locked --release -p ccl-bench --bin tiles_demo -- --reps 1 --threads 1,2 --json /tmp/BENCH_tiles_smoke.json
 
 # Run every benchmark workload once, for one second, with its output
 # check: a workload whose records disagree with whole-image AREMSP
