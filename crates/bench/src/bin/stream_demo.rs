@@ -17,6 +17,10 @@
 //! * **Spill.** Each engine's smallest sweep height labeled with its
 //!   labels spilled to disk as raw `u32` tiles and committed on close.
 //!
+//! The header and the snapshot name the host's core count
+//! (`available_parallelism`), so a thread count above it reads as
+//! oversubscription, not scaling.
+//!
 //! Timings include row generation, so the metric is end-to-end pipeline
 //! throughput, comparable across commits via the JSON snapshot
 //! (`results/BENCH_stream.json` by default, which also appends a
@@ -134,6 +138,9 @@ struct SpillRow {
 struct StreamBench {
     width: usize,
     density: f64,
+    /// The host's `available_parallelism`: a thread count above it
+    /// measures oversubscription, not scaling.
+    host_cores: usize,
     threads: Vec<usize>,
     sweep: Vec<SweepRow>,
     paced_width: usize,
@@ -190,10 +197,12 @@ fn provisional_labels(engine: Engine, height: usize) -> u64 {
 fn main() {
     let args = BinArgs::parse(USAGE);
     let threads = args.threads.clone().unwrap_or_else(|| vec![1, 4]);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
         "Streaming {WIDTH}-wide Bernoulli rasters (density {DENSITY}): strips in {}-row \
-         bands, tiles in {1}x{1} tiles\n",
+         bands, tiles in {1}x{1} tiles; threads {threads:?} on a host with {host_cores} \
+         cores\n",
         ENGINES[0].unit, ENGINES[1].unit
     );
     let mut table = Table::new(
@@ -351,6 +360,7 @@ fn main() {
     let result = StreamBench {
         width: WIDTH,
         density: DENSITY,
+        host_cores,
         threads,
         sweep,
         paced_width: PACED_WIDTH,

@@ -37,11 +37,13 @@ impl Table {
     /// Renders with aligned columns (first column left-aligned, the rest
     /// right-aligned, numbers being the common case).
     pub fn render(&self) -> String {
+        // widths in chars, the unit `format!` pads by
+        let chars = |cell: &String| cell.chars().count();
         let ncols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(chars).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(chars(cell));
             }
         }
         let mut out = String::new();
@@ -163,6 +165,19 @@ mod tests {
         // right alignment of numeric columns
         assert!(lines[2].contains("  2.5"));
         assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn multi_byte_cells_are_padded_by_chars() {
+        let mut t = Table::new(["Mode", "ms"]);
+        t.push_row(["decode∥scan∥merge", "85.0"]);
+        t.push_row(["sync", "136.9"]);
+        let s = t.render();
+        let widths: Vec<usize> = s.lines().map(|l| l.chars().count()).collect();
+        // "decode∥scan∥merge" is 17 chars (21 bytes): every line, the rule
+        // included, is 17 + 2 + 5 chars wide
+        assert_eq!(widths, vec![24; 4], "{s}");
+        assert!(s.lines().nth(2).unwrap().starts_with("decode∥scan∥merge  "));
     }
 
     #[test]

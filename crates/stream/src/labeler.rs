@@ -50,13 +50,21 @@
 //!      each used label's partial onto its root: O(labels), never
 //!      O(pixels);
 //!   4. **fresh ids** for new components, in raster order of their
-//!      anchors;
+//!      anchors: the fresh roots sorted by one packed key each, the
+//!      anchor's unit-local raster index `(row - r0) * width + col`;
 //!   5. **compaction** of the components still open on the unit's last
 //!      line to active ids `1..=k`, which rebuilds the carry row;
-//!   6. **emission** of every closed component, ascending id, then of the
-//!      unit's labels through a [`TileSink`] — every carried-id merge,
-//!      then a strip band as one full-width tile or a tile row as its
-//!      tiles, one cached root lookup per label pixel.
+//!   6. **emission** of every closed component, ascending id, as two
+//!      lists with no sort of the records: the closed carried roots
+//!      sorted by id, then the closed fresh roots in the order step 4
+//!      numbered them (every carried id is older than every fresh one);
+//!      then of the unit's labels through a [`TileSink`] — every
+//!      carried-id merge, then a strip band as one full-width tile or a
+//!      tile row as its tiles. The labels resolve the way PAREMSP's
+//!      FLATTEN and relabel do: one dense table from row label to id,
+//!      built in O(labels), and a branch-free gather through it per
+//!      pixel into one tile buffer reused across the unit's tiles — no
+//!      union-find work per pixel.
 //!
 //!   A degenerate unit (zero height or zero width) is only counted.
 //!   [`StripLabeler::finish`] drains the components still open at the end
@@ -329,8 +337,9 @@ impl StripLabeler {
     /// Closes the stream: every still-open component is finalized and
     /// emitted (ascending id), and the run's summary returned.
     pub fn finish<C: ComponentSink + ?Sized>(mut self, components: &mut C) -> StreamStats {
-        let remaining: Vec<Accum> = self.active.drain(1..).collect();
-        self.emit(remaining, components);
+        let mut remaining: Vec<Accum> = self.active.drain(1..).collect();
+        remaining.sort_unstable_by_key(|a| a.gid);
+        self.emit(&remaining, components);
         StreamStats {
             width: self.width,
             rows: self.rows,
@@ -417,28 +426,32 @@ impl StripLabeler {
         }
 
         // After this block `acc[root]` holds the complete accumulator of
-        // every component with a pixel in the unit (fresh ones still gid
-        // 0), `touched` lists the occupied roots, and `merges` the
-        // carried-id pairs that turned out to be one component.
-        let mut touched: Vec<u32> = Vec::new();
+        // every component with a pixel in the unit, `root_of` the root of
+        // every used label, `carried` the occupied carried roots, `fresh`
+        // the roots of the new components (gid still 0) and `merges` the
+        // carried-id pairs that turned out to be one component. A set
+        // holding a carried id is rooted at one (Rem roots are set minima),
+        // so every other root is its own, fresh label.
+        let mut carried: Vec<u32> = Vec::new();
         let mut merges: Vec<(ComponentId, ComponentId)> = Vec::new();
         fold_carried(
             &mut uf,
             &self.active,
             n_carry,
             &mut acc,
-            &mut touched,
+            &mut carried,
             &mut merges,
         );
-        let mut root_of: Vec<u32> = vec![u32::MAX; uf.len()];
-        for l in used {
+        let mut root_of: Vec<u32> = vec![0; uf.len()];
+        let mut fresh: Vec<(u64, u32)> = Vec::new();
+        for l in used.clone() {
             // every label is created at a tile-local run start, so the
             // scan (lines 1..) and the first-line fold gave it a partial
             debug_assert!(!acc[l as usize].is_empty(), "label {l} has no pixel");
             let root = uf.find(l);
             root_of[l as usize] = root;
             if root == l {
-                touched.push(l);
+                fresh.push((0, l));
             } else {
                 let p = std::mem::replace(&mut acc[l as usize], Accum::EMPTY);
                 acc[root as usize].fold(&p);
@@ -446,12 +459,12 @@ impl StripLabeler {
         }
 
         // Fresh ids in raster order of each new component's first pixel
-        // — its anchor, unique per component.
-        let mut fresh: Vec<((usize, usize), u32)> = touched
-            .iter()
-            .filter(|&&root| acc[root as usize].gid == 0)
-            .map(|&root| (acc[root as usize].anchor, root))
-            .collect();
+        // — its anchor, unique per component and inside the unit, so its
+        // unit-local raster index is the sort key.
+        for (key, root) in &mut fresh {
+            let (r, c) = acc[*root as usize].anchor;
+            *key = ((r - r0) * self.width + c) as u64;
+        }
         fresh.sort_unstable();
         for &(_, root) in &fresh {
             acc[root as usize].gid = self.next_gid;
@@ -473,18 +486,24 @@ impl StripLabeler {
             if l == 0 {
                 continue;
             }
-            let root = find_cached(&mut uf, &mut root_of, l) as usize;
+            let root = root_of[l as usize] as usize;
             if survivor_id[root] == 0 {
                 self.active.push(acc[root]);
                 survivor_id[root] = (self.active.len() - 1) as u32;
             }
             *slot = survivor_id[root];
         }
-        let closed: Vec<Accum> = touched
+        // The closed components leave in ascending id without a sort of
+        // the records: every carried id is older than every fresh one, so
+        // the carried roots sorted by id (at most the carry row's open
+        // components) come first, then the fresh roots in the order they
+        // were numbered.
+        carried.sort_unstable_by_key(|&root| acc[root as usize].gid);
+        let closed = carried
             .iter()
+            .chain(fresh.iter().map(|(_, root)| root))
             .filter(|&&root| survivor_id[root as usize] == 0)
-            .map(|&root| acc[root as usize])
-            .collect();
+            .map(|&root| &acc[root as usize]);
         self.emit(closed, components);
 
         // Label output: each emitted tile is a run of scanned tiles,
@@ -503,20 +522,22 @@ impl StripLabeler {
         for (kept, absorbed) in merges {
             sink.merge(kept, absorbed);
         }
-        let mut gid = |l: u32| -> ComponentId {
-            if l == 0 {
-                return 0;
-            }
-            acc[find_cached(&mut uf, &mut root_of, l) as usize].gid
-        };
+        // The unit's labels resolve through one dense table, row label →
+        // id (0 for background), built in O(labels); each emitted tile is
+        // then a plain gather into one buffer reused across tiles.
+        let mut gid_of: Vec<ComponentId> = vec![0; root_of.len()];
+        for l in used {
+            gid_of[l as usize] = acc[root_of[l as usize] as usize].gid;
+        }
+        let mut gids: Vec<ComponentId> = Vec::new();
         for (tile_col, tiles) in emitted.into_iter().enumerate() {
             let cols = spans[tiles.start].start..spans[tiles.end - 1].end;
-            let mut gids = Vec::with_capacity(rows * cols.len());
+            gids.clear();
             for r in 0..rows {
                 for t in tiles.clone() {
                     let (tw, shift) = (spans[t].len(), shifts[t]);
                     let row = &labels[t][r * tw..(r + 1) * tw];
-                    gids.extend(row.iter().map(|&l| gid(shifted(l, shift))));
+                    gids.extend(row.iter().map(|&l| gid_of[shifted(l, shift) as usize]));
                 }
             }
             let meta = TileMeta {
@@ -532,25 +553,17 @@ impl StripLabeler {
         Ok(())
     }
 
-    /// Emits finalized components in ascending id order.
-    fn emit<C: ComponentSink + ?Sized>(&mut self, mut accs: Vec<Accum>, components: &mut C) {
-        accs.sort_by_key(|a| a.gid);
+    /// Emits finalized components in the given order.
+    fn emit<'a, C: ComponentSink + ?Sized>(
+        &mut self,
+        accs: impl IntoIterator<Item = &'a Accum>,
+        components: &mut C,
+    ) {
         for acc in accs {
             self.finalized += 1;
             components.component(&acc.into_record());
         }
     }
-}
-
-/// Memoized root of `x`: `cache` holds one slot per label (`u32::MAX` =
-/// unresolved). Callers that resolve *before* a late seam must not reuse
-/// the same cache after it.
-#[inline]
-fn find_cached(uf: &mut RemSP, cache: &mut [u32], x: u32) -> u32 {
-    if cache[x as usize] == u32::MAX {
-        cache[x as usize] = uf.find(x);
-    }
-    cache[x as usize]
 }
 
 /// Row labels of local line `r` across every tile buffer, left to right:
@@ -581,7 +594,7 @@ fn line<'a>(
 }
 
 /// Folds the carried accumulators onto their (possibly merged) roots,
-/// recording first-occupancy roots in `touched` and carried-id merge
+/// recording first-occupancy roots in `carried` and carried-id merge
 /// pairs in `merges`. Any set containing a carried id is rooted at a
 /// carried id (Rem roots are set minima and carried ids occupy the low
 /// slots), so every carried root's slot is empty until this fold.
@@ -590,7 +603,7 @@ fn fold_carried(
     active: &[Accum],
     n_carry: u32,
     acc: &mut [Accum],
-    touched: &mut Vec<u32>,
+    carried: &mut Vec<u32>,
     merges: &mut Vec<(ComponentId, ComponentId)>,
 ) {
     for id in 1..=n_carry {
@@ -599,7 +612,7 @@ fn fold_carried(
         let dst = &mut acc[root as usize];
         if dst.area == 0 {
             *dst = src;
-            touched.push(root);
+            carried.push(root);
         } else {
             let (kept, absorbed) = if dst.gid <= src.gid {
                 (dst.gid, src.gid)

@@ -78,14 +78,11 @@ pub(crate) struct ScannedRow {
 }
 
 /// Row label of a tile's label `label` under the tile's `shift`
-/// (background stays 0).
+/// (background stays 0), without a branch: the shift is masked off for
+/// background.
 #[inline]
 pub(crate) fn shifted(label: u32, shift: u32) -> u32 {
-    if label == 0 {
-        0
-    } else {
-        label + shift
-    }
+    label + (shift & 0u32.wrapping_sub(u32::from(label != 0)))
 }
 
 /// Scans one tile row (see the module docs): `band` cut into the column

@@ -214,25 +214,47 @@ impl TileSink for SpillSink {
     }
 }
 
-/// Encodes one tile's ids in the spill format.
+/// Encodes one tile's ids in the spill format, in one pass over them:
+/// each id is narrowed into its slot of the pre-sized buffer while the
+/// ids' bits are OR-ed together, and only a tile whose OR overflows is
+/// searched again, for its first offending id. Both limits are all-ones
+/// (`2^k − 1`), so an id exceeds the limit exactly when the OR does; an
+/// OR, unlike a 64-bit maximum, vectorizes.
 fn encode_tile(format: SpillFormat, meta: &TileMeta, gids: &[u64]) -> Result<Vec<u8>, StreamError> {
-    let limit = format.limit();
-    if let Some(&bad) = gids.iter().find(|&&g| g > limit) {
-        return Err(StreamError::LabelOverflow { gid: bad, limit });
-    }
-    Ok(match format {
+    let mut bits = 0;
+    let out = match format {
         SpillFormat::RawU32 => {
-            let mut out = Vec::with_capacity(gids.len() * 4);
-            for &g in gids {
-                out.extend_from_slice(&(g as u32).to_le_bytes());
+            let mut out = vec![0u8; gids.len() * 4];
+            for (dst, &g) in out.chunks_exact_mut(4).zip(gids) {
+                bits |= g;
+                dst.copy_from_slice(&(g as u32).to_le_bytes());
             }
             out
         }
         SpillFormat::Pgm16 => {
-            let samples: Vec<u16> = gids.iter().map(|&g| g as u16).collect();
-            pgm::write_binary16(meta.width, meta.height, &samples)
+            assert_eq!(
+                Some(gids.len()),
+                meta.width.checked_mul(meta.height),
+                "sample buffer size mismatch"
+            );
+            let header = pgm::binary16_header(meta.width, meta.height);
+            let mut out = vec![0u8; header.len() + gids.len() * 2];
+            let (head, samples) = out.split_at_mut(header.len());
+            head.copy_from_slice(header.as_bytes());
+            for (dst, &g) in samples.chunks_exact_mut(2).zip(gids) {
+                bits |= g;
+                dst.copy_from_slice(&(g as u16).to_be_bytes());
+            }
+            out
         }
-    })
+    };
+    let limit = format.limit();
+    debug_assert!(limit.wrapping_add(1).is_power_of_two());
+    if bits > limit {
+        let gid = gids.iter().copied().find(|&g| g > limit).unwrap_or(bits);
+        return Err(StreamError::LabelOverflow { gid, limit });
+    }
+    Ok(out)
 }
 
 /// Checks a tile file's byte length against the size its manifest entry
@@ -594,6 +616,36 @@ mod tests {
             StreamError::LabelOverflow { gid: 70_000, .. }
         ));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The overflow check runs in the encoding pass: an id over the limit
+    /// at a tile's last pixel is still caught, and the first offending
+    /// id is the one reported.
+    #[test]
+    fn overflow_at_the_last_pixel_is_reported_for_both_formats() {
+        for format in [SpillFormat::RawU32, SpillFormat::Pgm16] {
+            let limit = format.limit();
+            let dir = temp_dir("overflow-last");
+            let mut sink = SpillSink::create(&dir, format).unwrap();
+            let mut gids = vec![1; 12];
+            gids[11] = limit + 1;
+            let err = sink.tile(&meta(0, 0, 0, 0, 4, 3), &gids).unwrap_err();
+            assert!(
+                matches!(err, StreamError::LabelOverflow { gid, limit: l } if gid == limit + 1 && l == limit),
+                "{format:?}: {err:?}"
+            );
+            gids[5] = limit + 7;
+            let err = sink.tile(&meta(0, 0, 0, 0, 4, 3), &gids).unwrap_err();
+            assert!(
+                matches!(err, StreamError::LabelOverflow { gid, .. } if gid == limit + 7),
+                "{format:?}: {err:?}"
+            );
+            // the limit itself still fits
+            gids[5] = limit;
+            gids[11] = limit;
+            sink.tile(&meta(0, 0, 0, 0, 4, 3), &gids).unwrap();
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
