@@ -1,5 +1,6 @@
 //! Streaming-engine scaling: strip-labeled analysis vs whole-image
-//! AREMSP + analysis, across band heights and scan thread counts.
+//! AREMSP + analysis, across band heights and scan thread counts; and
+//! the P4 band decode that feeds the strip engine (`pbm-decode`).
 //!
 //! Expected shape: the strip labeler tracks whole-image AREMSP closely at
 //! large bands (same scan, one extra seam per band plus the per-band
@@ -15,7 +16,9 @@ use std::hint::black_box;
 use ccl_core::analysis::region_properties;
 use ccl_core::seq::aremsp;
 use ccl_datasets::synth::landcover::{landcover, LandcoverParams};
-use ccl_stream::{label_stream, CountComponents, MemorySource, StripConfig};
+use ccl_datasets::synth::noise::bernoulli;
+use ccl_image::io::pbm;
+use ccl_stream::{label_stream, CountComponents, MemorySource, PbmSource, RowSource, StripConfig};
 
 fn bench_stream_scaling(c: &mut Criterion) {
     let img = landcover(1024, 4096, LandcoverParams::default(), 23);
@@ -71,5 +74,30 @@ fn bench_stream_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_stream_scaling);
+/// P4 decode alone: `PbmSource` over the in-memory bytes of a 2048-wide
+/// Bernoulli 0.5 raster (`strip-noise`'s shape) in 256-row bands — the
+/// decode rate as one number.
+fn bench_pbm_decode(c: &mut Criterion) {
+    let img = bernoulli(2048, 8192, 0.5, 29);
+    let bytes = pbm::write_binary(&img);
+    let mut group = c.benchmark_group("pbm-decode");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(400));
+    // pixels per iteration, so the rate reads in Mpx/s
+    group.throughput(Throughput::Elements(img.len() as u64));
+    group.bench_with_input(BenchmarkId::new("noise-2048", 256), &bytes, |b, bytes| {
+        b.iter(|| {
+            let mut src = PbmSource::new(bytes.as_slice()).unwrap();
+            let mut rows = 0;
+            while let Some(band) = src.next_band(256).unwrap() {
+                rows += band.height();
+            }
+            black_box(rows)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_stream_scaling, bench_pbm_decode);
 criterion_main!(benches);

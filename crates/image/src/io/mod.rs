@@ -42,6 +42,22 @@ use crate::error::ImageError;
 /// time before the stream has delivered the bytes to fill it.
 const CHUNK: usize = 1 << 20;
 
+/// P4 byte → its 8 pixels, most significant bit first: byte `i` of
+/// `UNPACK[b].to_le_bytes()` is bit `7 − i` of `b`.
+const UNPACK: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= ((b as u64 >> (7 - i)) & 1) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// `width × height × channels` samples, or a parse error when the product
 /// overflows `usize` (a hostile header must not wrap into a small buffer).
 fn sample_count(width: usize, height: usize, channels: usize) -> Result<usize, ImageError> {
@@ -306,6 +322,9 @@ impl<R: Read> Decoder<R> {
             // A row is ⌈width/8⌉ bytes, read in chunks of at most
             // `CHUNK` bytes (8 × `CHUNK` pixels). A zero-width band has
             // no bytes to read, however many rows it declares.
+            // Each byte unpacks to 8 pixels through one `UNPACK` lookup;
+            // a row's last, partial byte keeps only its leading pixels, so
+            // padding bits never become pixels.
             let mut row_bytes = Vec::with_capacity(self.width.div_ceil(8).min(CHUNK));
             for _ in 0..rows {
                 let mut left = self.width;
@@ -313,7 +332,16 @@ impl<R: Read> Decoder<R> {
                     let n = left.min(8 * CHUNK);
                     row_bytes.resize(n.div_ceil(8), 0);
                     self.scanner.read_exact(&mut row_bytes)?;
-                    pixels.extend((0..n).map(|c| (row_bytes[c >> 3] >> (7 - (c & 7))) & 1));
+                    let start = pixels.len();
+                    pixels.resize(start + n, 0);
+                    let mut eights = pixels[start..].chunks_exact_mut(8);
+                    for (eight, &b) in eights.by_ref().zip(&row_bytes) {
+                        eight.copy_from_slice(&UNPACK[usize::from(b)].to_le_bytes());
+                    }
+                    let tail = eights.into_remainder();
+                    if let Some(&b) = row_bytes.get(n / 8) {
+                        tail.copy_from_slice(&UNPACK[usize::from(b)].to_le_bytes()[..tail.len()]);
+                    }
                     left -= n;
                 }
             }
@@ -398,6 +426,95 @@ mod tests {
         assert!(ByteScanner::new(&b"x"[..])
             .expect_single_whitespace()
             .is_err());
+    }
+
+    /// The pixels of a P4 body of `rows` rows `width` wide, bit by bit:
+    /// pixel `c` of a row is bit `7 − c % 8` of the row's byte `c / 8`.
+    fn unpack_bit_by_bit(body: &[u8], width: usize, rows: usize) -> Vec<u8> {
+        let stride = width.div_ceil(8);
+        (0..rows)
+            .flat_map(|r| (0..width).map(move |c| (body[r * stride + c / 8] >> (7 - c % 8)) & 1))
+            .collect()
+    }
+
+    /// Decodes the P4 stream of `body` with the whole-buffer reader and
+    /// with `PbmBands` at several odd band heights, checks both against
+    /// the bit-by-bit decoder, and checks that every truncation of the
+    /// body is a parse error.
+    fn check_p4(width: usize, rows: usize, body: &[u8]) {
+        let ctx = format!("{width}x{rows}");
+        let mut bytes = format!("P4\n{width} {rows}\n").into_bytes();
+        bytes.extend_from_slice(body);
+        let expected = unpack_bit_by_bit(body, width, rows);
+        assert_eq!(
+            pbm::read(&bytes).unwrap().as_slice(),
+            &expected[..],
+            "{ctx}"
+        );
+        for band in [1, 3, 5, 7] {
+            let mut bands = stream::PbmBands::new(&bytes[..]).unwrap();
+            let mut pixels = Vec::new();
+            while let Some(b) = bands.next_band(band).unwrap() {
+                pixels.extend_from_slice(b.as_slice());
+            }
+            assert_eq!(pixels, expected, "{ctx} in {band}-row bands");
+        }
+        let cut = bytes.len() - body.len();
+        for short in [cut, cut + body.len() / 2, bytes.len() - 1] {
+            let truncated = &bytes[..short];
+            assert!(
+                matches!(pbm::read(truncated), Err(ImageError::Parse(_))),
+                "{ctx} cut to {short} bytes"
+            );
+            let mut bands = stream::PbmBands::new(truncated).unwrap();
+            let err = loop {
+                match bands.next_band(3) {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => panic!("{ctx} cut to {short} bytes decoded in full"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, ImageError::Parse(_)), "{ctx}: {err:?}");
+        }
+    }
+
+    /// The table-driven P4 unpack equals a bit-by-bit decoder: every byte
+    /// value, as a full byte and as a row's partial last byte; widths
+    /// 1–70 (partial last bytes and the bytes after the last full one);
+    /// padding bits all 0 or all 1, which must never become pixels.
+    #[test]
+    fn p4_unpack_matches_a_bit_by_bit_decoder() {
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // every byte value, one per row: full bytes at width 8, partial
+        // last bytes (garbage padding included) at widths 1–7, 9 and 15
+        let every: Vec<u8> = (0..=255).collect();
+        check_p4(8, 256, &every);
+        for width in [1, 2, 3, 4, 5, 6, 7] {
+            check_p4(width, 256, &every);
+        }
+        let pairs: Vec<u8> = (0..=255u8).flat_map(|b| [b.reverse_bits(), b]).collect();
+        check_p4(9, 256, &pairs);
+        check_p4(15, 256, &pairs);
+        for width in 1..=70usize {
+            let stride = width.div_ceil(8);
+            let pad = 8 * stride - width;
+            for padding in [0u8, 0xff] {
+                let rows = 1 + (next() % 6) as usize;
+                let mut body: Vec<u8> = (0..stride * rows).map(|_| next() as u8).collect();
+                for row in body.chunks_mut(stride) {
+                    let last = &mut row[stride - 1];
+                    let mask = ((1u16 << pad) - 1) as u8;
+                    *last = (*last & !mask) | (padding & mask);
+                }
+                check_p4(width, rows, &body);
+            }
+        }
     }
 
     /// Headers declaring far more samples than the buffer holds, or

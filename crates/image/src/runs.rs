@@ -6,6 +6,8 @@
 //! representation; the run-based labeling baseline in `ccl-core` consumes
 //! it directly.
 
+use std::ops::Range;
+
 use crate::bitmap::BinaryImage;
 
 /// A maximal horizontal run of foreground pixels within one row.
@@ -53,10 +55,12 @@ impl Run {
 }
 
 /// Extracts the maximal foreground runs of a single row buffer of 0/1
-/// pixels ([`for_each_run`]).
+/// pixels ([`pack_line`], then [`for_each_run`]).
 pub fn runs_of_row(row_index: usize, row: &[u8]) -> Vec<Run> {
+    let mut words = vec![0; row.len().div_ceil(64)];
+    pack_line(row, &mut words);
     let mut out = Vec::new();
-    for_each_run(row, |start, end| {
+    for_each_run(&words, 0..row.len(), |start, end| {
         out.push(Run {
             row: row_index,
             start,
@@ -66,45 +70,68 @@ pub fn runs_of_row(row_index: usize, row: &[u8]) -> Vec<Run> {
     out
 }
 
-/// Calls `f(a, b)` for every run `[a, b)` of `line` — a maximal
-/// stretch of foreground in a line of 0/1 pixels — left to right.
-/// Word-wide: each 64-pixel block is packed to one bit per pixel (eight
-/// pixels per `u64` load), and the run edges are the set bits of
-/// `mask ^ (mask << 1)`, so the work per block is one step per run edge
-/// rather than one branch per pixel.
-pub fn for_each_run(line: &[u8], mut f: impl FnMut(usize, usize)) {
+/// Packs a line of 0/1 pixels one bit per pixel: bit `c % 64` of
+/// `words[c / 64]` is `line[c]`, and the last word's bits past the line
+/// are 0. `words` holds at least `⌈line.len() / 64⌉` words; the ones
+/// after that are left alone. Eight pixels go per `u64` load: a multiply
+/// gathers the low bit of each of 8 bytes into the product's top byte.
+/// A word-aligned sub-line packs into the matching words, so
+/// `pack_line(&line[64 * k..], &mut words[k..])` repacks from word `k` on.
+pub fn pack_line(line: &[u8], words: &mut [u64]) {
     // bit i of the product's top byte is byte i of `x`, for 0/1 bytes
     let pack = |x: u64| x.wrapping_mul(0x0102_0408_1020_4080) >> 56;
-    let n = line.len();
-    // `prev`: the pixel left of the block; `start`: the open run's start
-    let (mut prev, mut start) = (0u64, 0);
-    for (base, block) in (0..n).step_by(64).zip(line.chunks(64)) {
+    for (block, word) in line.chunks(64).zip(words.iter_mut()) {
         let mut m = 0;
-        let mut words = block.chunks_exact(8);
-        for (k, word) in words.by_ref().enumerate() {
-            m |= pack(u64::from_le_bytes(word.try_into().expect("8-byte chunk"))) << (8 * k);
+        let mut bytes = block.chunks_exact(8);
+        for (k, eight) in bytes.by_ref().enumerate() {
+            m |= pack(u64::from_le_bytes(eight.try_into().expect("8-byte chunk"))) << (8 * k);
         }
-        let len = block.len();
-        let tail = words.remainder();
+        let tail = bytes.remainder();
         if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            m |= pack(u64::from_le_bytes(word)) << (len - tail.len());
+            let mut eight = [0u8; 8];
+            eight[..tail.len()].copy_from_slice(tail);
+            m |= pack(u64::from_le_bytes(eight)) << (block.len() - tail.len());
         }
-        let mut edges = (m ^ ((m << 1) | prev)) & (u64::MAX >> (64 - len));
+        *word = m;
+    }
+}
+
+/// Calls `f(a, b)` for every run `[a, b)` of the packed line `words`
+/// ([`pack_line`]) within the columns `span`, left to right — a maximal
+/// stretch of foreground clipped to the span, so a run crossing an edge
+/// of the span starts or ends at it. Word-wide: the run edges are the
+/// set bits of `m ^ (m << 1)`, so the work per word is one step per run
+/// edge rather than one branch per pixel.
+#[inline]
+pub fn for_each_run(words: &[u64], span: Range<usize>, mut f: impl FnMut(usize, usize)) {
+    if span.is_empty() {
+        return;
+    }
+    // `prev`: the pixel left of the word; `start`: the open run's start
+    let (mut prev, mut start) = (0u64, 0);
+    let (first, last) = (span.start / 64, (span.end - 1) / 64);
+    // the empty word after the span ends a run that reaches the span's
+    // end, so `f` has one call site
+    let padded = words[first..=last].iter().chain(&[0]);
+    for (k, &word) in (first..).zip(padded) {
+        let mut m = word;
+        if k == first {
+            m &= u64::MAX << (span.start % 64);
+        }
+        if k == last {
+            m &= u64::MAX >> (63 - (span.end - 1) % 64);
+        }
+        let mut edges = m ^ ((m << 1) | prev);
         while edges != 0 {
             let p = edges.trailing_zeros() as usize;
             edges &= edges - 1;
             if (m >> p) & 1 == 1 {
-                start = base + p;
+                start = 64 * k + p;
             } else {
-                f(start, base + p);
+                f(start, 64 * k + p);
             }
         }
-        prev = (m >> (len - 1)) & 1;
-    }
-    if prev == 1 {
-        f(start, n);
+        prev = m >> 63;
     }
 }
 
@@ -233,9 +260,32 @@ mod tests {
             }
         }
         for line in &lines {
-            let mut runs = Vec::new();
-            for_each_run(line, |a, b| runs.push((a, b)));
-            assert_eq!(runs, naive_runs(line), "{line:?}");
+            let mut words = vec![u64::MAX; line.len().div_ceil(64) + 1];
+            pack_line(line, &mut words);
+            assert_eq!(
+                words[words.len() - 1],
+                u64::MAX,
+                "{line:?}: words past the line"
+            );
+            for (c, &p) in line.iter().enumerate() {
+                assert_eq!((words[c / 64] >> (c % 64)) & 1, u64::from(p), "{line:?}");
+            }
+            if line.len() % 64 != 0 {
+                let padding = words[line.len() / 64] >> (line.len() % 64);
+                assert_eq!(padding, 0, "{line:?}: padding bits");
+            }
+            // every sub-span: runs clipped to its edges
+            let n = line.len();
+            let spans = [0..n, n / 3..n, 0..n - n / 5, n / 4..n - n / 4, n / 2..n / 2];
+            for span in spans {
+                let mut runs = Vec::new();
+                for_each_run(&words, span.clone(), |a, b| runs.push((a, b)));
+                let clipped = naive_runs(&line[span.clone()])
+                    .into_iter()
+                    .map(|(a, b)| (span.start + a, span.start + b))
+                    .collect::<Vec<_>>();
+                assert_eq!(runs, clipped, "{line:?}, span {span:?}");
+            }
         }
     }
 

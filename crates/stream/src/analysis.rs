@@ -34,6 +34,15 @@
 //!    partials, folded in any order, reproduces the sequential per-pixel
 //!    fold bit for bit (property-tested, runs against pixels included,
 //!    in `tests/proptest_accum.rs`).
+//!
+//!    Runs are folded from **packed words**, not bytes: the scan packs
+//!    each line one bit per pixel (`ccl_image::runs::pack_line`), finds
+//!    its runs from the word edges, and counts each run's neighbours
+//!    with popcounts over the packed line above (Σnorth, Σ(north|ne))
+//!    and single bit reads (west, nw, north₀) — no per-pixel loop and
+//!    no per-pixel branch. [`Accum::from_run_counts`] turns the counts
+//!    into the run's accumulator; [`Accum::run`], the byte-counting
+//!    form the proptests check, ends in the same closed form.
 //! 2. **Attribution follows connectivity.** A perimeter/Euler delta is
 //!    attributed to the pixel that closes it, and the neighbours it
 //!    involves are 8-adjacent — always the same final component — so
@@ -191,15 +200,11 @@ impl Accum {
     /// The accumulator of one run: the foreground pixels `(r, c)` for
     /// `c` in `cols` (non-empty), a maximal stretch of one tile line —
     /// the unit the scan stage folds. It equals, bit for bit, the
-    /// raster-order fold of the run's [`Accum::pixel`] units, in closed
-    /// form. Every pixel after the first has its west neighbour in the
-    /// run, so the neighbour masks reduce to the first pixel's `west` and
-    /// `nw`, the 0/1 pixels `above` the run (`above[i]` is the north
-    /// neighbour of pixel `cols.start + i`) and the last pixel's `ne`:
-    /// - area `n`, `Σr = r·n`, `Σc = c₀·n + n(n−1)/2` (integer sums,
-    ///   converted to f64 once); bbox and anchor from the endpoints;
-    /// - perimeter `4n − 2((n−1) + west + Σnorth)`;
-    /// - Euler `1 + Σnorth − (west|nw|north₀) − Σ(north|ne)`.
+    /// raster-order fold of the run's [`Accum::pixel`] units: the 0/1
+    /// pixels `above` the run (`above[i]` is the north neighbour of pixel
+    /// `cols.start + i`) are counted into Σnorth and Σ(north|ne), and
+    /// [`Accum::from_run_counts`] is the closed form. `west` and `nw` are
+    /// the first pixel's, `ne` the last pixel's neighbour.
     ///
     /// The neighbours may lie in the adjacent tiles or the carried row:
     /// they are raw pixels, never labels.
@@ -213,15 +218,40 @@ impl Accum {
     ) -> Accum {
         let n = cols.len();
         debug_assert!(n > 0 && above.len() == n, "run and row above disagree");
-        // one pass for Σnorth and Σ(north|ne): each pixel's ne is the
-        // next pixel's north, and the last one's is `ne`
-        let last = above[n - 1];
-        let (mut north, mut north_or_ne) = (u64::from(last), u64::from(last | u8::from(ne)));
-        for (&p, &q) in above[..n - 1].iter().zip(&above[1..]) {
-            north += u64::from(p);
-            north_or_ne += u64::from(p | q);
-        }
-        let (n, c0) = (n as u64, cols.start as u64);
+        // each pixel's ne is the next pixel's north, the last one's `ne`
+        let north = above.iter().map(|&p| u64::from(p)).sum();
+        let north_or_ne = above
+            .iter()
+            .zip(above[1..].iter().chain([&u8::from(ne)]))
+            .map(|(&p, &q)| u64::from(p | q))
+            .sum();
+        Accum::from_run_counts(r, cols, west, nw, above[0] == 1, north, north_or_ne)
+    }
+
+    /// The closed form of [`Accum::run`] on the run's neighbour counts:
+    /// the first pixel's `west`, `nw` and `north0` neighbours, and over
+    /// the run the number of pixels with a north neighbour (`north`) and
+    /// with a north or ne one (`north_or_ne`). Every pixel after the first
+    /// has its west neighbour in the run, so nothing else is needed:
+    /// - area `n`, `Σr = r·n`, `Σc = c₀·n + n(n−1)/2` (integer sums,
+    ///   converted to f64 once); bbox and anchor from the endpoints;
+    /// - perimeter `4n − 2((n−1) + west + Σnorth)`;
+    /// - Euler `1 + Σnorth − (west|nw|north₀) − Σ(north|ne)`.
+    ///
+    /// The scan stage counts straight from packed words (popcounts and
+    /// bit reads); [`Accum::run`] counts from bytes.
+    #[inline]
+    pub fn from_run_counts(
+        r: usize,
+        cols: Range<usize>,
+        west: bool,
+        nw: bool,
+        north0: bool,
+        north: u64,
+        north_or_ne: u64,
+    ) -> Accum {
+        let (n, c0) = (cols.len() as u64, cols.start as u64);
+        debug_assert!(n > 0, "a run has pixels");
         Accum {
             area: n,
             min_r: r,
@@ -232,7 +262,7 @@ impl Accum {
             sum_c: (c0 * n + n * (n - 1) / 2) as f64,
             anchor: (r, cols.start),
             perimeter: 4 * n - 2 * (n - 1 + u64::from(west) + north),
-            euler: 1 + north as i64 - i64::from(west || nw || above[0] == 1) - north_or_ne as i64,
+            euler: 1 + north as i64 - i64::from(west | nw | north0) - north_or_ne as i64,
             gid: 0,
         }
     }

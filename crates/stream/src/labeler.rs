@@ -41,8 +41,9 @@
 //!   1. the **first-line fold** — the unit's first line is the only part
 //!      of its partial accumulators the scan could not build (its upper
 //!      neighbours are the carry row), so its tile-local runs are folded
-//!      in here ([`Accum::run`], north/nw/ne read from the carry row) in
-//!      O(width);
+//!      in here in O(width), from the line and the carry row packed
+//!      straight from their labels to words ([`Accum::from_run_counts`],
+//!      north/nw/ne read from the carry row);
 //!   2. the **carry seam** between the carry row and the unit's first
 //!      line, one sequential pass over the scan's stitched store;
 //!   3. the **per-label fold** — carried accumulators onto their
@@ -50,8 +51,8 @@
 //!      each used label's partial onto its root: O(labels), never
 //!      O(pixels);
 //!   4. **fresh ids** for new components, in raster order of their
-//!      anchors: the fresh roots sorted by one packed key each, the
-//!      anchor's unit-local raster index `(row - r0) * width + col`;
+//!      anchors: the fresh roots radix-sorted on one packed key each,
+//!      the anchor's unit-local raster index `(row - r0) * width + col`;
 //!   5. **compaction** of the components still open on the unit's last
 //!      line to active ids `1..=k`, which rebuilds the carry row;
 //!   6. **emission** of every closed component, ascending id, as two
@@ -93,7 +94,7 @@ use ccl_unionfind::{RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentId, ComponentSink, TileMeta, TileSink};
 use crate::error::StreamError;
-use crate::scan::{fold_runs, scan_tile_row, shifted, ScannedRow};
+use crate::scan::{fold_runs, scan_tile_row, shifted, PackedLines, ScannedRow};
 use crate::source::TileRow;
 
 /// Configuration of the out-of-core labeler and its drivers.
@@ -412,14 +413,12 @@ impl StripLabeler {
         let n_carry = self.open_components() as u32;
         self.provisional_labels += u64::from(used.end - used.start);
 
-        // The first line's runs (labels double as the foreground mask):
+        // The first line's runs (labels packed as the foreground mask):
         // their upper neighbours are the carry row, which the scan stage
         // never reads. The first unit's row above is background.
-        let fg = |row: &[u32]| -> Vec<u8> { row.iter().map(|&l| u8::from(l != 0)).collect() };
-        let (first_fg, mut above) = (fg(first), fg(&self.carry));
-        above.resize(self.width, 0);
+        let lines = PackedLines::of_labels(first, &self.carry);
         for span in &spans {
-            fold_runs(r0, &first_fg, &above, span, &first[span.clone()], &mut acc);
+            fold_runs(r0, &lines, span, &first[span.clone()], &mut acc);
         }
         if !self.carry.is_empty() {
             merge_seam(&self.carry, first, &mut uf);
@@ -465,7 +464,7 @@ impl StripLabeler {
             let (r, c) = acc[*root as usize].anchor;
             *key = ((r - r0) * self.width + c) as u64;
         }
-        fresh.sort_unstable();
+        radix_sort(&mut fresh, (rows * self.width - 1) as u64);
         for &(_, root) in &fresh {
             acc[root as usize].gid = self.next_gid;
             self.next_gid += 1;
@@ -591,6 +590,34 @@ fn line<'a>(
                 .collect(),
         ),
     }
+}
+
+/// Sorts `items` by their keys, all unique and at most `max_key`: a
+/// two-pass LSD radix sort, one counting pass per half of the key's
+/// bits, so O(items + √max_key) — and, the keys being unique, the order
+/// `sort_unstable` gives.
+fn radix_sort(items: &mut Vec<(u64, u32)>, max_key: u64) {
+    let bits = (u64::BITS - max_key.leading_zeros()).div_ceil(2).max(1);
+    let mask = (1u64 << bits) - 1;
+    let mut counts = vec![0usize; 1 << bits];
+    let mut out = vec![(0, 0); items.len()];
+    for shift in [0, bits] {
+        counts.fill(0);
+        for &(key, _) in items.iter() {
+            counts[((key >> shift) & mask) as usize] += 1;
+        }
+        let mut at = 0;
+        for count in &mut counts {
+            (*count, at) = (at, at + *count);
+        }
+        for &item in items.iter() {
+            let digit = ((item.0 >> shift) & mask) as usize;
+            out[counts[digit]] = item;
+            counts[digit] += 1;
+        }
+        std::mem::swap(items, &mut out);
+    }
+    debug_assert!(items.windows(2).all(|p| p[0].0 < p[1].0), "unique keys");
 }
 
 /// Folds the carried accumulators onto their (possibly merged) roots,

@@ -15,7 +15,8 @@
 //!   inline). A worker scans its tiles' column windows of the band with
 //!   the two-line scan into a RemSP store of its own, grows the group's
 //!   **partial accumulator table** as labels appear — one closed-form
-//!   fold ([`Accum::run`]) per tile-local run, into the label at the
+//!   fold ([`Accum::from_run_counts`]) per tile-local run of the packed
+//!   lines ([`PackedLines`], [`fold_runs`]), into the label at the
 //!   run's first pixel ([`crate::analysis`] has the invariants) — and
 //!   merges the group's own **vertical seams** as strided columns
 //!   ([`merge_seam_strided`]). Neighbour probes read the band's raw
@@ -40,7 +41,7 @@
 use std::ops::Range;
 
 use ccl_core::scan::{merge_seam, merge_seam_strided, scan_two_line, split_spans};
-use ccl_image::runs::for_each_run;
+use ccl_image::runs::{for_each_run, pack_line};
 use ccl_image::BinaryImage;
 use ccl_unionfind::{EquivalenceStore, RemSP, UnionFind};
 
@@ -193,13 +194,17 @@ fn scan_group(
         store.new_label(id);
     }
     let mut partials = Vec::new();
+    let mut lines = PackedLines::new(band.width());
     let mut next = first;
     for (span, buf) in spans.iter().zip(labels.iter_mut()) {
         next = scan_two_line(band, 0..rows, span.clone(), buf, &mut store, next);
         partials.resize(next as usize, Accum::EMPTY);
+        let words = lines.words(span);
+        lines.pack(band.row(0), &words);
         for (r, line_labels) in buf.chunks_exact(span.len()).enumerate().skip(1) {
-            let (line, above) = (band.row(r), band.row(r - 1));
-            fold_runs(r0 + r, line, above, span, line_labels, &mut partials);
+            lines.advance();
+            lines.pack(band.row(r), &words);
+            fold_runs(r0 + r, &lines, span, line_labels, &mut partials);
         }
     }
     for (pair, s) in labels.windows(2).zip(spans.windows(2)) {
@@ -209,38 +214,230 @@ fn scan_group(
     (store, partials)
 }
 
+/// The run fold's two lines of a unit, packed one bit per pixel
+/// ([`pack_line`]): the line being folded and the line above it. Its
+/// owner (a scan group, or the merge for the first line) packs the
+/// words a fold reads and moves down a line by swapping the two, so the
+/// packed line of row `r` is row `r + 1`'s line above.
+pub(crate) struct PackedLines {
+    width: usize,
+    /// The line being folded.
+    line: Vec<u64>,
+    /// The line above it.
+    above: Vec<u64>,
+}
+
+impl PackedLines {
+    /// Two all-background lines of `width` pixels.
+    pub(crate) fn new(width: usize) -> Self {
+        let words = width.div_ceil(64);
+        PackedLines {
+            width,
+            line: vec![0; words],
+            above: vec![0; words],
+        }
+    }
+
+    /// The first line of a unit, as label lines: foreground where the
+    /// label is non-zero, the `above` line (the carry row) empty before
+    /// the first unit.
+    pub(crate) fn of_labels(line: &[u32], above: &[u32]) -> Self {
+        let pack = |labels: &[u32], words: &mut [u64]| {
+            for (block, word) in labels.chunks(64).zip(words) {
+                *word = (block.iter().enumerate()).fold(0, |m, (i, &l)| m | u64::from(l != 0) << i);
+            }
+        };
+        let mut lines = PackedLines::new(line.len());
+        pack(line, &mut lines.line);
+        pack(above, &mut lines.above);
+        lines
+    }
+
+    /// The words a fold over the columns `span` reads: the span's and
+    /// the column on either side, its runs' west, nw and ne neighbours.
+    pub(crate) fn words(&self, span: &Range<usize>) -> Range<usize> {
+        span.start.saturating_sub(1) / 64..(span.end + 1).min(self.width).div_ceil(64)
+    }
+
+    /// Packs the `words` of the full-width 0/1 `line` as the line being
+    /// folded; the other words keep what they held.
+    pub(crate) fn pack(&mut self, line: &[u8], words: &Range<usize>) {
+        let cols = 64 * words.start..(64 * words.end).min(self.width);
+        pack_line(&line[cols], &mut self.line[words.clone()]);
+    }
+
+    /// Moves down one line: the line being folded becomes the line above.
+    pub(crate) fn advance(&mut self) {
+        std::mem::swap(&mut self.line, &mut self.above);
+    }
+}
+
+/// Set bits in the columns `cols` (non-empty) of the packed line whose
+/// word `k` is `word(k)`.
+#[inline]
+fn ones(cols: Range<usize>, word: impl Fn(usize) -> u64) -> u64 {
+    let (i, j) = (cols.start / 64, (cols.end - 1) / 64);
+    let head = word(i) & (u64::MAX << (cols.start % 64));
+    let tail = u64::MAX >> (63 - (cols.end - 1) % 64);
+    let n = if i == j {
+        (head & tail).count_ones()
+    } else {
+        let middle: u32 = (i + 1..j).map(|k| word(k).count_ones()).sum();
+        head.count_ones() + middle + (word(j) & tail).count_ones()
+    };
+    u64::from(n)
+}
+
 /// Folds line `r` of a unit into the partial table `parts`: one
-/// closed-form accumulator ([`Accum::run`]) per run of `line` within the
-/// tile `span`, into the label of the run's first pixel (`labels` is the
+/// accumulator per run of the packed `lines.line` within the tile
+/// `span`, into the label of the run's first pixel (`labels` is the
 /// tile's label line) — where every provisional label is created, so
-/// each used label gets a non-empty partial. `line` and `above` are the
-/// unit's full-width 0/1 lines, so runs at a tile edge read their
-/// west, nw and ne neighbours from the adjacent tile's pixels, never
-/// from its labels. The scan folds lines `1..` of each tile; the carry
-/// merge folds line 0 with the carry row as `above`.
+/// each used label gets a non-empty partial. The accumulator is
+/// [`Accum::from_run_counts`] on counts read from the packed words: Σnorth
+/// and Σ(north|ne) are popcounts over the line above, west, nw and
+/// north₀ single bits. Both lines are full-width, so runs at a tile
+/// edge read their west, nw and ne neighbours from the adjacent tile's
+/// pixels, never from its labels. The scan folds lines `1..` of each
+/// tile; the merge folds line 0 with the carry row as the line above.
 #[inline]
 pub(crate) fn fold_runs(
     r: usize,
-    line: &[u8],
-    above: &[u8],
+    lines: &PackedLines,
     span: &Range<usize>,
     labels: &[u32],
     parts: &mut [Accum],
 ) {
-    let w = line.len();
-    for_each_run(&line[span.clone()], |a, b| {
-        let label = labels[a] as usize;
-        let (a, b) = (span.start + a, span.start + b);
-        let west = a > 0 && line[a - 1] == 1;
-        let nw = a > 0 && above[a - 1] == 1;
-        let ne = b < w && above[b] == 1;
-        parts[label].fold(&Accum::run(r, a..b, west, nw, &above[a..b], ne));
+    let (line, above) = (&lines.line[..], &lines.above[..]);
+    let bit = |words: &[u64], c: usize| (words[c / 64] >> (c % 64)) & 1 == 1;
+    // bit c of word k: column c's north or ne neighbour (ne of the
+    // word's last column is bit 0 of the next word)
+    let north_or_ne =
+        |k: usize| above[k] | above[k] >> 1 | above.get(k + 1).map_or(0, |&next| next << 63);
+    for_each_run(line, span.clone(), |a, b| {
+        let west = a > 0 && bit(line, a - 1);
+        let nw = a > 0 && bit(above, a - 1);
+        let north = ones(a..b, |k| above[k]);
+        let north_or_ne = ones(a..b, north_or_ne);
+        let run = Accum::from_run_counts(r, a..b, west, nw, bit(above, a), north, north_or_ne);
+        parts[labels[a - span.start] as usize].fold(&run);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The partial table of one line by definition: every foreground
+    /// pixel of `span` folded in raster order as its [`Accum::pixel`]
+    /// unit into the label of its run's first pixel, the neighbours read
+    /// from the full-width 0/1 lines (so from the adjacent tiles too).
+    fn pixel_fold(
+        r: usize,
+        line: &[u8],
+        above: &[u8],
+        span: &Range<usize>,
+        labels: &[u32],
+        parts: &mut [Accum],
+    ) {
+        let fg = |row: &[u8], c: Option<usize>| c.and_then(|c| row.get(c)) == Some(&1);
+        let mut run_label = 0;
+        for c in span.clone() {
+            if line[c] == 0 {
+                continue;
+            }
+            if c == span.start || line[c - 1] == 0 {
+                run_label = labels[c - span.start];
+            }
+            let (west, nw) = (fg(line, c.checked_sub(1)), fg(above, c.checked_sub(1)));
+            let unit = Accum::pixel(r, c, west, nw, above[c] == 1, fg(above, Some(c + 1)));
+            parts[run_label as usize].fold(&unit);
+        }
+    }
+
+    /// The packed fold equals the pixel fold on random lines up to 300 px:
+    /// spans at and around multiples of 8 and 64, runs across word
+    /// boundaries, tile-edge runs whose west, nw and ne neighbours lie in
+    /// the adjacent tiles — through the scan's path (byte lines packed
+    /// word range by word range over stale words) and the merge's
+    /// first-line path (label lines, against a carry row or none).
+    #[test]
+    fn packed_fold_equals_the_pixel_fold() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let edges = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 200];
+        for case in 0..3000 {
+            let w = 1 + (next() % 300) as usize;
+            let density = 1 + next() % 7; // of 8
+            let mut random_line =
+                || -> Vec<u8> { (0..w).map(|_| u8::from(next() % 8 < density)).collect() };
+            let (line, above, stale) = (random_line(), random_line(), random_line());
+            let pick = |x: u64| match x % 3 {
+                0 => edges[(x / 3) as usize % edges.len()].min(w - 1),
+                _ => (x / 3) as usize % w,
+            };
+            let start = pick(next());
+            let end = (start + 1 + pick(next()) % (w - start)).min(w);
+            let span = start..end;
+            // each run of the span under a label of its own, some shared
+            let mut labels = vec![0u32; span.len()];
+            let mut label = 0;
+            for c in span.clone() {
+                if line[c] == 1 && (c == span.start || line[c - 1] == 0) {
+                    label = 1 + (next() % 40) as u32;
+                }
+                labels[c - span.start] = if line[c] == 1 { label } else { 0 };
+            }
+            let r = (next() % 1000) as usize;
+            let ctx = format!("case {case}: width {w}, span {span:?}");
+
+            let mut expected = vec![Accum::EMPTY; 41];
+            pixel_fold(r, &line, &above, &span, &labels, &mut expected);
+            let expected = format!("{expected:?}");
+
+            // the scan: byte lines packed over the span's words only
+            let mut lines = PackedLines::new(w);
+            lines.pack(&stale, &(0..w.div_ceil(64)));
+            lines.advance();
+            lines.pack(&stale, &(0..w.div_ceil(64)));
+            let words = lines.words(&span);
+            lines.pack(&above, &words);
+            lines.advance();
+            lines.pack(&line, &words);
+            let mut parts = vec![Accum::EMPTY; 41];
+            fold_runs(r, &lines, &span, &labels, &mut parts);
+            assert_eq!(format!("{parts:?}"), expected, "{ctx}, scan");
+
+            // the merge's first line: label lines, the carry row as above
+            let mut as_labels = |px: &[u8]| -> Vec<u32> {
+                px.iter()
+                    .map(|&p| u32::from(p) * (1 + (next() % 9) as u32))
+                    .collect()
+            };
+            let mut full = as_labels(&line);
+            full[span.clone()].copy_from_slice(&labels);
+            let carry = as_labels(&above);
+            let lines = PackedLines::of_labels(&full, &carry);
+            let mut parts = vec![Accum::EMPTY; 41];
+            fold_runs(r, &lines, &span, &labels, &mut parts);
+            assert_eq!(format!("{parts:?}"), expected, "{ctx}, first line");
+            // no carry row (the first unit): the line above is background
+            let mut no_carry = vec![Accum::EMPTY; 41];
+            pixel_fold(r, &line, &vec![0; w], &span, &labels, &mut no_carry);
+            let lines = PackedLines::of_labels(&full, &[]);
+            let mut parts = vec![Accum::EMPTY; 41];
+            fold_runs(r, &lines, &span, &labels, &mut parts);
+            assert_eq!(
+                format!("{parts:?}"),
+                format!("{no_carry:?}"),
+                "{ctx}, no carry"
+            );
+        }
+    }
 
     #[test]
     fn parallel_scan_equals_the_sequential_scan() {
