@@ -1,37 +1,17 @@
 //! Component analysis built on top of labeling — the operations the
 //! paper's motivating applications (inspection, character recognition,
-//! medical imaging) run after CCL.
+//! medical imaging) run after CCL: hole counts, whole-image and per
+//! label, and per-component region properties.
 //!
 //! Hole counting labels the *background* under the complementary
 //! connectivity (4-connected background for 8-connected foreground, the
-//! standard duality that keeps the Euler number consistent).
+//! standard duality under which every enclosed background region is one
+//! hole).
 
 use ccl_image::{BinaryImage, Connectivity};
 
 use crate::label::LabelImage;
 use crate::seq::flood::flood_fill_label_with;
-use crate::seq::flood_fill_label;
-
-/// Removes foreground components smaller than `min_size` pixels
-/// (area opening).
-pub fn remove_small_components(image: &BinaryImage, min_size: usize) -> BinaryImage {
-    let labels = flood_fill_label(image);
-    let sizes = labels.component_sizes();
-    BinaryImage::from_fn(image.width(), image.height(), |r, c| {
-        let l = labels.get(r, c);
-        l != 0 && sizes[l as usize] >= min_size
-    })
-}
-
-/// Keeps only the largest component (ties: smallest label). An empty
-/// image stays empty.
-pub fn keep_largest_component(image: &BinaryImage) -> BinaryImage {
-    let labels = flood_fill_label(image);
-    match labels.largest_component() {
-        Some(l) => labels.component_mask(l),
-        None => BinaryImage::zeros(image.width(), image.height()),
-    }
-}
 
 /// Number of holes: background components (under the connectivity dual
 /// to `conn`) that do not touch the image border.
@@ -58,13 +38,6 @@ pub fn count_holes(image: &BinaryImage, conn: Connectivity) -> u32 {
     (1..=labels.num_components() as usize)
         .filter(|&l| !touches_border[l])
         .count() as u32
-}
-
-/// Euler number: components minus holes (under `conn` for the foreground
-/// and its dual for the background).
-pub fn euler_number(image: &BinaryImage, conn: Connectivity) -> i64 {
-    let components = flood_fill_label_with(image, conn).num_components() as i64;
-    components - count_holes(image, conn) as i64
 }
 
 /// Per-component hole counts (8-connected foreground / 4-connected
@@ -164,36 +137,7 @@ pub fn region_properties(labels: &LabelImage) -> Vec<Region> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn remove_small_keeps_big() {
-        let img = BinaryImage::parse(
-            "##...#
-             ##....
-             ......
-             ....#.",
-        );
-        let cleaned = remove_small_components(&img, 3);
-        assert_eq!(cleaned.count_foreground(), 4); // only the 2x2 block
-        assert_eq!(cleaned.get(0, 0), 1);
-        assert_eq!(cleaned.get(0, 5), 0);
-        assert_eq!(cleaned.get(3, 4), 0);
-    }
-
-    #[test]
-    fn keep_largest_selects_biggest() {
-        let img = BinaryImage::parse(
-            "###..#
-             ###...
-             ......",
-        );
-        let largest = keep_largest_component(&img);
-        assert_eq!(largest.count_foreground(), 6);
-        assert_eq!(
-            keep_largest_component(&BinaryImage::zeros(3, 3)).count_foreground(),
-            0
-        );
-    }
+    use crate::seq::flood_fill_label;
 
     #[test]
     fn holes_in_ring() {
@@ -203,10 +147,8 @@ mod tests {
              #####",
         );
         assert_eq!(count_holes(&ring, Connectivity::Eight), 1);
-        assert_eq!(euler_number(&ring, Connectivity::Eight), 0);
         let solid = BinaryImage::ones(4, 4);
         assert_eq!(count_holes(&solid, Connectivity::Eight), 0);
-        assert_eq!(euler_number(&solid, Connectivity::Eight), 1);
     }
 
     #[test]
@@ -253,7 +195,6 @@ mod tests {
              #########",
         );
         assert_eq!(count_holes(&img, Connectivity::Eight), 2);
-        assert_eq!(euler_number(&img, Connectivity::Eight), -1);
     }
 
     #[test]
@@ -278,7 +219,6 @@ mod tests {
     fn empty_image_edge_cases() {
         let empty = BinaryImage::zeros(0, 0);
         assert_eq!(count_holes(&empty, Connectivity::Eight), 0);
-        assert_eq!(euler_number(&empty, Connectivity::Eight), 0);
         assert!(region_properties(&flood_fill_label(&empty)).is_empty());
     }
 }

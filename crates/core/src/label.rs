@@ -1,7 +1,5 @@
 //! [`LabelImage`] — the output of every labeling algorithm.
 
-use ccl_image::BinaryImage;
-
 /// A labeled image: background pixels hold 0, each connected component's
 /// pixels hold the same label from `1..=num_components`.
 ///
@@ -71,11 +69,6 @@ impl LabelImage {
         &self.labels
     }
 
-    /// Consumes the image and returns the label buffer.
-    pub fn into_raw(self) -> Vec<u32> {
-        self.labels
-    }
-
     /// Pixel count of every component, indexed by label
     /// (`sizes[0]` is the background pixel count).
     pub fn component_sizes(&self) -> Vec<usize> {
@@ -126,25 +119,6 @@ impl LabelImage {
         sums.iter()
             .map(|&(sr, sc, n)| (sr / n as f64, sc / n as f64))
             .collect()
-    }
-
-    /// Label of the largest component (ties broken by smaller label);
-    /// `None` when there are no components.
-    pub fn largest_component(&self) -> Option<u32> {
-        let sizes = self.component_sizes();
-        (1..sizes.len())
-            .max_by_key(|&l| (sizes[l], usize::MAX - l))
-            .map(|l| l as u32)
-    }
-
-    /// Extracts the binary mask of one component.
-    pub fn component_mask(&self, label: u32) -> BinaryImage {
-        BinaryImage::from_fn(self.width, self.height, |r, c| self.get(r, c) == label)
-    }
-
-    /// The binary foreground (all labeled pixels).
-    pub fn foreground_mask(&self) -> BinaryImage {
-        BinaryImage::from_fn(self.width, self.height, |r, c| self.get(r, c) != 0)
     }
 
     /// Renumbers labels into the canonical order: consecutive `1..=k` by
@@ -241,25 +215,6 @@ mod tests {
         assert!((c[2].1 - 0.0).abs() < 1e-12);
         assert!((c[1].0 - 1.0).abs() < 1e-12);
         assert!((c[1].1 - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn largest_component_prefers_smaller_label_on_tie() {
-        let li = sample();
-        // labels 1 and 2 both have 3 pixels; tie goes to label 1
-        assert_eq!(li.largest_component(), Some(1));
-        let empty = LabelImage::from_raw(2, 2, vec![0; 4], 0);
-        assert_eq!(empty.largest_component(), None);
-    }
-
-    #[test]
-    fn masks_round_trip() {
-        let li = sample();
-        let m2 = li.component_mask(2);
-        assert_eq!(m2.count_foreground(), 3);
-        assert_eq!(m2.get(0, 3), 1);
-        let fg = li.foreground_mask();
-        assert_eq!(fg.count_foreground(), 7);
     }
 
     #[test]

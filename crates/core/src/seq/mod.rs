@@ -3,16 +3,12 @@
 
 pub mod contour;
 pub mod flood;
-pub mod four_conn;
-pub mod grayscale;
 pub mod multipass;
 pub mod run_based;
 pub mod two_pass;
 
 pub use contour::contour_label;
 pub use flood::{flood_fill_label, flood_fill_label_with};
-pub use four_conn::label_four_connectivity;
-pub use grayscale::{flood_fill_grayscale, label_grayscale};
 pub use multipass::multipass;
 pub use run_based::run_based;
 pub use two_pass::{aremsp, arun, ccllrpc, cclremsp, two_pass_with, ScanStrategy};

@@ -1,18 +1,11 @@
 //! Timing harness for the table/figure binaries.
 //!
-//! Criterion drives the statistical micro-benchmarks; these helpers drive
-//! the *table generators*, which need one wall-clock number per
+//! Criterion drives the statistical micro-benchmarks; [`time_best_of`]
+//! drives the *table generators*, which need one wall-clock number per
 //! (algorithm, image) cell the way the paper measured them: best of a few
 //! repetitions after a warm-up run.
 
 use std::time::Instant;
-
-/// Milliseconds elapsed while running `f` once; returns `(result, ms)`.
-pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64() * 1e3)
-}
 
 /// Best-of-`reps` timing in milliseconds (one untimed warm-up first).
 /// `reps` is clamped to ≥ 1.
@@ -28,27 +21,9 @@ pub fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-/// Average-of-`reps` timing in milliseconds (one untimed warm-up first).
-pub fn time_avg_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let reps = reps.max(1);
-    std::hint::black_box(f());
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() * 1e3 / reps as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_once_returns_result_and_positive_time() {
-        let (r, ms) = time_once(|| (0..10_000).sum::<u64>());
-        assert_eq!(r, 49_995_000);
-        assert!(ms >= 0.0);
-    }
 
     #[test]
     fn best_of_is_not_larger_than_a_single_run() {
@@ -59,7 +34,9 @@ mod tests {
             }
             x
         };
-        let (_, single) = time_once(work);
+        let t0 = Instant::now();
+        std::hint::black_box(work());
+        let single = t0.elapsed().as_secs_f64() * 1e3;
         let best = time_best_of(5, work);
         // generous slack: the best of 5 should not exceed 5x one run
         assert!(best <= single * 5.0 + 5.0);
@@ -69,8 +46,6 @@ mod tests {
     #[test]
     fn reps_clamped_to_one() {
         let ms = time_best_of(0, || 1 + 1);
-        assert!(ms.is_finite());
-        let ms = time_avg_of(0, || 1 + 1);
         assert!(ms.is_finite());
     }
 }

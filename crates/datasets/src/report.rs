@@ -1,5 +1,5 @@
 //! Report rendering: aligned ASCII tables (the paper's Tables II–IV),
-//! CSV, JSON export and a small ASCII chart for the speedup figures.
+//! JSON export and a small ASCII chart for the speedup figures.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -66,32 +66,6 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             fmt_row(row, &mut out);
-        }
-        out
-    }
-
-    /// CSV rendering (naive quoting: cells containing commas are quoted).
-    pub fn to_csv(&self) -> String {
-        let quote = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
         }
         out
     }
@@ -185,14 +159,6 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(["a", "b"]);
         t.push_row(["only one"]);
-    }
-
-    #[test]
-    fn csv_quotes_commas() {
-        let mut t = Table::new(["name", "value"]);
-        t.push_row(["a,b", "1"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\",1"));
     }
 
     #[test]

@@ -40,15 +40,6 @@ impl SpeedupSeries {
     pub fn peak(&self) -> f64 {
         self.speedups.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Parallel efficiency (speedup / threads) at each point.
-    pub fn efficiencies(&self) -> Vec<f64> {
-        self.threads
-            .iter()
-            .zip(&self.speedups)
-            .map(|(&t, &s)| if t == 0 { 0.0 } else { s / t as f64 })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -68,14 +59,6 @@ mod tests {
         assert_eq!(s.threads, vec![2, 4, 8]);
         assert_eq!(s.speedups, vec![2.0, 4.0, 6.0]);
         assert_eq!(s.peak(), 6.0);
-    }
-
-    #[test]
-    fn efficiencies() {
-        let s = SpeedupSeries::from_times("img", 100.0, &[(2, 50.0), (4, 50.0)]);
-        let e = s.efficiencies();
-        assert!((e[0] - 1.0).abs() < 1e-12);
-        assert!((e[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]

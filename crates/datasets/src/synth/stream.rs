@@ -6,13 +6,12 @@
 //! produce the identical pixel stream a band of rows at a time: every
 //! stream here is tested to match its whole-image counterpart bit for bit.
 //!
-//! Generators whose pixels are pure functions of `(row, col, seed)`
-//! (land-cover fBm, textures, adversarial patterns) stream trivially; the
-//! Bernoulli noise carries its RNG across bands, drawing samples in the
-//! same row-major order as [`super::noise::bernoulli`]. Placement-based
-//! generators (blob fields, shape scenes) are intentionally absent — their
-//! shape lists are global state; stream them by materializing once and
-//! replaying (`ccl-stream`'s in-memory source).
+//! Land-cover fBm is a pure function of `(row, col, seed)` and streams
+//! trivially; the Bernoulli noise carries its RNG across bands, drawing
+//! samples in the same row-major order as [`super::noise::bernoulli`].
+//! Placement-based generators (blob fields, shape scenes) are
+//! intentionally absent — their shape lists are global state; stream them
+//! by materializing once and replaying (`ccl-stream`'s in-memory source).
 
 use ccl_image::threshold::im2bw;
 use ccl_image::{BinaryImage, GrayImage};
@@ -91,17 +90,6 @@ impl RowStream {
                 .expect("row fillers produce 0/1 pixels"),
         )
     }
-
-    /// Materializes the remaining rows into one image (testing aid).
-    pub fn collect(mut self) -> BinaryImage {
-        let width = self.width;
-        let rows = self.rows_remaining();
-        let mut data = Vec::with_capacity(width * rows);
-        while let Some(band) = self.next_band(64) {
-            data.extend_from_slice(band.as_slice());
-        }
-        BinaryImage::from_raw(width, rows, data).expect("collected rows are 0/1")
-    }
 }
 
 impl std::fmt::Debug for RowStream {
@@ -112,20 +100,6 @@ impl std::fmt::Debug for RowStream {
             self.width, self.height, self.produced
         )
     }
-}
-
-/// Streamed [`BinaryImage::from_fn`]: pixels from a pure
-/// `f(row, col) -> bool`.
-pub fn fn_stream(
-    width: usize,
-    height: usize,
-    mut f: impl FnMut(usize, usize) -> bool + Send + 'static,
-) -> RowStream {
-    RowStream::new(width, height, move |r, row| {
-        for (c, px) in row.iter_mut().enumerate() {
-            *px = u8::from(f(r, c));
-        }
-    })
 }
 
 /// Streamed [`super::noise::bernoulli`]: identical pixel stream, RNG state
@@ -154,49 +128,11 @@ pub fn landcover_stream(
     })
 }
 
-/// Streamed [`super::texture::checkerboard`].
-pub fn checkerboard_stream(width: usize, height: usize, cell: usize) -> RowStream {
-    let cell = cell.max(1);
-    fn_stream(width, height, move |r, c| {
-        (r / cell + c / cell).is_multiple_of(2)
-    })
-}
-
-/// Streamed [`super::adversarial::serpentine`].
-pub fn serpentine_stream(width: usize, height: usize) -> RowStream {
-    fn_stream(width, height, move |r, c| {
-        if r % 2 == 0 {
-            true
-        } else if (r / 2) % 2 == 0 {
-            c == width - 1
-        } else {
-            c == 0
-        }
-    })
-}
-
-/// Streamed [`super::adversarial::fine_checkerboard`].
-pub fn fine_checkerboard_stream(width: usize, height: usize) -> RowStream {
-    fn_stream(width, height, |r, c| (r + c) % 2 == 0)
-}
-
-/// Streamed [`super::adversarial::hstripes`].
-pub fn hstripes_stream(width: usize, height: usize) -> RowStream {
-    fn_stream(width, height, |r, _| r % 2 == 0)
-}
-
-/// Streamed [`super::adversarial::vstripes`].
-pub fn vstripes_stream(width: usize, height: usize) -> RowStream {
-    fn_stream(width, height, |_, c| c % 2 == 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::adversarial::{fine_checkerboard, hstripes, serpentine, vstripes};
     use crate::synth::landcover::landcover;
     use crate::synth::noise::bernoulli;
-    use crate::synth::texture::checkerboard;
 
     fn assert_stream_matches(mut stream: RowStream, full: &BinaryImage, band: usize) {
         assert_eq!(stream.width(), full.width());
@@ -233,25 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn pure_pattern_streams_match_full_generators() {
-        let w = 13;
-        let h = 11;
-        assert_stream_matches(checkerboard_stream(w, h, 3), &checkerboard(w, h, 3), 2);
-        assert_stream_matches(serpentine_stream(w, h), &serpentine(w, h), 3);
-        assert_stream_matches(fine_checkerboard_stream(w, h), &fine_checkerboard(w, h), 1);
-        assert_stream_matches(hstripes_stream(w, h), &hstripes(w, h), 4);
-        assert_stream_matches(vstripes_stream(w, h), &vstripes(w, h), 5);
-    }
-
-    #[test]
-    fn collect_equals_banded_delivery() {
-        let full = bernoulli(9, 14, 0.5, 3);
-        assert_eq!(bernoulli_stream(9, 14, 0.5, 3).collect(), full);
-    }
-
-    #[test]
     fn exhausted_stream_returns_none() {
-        let mut s = fn_stream(4, 2, |_, _| true);
+        let mut s = RowStream::new(4, 2, |_, row| row.fill(1));
         assert!(s.next_band(10).is_some());
         assert!(s.next_band(10).is_none());
         assert_eq!(s.rows_remaining(), 0);
@@ -259,13 +178,13 @@ mod tests {
 
     #[test]
     fn zero_height_stream_is_immediately_empty() {
-        let mut s = fn_stream(5, 0, |_, _| true);
+        let mut s = RowStream::new(5, 0, |_, row| row.fill(1));
         assert!(s.next_band(1).is_none());
     }
 
     #[test]
     fn debug_renders_progress() {
-        let mut s = fn_stream(3, 4, |_, _| false);
+        let mut s = RowStream::new(3, 4, |_, _| {});
         s.next_band(2);
         assert_eq!(format!("{s:?}"), "RowStream(3x4, 2 rows produced)");
     }

@@ -179,11 +179,6 @@ impl BinaryImage {
         &self.data[start..start + self.width]
     }
 
-    /// Consumes the image and returns its buffer.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
-    }
-
     /// Number of foreground pixels.
     pub fn count_foreground(&self) -> usize {
         self.data.iter().map(|&b| b as usize).sum()
@@ -232,28 +227,6 @@ impl BinaryImage {
             out.data[r * width..(r + 1) * width].copy_from_slice(&self.data[src..src + width]);
         }
         out
-    }
-
-    /// Returns a copy surrounded by a `margin`-pixel background border.
-    pub fn padded(&self, margin: usize) -> Self {
-        let mut out = BinaryImage::zeros(self.width + 2 * margin, self.height + 2 * margin);
-        for r in 0..self.height {
-            let dst = (r + margin) * out.width + margin;
-            out.data[dst..dst + self.width]
-                .copy_from_slice(&self.data[r * self.width..(r + 1) * self.width]);
-        }
-        out
-    }
-
-    /// Iterator over `(row, col)` coordinates of all foreground pixels,
-    /// in raster order.
-    pub fn foreground_pixels(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let width = self.width;
-        self.data
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v == 1)
-            .map(move |(i, _)| (i / width, i % width))
     }
 
     /// Size of the raw pixel buffer in bytes (1 byte per pixel). The paper
@@ -403,23 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn padded_adds_background_border() {
-        let img = BinaryImage::ones(2, 2);
-        let p = img.padded(2);
-        assert_eq!((p.width(), p.height()), (6, 6));
-        assert_eq!(p.count_foreground(), 4);
-        assert_eq!(p.get(2, 2), 1);
-        assert_eq!(p.get(0, 0), 0);
-    }
-
-    #[test]
-    fn foreground_pixels_in_raster_order() {
-        let img = BinaryImage::parse(".#. #.# .#.");
-        let px: Vec<_> = img.foreground_pixels().collect();
-        assert_eq!(px, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
-    }
-
-    #[test]
     fn row_slices() {
         let img = BinaryImage::parse("##. ..#");
         assert_eq!(img.row(0), &[1, 1, 0]);
@@ -431,7 +387,6 @@ mod tests {
         let img = BinaryImage::zeros(0, 0);
         assert!(img.is_empty());
         assert_eq!(img.density(), 0.0);
-        assert_eq!(img.foreground_pixels().count(), 0);
     }
 
     #[test]

@@ -35,21 +35,6 @@ impl Connectivity {
             ],
         }
     }
-
-    /// Offsets of the neighbours that precede pixel `(r, c)` in raster
-    /// order — the "forward scan mask" of Fig. 1a: `a (r-1,c-1)`,
-    /// `b (r-1,c)`, `c (r-1,c+1)`, `d (r,c-1)`.
-    pub fn prior_offsets(self) -> &'static [(isize, isize)] {
-        match self {
-            Connectivity::Four => &[(-1, 0), (0, -1)],
-            Connectivity::Eight => &[(-1, -1), (-1, 0), (-1, 1), (0, -1)],
-        }
-    }
-
-    /// Number of neighbours (4 or 8).
-    pub fn degree(self) -> usize {
-        self.offsets().len()
-    }
 }
 
 #[cfg(test)]
@@ -59,29 +44,11 @@ mod tests {
     #[test]
     fn four_has_four_offsets() {
         assert_eq!(Connectivity::Four.offsets().len(), 4);
-        assert_eq!(Connectivity::Four.degree(), 4);
     }
 
     #[test]
     fn eight_has_eight_offsets() {
         assert_eq!(Connectivity::Eight.offsets().len(), 8);
-        assert_eq!(Connectivity::Eight.degree(), 8);
-    }
-
-    #[test]
-    fn prior_offsets_are_strictly_before_in_raster_order() {
-        for conn in [Connectivity::Four, Connectivity::Eight] {
-            for &(dr, dc) in conn.prior_offsets() {
-                assert!(dr < 0 || (dr == 0 && dc < 0), "({dr},{dc}) not prior");
-            }
-        }
-    }
-
-    #[test]
-    fn prior_offsets_are_half_of_all_offsets() {
-        for conn in [Connectivity::Four, Connectivity::Eight] {
-            assert_eq!(conn.prior_offsets().len() * 2, conn.offsets().len());
-        }
     }
 
     #[test]

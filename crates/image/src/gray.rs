@@ -81,37 +81,10 @@ impl GrayImage {
         self.data[row * self.width + col]
     }
 
-    /// Sets the luminance at `(row, col)`.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: u8) {
-        debug_assert!(row < self.height && col < self.width);
-        self.data[row * self.width + col] = value;
-    }
-
     /// Read-only view of the raw luminance buffer.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Mutable view of the raw luminance buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
-    /// Consumes the image and returns its buffer.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
-    }
-
-    /// 256-bin luminance histogram.
-    pub fn histogram(&self) -> [usize; 256] {
-        let mut hist = [0usize; 256];
-        for &v in &self.data {
-            hist[v as usize] += 1;
-        }
-        hist
     }
 
     /// Mean luminance. Returns 0 for an empty image.
@@ -154,15 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_every_pixel() {
-        let img = GrayImage::from_fn(3, 3, |r, _| if r == 0 { 5 } else { 200 });
-        let h = img.histogram();
-        assert_eq!(h[5], 3);
-        assert_eq!(h[200], 6);
-        assert_eq!(h.iter().sum::<usize>(), 9);
-    }
-
-    #[test]
     fn mean_of_uniform() {
         let img = GrayImage::from_fn(10, 10, |_, _| 42);
         assert!((img.mean() - 42.0).abs() < 1e-12);
@@ -171,12 +135,5 @@ mod tests {
     #[test]
     fn mean_of_empty_is_zero() {
         assert_eq!(GrayImage::zeros(0, 5).mean(), 0.0);
-    }
-
-    #[test]
-    fn set_get_round_trip() {
-        let mut img = GrayImage::zeros(3, 3);
-        img.set(2, 1, 99);
-        assert_eq!(img.get(2, 1), 99);
     }
 }

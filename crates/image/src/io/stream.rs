@@ -97,11 +97,6 @@ impl<R: Read> PgmBands<R> {
         self.0.height
     }
 
-    /// The stream's declared maximum sample value.
-    pub fn maxval(&self) -> usize {
-        self.0.maxval
-    }
-
     /// Rows not yet delivered.
     pub fn rows_remaining(&self) -> usize {
         self.0.rows_remaining()
@@ -196,7 +191,6 @@ mod tests {
         let bytes = pgm::write_binary(&img);
         let bands = PgmBands::new(bytes.as_slice()).unwrap();
         assert_eq!((bands.width(), bands.height()), (7, 5));
-        assert_eq!(bands.maxval(), 255);
         assert_eq!(bands.rows_remaining(), 5);
     }
 

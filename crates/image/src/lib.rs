@@ -9,8 +9,7 @@
 //!
 //! * [`BinaryImage`] — the 0/1 raster every labeling algorithm consumes,
 //! * [`GrayImage`] / [`RgbImage`] — 8-bit grayscale and RGB rasters,
-//! * [`threshold`] — `im2bw`-compatible fixed thresholding plus Otsu's
-//!   method and adaptive mean thresholding,
+//! * [`threshold`] — `im2bw`-compatible fixed thresholding,
 //! * [`io`] — Netpbm (PBM/PGM/PPM, ASCII and binary) readers and writers,
 //! * [`runs`] — row run-length extraction (used by the run-based labeling
 //!   baseline),

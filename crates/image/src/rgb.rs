@@ -84,23 +84,10 @@ impl RgbImage {
         [self.data[base], self.data[base + 1], self.data[base + 2]]
     }
 
-    /// Sets the pixel at `(row, col)`.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, px: [u8; 3]) {
-        debug_assert!(row < self.height && col < self.width);
-        let base = (row * self.width + col) * 3;
-        self.data[base..base + 3].copy_from_slice(&px);
-    }
-
     /// Read-only view of the interleaved buffer.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Consumes the image and returns the interleaved buffer.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
     }
 
     /// Rec.601 luma conversion, matching MATLAB's `rgb2gray`:
@@ -172,13 +159,5 @@ mod tests {
     fn from_raw_length_check() {
         assert!(RgbImage::from_raw(2, 2, vec![0; 11]).is_err());
         assert!(RgbImage::from_raw(2, 2, vec![0; 12]).is_ok());
-    }
-
-    #[test]
-    fn set_get_round_trip() {
-        let mut img = RgbImage::zeros(2, 2);
-        img.set(1, 0, [10, 20, 30]);
-        assert_eq!(img.get(1, 0), [10, 20, 30]);
-        assert_eq!(img.get(0, 0), [0, 0, 0]);
     }
 }

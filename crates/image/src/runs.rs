@@ -45,13 +45,6 @@ impl Run {
     pub fn touches_8(&self, other: &Run) -> bool {
         self.start <= other.end && other.start <= self.end
     }
-
-    /// Whether this run touches `other` under 4-connectivity (adjacent
-    /// rows): spans must overlap directly.
-    #[inline]
-    pub fn touches_4(&self, other: &Run) -> bool {
-        self.start < other.end && other.start < self.end
-    }
 }
 
 /// Extracts the maximal foreground runs of a single row buffer of 0/1
@@ -343,35 +336,12 @@ mod tests {
         }; // cols 2..3 — diagonal contact
         assert!(a.touches_8(&b));
         assert!(b.touches_8(&a));
-        assert!(!a.touches_4(&b));
         let c = Run {
             row: 1,
             start: 3,
             end: 5,
         }; // gap of one column
         assert!(!a.touches_8(&c));
-    }
-
-    #[test]
-    fn touches_4_requires_direct_overlap() {
-        let a = Run {
-            row: 0,
-            start: 0,
-            end: 3,
-        };
-        let b = Run {
-            row: 1,
-            start: 2,
-            end: 5,
-        };
-        assert!(a.touches_4(&b));
-        let c = Run {
-            row: 1,
-            start: 3,
-            end: 5,
-        };
-        assert!(!a.touches_4(&c));
-        assert!(a.touches_8(&c));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! The paper prepares every dataset with MATLAB's `im2bw(image, 0.5)`:
 //! pixels with luminance *greater than* `level` become foreground (white,
 //! 1), all others background (black, 0). [`im2bw`] reproduces exactly that
-//! comparison. [`otsu_level`] and [`adaptive_mean`] are the two classic
-//! automatic alternatives, provided because the paper notes the algorithms
-//! "can be easily extended to gray scale images".
+//! comparison.
 
 use crate::bitmap::BinaryImage;
 use crate::gray::GrayImage;
@@ -28,93 +26,6 @@ pub fn im2bw(img: &GrayImage, level: f64) -> BinaryImage {
         .collect();
     BinaryImage::from_raw(img.width(), img.height(), data)
         .expect("dimensions preserved by thresholding")
-}
-
-/// Otsu's method: picks the threshold that maximizes between-class variance
-/// of the luminance histogram. Returns the threshold as a `[0, 1]` level
-/// directly usable with [`im2bw`].
-///
-/// Returns 0.5 for an empty or perfectly uniform image (any split is
-/// equally good; 0.5 mirrors the paper's default level).
-pub fn otsu_level(img: &GrayImage) -> f64 {
-    let hist = img.histogram();
-    let total: usize = img.len();
-    if total == 0 {
-        return 0.5;
-    }
-    let sum_all: f64 = hist
-        .iter()
-        .enumerate()
-        .map(|(v, &n)| v as f64 * n as f64)
-        .sum();
-
-    let mut best_t = 0usize;
-    let mut best_var = -1.0f64;
-    let mut w0 = 0.0f64; // background weight
-    let mut sum0 = 0.0f64; // background weighted sum
-    for (t, &count) in hist.iter().enumerate() {
-        w0 += count as f64;
-        if w0 == 0.0 {
-            continue;
-        }
-        let w1 = total as f64 - w0;
-        if w1 == 0.0 {
-            break;
-        }
-        sum0 += t as f64 * count as f64;
-        let mu0 = sum0 / w0;
-        let mu1 = (sum_all - sum0) / w1;
-        let between = w0 * w1 * (mu0 - mu1) * (mu0 - mu1);
-        if between > best_var {
-            best_var = between;
-            best_t = t;
-        }
-    }
-    if best_var <= 0.0 {
-        0.5
-    } else {
-        best_t as f64 / 255.0
-    }
-}
-
-/// Convenience: threshold with the Otsu-selected level.
-pub fn im2bw_otsu(img: &GrayImage) -> BinaryImage {
-    im2bw(img, otsu_level(img))
-}
-
-/// Adaptive mean thresholding: each pixel is compared against the mean of
-/// the `(2·radius+1)²` window around it minus `offset`. Implemented with an
-/// integral image so the cost is O(pixels) regardless of radius.
-pub fn adaptive_mean(img: &GrayImage, radius: usize, offset: i16) -> BinaryImage {
-    let (w, h) = (img.width(), img.height());
-    if w == 0 || h == 0 {
-        return BinaryImage::zeros(w, h);
-    }
-    // Integral image with a zero top row / left column: I[r+1][c+1] =
-    // sum of pixels in rows 0..=r, cols 0..=c.
-    let mut integral = vec![0u64; (w + 1) * (h + 1)];
-    for r in 0..h {
-        let mut rowsum = 0u64;
-        for c in 0..w {
-            rowsum += img.get(r, c) as u64;
-            integral[(r + 1) * (w + 1) + (c + 1)] = integral[r * (w + 1) + (c + 1)] + rowsum;
-        }
-    }
-    let window_sum = |r0: usize, c0: usize, r1: usize, c1: usize| -> u64 {
-        // inclusive box [r0..=r1] x [c0..=c1]
-        integral[(r1 + 1) * (w + 1) + (c1 + 1)] + integral[r0 * (w + 1) + c0]
-            - integral[r0 * (w + 1) + (c1 + 1)]
-            - integral[(r1 + 1) * (w + 1) + c0]
-    };
-    BinaryImage::from_fn(w, h, |r, c| {
-        let r0 = r.saturating_sub(radius);
-        let c0 = c.saturating_sub(radius);
-        let r1 = (r + radius).min(h - 1);
-        let c1 = (c + radius).min(w - 1);
-        let count = ((r1 - r0 + 1) * (c1 - c0 + 1)) as i64;
-        let mean = window_sum(r0, c0, r1, c1) as i64 / count;
-        (img.get(r, c) as i64) > mean - offset as i64
-    })
 }
 
 #[cfg(test)]
@@ -148,61 +59,5 @@ mod tests {
         // out-of-range levels are clamped.
         assert_eq!(im2bw(&img, -3.0).as_slice(), im2bw(&img, 0.0).as_slice());
         assert_eq!(im2bw(&img, 7.0).as_slice(), im2bw(&img, 1.0).as_slice());
-    }
-
-    #[test]
-    fn otsu_separates_bimodal() {
-        // Two well-separated modes at 40 and 200: Otsu must land between.
-        let img = GrayImage::from_fn(100, 1, |_, c| if c < 50 { 40 } else { 200 });
-        let level = otsu_level(&img);
-        let t = level * 255.0;
-        assert!((40.0..200.0).contains(&t), "otsu level {t} out of range");
-        let bw = im2bw(&img, level);
-        assert_eq!(bw.count_foreground(), 50);
-    }
-
-    #[test]
-    fn otsu_uniform_image_defaults() {
-        let img = GrayImage::from_fn(10, 10, |_, _| 99);
-        assert_eq!(otsu_level(&img), 0.5);
-        assert_eq!(otsu_level(&GrayImage::zeros(0, 0)), 0.5);
-    }
-
-    #[test]
-    fn im2bw_otsu_binarizes_bimodal_correctly() {
-        let img = GrayImage::from_fn(10, 10, |r, _| if r < 3 { 20 } else { 230 });
-        let bw = im2bw_otsu(&img);
-        assert_eq!(bw.count_foreground(), 70);
-    }
-
-    #[test]
-    fn adaptive_mean_detects_local_contrast() {
-        // A dark dot on a bright background: the dot itself falls below its
-        // window mean (background); its bright neighbours rise above theirs
-        // (foreground); pixels in perfectly uniform regions equal the mean
-        // and the strict comparison keeps them background.
-        let mut img = GrayImage::from_fn(9, 9, |_, _| 200);
-        img.set(4, 4, 10);
-        let bw = adaptive_mean(&img, 2, 0);
-        assert_eq!(bw.get(4, 4), 0); // the dot is below its local mean
-        assert_eq!(bw.get(3, 3), 1); // neighbour window contains the dot
-        assert_eq!(bw.get(0, 0), 0); // uniform corner: pixel == mean
-    }
-
-    #[test]
-    fn adaptive_mean_empty_image() {
-        let bw = adaptive_mean(&GrayImage::zeros(0, 3), 1, 0);
-        assert_eq!((bw.width(), bw.height()), (0, 3));
-    }
-
-    #[test]
-    fn adaptive_mean_offset_shifts_decision() {
-        let img = GrayImage::from_fn(5, 5, |_, _| 100);
-        // Uniform image: pixel == mean, so strict > fails with offset 0...
-        let none = adaptive_mean(&img, 1, 0);
-        assert_eq!(none.count_foreground(), 0);
-        // ...but a positive offset lowers the bar below the pixel value.
-        let all = adaptive_mean(&img, 1, 5);
-        assert_eq!(all.count_foreground(), 25);
     }
 }

@@ -22,8 +22,9 @@
 //!
 //! 1. **Per-run contributions are order-free.** The folded unit is a
 //!    **tile-local run** — a maximal stretch of foreground pixels on one
-//!    tile line — whose closed-form accumulator ([`Accum::run`]) equals
-//!    the fold of its pixels' single-pixel units ([`Accum::pixel`]).
+//!    tile line — whose closed-form accumulator
+//!    ([`Accum::from_run_counts`]) equals the fold of its pixels'
+//!    single-pixel units ([`Accum::pixel`]).
 //!    A pixel's unit is computed from its *already-scanned global*
 //!    neighbours (west + the three above, read from the raw pixels —
 //!    never from another tile's labels, which may not exist yet). Areas,
@@ -41,8 +42,7 @@
 //!    with popcounts over the packed line above (Σnorth, Σ(north|ne))
 //!    and single bit reads (west, nw, north₀) — no per-pixel loop and
 //!    no per-pixel branch. [`Accum::from_run_counts`] turns the counts
-//!    into the run's accumulator; [`Accum::run`], the byte-counting
-//!    form the proptests check, ends in the same closed form.
+//!    into the run's accumulator.
 //! 2. **Attribution follows connectivity.** A perimeter/Euler delta is
 //!    attributed to the pixel that closes it, and the neighbours it
 //!    involves are 8-adjacent — always the same final component — so
@@ -175,10 +175,10 @@ impl Accum {
 
     /// The accumulator of exactly one pixel with the given already-seen
     /// neighbour mask — the definition the fused path's runs
-    /// ([`Accum::run`]) are checked against: a component's accumulator is
-    /// the [`Accum::fold`] sum of its pixels' units (plus nothing else), in
-    /// any order. [`Accum::first`] is the special case with no live
-    /// neighbours.
+    /// ([`Accum::from_run_counts`]) are checked against: a component's
+    /// accumulator is the [`Accum::fold`] sum of its pixels' units (plus
+    /// nothing else), in any order. [`Accum::first`] is the special case
+    /// with no live neighbours.
     ///
     /// `west`/`nw`/`north`/`ne` are the four already-scanned foreground
     /// neighbours of `(r, c)`: each shared 4-edge removes one boundary
@@ -197,41 +197,14 @@ impl Accum {
         a
     }
 
-    /// The accumulator of one run: the foreground pixels `(r, c)` for
-    /// `c` in `cols` (non-empty), a maximal stretch of one tile line —
-    /// the unit the scan stage folds. It equals, bit for bit, the
-    /// raster-order fold of the run's [`Accum::pixel`] units: the 0/1
-    /// pixels `above` the run (`above[i]` is the north neighbour of pixel
-    /// `cols.start + i`) are counted into Σnorth and Σ(north|ne), and
-    /// [`Accum::from_run_counts`] is the closed form. `west` and `nw` are
-    /// the first pixel's, `ne` the last pixel's neighbour.
-    ///
-    /// The neighbours may lie in the adjacent tiles or the carried row:
-    /// they are raw pixels, never labels.
-    pub fn run(
-        r: usize,
-        cols: Range<usize>,
-        west: bool,
-        nw: bool,
-        above: &[u8],
-        ne: bool,
-    ) -> Accum {
-        let n = cols.len();
-        debug_assert!(n > 0 && above.len() == n, "run and row above disagree");
-        // each pixel's ne is the next pixel's north, the last one's `ne`
-        let north = above.iter().map(|&p| u64::from(p)).sum();
-        let north_or_ne = above
-            .iter()
-            .zip(above[1..].iter().chain([&u8::from(ne)]))
-            .map(|(&p, &q)| u64::from(p | q))
-            .sum();
-        Accum::from_run_counts(r, cols, west, nw, above[0] == 1, north, north_or_ne)
-    }
-
-    /// The closed form of [`Accum::run`] on the run's neighbour counts:
-    /// the first pixel's `west`, `nw` and `north0` neighbours, and over
-    /// the run the number of pixels with a north neighbour (`north`) and
-    /// with a north or ne one (`north_or_ne`). Every pixel after the first
+    /// The accumulator of one run — the foreground pixels `(r, c)` for
+    /// `c` in `cols` (non-empty), a maximal stretch of one tile line, the
+    /// unit the scan stage folds — from its neighbour counts. It equals,
+    /// bit for bit, the raster-order fold of the run's [`Accum::pixel`]
+    /// units. The counts are the first pixel's `west`, `nw` and `north0`
+    /// neighbours, and over the run the number of pixels with a north
+    /// neighbour (`north`) and with a north or ne one (`north_or_ne`; the
+    /// last pixel's ne lies past the run). Every pixel after the first
     /// has its west neighbour in the run, so nothing else is needed:
     /// - area `n`, `Σr = r·n`, `Σc = c₀·n + n(n−1)/2` (integer sums,
     ///   converted to f64 once); bbox and anchor from the endpoints;
@@ -239,7 +212,8 @@ impl Accum {
     /// - Euler `1 + Σnorth − (west|nw|north₀) − Σ(north|ne)`.
     ///
     /// The scan stage counts straight from packed words (popcounts and
-    /// bit reads); [`Accum::run`] counts from bytes.
+    /// bit reads). The neighbours may lie in the adjacent tiles or the
+    /// carried row: they are raw pixels, never labels.
     #[inline]
     pub fn from_run_counts(
         r: usize,
@@ -570,9 +544,9 @@ mod tests {
     #[test]
     fn runs_out_of_raster_order_keep_raster_anchor() {
         let mut a = Accum::EMPTY;
-        a.fold(&Accum::run(5, 2..4, false, false, &[0u8, 0], false));
+        a.fold(&Accum::from_run_counts(5, 2..4, false, false, false, 0, 0));
         // raster-earlier run folded later
-        a.fold(&Accum::run(1, 7..10, false, false, &[0u8, 0, 0], false));
+        a.fold(&Accum::from_run_counts(1, 7..10, false, false, false, 0, 0));
         assert_eq!(a.anchor, (1, 7));
         assert_eq!(a.area, 5);
         assert_eq!((a.min_r, a.min_c, a.max_r, a.max_c), (1, 2, 5, 9));

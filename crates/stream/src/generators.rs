@@ -2,10 +2,10 @@
 //! [`RowSource`]s.
 //!
 //! [`RowStream`] (see [`ccl_datasets::synth::stream`]) already delivers
-//! bit-identical row bands for the noise / land-cover / texture /
-//! adversarial generators; this `impl` plugs it straight into the
-//! labeling pipeline, so arbitrarily tall synthetic rasters can be
-//! labeled without ever existing in memory.
+//! bit-identical row bands for the noise and land-cover generators;
+//! this `impl` plugs it straight into the labeling pipeline, so
+//! arbitrarily tall synthetic rasters can be labeled without ever
+//! existing in memory.
 
 use ccl_datasets::synth::stream::RowStream;
 use ccl_image::BinaryImage;

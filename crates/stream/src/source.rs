@@ -11,11 +11,12 @@
 //! cut into `⌈width / tile_width⌉` column tiles (clipped at the right
 //! edge). A tile is a column span of the band, never a copy. One generic
 //! adapter, [`GridSource`], windows any [`RowSource`] into tile rows —
-//! [`GridSource::from_image`] for a resident image, [`GridSource::pbm`] /
-//! [`GridSource::pgm`] to decode a file one tile row at a time, and
-//! [`GridSource::new`] over any other source, the streamed generators
-//! included, so synthetic rasters of unbounded size tile without ever
-//! existing in memory.
+//! [`GridSource::from_image`] for a resident image, [`GridSource::pgm`]
+//! to binarize a PGM file one tile row at a time, and
+//! [`GridSource::new`] over any other source (a PBM file's
+//! [`PbmSource`](crate::PbmSource), the streamed generators), so
+//! synthetic rasters of unbounded size tile without ever existing in
+//! memory.
 
 use std::borrow::Borrow;
 use std::io::Read;
@@ -24,7 +25,7 @@ use std::ops::Range;
 use ccl_image::BinaryImage;
 
 use crate::error::StreamError;
-use crate::netpbm::{PbmSource, PgmSource};
+use crate::netpbm::PgmSource;
 
 /// A pull-based iterator of row bands: top-to-bottom, each band a binary
 /// image of the stream's width.
@@ -159,18 +160,6 @@ impl<'a> GridSource<MemorySource<&'a BinaryImage>> {
     }
 }
 
-impl<R: Read> GridSource<PbmSource<R>> {
-    /// Tiles a PBM (`P1`/`P4`) stream, decoding one tile row of the file
-    /// at a time (wrap files in a [`std::io::BufReader`]).
-    pub fn pbm(reader: R, tile_width: usize, tile_height: usize) -> Result<Self, StreamError> {
-        Ok(GridSource::new(
-            PbmSource::new(reader)?,
-            tile_width,
-            tile_height,
-        ))
-    }
-}
-
 impl<R: Read> GridSource<PgmSource<R>> {
     /// Tiles a PGM (`P2`/`P5`) stream binarized with the `im2bw`
     /// threshold `level` (the paper uses 0.5).
@@ -202,6 +191,7 @@ impl<S: RowSource> TileSource for GridSource<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netpbm::PbmSource;
 
     #[test]
     fn memory_source_bands_cover_image() {
@@ -266,7 +256,7 @@ mod tests {
     fn netpbm_window_reader_streams_tiles() {
         let img = BinaryImage::parse("#.#. .#.# ##.. ..##");
         let bytes = ccl_image::io::pbm::write_binary(&img);
-        let mut src = GridSource::pbm(bytes.as_slice(), 3, 3).unwrap();
+        let mut src = GridSource::new(PbmSource::new(bytes.as_slice()).unwrap(), 3, 3);
         let first = src.next_tile_row().unwrap().unwrap();
         assert_eq!(first.spans(), vec![0..3, 3..4]);
         assert_eq!(first.band().height(), 3);

@@ -2,10 +2,12 @@
 //! synthetic generator families.
 //!
 //! The scan stage folds one closed-form accumulator per **tile-local
-//! run** ([`Accum::run`]); the per-pixel units ([`Accum::pixel`]) are the
-//! definition it must match. So the suite checks two things:
+//! run** ([`Accum::from_run_counts`]); the per-pixel units
+//! ([`Accum::pixel`]) are the definition it must match. So the suite
+//! checks two things:
 //!
-//! 1. every tile-local run's [`Accum::run`] equals the raster-order fold
+//! 1. every tile-local run's [`Accum::from_run_counts`], on neighbour
+//!    counts taken from the run's pixels, equals the raster-order fold
 //!    of its pixels' units bit for bit — runs at a tile's left or right
 //!    edge included, whose neighbour flags come from the adjacent tile;
 //! 2. folding [`Accum`]s with [`Accum::merge_with`] is **commutative**
@@ -128,19 +130,26 @@ fn tile_runs(img: &BinaryImage, widths: &[usize]) -> Vec<TileRun> {
     out
 }
 
-/// [`Accum::run`] of one tile-local run, its neighbour flags read from
-/// the whole raster (so from the adjacent tiles at a tile edge).
+/// [`Accum::from_run_counts`] of one tile-local run, its neighbour
+/// flags read from the whole raster (so from the adjacent tiles at a tile
+/// edge) and its Σnorth and Σ(north|ne) counted pixel by pixel from the
+/// bytes of the row above — each pixel's ne is the next pixel's north,
+/// the last one's the pixel past the run.
 fn run_accum(img: &BinaryImage, run: &TileRun) -> Accum {
     let fg = |r: isize, c: isize| img.get_or_bg(r, c) == 1;
     let (ri, ai, bi) = (run.r as isize, run.a as isize, run.b as isize);
-    let above: Vec<u8> = (ai..bi).map(|c| img.get_or_bg(ri - 1, c)).collect();
-    Accum::run(
+    let north = (ai..bi).filter(|&c| fg(ri - 1, c)).count() as u64;
+    let north_or_ne = (ai..bi)
+        .filter(|&c| fg(ri - 1, c) || fg(ri - 1, c + 1))
+        .count() as u64;
+    Accum::from_run_counts(
         run.r,
         run.a..run.b,
         fg(ri, ai - 1),
         fg(ri - 1, ai - 1),
-        &above,
-        fg(ri - 1, bi),
+        fg(ri - 1, ai),
+        north,
+        north_or_ne,
     )
 }
 

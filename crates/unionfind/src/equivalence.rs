@@ -30,27 +30,6 @@ pub struct HeEquivalence {
     flattened: bool,
 }
 
-impl HeEquivalence {
-    /// Read-only view of the representative table (post-`flatten`: the
-    /// final-label lookup table).
-    pub fn rtable(&self) -> &[u32] {
-        &self.rtable
-    }
-
-    /// Members of the set represented by `r`, in list order.
-    /// Intended for tests; `r` must be a representative.
-    pub fn members(&self, r: u32) -> Vec<u32> {
-        debug_assert_eq!(self.rtable[r as usize], r, "not a representative");
-        let mut out = Vec::new();
-        let mut m = r;
-        while m != NIL {
-            out.push(m);
-            m = self.next[m as usize];
-        }
-        out
-    }
-}
-
 impl EquivalenceStore for HeEquivalence {
     #[inline]
     fn new_label(&mut self, label: u32) {
@@ -136,6 +115,18 @@ impl UnionFind for HeEquivalence {
 mod tests {
     use super::*;
 
+    /// Members of the set represented by `r`, in list order.
+    fn members(eq: &HeEquivalence, r: u32) -> Vec<u32> {
+        assert_eq!(eq.rtable[r as usize], r, "not a representative");
+        let mut out = Vec::new();
+        let mut m = r;
+        while m != NIL {
+            out.push(m);
+            m = eq.next[m as usize];
+        }
+        out
+    }
+
     #[test]
     fn find_is_constant_time_lookup() {
         let mut eq = HeEquivalence::new();
@@ -144,7 +135,7 @@ mod tests {
         }
         eq.merge(3, 4);
         // every member's rtable updated eagerly
-        assert_eq!(eq.rtable()[4], 3);
+        assert_eq!(eq.rtable[4], 3);
         assert_eq!(eq.find(4), 3);
         eq.merge(1, 3);
         assert_eq!(eq.find(4), 1);
@@ -160,8 +151,8 @@ mod tests {
         eq.merge(1, 2);
         eq.merge(4, 5);
         eq.merge(2, 5);
-        assert_eq!(eq.members(1), vec![1, 2, 4, 5]);
-        assert_eq!(eq.members(3), vec![3]);
+        assert_eq!(members(&eq, 1), vec![1, 2, 4, 5]);
+        assert_eq!(members(&eq, 3), vec![3]);
     }
 
     #[test]
@@ -186,9 +177,9 @@ mod tests {
             eq.make_set();
         }
         eq.merge(1, 2);
-        let before = eq.members(1);
+        let before = members(&eq, 1);
         eq.merge(2, 1);
-        assert_eq!(eq.members(1), before);
+        assert_eq!(members(&eq, 1), before);
     }
 
     #[test]

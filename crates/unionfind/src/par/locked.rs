@@ -57,11 +57,6 @@ impl LockedMerger {
         }
     }
 
-    /// Number of lock stripes.
-    pub fn stripes(&self) -> usize {
-        self.locks.len()
-    }
-
     #[inline]
     fn lock_for(&self, node: u32) -> &Mutex<()> {
         &self.locks[node as usize & self.mask]
@@ -133,9 +128,9 @@ mod tests {
 
     #[test]
     fn stripes_round_to_power_of_two() {
-        assert_eq!(LockedMerger::with_stripes(3).stripes(), 4);
-        assert_eq!(LockedMerger::with_stripes(0).stripes(), 1);
-        assert_eq!(LockedMerger::with_stripes(16).stripes(), 16);
+        assert_eq!(LockedMerger::with_stripes(3).locks.len(), 4);
+        assert_eq!(LockedMerger::with_stripes(0).locks.len(), 1);
+        assert_eq!(LockedMerger::with_stripes(16).locks.len(), 16);
     }
 
     #[test]

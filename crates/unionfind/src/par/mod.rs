@@ -80,11 +80,6 @@ impl ConcurrentParents {
         self.slots.into_iter().map(AtomicU32::into_inner).collect()
     }
 
-    /// Number of slots (background included).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Current parent of `x`.
     #[inline]
     pub fn load(&self, x: u32) -> u32 {
@@ -143,7 +138,7 @@ pub(crate) mod tests {
 
     /// Asserts Rem's invariant `p[x] ≤ x` over every slot.
     pub(crate) fn assert_monotone(p: &ConcurrentParents) {
-        for x in 0..p.capacity() as u32 {
+        for x in 0..p.slots.len() as u32 {
             let px = p.load(x);
             assert!(px <= x, "p[{x}] = {px} violates monotonicity");
         }
@@ -153,7 +148,6 @@ pub(crate) mod tests {
     fn parents_round_trip() {
         let parents = vec![0, 1, 1, 3, 0];
         let p = ConcurrentParents::from_parents(parents.clone());
-        assert_eq!(p.capacity(), 5);
         assert_eq!(p.load(2), 1);
         assert_eq!(p.into_parents(), parents);
     }

@@ -17,13 +17,6 @@ pub struct MinUF {
     flattened: bool,
 }
 
-impl MinUF {
-    /// Read-only view of the parent array.
-    pub fn parents(&self) -> &[u32] {
-        &self.p
-    }
-}
-
 impl EquivalenceStore for MinUF {
     #[inline]
     fn new_label(&mut self, label: u32) {
@@ -133,7 +126,7 @@ mod tests {
             let y = ((s >> 32) % 20) as u32;
             uf.union(x, y);
         }
-        for (i, &p) in uf.parents().iter().enumerate() {
+        for (i, &p) in uf.p.iter().enumerate() {
             assert!(p as usize <= i);
         }
     }

@@ -59,11 +59,6 @@ impl RankUF {
         self.compression
     }
 
-    /// Read-only view of the parent array.
-    pub fn parents(&self) -> &[u32] {
-        &self.p
-    }
-
     #[inline]
     fn find_root(&self, mut x: usize) -> usize {
         while self.p[x] as usize != x {

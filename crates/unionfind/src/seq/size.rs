@@ -13,19 +13,6 @@ pub struct SizeUF {
     flattened: bool,
 }
 
-impl SizeUF {
-    /// Read-only view of the parent array.
-    pub fn parents(&self) -> &[u32] {
-        &self.p
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x) as usize;
-        self.size[r]
-    }
-}
-
 impl EquivalenceStore for SizeUF {
     #[inline]
     fn new_label(&mut self, label: u32) {
@@ -114,20 +101,6 @@ impl UnionFind for SizeUF {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sizes_accumulate() {
-        let mut uf = SizeUF::new();
-        for _ in 0..6 {
-            uf.make_set();
-        }
-        uf.union(1, 2);
-        assert_eq!(uf.set_size(1), 2);
-        uf.union(3, 4);
-        uf.union(1, 3);
-        assert_eq!(uf.set_size(4), 4);
-        assert_eq!(uf.set_size(5), 1);
-    }
 
     #[test]
     fn smaller_tree_links_under_larger() {

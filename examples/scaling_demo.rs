@@ -18,15 +18,14 @@ fn main() {
     eprintln!("generating {side}x{side} image…");
     let img = landcover(side, side, LandcoverParams::default(), 4242);
 
+    // Powers of two below the host's core count, then the count itself:
+    // no row oversubscribes the host.
     let max_threads = std::thread::available_parallelism().map_or(8, |n| n.get());
-    let mut threads: Vec<usize> = vec![1, 2, 4];
-    let mut t = 8;
-    while t < max_threads {
-        threads.push(t);
-        t *= 2;
-    }
+    let mut threads: Vec<usize> = (0..)
+        .map(|k| 1 << k)
+        .take_while(|&t| t < max_threads)
+        .collect();
     threads.push(max_threads);
-    threads.dedup();
 
     let mut table = Table::new([
         "#threads",

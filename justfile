@@ -2,7 +2,7 @@
 # local runs and CI cannot drift. `just ci` is the full gate.
 
 # Full CI gate: everything the workflow runs, in the same order.
-ci: fmt-check no-shim-use clippy build test rayon-release-test unionfind-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke demo-smoke perfbench-smoke bench-smoke
+ci: fmt-check no-shim-use clippy build test rayon-release-test unionfind-release-test perfbench-test doc smoke netpbm-smoke stream-smoke tiles-smoke document-smoke landcover-smoke scaling-smoke demo-smoke perfbench-smoke bench-smoke
 
 # Format the whole workspace in place (perfbench is its own workspace).
 fmt:
@@ -68,6 +68,21 @@ stream-smoke:
 # Run the tile-grid spill example (ccl_stream::spill) end to end.
 tiles-smoke:
     cargo run --locked --release --example tiles_outofcore
+
+# Run the document example end to end: glyph components of a text page
+# grouped into lines.
+document-smoke:
+    cargo run --locked --release --example document_components
+
+# Run the land-cover example end to end: PAREMSP on an 8 Mpixel mask,
+# phase times and the patch size distribution.
+landcover-smoke:
+    cargo run --locked --release --example landcover_analysis
+
+# Run the thread-scaling example end to end: PAREMSP phase times and
+# speedup at each thread count up to the host's cores.
+scaling-smoke:
+    cargo run --locked --release --example scaling_demo
 
 # Run a one-rep stream_demo at 1 and 2 threads end to end: the height
 # sweep of strip bands and tile rows, the execution-mode table (which

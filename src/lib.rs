@@ -56,15 +56,11 @@ pub use ccl_unionfind as unionfind;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use ccl_core::analysis::{
-        count_holes, count_holes_per_label, euler_number, keep_largest_component,
-        region_properties, remove_small_components,
-    };
+    pub use ccl_core::analysis::{count_holes, count_holes_per_label, region_properties};
     pub use ccl_core::label::LabelImage;
     pub use ccl_core::par::{multipass_parallel, paremsp, paremsp_with, MergerKind, ParemspConfig};
     pub use ccl_core::seq::{
-        aremsp, arun, ccllrpc, cclremsp, contour_label, flood_fill_label, label_four_connectivity,
-        label_grayscale, multipass, run_based,
+        aremsp, arun, ccllrpc, cclremsp, contour_label, flood_fill_label, multipass, run_based,
     };
     pub use ccl_core::verify::{labelings_equivalent, verify_labeling};
     pub use ccl_core::Algorithm;

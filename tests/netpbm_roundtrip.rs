@@ -6,7 +6,7 @@ use paremsp::core::verify::verify_labeling;
 use paremsp::datasets::synth::landcover::{landcover, LandcoverParams};
 use paremsp::datasets::synth::noise::bernoulli;
 use paremsp::image::io::{pbm, pgm, ppm};
-use paremsp::image::threshold::{im2bw, otsu_level};
+use paremsp::image::threshold::im2bw;
 use paremsp::image::{Connectivity, GrayImage, RgbImage};
 
 #[test]
@@ -53,14 +53,6 @@ fn color_pipeline_matches_paper_figure3() {
     let labels = aremsp(&bw);
     // 8-connectivity joins diagonal bright cells into one component
     assert_eq!(labels.num_components(), 1);
-}
-
-#[test]
-fn otsu_level_binarizes_like_fixed_threshold_on_bimodal() {
-    let gray = GrayImage::from_fn(64, 64, |r, _| if r < 32 { 30 } else { 220 });
-    let level = otsu_level(&gray);
-    let bw = im2bw(&gray, level);
-    assert_eq!(bw, im2bw(&gray, 0.5));
 }
 
 #[test]
