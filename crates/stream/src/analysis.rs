@@ -8,8 +8,9 @@
 //! *closes* (no pixel on the stream's frontier row).
 //!
 //! Consumers implement [`ComponentSink`] (and optionally [`TileSink`]
-//! for labeled output, which [`CollectTiles`] gathers in memory); `Vec<ComponentRecord>` works out of the box
-//! for collect-everything callers.
+//! for labeled output, which [`CollectTiles`] gathers in memory);
+//! `Vec<ComponentRecord>` works out of the box for collect-everything
+//! callers.
 //!
 //! # Partial accumulators and the seam fold (fused analysis)
 //!
@@ -51,14 +52,12 @@
 //!    indexes its partials by its own group's labels, in a table no
 //!    other worker touches, so workers write without synchronization;
 //!    the stitch appends the tables in label order, as it does the
-//!    union-find parents. The merge stage folds each
-//!    used label's partial onto its union-find root right after the
-//!    carry seam — O(labels), not O(pixels), once every union has
-//!    happened.
-//!    The only pixels the merge stage ever touches are the band's (or
-//!    tile row's) **first line**, whose upper neighbours are the carry
-//!    row the scan stage must not depend on — an O(width) fold of its
-//!    tile-local runs.
+//!    union-find parents. The scan folds every line of its tiles, the
+//!    unit's first line against the previous unit's last pixel row,
+//!    which the scan stage carries packed to words.
+//!    The merge stage touches no pixels: it folds each used label's
+//!    partial onto its union-find root right after the carry seam —
+//!    O(labels), not O(pixels), once every union has happened.
 
 use std::ops::Range;
 

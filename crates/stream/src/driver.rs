@@ -5,7 +5,7 @@
 use crate::analysis::{ComponentRecord, ComponentSink, TileSink};
 use crate::error::StreamError;
 use crate::labeler::{StreamStats, StripConfig, StripLabeler, Unit};
-use crate::scan::ScannedRow;
+use crate::scan::{ScanState, ScannedRow};
 use crate::source::{RowSource, TileSource};
 
 /// Streams `source` through the labeler in bands of `band_rows`,
@@ -22,6 +22,9 @@ use crate::source::{RowSource, TileSource};
 /// pipelined run's two-band + carry residency in
 /// [`StreamStats::peak_resident_rows`]. A panicking stage surfaces as
 /// [`StreamError::Worker`].
+///
+/// # Panics
+/// Panics when `band_rows` is 0, in either mode.
 pub fn label_stream<S>(
     source: &mut S,
     band_rows: usize,
@@ -32,23 +35,21 @@ pub fn label_stream<S>(
 where
     S: RowSource + Send + ?Sized,
 {
+    assert!(band_rows > 0, "band height must be positive");
     let width = source.width();
-    drive(
-        width,
-        cfg,
-        components,
-        labels,
-        |carry_cap, r0| match source.next_band(band_rows)? {
-            Some(band) => Unit::Band(&band)
-                .scan(width, cfg.threads, carry_cap, r0)
-                .map(Some),
-            None => Ok(None),
-        },
-    )
+    let scan = |state: &mut ScanState| {
+        let band = source.next_band(band_rows)?;
+        band.map(|band| Unit::Band(&band).scan(cfg.threads, state))
+            .transpose()
+    };
+    drive(width, cfg, components, labels, scan)
 }
 
 /// [`label_stream`] collecting every [`ComponentRecord`] (emission order:
 /// closure order).
+///
+/// # Panics
+/// Panics when `band_rows` is 0.
 pub fn analyze_stream<S>(
     source: &mut S,
     band_rows: usize,
@@ -83,18 +84,12 @@ where
     S: TileSource + Send + ?Sized,
 {
     let width = source.width();
-    drive(
-        width,
-        cfg,
-        components,
-        tiles,
-        |carry_cap, r0| match source.next_tile_row()? {
-            Some(row) => Unit::Tiles(&row)
-                .scan(width, cfg.threads, carry_cap, r0)
-                .map(Some),
-            None => Ok(None),
-        },
-    )
+    let scan = |state: &mut ScanState| {
+        let row = source.next_tile_row()?;
+        row.map(|row| Unit::Tiles(&row).scan(cfg.threads, state))
+            .transpose()
+    };
+    drive(width, cfg, components, tiles, scan)
 }
 
 /// [`label_tiles`] collecting every [`ComponentRecord`] (emission order:
@@ -112,19 +107,22 @@ where
 }
 
 /// Both drivers' body: a labeler merging what `scan` (the pull of the
-/// next unit plus its [`Unit::scan`]) yields, through the driver loop.
+/// next unit plus its [`Unit::scan`] on the driver's scan state) yields,
+/// through the driver loop.
 fn drive(
     width: usize,
     cfg: StripConfig,
     components: &mut dyn ComponentSink,
     mut labels: Option<&mut dyn TileSink>,
-    scan: impl FnMut(u32, usize) -> Result<Option<ScannedRow>, StreamError> + Send,
+    mut scan: impl FnMut(&mut ScanState) -> Result<Option<ScannedRow>, StreamError> + Send,
 ) -> Result<StreamStats, StreamError> {
     let mut labeler = StripLabeler::with_config(width, cfg);
-    crate::pipeline::run(width, cfg.pipelined, scan, |unit| {
-        labeler.merge(unit, components, labels.as_deref_mut())?;
-        Ok(labeler.open_components() as u32)
-    })?;
+    let mut state = ScanState::new(width);
+    crate::pipeline::run(
+        cfg.pipelined,
+        move || scan(&mut state),
+        |unit| labeler.merge(unit, components, labels.as_deref_mut()),
+    )?;
     Ok(labeler.finish(components))
 }
 
@@ -177,6 +175,28 @@ mod tests {
             },
             sync_stats
         );
+    }
+
+    /// A zero band height is refused at entry, the same way in both
+    /// modes: a panic on the caller's thread, not a worker error.
+    #[test]
+    fn zero_band_height_panics_in_both_modes() {
+        let img = BinaryImage::ones(4, 3);
+        for pipelined in [false, true] {
+            let cfg = StripConfig {
+                pipelined,
+                ..StripConfig::default()
+            };
+            let run = std::panic::catch_unwind(|| {
+                analyze_stream(&mut MemorySource::new(&img), 0, cfg).map(|_| ())
+            });
+            let payload = run.expect_err("band height 0 must panic");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(
+                msg, "band height must be positive",
+                "pipelined: {pipelined}"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * one boundary row of labels (the **carry row**),
 //! * one [`Accum`](crate::analysis) per component still *open* on that
 //!   row (area, bbox, centroid sums, anchor, perimeter, id),
+//! * on the scan side, the same row's pixels, packed to words, and the
+//!   global row of the next unit,
 //!
 //! so the resident footprint is O(unit + open components), independent
 //! of image height. Label slots are recycled: after each unit, the
@@ -22,42 +24,39 @@
 //! components are emitted through [`ComponentSink`] and their slots
 //! reused.
 //!
-//! The per-unit work splits into two stages with one dependency between
-//! consecutive units:
+//! The per-unit work splits into two stages. Nothing flows from the
+//! merge stage back to the scan stage, so the pipelined driver loop runs
+//! the scan one unit ahead:
 //!
 //! * **scan stage** — the unit's column tiles, each a span of the band
 //!   scanned in place with the two-line scan + RemSP, by at most
 //!   [`StripConfig::threads`] workers, each into a label space of its own
 //!   that the stage then stitches into one numbering and merges along
-//!   the vertical seams. Carried ids are reserved by capacity (the exact
-//!   open-component count synchronously, the width bound `⌈w/2⌉` in the
-//!   pipelined driver loop), so the stage never looks at the carry row.
-//!   Each scan worker also builds its tiles' **partial accumulator
-//!   tables** while it scans (see [`crate::analysis`] for the
-//!   invariants).
+//!   the vertical seams. It reads the unit's pixels and the previous
+//!   unit's last pixel row, never the carry row's labels: carried ids are
+//!   reserved by counting the runs on that pixel row, never fewer than
+//!   the components open on it. Each scan worker also builds its tiles'
+//!   **partial accumulator tables** while it scans, every line folded,
+//!   the first against the previous unit's last pixel row (see
+//!   [`crate::analysis`] for the invariants).
 //! * **merge stage** — everything the scanned unit contributes after its
-//!   own scan, settled against the carried state. Inherently sequential,
-//!   because each unit's carry feeds the next:
-//!   1. the **first-line fold** — the unit's first line is the only part
-//!      of its partial accumulators the scan could not build (its upper
-//!      neighbours are the carry row), so its tile-local runs are folded
-//!      in here in O(width), from the line and the carry row packed
-//!      straight from their labels to words ([`Accum::from_run_counts`],
-//!      north/nw/ne read from the carry row);
-//!   2. the **carry seam** between the carry row and the unit's first
+//!   own scan, settled against the carried state. It reads labels and
+//!   accumulators only, never a pixel. Inherently sequential, because
+//!   each unit's carry row feeds the next:
+//!   1. the **carry seam** between the carry row and the unit's first
 //!      line, one sequential pass over the scan's stitched store;
-//!   3. the **per-label fold** — carried accumulators onto their
+//!   2. the **per-label fold** — carried accumulators onto their
 //!      (possibly merged) roots, replaying every carried-id merge, then
 //!      each used label's partial onto its root: O(labels), never
 //!      O(pixels);
-//!   4. **fresh ids** for new components, in raster order of their
+//!   3. **fresh ids** for new components, in raster order of their
 //!      anchors: the fresh roots radix-sorted on one packed key each,
 //!      the anchor's unit-local raster index `(row - r0) * width + col`;
-//!   5. **compaction** of the components still open on the unit's last
+//!   4. **compaction** of the components still open on the unit's last
 //!      line to active ids `1..=k`, which rebuilds the carry row;
-//!   6. **emission** of every closed component, ascending id, as two
+//!   5. **emission** of every closed component, ascending id, as two
 //!      lists with no sort of the records: the closed carried roots
-//!      sorted by id, then the closed fresh roots in the order step 4
+//!      sorted by id, then the closed fresh roots in the order step 3
 //!      numbered them (every carried id is older than every fresh one);
 //!      then of the unit's labels through a [`TileSink`] — every
 //!      carried-id merge, then a strip band as one full-width tile or a
@@ -94,7 +93,7 @@ use ccl_unionfind::{RemSP, UnionFind};
 
 use crate::analysis::{Accum, ComponentId, ComponentSink, TileMeta, TileSink};
 use crate::error::StreamError;
-use crate::scan::{fold_runs, scan_tile_row, shifted, PackedLines, ScannedRow};
+use crate::scan::{shifted, ScanState, ScannedRow};
 use crate::source::TileRow;
 
 /// Configuration of the out-of-core labeler and its drivers.
@@ -171,19 +170,17 @@ pub(crate) enum Unit<'a> {
 
 impl Unit<'_> {
     /// The scan stage: checks the unit's width and hands its band to the
-    /// shared tile-row scan ([`scan_tile_row`]) as column tiles — a strip
-    /// band's [`split_spans`]`(width, threads)`, one tile when
-    /// sequential, or a tile row's tiles — recording how its labels
-    /// leave. Carried ids occupy slots `1..=carry_cap` and `r0` is the
-    /// global row of the unit's first line, both supplied by the driver
-    /// loop or the labeler.
+    /// shared tile-row scan ([`ScanState::scan_tile_row`]) as column
+    /// tiles — a strip band's [`split_spans`]`(width, threads)`, one tile
+    /// when sequential, or a tile row's tiles — recording how its labels
+    /// leave. `state` is the stream's scan-side state, the labeler's own
+    /// or the driver loop's.
     pub(crate) fn scan(
         self,
-        width: usize,
         threads: usize,
-        carry_cap: u32,
-        r0: usize,
+        state: &mut ScanState,
     ) -> Result<ScannedRow, StreamError> {
+        let width = state.width();
         let (band, spans) = match self {
             Unit::Band(band) => (band, split_spans(width, threads)),
             Unit::Tiles(row) => (row.band(), row.spans()),
@@ -196,7 +193,7 @@ impl Unit<'_> {
         }
         Ok(ScannedRow {
             one_tile: matches!(self, Unit::Band(_)),
-            ..scan_tile_row(band, spans, threads, carry_cap, r0)
+            ..state.scan_tile_row(band, spans, threads)
         })
     }
 }
@@ -234,6 +231,9 @@ impl Unit<'_> {
 pub struct StripLabeler {
     cfg: StripConfig,
     width: usize,
+    /// The scan stage's state for [`Self::push_band`] and
+    /// [`Self::push_tile_row`]; the drivers keep their own.
+    scan: ScanState,
     /// Labels (active ids `1..=k`, 0 = background) of the last line of
     /// the previous unit; empty before the first unit with pixels.
     carry: Vec<u32>,
@@ -265,6 +265,7 @@ impl StripLabeler {
         StripLabeler {
             cfg,
             width,
+            scan: ScanState::new(width),
             carry: Vec::new(),
             active: vec![Accum::EMPTY],
             next_gid: 1,
@@ -358,16 +359,11 @@ impl StripLabeler {
         components: &mut dyn ComponentSink,
         labels: Option<&mut (dyn TileSink + '_)>,
     ) -> Result<(), StreamError> {
-        let scanned = unit.scan(
-            self.width,
-            self.cfg.threads,
-            self.open_components() as u32,
-            self.rows,
-        )?;
+        let scanned = unit.scan(self.cfg.threads, &mut self.scan)?;
         self.merge(scanned, components, labels)
     }
 
-    /// The merge stage (steps 1–6 of the module docs), label output
+    /// The merge stage (steps 1–5 of the module docs), label output
     /// through `sink` when given. Counterpart of [`Unit::scan`]; the two
     /// called back-to-back are exactly a push, while the pipelined driver
     /// loop runs them on different threads, one unit apart.
@@ -411,15 +407,13 @@ impl StripLabeler {
         self.peak_resident_rows = self.peak_resident_rows.max(resident);
         self.last_rows = rows;
         let n_carry = self.open_components() as u32;
+        debug_assert!(
+            n_carry < used.start,
+            "{n_carry} open components, {} carried ids reserved",
+            used.start - 1
+        );
         self.provisional_labels += u64::from(used.end - used.start);
 
-        // The first line's runs (labels packed as the foreground mask):
-        // their upper neighbours are the carry row, which the scan stage
-        // never reads. The first unit's row above is background.
-        let lines = PackedLines::of_labels(first, &self.carry);
-        for span in &spans {
-            fold_runs(r0, &lines, span, &first[span.clone()], &mut acc);
-        }
         if !self.carry.is_empty() {
             merge_seam(&self.carry, first, &mut uf);
         }
@@ -445,7 +439,7 @@ impl StripLabeler {
         let mut fresh: Vec<(u64, u32)> = Vec::new();
         for l in used.clone() {
             // every label is created at a tile-local run start, so the
-            // scan (lines 1..) and the first-line fold gave it a partial
+            // scan's fold gave it a partial
             debug_assert!(!acc[l as usize].is_empty(), "label {l} has no pixel");
             let root = uf.find(l);
             root_of[l as usize] = root;

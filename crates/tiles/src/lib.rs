@@ -5,7 +5,7 @@
 //! lives in [`ccl_stream::spill`] and the labeler in `ccl_stream`; the
 //! four tile-grid names below are second names for `ccl_stream` types.
 //! Use the `ccl_stream` names everywhere else. The benchmark PR of
-//! ROADMAP item 2 moves `perfbench` onto them and deletes this crate.
+//! ROADMAP item 7 moves `perfbench` onto them and deletes this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

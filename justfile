@@ -132,6 +132,10 @@ bench:
 repro:
     cargo run --release -p ccl-bench --bin repro_all
 
+# Every full-scale acceptance run, one after another: the strip, tile-grid
+# and staged-pipeline stress tests (release build, several minutes).
+stress: stream-stress tiles-stress pipeline-stress
+
 # Full-scale streaming acceptance run: 268 Mpixel in 1024-row bands,
 # analysis identical to whole-image AREMSP, <= 2 bands resident.
 stream-stress:
